@@ -109,7 +109,7 @@ class SpectralEvidence:
     rho: tuple[float, ...]            # spectral radius of |DG| per sample
     max_rho_deviation: float          # max |rho - 1|
     eigvec_residual: float | None     # max inf-norm of |DG||u| - |u|
-    similarity_residual: float | None  # eigenvalue multiset distance DG vs |DG|
+    similarity_residual: float | None  # max |D DG D - |DG||, D = diag(sign u)
     unique_modulus_one: bool | None   # 1 the only eigenvalue on the unit circle
     spectral_gap: float | None        # min over samples of 1 - second modulus
 
@@ -213,8 +213,9 @@ def find_scaling_exponent(sys: PositiveSystem,
     """Extract and verify a scaling direction from the eigenvalue-1
     eigenspace of the first sample's elasticity matrix.
 
-    Returns None when no eigenvalue lies within 1e-8 of 1.  Raises
-    AmbiguousScalingError when the eigenspace is multi-dimensional.
+    Returns None unless I - DG has both an eigenvalue and a singular value
+    below TOL_EIGENVALUE (a non-normal DG can have the second alone).
+    Raises AmbiguousScalingError when the eigenspace is multi-dimensional.
     """
     elasticities = elasticities or _elasticities(sys, samples)
     E0 = elasticities[0].entries
@@ -300,24 +301,14 @@ def check_monotonicity(sys: PositiveSystem, u,
     return CheckResult("evidence-only"), partition
 
 
-def _multiset_distance(a: NDArray, b: NDArray) -> float:
-    # greedy nearest-neighbor matching of two complex eigenvalue multisets
-    b = list(b)
-    worst = 0.0
-    for lam in sorted(a, key=abs, reverse=True):
-        dists = [abs(lam - mu) for mu in b]
-        k = int(np.argmin(dists))
-        worst = max(worst, dists[k])
-        b.pop(k)
-    return worst
-
-
 def check_spectral(sys: PositiveSystem, u,
                    samples: Sequence[StateVector],
                    elasticities: Sequence[ElasticityMatrix] | None = None,
                    compare_spectra: bool = True) -> SpectralEvidence:
-    """Spectral radius of |DG|, the |u| eigenvector residual, spectrum
-    similarity between DG and |DG|, and the modulus-1 uniqueness check.
+    """Spectral radius of |DG|, the |u| eigenvector residual, the
+    signature residual max |D DG D - |DG|| with D = diag(sign u) (exactly
+    0 when the block sign rule holds; DG and |DG| then share a spectrum),
+    and the modulus-1 uniqueness check.
 
     Out-of-tolerance values are recorded, never raised.
     """
@@ -327,25 +318,29 @@ def check_spectral(sys: PositiveSystem, u,
     sim_res = None
     unique = None
     gap = None
+    start = None
     if u is not None:
         u = np.asarray(u, dtype=float)
+        abs_u = np.abs(u)
+        flip = np.outer(np.sign(u), np.sign(u))
         eig_res = 0.0
+        sim_res = 0.0 if compare_spectra else None
+        start = abs_u if np.all(abs_u > 0.0) else None
     for E in elasticities:
         A = np.abs(E.entries)
         try:
-            rho = spectral_radius(A, tol=1e-12).rho
+            rho = spectral_radius(A, tol=1e-12, start=start).rho
         except (ReducibleMatrixError, PowerIterationError):
             # reducible or imprimitive inputs: dense eigenvalues instead
             rho = float(np.max(np.abs(np.linalg.eigvals(A))))
         rhos.append(rho)
         if u is not None:
-            eig_res = max(eig_res, float(np.max(np.abs(A @ np.abs(u)
-                                                       - np.abs(u)))))
+            eig_res = max(eig_res, float(np.max(np.abs(A @ abs_u - abs_u))))
+            if compare_spectra:
+                sim_res = max(sim_res,
+                              float(np.max(np.abs(flip * E.entries - A))))
         if compare_spectra:
             eigs_raw = np.linalg.eigvals(E.entries)
-            eigs_abs = np.linalg.eigvals(A)
-            d = _multiset_distance(eigs_raw, eigs_abs)
-            sim_res = d if sim_res is None else max(sim_res, d)
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one
             away = eigs_raw[np.abs(eigs_raw - 1.0) > 1e-6]
@@ -395,7 +390,8 @@ def certify(sys: PositiveSystem, sample_count: int = 8, seed: int = 0,
     else:
         if certificate is None:
             scaling = CheckResult("absent", {
-                "reason": "no elasticity eigenvalue within 1e-08 of 1"})
+                "reason": "I - DG lacks an eigenvalue or a singular value "
+                          f"below {TOL_EIGENVALUE:g}"})
         elif (certificate.residual_fixed_eq > TOL_RESIDUAL
               or certificate.residual_direct > TOL_RESIDUAL):
             scaling = CheckResult("fail", {

@@ -161,14 +161,16 @@ def strongly_connected_components(M) -> list[list[int]]:
     return comps
 
 
-def spectral_radius(M, tol: float = 1e-10) -> SpectralResult:
+def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
     """Perron root of an irreducible nonnegative matrix by power iteration.
 
     Stops once the Collatz-Wielandt sandwich
         min_j (Mv)_j / v_j  <=  rho  <=  max_j (Mv)_j / v_j
     is tighter than tol * max(1, rho); returns the bracket midpoint.
     The iterate stays strictly positive throughout, which is what makes
-    the sandwich valid at every step.
+    the sandwich valid at every step.  Iteration starts from `start`, a
+    strictly positive vector (all ones by default); a start at the
+    Perron vector closes the bracket after one matvec.
 
     Imprimitive matrices can cycle without closing the bracket.  When the
     bracket stalls we add a tiny diagonal shift (1e-12 * max entry), which
@@ -183,7 +185,9 @@ def spectral_radius(M, tol: float = 1e-10) -> SpectralResult:
             "matrix is reducible; Collatz-Wielandt bounds need not close")
     n = A.shape[0]
     max_iter = 100 * n
-    v = np.ones(n)
+    v = np.ones(n) if start is None else _check_gauge(start, "start vector")
+    if v.shape != (n,):
+        raise ValueError(f"start vector has shape {v.shape}, expected ({n},)")
     shift = 0.0
     stall = 0
     prev_width = np.inf
@@ -225,12 +229,12 @@ def spectral_radius(M, tol: float = 1e-10) -> SpectralResult:
     )
 
 
-def _check_gauge(v) -> NDArray[np.float64]:
+def _check_gauge(v, what: str = "gauge vector") -> NDArray[np.float64]:
     g = np.asarray(v, dtype=float)
     if g.ndim != 1:
-        raise ValueError("gauge vector must be one-dimensional")
+        raise ValueError(f"{what} must be one-dimensional")
     if np.any(g <= 0) or not np.all(np.isfinite(g)):
-        raise ValueError("gauge vector entries must be strictly positive")
+        raise ValueError(f"{what} entries must be strictly positive")
     return g
 
 

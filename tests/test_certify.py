@@ -4,6 +4,9 @@ designed to violate."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scalefix.certify import (
     AmbiguousScalingError,
@@ -13,7 +16,8 @@ from scalefix.certify import (
     find_scaling_exponent,
     sample_states,
 )
-from scalefix.system import PositiveSystem, elasticity_at
+from scalefix.modelio import format_report, parse_report
+from scalefix.system import ElasticityMatrix, PositiveSystem, elasticity_at
 from scalefix.trade import (
     GeneralParams,
     MultiSectorParams,
@@ -226,13 +230,42 @@ def test_spectral_evidence(build, params):
     sp = rep.spectral
     assert sp.max_rho_deviation <= 1e-8
     assert sp.eigvec_residual <= 1e-8
-    assert sp.similarity_residual <= 1e-6
+    # the block sign rule makes D DG D = |DG| exact, D = diag(sign u)
+    assert sp.similarity_residual == 0.0
     assert sp.unique_modulus_one
     assert sp.spectral_gap > 1e-6
     # dense eigensolver as the oracle for the reported radii
     for x, rho in zip(rep.samples, sp.rho):
         A = np.abs(elasticity_at(sys, x).entries)
         assert abs(rho - np.max(np.abs(np.linalg.eigvals(A)))) < 1e-9
+
+
+@st.composite
+def signed_perron_matrices(draw):
+    """E = D M D for an irreducible nonnegative M with a positive
+    diagonal and M v = v, a random signature D, and u = D v."""
+    n = draw(st.integers(2, 7))
+    weights = draw(arrays(float, (n, n), elements=st.floats(0.1, 2.0)))
+    keep = draw(arrays(bool, (n, n)))
+    # the diagonal and the cycle j -> j+1 make B primitive
+    keep |= np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    B = np.where(keep, weights, 0.0)
+    v = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
+    M = (v / (B @ v))[:, None] * B
+    d = np.where(draw(arrays(bool, n)), 1.0, -1.0)
+    return d[:, None] * M * d[None, :], d * v, M
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_perron_matrices())
+def test_signature_similarity_and_perron_bracket(case):
+    E, u, M = case
+    sys = custom(tuple(f"x{j}" for j in range(len(u))), lambda x: x)
+    x = sys.state(np.ones(len(u)))
+    sp = check_spectral(sys, u, [x], [ElasticityMatrix(E, x, "analytic")])
+    assert sp.similarity_residual == 0.0
+    assert abs(sp.rho[0] - 1.0) <= 1e-12
+    assert abs(sp.rho[0] - np.max(np.abs(np.linalg.eigvals(M)))) <= 1e-9
 
 
 def test_spectrum_similarity_via_charpoly():
@@ -254,6 +287,8 @@ def test_identity_fails_connectedness_and_scaling_is_ambiguous():
     assert rep.scaling.verdict == "error"
     assert rep.monotonicity.verdict == "skipped"
     assert not rep.uniqueness_applicable
+    # no direction u, so no signature to test
+    assert rep.spectral.similarity_residual is None
 
 
 def test_swap_fails_only_self_interaction():
@@ -299,6 +334,8 @@ def test_mixed_sign_row_fails_monotonicity():
     assert rep.monotonicity.verdict == "fail"
     d = rep.monotonicity.details
     assert (d["row"], d["column"]) == ("a", "a")
+    # the wrong-signed self-elasticity breaks D DG D = |DG|
+    assert rep.spectral.similarity_residual > 0.0
 
     # oracle: the offending self-elasticity flips sign where the two
     # coordinates cross, x1 = x2
@@ -316,6 +353,27 @@ def test_rotation_is_the_radius_one_borderline():
     assert rep.self_interaction.verdict == "fail"
     assert rep.scaling_free_radius_one
     assert rep.spectral.max_rho_deviation <= 1e-9
+
+
+def test_sqrt_swap_absent_reason_names_the_tolerance():
+    rep = certify(SQRT_SWAP, sample_count=2, seed=3)
+    assert rep.scaling.details["reason"] == (
+        "I - DG lacks an eigenvalue or a singular value below 1e-08")
+
+
+def test_non_normal_map_with_tiny_singular_value_has_no_direction():
+    # x -> exp(E log x), E = I/2 + 2 * superdiagonal: every eigenvalue is
+    # 1/2, yet ||(I - E)^-1|| >= 2 * 4**14 puts sigma_min(I - E) near 2e-9,
+    # and the scale-law residuals of its singular vector are just as small
+    n = 15
+    E = 0.5 * np.eye(n) + 2.0 * np.eye(n, k=1)
+    sys = custom(tuple(f"x{j}" for j in range(n)),
+                 lambda x: np.exp(E @ np.log(x)))
+    assert np.linalg.svd(np.eye(n) - E, compute_uv=False)[-1] < 1e-8
+    rep = certify(sys, sample_count=2, seed=0)
+    assert rep.scaling.verdict == "absent"
+    assert rep.certificate is None
+    assert rep.monotonicity.verdict == "skipped"
 
 
 def test_general_model_fails_monotonicity_honestly():
@@ -356,3 +414,25 @@ def test_spectral_without_direction_still_reports_radius():
     sp = check_spectral(SWAP, None, samples)
     assert sp.eigvec_residual is None
     assert sp.max_rho_deviation <= 1e-9
+
+
+def test_report_key_vocabulary_multi_sector_exact():
+    rep = certify(build_multi_sector(multi_sector_params()),
+                  sample_count=6, seed=2)
+    keys = [k for k in parse_report(format_report(rep))
+            if not k.startswith("scaling.u.")]
+    assert keys == [
+        "mode", "system.kind", "system.dimension", "differentiation",
+        "samples.count", "samples.seed",
+        "connectedness.verdict", "self_interaction.verdict",
+        "scaling.verdict", "scaling.matches_closed_form",
+        "scaling.normalization", "scaling.residual_fixed_eq",
+        "scaling.residual_direct",
+        "monotonicity.verdict", "monotonicity.zeta_plus",
+        "monotonicity.zeta_minus",
+        "spectral.rho.max_deviation", "spectral.rho.samples",
+        "spectral.eigvec_residual", "spectral.similarity_residual",
+        "spectral.unique_modulus_one", "spectral.gap",
+        "scaling_free_radius_one", "uniqueness_applicable",
+        "attractivity_applicable",
+    ]

@@ -204,6 +204,25 @@ def test_eigvec_positive_and_max_normalized():
     assert np.max(np.abs(r)) < 1e-8
 
 
+def test_perron_start_closes_in_one_matvec():
+    rng = np.random.default_rng(31)
+    B = rng.uniform(0.1, 1.0, size=(6, 6))
+    perron = rng.uniform(0.2, 5.0, size=6)
+    A = (perron / (B @ perron))[:, None] * B   # A @ perron = perron
+    res = spectral_radius(A, tol=1e-12, start=perron)
+    assert res.iterations == 1
+    assert res.lower_bound <= 1.0 + 1e-14 and res.upper_bound >= 1.0 - 1e-14
+    assert res.rho == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("start", [
+    [1.0, 0.0], [1.0, -0.5], [np.nan, 1.0], [1.0, 1.0, 1.0],
+])
+def test_start_vector_must_be_strictly_positive(start):
+    with pytest.raises(ValueError, match="start vector"):
+        spectral_radius([[0.5, 1.0], [1.0, 0.5]], start=start)
+
+
 def test_reducible_refused():
     with pytest.raises(ReducibleMatrixError):
         spectral_radius([[1, 1], [0, 1]])
