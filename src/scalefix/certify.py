@@ -32,11 +32,19 @@ from numpy.typing import NDArray
 from scalefix.spectral import (
     PowerIterationError,
     ReducibleMatrixError,
+    eigvals_mod_zero,
     is_irreducible,
     spectral_radius,
     strongly_connected_components,
 )
-from scalefix.system import ElasticityMatrix, PositiveSystem, StateVector, elasticity_at
+from scalefix.system import (
+    DifferentiationError,
+    ElasticityMatrix,
+    EvaluationError,
+    PositiveSystem,
+    StateVector,
+    elasticity_at,
+)
 
 __all__ = [
     "CheckResult",
@@ -143,12 +151,30 @@ def sample_states(sys: PositiveSystem, count: int, seed: int) -> list[StateVecto
             for _ in range(count)]
 
 
+def _at_sample(idx: int, fn, *args):
+    """fn(*args), recording idx on an evaluation or differentiation error."""
+    try:
+        return fn(*args)
+    except (EvaluationError, DifferentiationError) as exc:
+        exc.sample_index = idx
+        raise
+
+
+def _error_verdict(exc: EvaluationError | DifferentiationError) -> CheckResult:
+    # the message names the coordinate
+    return CheckResult("error", {"error": f"{type(exc).__name__}: {exc}",
+                                 "sample_index": exc.sample_index})
+
+
 def _elasticities(sys: PositiveSystem, samples: Sequence[StateVector],
                   threads: int = 1) -> list[ElasticityMatrix]:
+    def one(idx, x):
+        return _at_sample(idx, elasticity_at, sys, x)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda x: elasticity_at(sys, x), samples))
-    return [elasticity_at(sys, x) for x in samples]
+            return list(pool.map(one, range(len(samples)), samples))
+    return [one(idx, x) for idx, x in enumerate(samples)]
 
 
 def _bloc_labels(adj: NDArray, labels: tuple[str, ...]) -> list[list[str]]:
@@ -220,7 +246,7 @@ def find_scaling_exponent(sys: PositiveSystem,
     elasticities = elasticities or _elasticities(sys, samples)
     E0 = elasticities[0].entries
     n = E0.shape[0]
-    eigs = np.linalg.eigvals(E0)
+    eigs = eigvals_mod_zero(E0)      # a zero eigenvalue is never near 1
     if np.min(np.abs(eigs - 1.0)) > TOL_EIGENVALUE:
         return None
     sv = np.linalg.svd(np.eye(n) - E0, compute_uv=True)
@@ -244,10 +270,10 @@ def find_scaling_exponent(sys: PositiveSystem,
     res_eq = max(float(np.max(np.abs(E.entries @ u - u)))
                  for E in elasticities)
     res_direct = 0.0
-    for x in samples:
-        fx = sys._eval_checked(x.values)
+    for idx, x in enumerate(samples):
+        fx = _at_sample(idx, sys._eval_checked, x.values)
         for c in SCALE_TEST_FACTORS:
-            lhs = sys._eval_checked(c ** u * x.values)
+            lhs = _at_sample(idx, sys._eval_checked, c ** u * x.values)
             rhs = c ** u * fx
             res_direct = max(res_direct,
                              float(np.max(np.abs(lhs / rhs - 1.0))))
@@ -331,8 +357,8 @@ def check_spectral(sys: PositiveSystem, u,
         try:
             rho = spectral_radius(A, tol=1e-12, start=start).rho
         except (ReducibleMatrixError, PowerIterationError):
-            # reducible or imprimitive inputs: dense eigenvalues instead
-            rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+            # reducible or imprimitive inputs: eigenvalues instead
+            rho = float(np.max(np.abs(eigvals_mod_zero(A))))
         rhos.append(rho)
         if u is not None:
             eig_res = max(eig_res, float(np.max(np.abs(A @ abs_u - abs_u))))
@@ -340,9 +366,11 @@ def check_spectral(sys: PositiveSystem, u,
                 sim_res = max(sim_res,
                               float(np.max(np.abs(flip * E.entries - A))))
         if compare_spectra:
-            eigs_raw = np.linalg.eigvals(E.entries)
             # eigenvalues of DG away from 1 must sit strictly inside
-            # the unit circle for 1 to be the unique peripheral one
+            # the unit circle for 1 to be the unique peripheral one; the
+            # multiplicity of 0, which eigvals_mod_zero may change, is
+            # never read
+            eigs_raw = eigvals_mod_zero(E.entries)
             away = eigs_raw[np.abs(eigs_raw - 1.0) > 1e-6]
             second = float(np.max(np.abs(away))) if away.size else 0.0
             near_one = int(np.sum(np.abs(eigs_raw - 1.0) <= 1e-6))
@@ -360,57 +388,75 @@ def check_spectral(sys: PositiveSystem, u,
     )
 
 
+def _check_scaling(sys: PositiveSystem, samples: Sequence[StateVector],
+                   elas: Sequence[ElasticityMatrix], mode: str,
+                   ) -> tuple[CheckResult, ScalingCertificate | None]:
+    """The scaling verdict and the certificate it rests on."""
+    try:
+        certificate = find_scaling_exponent(sys, samples, elas)
+    except AmbiguousScalingError as exc:
+        return CheckResult("error", {"error": str(exc)}), None
+    except (EvaluationError, DifferentiationError) as exc:
+        return _error_verdict(exc), None
+    if certificate is None:
+        return CheckResult("absent", {
+            "reason": "I - DG lacks an eigenvalue or a singular value "
+                      f"below {TOL_EIGENVALUE:g}"}), None
+    if (certificate.residual_fixed_eq > TOL_RESIDUAL
+            or certificate.residual_direct > TOL_RESIDUAL):
+        return CheckResult("fail", {
+            "residual_fixed_eq": certificate.residual_fixed_eq,
+            "residual_direct": certificate.residual_direct,
+            "reason": "candidate direction does not satisfy the "
+                      "scale law at all samples",
+        }), certificate
+    details = {}
+    if sys.scaling is not None:
+        ref = sys.scaling / np.abs(sys.scaling).max()
+        cosine = float(abs(certificate.u @ ref)
+                       / (np.linalg.norm(certificate.u)
+                          * np.linalg.norm(ref)))
+        details["matches_closed_form"] = cosine >= 1.0 - 1e-10
+    return CheckResult(
+        "pass" if mode == "exact" else "evidence-only", details), certificate
+
+
 def certify(sys: PositiveSystem, sample_count: int = 8, seed: int = 0,
             threads: int = 1) -> CertificationReport:
     """Run all four property checks plus the spectral evidence.
 
     Checker errors are recorded in the relevant verdict; a report is
-    always produced.  mode is "exact" only when the system declares a
-    parameter-determined sign pattern.
+    always produced.  When F or its elasticities fail at a sample, every
+    check that needs the elasticities reads `error`, naming the
+    coordinate and the sample index, and `spectral` is None.  mode is
+    "exact" only when the system declares a parameter-determined sign
+    pattern.
     """
     samples = sample_states(sys, sample_count, seed)
-    elas = _elasticities(sys, samples, threads=threads)
     mode = "exact" if sys.sign_pattern is not None else "sampled"
+    failure = None
+    try:
+        elas = _elasticities(sys, samples, threads=threads)
+    except (EvaluationError, DifferentiationError) as exc:
+        elas, failure = None, _error_verdict(exc)
 
-    def guarded(fn, *args):
+    def guarded(check):
+        if failure is not None and mode == "sampled":
+            return failure      # sampled checks read the elasticities
         try:
-            return fn(*args)
+            return check(sys, samples, elas)
         except Exception as exc:  # per-check errors must not kill the report
             return CheckResult("error", {"error": f"{type(exc).__name__}: {exc}"})
 
-    conn = guarded(lambda: check_connectedness(sys, samples, elas))
-    self_int = guarded(lambda: check_self_interaction(sys, samples, elas))
+    conn = guarded(check_connectedness)
+    self_int = guarded(check_self_interaction)
 
-    certificate = None
-    partition = None
-    try:
-        certificate = find_scaling_exponent(sys, samples, elas)
-    except AmbiguousScalingError as exc:
-        scaling = CheckResult("error", {"error": str(exc)})
+    if failure is not None:
+        scaling, certificate = failure, None
     else:
-        if certificate is None:
-            scaling = CheckResult("absent", {
-                "reason": "I - DG lacks an eigenvalue or a singular value "
-                          f"below {TOL_EIGENVALUE:g}"})
-        elif (certificate.residual_fixed_eq > TOL_RESIDUAL
-              or certificate.residual_direct > TOL_RESIDUAL):
-            scaling = CheckResult("fail", {
-                "residual_fixed_eq": certificate.residual_fixed_eq,
-                "residual_direct": certificate.residual_direct,
-                "reason": "candidate direction does not satisfy the "
-                          "scale law at all samples",
-            })
-        else:
-            details = {}
-            if sys.scaling is not None:
-                ref = sys.scaling / np.abs(sys.scaling).max()
-                cosine = float(abs(certificate.u @ ref)
-                               / (np.linalg.norm(certificate.u)
-                                  * np.linalg.norm(ref)))
-                details["matches_closed_form"] = cosine >= 1.0 - 1e-10
-            scaling = CheckResult(
-                "pass" if mode == "exact" else "evidence-only", details)
+        scaling, certificate = _check_scaling(sys, samples, elas, mode)
 
+    partition = None
     if certificate is not None and scaling.ok:
         try:
             mono, partition = check_monotonicity(
@@ -421,10 +467,11 @@ def certify(sys: PositiveSystem, sample_count: int = 8, seed: int = 0,
         mono = CheckResult("skipped", {
             "reason": "no verified scaling direction"})
 
-    spectral = check_spectral(
+    spectral = None if elas is None else check_spectral(
         sys, certificate.u if certificate is not None else None,
         samples, elas, compare_spectra=self_int.ok)
 
+    # scaling reads "error", not "absent", whenever spectral is None
     footnote = (scaling.verdict == "absent"
                 and spectral.max_rho_deviation <= 1e-6)
     uniq = conn.ok and scaling.ok and mono.ok
@@ -445,5 +492,6 @@ def certify(sys: PositiveSystem, sample_count: int = 8, seed: int = 0,
         scaling_free_radius_one=footnote,
         system_kind=sys.kind,
         labels=sys.labels,
-        differentiation=elas[0].method,
+        differentiation=("analytic" if sys.elasticity_values is not None
+                         else "numeric-central-log"),
     )

@@ -2,8 +2,9 @@
 
 Commands: certify, solve, counterfactual, report.  Exit codes: 0 on
 success, 2 for configuration / data / evaluation problems, 3 when
-certification finds a failed condition, 4 when the iteration budget
-runs out.  stdout carries a one-line summary (suppressed by --quiet);
+certification finds a failed condition or records an error verdict
+(F failing at a sample included), 4 when the iteration budget runs
+out.  stdout carries a one-line summary (suppressed by --quiet);
 diagnostics go to stderr.
 """
 

@@ -19,6 +19,7 @@ __all__ = [
     "is_primitive",
     "strongly_connected_components",
     "spectral_radius",
+    "eigvals_mod_zero",
     "gauge_norm",
     "quotient_norm",
 ]
@@ -229,6 +230,61 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
     )
 
 
+def eigvals_mod_zero(M) -> NDArray:
+    """Eigenvalues of the square matrix M, except that the multiplicity
+    of the eigenvalue 0 may differ.
+
+    Coordinates with a zero diagonal are peeled in rounds: each round
+    takes those whose row has no nonzero entry in the columns of the
+    zero-diagonal coordinates not yet peeled.  The peeled set K induces
+    an acyclic graph, so N = M_KK is nilpotent, N^m = 0 after m rounds,
+    and for the remaining coordinates R the Schur complement of
+    lambda*I - N, whose inverse is sum_k lambda^-(k+1) N^k, gives exactly
+
+        det(lambda*I - M) = lambda^|K| det(lambda*I - M_RR
+                              - sum_{k<m} lambda^-(k+1) M_RK N^k M_KR).
+
+    Times lambda^(m|R|) the right-hand determinant is that of a matrix
+    polynomial of degree m+1 and size |R|, whose roots are the
+    eigenvalues of its block companion matrix of size (m+1)|R|, top block
+    row [M_RR, M_RK M_KR, ..., M_RK N^(m-1) M_KR] (Gohberg, Lancaster &
+    Rodman, Matrix Polynomials, ch. 1).  When nothing peels, or the
+    companion would be no smaller than M, this is numpy.linalg.eigvals(M).
+    """
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    n = A.shape[0]
+    nonzero = A != 0.0
+    zero_diag = np.diag(A) == 0.0
+    unpeeled = zero_diag.copy()
+    m = 0
+    while True:
+        peel = unpeeled & ~nonzero[:, unpeeled].any(axis=1)
+        if not peel.any():
+            break
+        unpeeled &= ~peel
+        m += 1
+    R = ~zero_diag | unpeeled
+    r = int(R.sum())
+    if r == 0:
+        return np.zeros(n)          # M itself is nilpotent
+    if (m + 1) * r >= n:
+        return np.linalg.eigvals(A)
+    # M_RK N^k M_KR as the R rows of M X, where X holds N^k M_KR in full
+    # coordinates (R rows zero): no n x n submatrix is copied
+    X = A[:, R]
+    top = [X[R]]
+    for _ in range(m):
+        X[R] = 0.0
+        X = A @ X
+        top.append(X[R])
+    C = np.zeros(((m + 1) * r, (m + 1) * r))
+    C[:r] = np.concatenate(top, axis=1)
+    C[r:, :-r] = np.eye(m * r)
+    return np.linalg.eigvals(C)
+
+
 def _check_gauge(v, what: str = "gauge vector") -> NDArray[np.float64]:
     g = np.asarray(v, dtype=float)
     if g.ndim != 1:
@@ -254,14 +310,17 @@ def gauge_norm(z, v) -> float:
 def quotient_norm(z, u, v) -> float:
     """Distance from z to the line span(u), measured in the v-gauge norm.
 
-    min over lambda of gauge_norm(z - lambda*u, v).  The minimand is a
-    maximum of affine functions of lambda, hence convex piecewise linear,
-    so the exact minimum sits at a kink or a pairwise crossing and we can
-    simply evaluate the finite candidate set.
+    min over lambda of gauge_norm(z - lambda*u, v).  With a = z/v and
+    b = u/v the minimand is max_j |a_j - lambda*b_j|.  Entries with
+    b_j = 0 contribute the constant |a_j|; the rest are |r_j - lambda|/w_j
+    with r = a/b and w = 1/|b|, whose minimax over lambda is attained
+    where two of them balance, so the exact answer is
 
-    When v == |u| with every u_j nonzero the minimand collapses to
-    max_j |z_j/u_j - lambda| and the answer is half the spread of the
-    ratios; that O(N) path is taken automatically.
+        max( max_{b_j=0} |a_j|,  max_{i,j} (r_i - r_j) / (w_i + w_j) ).
+
+    When v == |u| with every u_j nonzero all weights are 1 and the answer
+    is half the spread of the ratios; that O(N) path is taken
+    automatically.
     """
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -275,20 +334,14 @@ def quotient_norm(z, u, v) -> float:
         r = z / u
         return float(0.5 * (r.max() - r.min()))
 
-    # pieces of the upper envelope: +/- (z_j - lambda*u_j)/v_j
-    slopes = np.concatenate([-u / g, u / g])
-    icepts = np.concatenate([z / g, -z / g])
-
-    def val(lam: float) -> float:
-        return float(np.max(slopes * lam + icepts))
-
-    cands = [0.0]
-    nz = u != 0.0
-    cands.extend((z[nz] / u[nz]).tolist())
-    # crossings of pieces with distinct slopes
-    ds = slopes[:, None] - slopes[None, :]
-    db = icepts[None, :] - icepts[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.where(ds != 0.0, db / ds, np.nan)
-    cands.extend(cross[np.isfinite(cross)].tolist())
-    return min(val(lam) for lam in cands)
+    a = z / g
+    b = u / g
+    nz = b != 0.0
+    # (r_i - r_j)/(w_i + w_j) with both sides multiplied by |b_i||b_j|,
+    # so that no 1/b_j can overflow when some b_j is tiny
+    q = a[nz] * np.sign(b[nz])
+    beta = np.abs(b[nz])
+    balanced = float(np.max((q[:, None] * beta[None, :]
+                             - q[None, :] * beta[:, None])
+                            / (beta[:, None] + beta[None, :])))
+    return max(balanced, float(np.max(np.abs(a[~nz]), initial=0.0)))

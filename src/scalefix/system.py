@@ -43,16 +43,27 @@ NUMERIC_STEP = 1e-6
 class EvaluationError(RuntimeError):
     """The system produced a non-positive or non-finite value.
 
-    `coordinate` holds the label of the first offending entry.
+    `coordinate` holds the label of the first offending entry;
+    `sample_index` is set by callers that evaluate at numbered samples.
     """
 
     def __init__(self, message: str, coordinate: str | None = None):
         super().__init__(message)
         self.coordinate = coordinate
+        self.sample_index: int | None = None
 
 
 class DifferentiationError(RuntimeError):
-    """Numeric differentiation produced NaN."""
+    """An elasticity matrix, analytic or numeric, has a non-finite entry.
+
+    `coordinate` holds the label of the row of the first such entry;
+    `sample_index` is set by callers that evaluate at numbered samples.
+    """
+
+    def __init__(self, message: str, coordinate: str | None = None):
+        super().__init__(message)
+        self.coordinate = coordinate
+        self.sample_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -73,7 +84,7 @@ class StateVector:
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
             raise EvaluationError(
-                f"coordinate {labels[j]!r} is {vals[j]!r}; "
+                f"coordinate {labels[j]!r} is {float(vals[j])}; "
                 "state entries must be positive and finite",
                 coordinate=labels[j],
             )
@@ -160,7 +171,8 @@ class PositiveSystem:
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
             raise EvaluationError(
-                f"evaluate produced {y[j]!r} at coordinate {self.labels[j]!r}",
+                f"evaluate produced {float(y[j])} at coordinate "
+                f"{self.labels[j]!r}",
                 coordinate=self.labels[j],
             )
         return y
@@ -181,7 +193,8 @@ def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
     """Elasticity matrix of the system at x.
 
     Uses the analytic provider when the system has one; otherwise central
-    differences in log coordinates with step 1e-6.
+    differences in log coordinates with step 1e-6.  Raises
+    DifferentiationError if either gives a non-finite entry.
     """
     if x.labels != sys.labels:
         raise ValueError("state belongs to a different system")
@@ -189,20 +202,24 @@ def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
         E = np.asarray(sys.elasticity_values(x.values), dtype=float)
         if E.shape != (sys.dimension, sys.dimension):
             raise ValueError("analytic elasticity has wrong shape")
-        return ElasticityMatrix(entries=E, point=x, method="analytic")
-    n = sys.dimension
-    z = np.log(x.values)
-    h = NUMERIC_STEP
-    E = np.empty((n, n))
-    for k in range(n):
-        zp = z.copy()
-        zp[k] += h
-        zm = z.copy()
-        zm[k] -= h
-        gp = log_transform(zp, sys)
-        gm = log_transform(zm, sys)
-        E[:, k] = (gp - gm) / (2.0 * h)
+        method = "analytic"
+    else:
+        n = sys.dimension
+        z = np.log(x.values)
+        h = NUMERIC_STEP
+        E = np.empty((n, n))
+        for k in range(n):
+            zp = z.copy()
+            zp[k] += h
+            zm = z.copy()
+            zm[k] -= h
+            gp = log_transform(zp, sys)
+            gm = log_transform(zm, sys)
+            E[:, k] = (gp - gm) / (2.0 * h)
+        method = "numeric-central-log"
     if not np.all(np.isfinite(E)):
+        j, k = map(int, np.argwhere(~np.isfinite(E))[0])
         raise DifferentiationError(
-            "central differences produced non-finite entries")
-    return ElasticityMatrix(entries=E, point=x, method="numeric-central-log")
+            f"{method} elasticity of {sys.labels[j]!r} with respect to "
+            f"{sys.labels[k]!r} is {float(E[j, k])}", coordinate=sys.labels[j])
+    return ElasticityMatrix(entries=E, point=x, method=method)

@@ -66,32 +66,6 @@ class StaleStateError(RuntimeError):
 
 # --------------------------------------------------------------- gamma
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error is below
-# 1e-13 on (0, 1], comfortably past the 12 significant digits required.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma(x: float) -> float:
-    if x < 0.5:
-        # recurrence instead of reflection: argument stays positive here
-        return _gamma(x + 1.0) / x
-    x -= 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (x + i)
-    t = x + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
 
 def gamma_constant(theta: float, sigma: float) -> float:
     """The constant multiplying every trade term: the gamma function of
@@ -104,7 +78,7 @@ def gamma_constant(theta: float, sigma: float) -> float:
             "argument (theta+1-sigma)/theta must be positive",
             field="theta")
     arg = (theta + 1.0 - sigma) / theta
-    return _gamma(arg) ** (-theta / (1.0 - sigma))
+    return math.gamma(arg) ** (-theta / (1.0 - sigma))
 
 
 # ---------------------------------------------------------- parameters

@@ -2,11 +2,14 @@
 and each hand-built counterexample must trip exactly the check it was
 designed to violate."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from test_acceptance import MASTER_SEED, random_multi_sector, random_one_sector
 
 from scalefix.certify import (
     AmbiguousScalingError,
@@ -17,6 +20,7 @@ from scalefix.certify import (
     sample_states,
 )
 from scalefix.modelio import format_report, parse_report
+from scalefix.spectral import eigvals_mod_zero
 from scalefix.system import ElasticityMatrix, PositiveSystem, elasticity_at
 from scalefix.trade import (
     GeneralParams,
@@ -436,3 +440,107 @@ def test_report_key_vocabulary_multi_sector_exact():
         "scaling_free_radius_one", "uniqueness_applicable",
         "attractivity_applicable",
     ]
+
+
+# ------------------------------------------- reduced spectra in certify
+
+
+def acceptance_multi_sector_systems():
+    """The ten multi-sector instances of the acceptance pool, drawn after
+    its twenty one-sector ones from the same generator."""
+    rng = np.random.default_rng(MASTER_SEED)
+    for _ in range(20):
+        random_one_sector(rng)
+    return [build_multi_sector(random_multi_sector(rng)) for _ in range(10)]
+
+
+def test_reduced_spectrum_matches_dense_on_multi_sector(monkeypatch):
+    # OMEGA rows read P and W, P rows read W: K = OMEGA + P, R = W, and the
+    # eigensolve is 3J wide.  With S = 1 the W diagonal is exactly 0 as
+    # well, nothing peels, and the dense eigensolve runs unchanged.
+    certify_module = importlib.import_module("scalefix.certify")
+    one = build_multi_sector(multi_sector_params(J=3, S=1))
+    for sys in acceptance_multi_sector_systems() + [one]:
+        J = sys.meta["params"].J
+        samples = sample_states(sys, 4, seed=0)
+        elas = [elasticity_at(sys, x) for x in samples]
+        for E in elas:
+            eigs = eigvals_mod_zero(E.entries)
+            assert eigs.size == (sys.dimension if sys is one else 3 * J)
+            assert np.min(np.abs(eigs - 1.0)) <= 1e-12
+        reduced = check_spectral(sys, sys.scaling, samples, elas)
+        with monkeypatch.context() as m:
+            m.setattr(certify_module, "eigvals_mod_zero", np.linalg.eigvals)
+            dense = check_spectral(sys, sys.scaling, samples, elas)
+        assert reduced.unique_modulus_one == dense.unique_modulus_one
+        assert abs(reduced.spectral_gap - dense.spectral_gap) <= 1e-12
+
+
+# ------------------------------------------ evaluation failures in F
+
+
+def nan_in_b_beyond(limit):
+    """F(x) = (sqrt(x0 x1), sqrt(x0 x1)), except NaN in b once x0 > limit."""
+    def F(x):
+        y = np.sqrt(x[0] * x[1])
+        return np.array([y, np.nan if x[0] > limit else y])
+
+    return custom(("a", "b"), F)
+
+
+def first_sample_beyond(rep, limit):
+    return next(i for i, x in enumerate(rep.samples) if x["a"] > limit)
+
+
+def test_evaluation_failure_at_a_sample_is_an_error_verdict():
+    rep = certify(nan_in_b_beyond(5.0), sample_count=8, seed=0)
+    bad = first_sample_beyond(rep, 5.0)
+    for check in (rep.connectedness, rep.self_interaction, rep.scaling):
+        assert check.verdict == "error"
+        assert check.details["sample_index"] == bad
+        assert check.details["error"] == (
+            "EvaluationError: evaluate produced nan at coordinate 'b'")
+    assert rep.monotonicity.verdict == "skipped"
+    assert rep.certificate is None
+    assert rep.spectral is None
+    assert not rep.uniqueness_applicable
+    kv = parse_report(format_report(rep))
+    assert kv["scaling.sample_index"] == str(bad)
+    assert not any(k.startswith("spectral.") for k in kv)
+
+
+def test_scale_law_failure_is_an_error_verdict():
+    # every sample has x0 <= e^3 < 25, so the elasticities exist, but
+    # the scale law is tested at 10^u x, u = (1, 1)
+    rep = certify(nan_in_b_beyond(25.0), sample_count=8, seed=0)
+    assert rep.connectedness.verdict == "evidence-only"
+    assert rep.scaling.verdict == "error"
+    assert rep.scaling.details["sample_index"] == first_sample_beyond(rep, 2.5)
+    assert "coordinate 'b'" in rep.scaling.details["error"]
+    assert rep.monotonicity.verdict == "skipped"
+    assert rep.spectral is not None
+
+
+def test_non_finite_analytic_elasticity_is_an_error_verdict():
+    def elasticity(x):
+        E = np.full((2, 2), 0.5)
+        if x[0] > 5.0:
+            E[1, 0] = np.nan
+        return E
+
+    sys = PositiveSystem(
+        labels=("a", "b"),
+        evaluate_values=lambda x: np.full(2, np.sqrt(x[0] * x[1])),
+        elasticity_values=elasticity,
+        sign_pattern=np.ones((2, 2), dtype=int))
+    rep = certify(sys, sample_count=8, seed=0)
+    # the sign pattern still decides these two exactly
+    assert rep.connectedness.verdict == "pass"
+    assert rep.self_interaction.verdict == "pass"
+    assert rep.scaling.verdict == "error"
+    assert rep.scaling.details["sample_index"] == first_sample_beyond(rep, 5.0)
+    assert rep.scaling.details["error"] == (
+        "DifferentiationError: analytic elasticity of 'b' with respect "
+        "to 'a' is nan")
+    assert rep.spectral is None
+    assert rep.differentiation == "analytic"

@@ -4,6 +4,7 @@ through main(argv)."""
 import numpy as np
 import pytest
 
+from scalefix import cli
 from scalefix.cli import main
 from scalefix.modelio import (
     ConfigError,
@@ -12,6 +13,7 @@ from scalefix.modelio import (
     parse_shock_file,
     save_parameters,
 )
+from scalefix.system import PositiveSystem
 from scalefix.trade import (
     GeneralParams,
     MultiSectorParams,
@@ -201,6 +203,23 @@ def test_certify_two_bloc_fails_with_exit_3(tmp_path):
     assert kv["connectedness.verdict"] == "fail"
     assert "OMEGA[1]" in kv["connectedness.blocs"]
     assert "|" in kv["connectedness.blocs"]
+
+
+def test_certify_evaluation_failure_exits_3(tmp_path, monkeypatch):
+    def F(x):
+        return np.full(2, np.nan if x[0] > 5.0 else np.sqrt(x[0] * x[1]))
+
+    failing = PositiveSystem(labels=("a", "b"), evaluate_values=F)
+    monkeypatch.setattr(cli, "build_system", lambda params: failing)
+    cfg = symmetric_one_sector(tmp_path)
+    out = tmp_path / "run"
+    assert main(["certify", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 3
+    kv = kv_lines(out / "report.txt")
+    assert kv["scaling.verdict"] == "error"
+    assert "coordinate 'a'" in kv["scaling.error"]
+    assert int(kv["scaling.sample_index"]) >= 0
+    assert "spectral.gap" not in kv
 
 
 def test_certify_general_is_sampled_and_fails_monotonicity(tmp_path, capsys):

@@ -4,15 +4,21 @@ Oracles used here:
   * reachability via repeated boolean matrix multiplication (transitive
     closure) for irreducibility,
   * characteristic-polynomial root solve for a 3x3 spectral radius,
-  * golden-section search on the convex minimand for the quotient norm.
+  * golden-section search on the convex minimand for the quotient norm,
+    and the minimum over every kink and pairwise crossing of its pieces,
+  * dense numpy.linalg.eigvals for the block-reduced eigenvalues.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scalefix.spectral import (
     PowerIterationError,
     ReducibleMatrixError,
+    eigvals_mod_zero,
     gauge_norm,
     is_irreducible,
     is_primitive,
@@ -332,3 +338,149 @@ def test_quotient_norm_invariances():
 def test_quotient_norm_zero_direction_rejected():
     with pytest.raises(ValueError, match="nonzero"):
         quotient_norm([1.0, 2.0], [0.0, 0.0], [1.0, 1.0])
+
+
+def quotient_brute_force(z, u, v):
+    """Minimum of max_j |z_j - lam u_j| / v_j over lam = 0, every kink
+    and every crossing of two of its affine pieces: the minimand is
+    convex and piecewise linear, so one of them is a minimizer."""
+    slopes = np.concatenate([-u / v, u / v])
+    icepts = np.concatenate([z / v, -z / v])
+    cands = [0.0] + [zj / uj for zj, uj in zip(z, u) if uj != 0.0]
+    for i in range(len(slopes)):
+        for j in range(len(slopes)):
+            if slopes[i] != slopes[j]:
+                cands.append((icepts[j] - icepts[i]) / (slopes[i] - slopes[j]))
+    return min(float(np.max(slopes * lam + icepts)) for lam in cands)
+
+
+@st.composite
+def quotient_cases(draw):
+    n = draw(st.integers(1, 9))
+    z = draw(arrays(float, n, elements=st.floats(-5.0, 5.0)))
+    u = draw(arrays(float, n, elements=st.floats(0.01, 3.0)))
+    u[~draw(arrays(bool, n))] *= -1.0
+    u[~draw(arrays(bool, n))] = 0.0
+    if not u.any():
+        u[0] = 1.0
+    v = draw(arrays(float, n, elements=st.floats(0.1, 4.0)))
+    return z, u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_cases())
+def test_quotient_norm_closed_form_matches_brute_force(case):
+    z, u, v = case
+    want = quotient_brute_force(z, u, v)
+    got = quotient_norm(z, u, v)
+    assert abs(got - want) <= 1e-12 * (1.0 + np.max(np.abs(z) / v))
+
+
+def test_quotient_norm_tiny_direction_does_not_overflow():
+    # the weights 1/|u_j/v_j| are about 9e307 here, and their sum overflows
+    u = np.full(2, 1.1e-308)
+    assert quotient_norm([0.0, 1.0], u, [1.0, 1.0]) == pytest.approx(0.5)
+    assert quotient_norm([0.0, 1.0], u, [1.0, 2.0]) == pytest.approx(1 / 3)
+
+
+# ------------------------------------------------ reduced eigenvalues
+
+
+def nonzero_eigs_match(got, want, scale):
+    """Every eigenvalue of modulus above 1e-4*scale in either list pairs
+    one to one with an eigenvalue of the other within 1e-9*scale.  Dense
+    eigvals puts the eigenvalue 0 of a Jordan block of size k at about
+    eps^(1/k)*scale, so below that floor "nonzero" has no meaning."""
+    floor, tol = 1e-4 * scale, 1e-9 * scale
+    pool = list(want)
+    for mu in sorted(got, key=abs, reverse=True):
+        if abs(mu) <= floor:
+            continue
+        k = int(np.argmin([abs(mu - lam) for lam in pool]))
+        if abs(mu - pool[k]) > tol:
+            return False
+        pool.pop(k)
+    return all(abs(lam) <= floor for lam in pool)
+
+
+@st.composite
+def planted_dag_matrices(draw, cycle=False):
+    """A random matrix, randomly permuted, whose zero-diagonal
+    coordinates K are split into levels, a row at level l having entries
+    only in the columns of R and of lower levels: an acyclic K.  With
+    cycle=True two more zero-diagonal coordinates point at each other,
+    and at anything else.  Hypothesis draws the shape; the entries come
+    from a seeded generator, so they are never exactly equal and the
+    nonzero spectrum is generically simple."""
+    r = draw(st.integers(1, 3))
+    levels = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    density = draw(st.floats(0.3, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = np.concatenate(
+        [np.full(r, -1)] + [np.full(c, lv) for lv, c in enumerate(levels)])
+    allowed = (level[None, :] < level[:, None]) | (level[:, None] < 0)
+    if cycle:
+        n = level.size
+        grown = np.zeros((n + 2, n + 2), dtype=bool)
+        grown[:n, :n] = allowed
+        grown[:r, n:] = True            # R reads the pair
+        grown[n:, :] = True             # the pair reads everything ...
+        grown[n, n] = grown[n + 1, n + 1] = False   # ... but itself
+        allowed = grown
+    n = allowed.shape[0]
+    keep = allowed & (rng.random((n, n)) < density)
+    if cycle:
+        keep[n - 2, n - 1] = keep[n - 1, n - 2] = True
+    M = np.where(keep, rng.uniform(0.1, 2.0, (n, n))
+                 * rng.choice([-1.0, 1.0], (n, n)), 0.0)
+    perm = rng.permutation(n)
+    return M[np.ix_(perm, perm)]
+
+
+def check_reduced_eigs(M):
+    got = eigvals_mod_zero(M)
+    want = np.linalg.eigvals(M)
+    assert got.size <= M.shape[0]
+    assert nonzero_eigs_match(got, want, max(1.0, np.linalg.norm(M, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_dag_matrices())
+def test_reduced_eigs_match_dense_on_planted_dag(M):
+    check_reduced_eigs(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_dag_matrices(cycle=True))
+def test_reduced_eigs_match_dense_with_zero_diagonal_cycle(M):
+    check_reduced_eigs(M)
+
+
+def test_reduced_eigs_shrink_the_problem():
+    # K = {2, 3, 4}: row 2 reads only R, rows 3 and 4 read R and row 2,
+    # so two peeling rounds, and the companion is (2+1)*2 = 6 < 7 wide
+    rng = np.random.default_rng(4)
+    M = rng.uniform(0.1, 1.0, (7, 7))
+    M[2:, 2:] = 0.0
+    M[3:5, 2] = rng.uniform(0.1, 1.0, 2)
+    M[5:, :] = 0.0        # rows 5 and 6 read nothing but R
+    M[5:, :2] = rng.uniform(0.1, 1.0, (2, 2))
+    got = eigvals_mod_zero(M)
+    assert got.size == 6
+    assert nonzero_eigs_match(got, np.linalg.eigvals(M), np.linalg.norm(M, 2))
+
+
+def test_reduced_eigs_fall_back_when_not_smaller():
+    # K = {2}, one round: the companion would be (1+1)*2 = 4 >= 3 wide
+    M = np.array([[0.5, 0.2, 0.3], [0.1, 0.4, 0.6], [0.7, 0.8, 0.0]])
+    assert np.array_equal(eigvals_mod_zero(M), np.linalg.eigvals(M))
+    # a 2-cycle of zero-diagonal coordinates cannot be peeled
+    C = np.array([[0.0, 1.0, 0.4], [2.0, 0.0, 0.5], [0.3, 0.0, 0.9]])
+    assert np.array_equal(eigvals_mod_zero(C), np.linalg.eigvals(C))
+
+
+def test_reduced_eigs_of_nilpotent_matrix_are_zero():
+    N = np.triu(np.ones((4, 4)), k=1)
+    assert not np.any(eigvals_mod_zero(N))
+    with pytest.raises(ValueError, match="square"):
+        eigvals_mod_zero(np.ones((2, 3)))

@@ -150,6 +150,17 @@ def test_differentiation_failure_detected():
         elasticity_at(sys, sys.state([np.log(7.0)]))
 
 
+def test_non_finite_analytic_elasticity_rejected():
+    sys = PositiveSystem(
+        labels=("a", "b"), evaluate_values=lambda x: x[::-1].copy(),
+        elasticity_values=lambda x: np.array([[0.0, 1.0], [np.inf, 0.0]]))
+    with pytest.raises(DifferentiationError, match="'b' with respect to 'a'"
+                       ) as info:
+        elasticity_at(sys, sys.state([1.0, 2.0]))
+    assert info.value.coordinate == "b"
+    assert info.value.sample_index is None
+
+
 def test_label_validation():
     with pytest.raises(ValueError, match="unique"):
         PositiveSystem(labels=("a", "a"), evaluate_values=lambda x: x)

@@ -27,7 +27,6 @@ from scalefix.trade import (
     gamma_constant,
     recover_outcomes,
 )
-from scalefix.trade import _gamma
 
 mp.mp.dps = 30
 
@@ -89,9 +88,13 @@ def test_gamma_constant_matches_mpmath_grid():
 
 
 def test_gamma_function_accuracy_on_unit_interval():
-    for x in np.linspace(0.02, 1.0, 50):
-        assert _gamma(float(x)) == pytest.approx(
-            float(mp.gamma(float(x))), rel=1e-12)
+    # gamma arguments (theta + 1 - sigma) / theta across (0, 1); the
+    # exponent theta / (sigma - 1) stays at most 50
+    theta = 4.0
+    for arg in np.linspace(0.02, 0.98, 50):
+        sigma = theta + 1.0 - float(arg) * theta
+        assert gamma_constant(theta, sigma) == pytest.approx(
+            mp_kappa(theta, sigma), rel=1e-12)
 
 
 def test_gamma_constant_near_sigma_one():
