@@ -22,7 +22,6 @@ is known symbolically.  Sample-based runs can at best report
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -166,15 +165,10 @@ def _error_verdict(exc: EvaluationError | DifferentiationError) -> CheckResult:
                                  "sample_index": exc.sample_index})
 
 
-def _elasticities(sys: PositiveSystem, samples: Sequence[StateVector],
-                  threads: int = 1) -> list[ElasticityMatrix]:
-    def one(idx, x):
-        return _at_sample(idx, elasticity_at, sys, x)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(len(samples)), samples))
-    return [one(idx, x) for idx, x in enumerate(samples)]
+def _elasticities(sys: PositiveSystem,
+                  samples: Sequence[StateVector]) -> list[ElasticityMatrix]:
+    return [_at_sample(idx, elasticity_at, sys, x)
+            for idx, x in enumerate(samples)]
 
 
 def _bloc_labels(adj: NDArray, labels: tuple[str, ...]) -> list[list[str]]:
@@ -421,8 +415,8 @@ def _check_scaling(sys: PositiveSystem, samples: Sequence[StateVector],
         "pass" if mode == "exact" else "evidence-only", details), certificate
 
 
-def certify(sys: PositiveSystem, sample_count: int = 8, seed: int = 0,
-            threads: int = 1) -> CertificationReport:
+def certify(sys: PositiveSystem, sample_count: int = 8,
+            seed: int = 0) -> CertificationReport:
     """Run all four property checks plus the spectral evidence.
 
     Checker errors are recorded in the relevant verdict; a report is
@@ -436,7 +430,7 @@ def certify(sys: PositiveSystem, sample_count: int = 8, seed: int = 0,
     mode = "exact" if sys.sign_pattern is not None else "sampled"
     failure = None
     try:
-        elas = _elasticities(sys, samples, threads=threads)
+        elas = _elasticities(sys, samples)
     except (EvaluationError, DifferentiationError) as exc:
         elas, failure = None, _error_verdict(exc)
 

@@ -75,8 +75,7 @@ def run_certify(args) -> int:
     cfg = load_run_config(args.config)
     sys_ = build_system(load_parameters(cfg))
     seed = cfg.seed if args.seed is None else args.seed
-    threads = cfg.threads if args.threads is None else args.threads
-    rep = certify(sys_, sample_count=cfg.samples, seed=seed, threads=threads)
+    rep = certify(sys_, sample_count=cfg.samples, seed=seed)
     path = os.path.join(_out_dir(args, cfg), "report.txt")
     _write(path, format_report(rep))
     banner = "" if rep.mode == "exact" else " [sampled evidence]"
@@ -170,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", parents=[common],
                        help="check the uniqueness and stability conditions")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel state samples")
     p.set_defaults(func=run_certify)
 
     p = sub.add_parser("solve", parents=[common],

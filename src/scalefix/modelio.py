@@ -128,7 +128,6 @@ class RunConfig:
     solve: SolveOptions
     samples: int = 8
     seed: int = 0
-    threads: int = 1
     out_dir: str = "."
     config_dir: str = field(default=".", repr=False)
 
@@ -232,18 +231,16 @@ def load_run_config(path: str) -> RunConfig:
     try:
         samples = int(cf.get("samples", "8"))
         seed = int(cf.get("seed", "0"))
-        threads = int(cf.get("threads", "1"))
     except ValueError as exc:
         raise ConfigError(f"{path}: [certify] {exc}") from exc
-    if samples < 1 or threads < 1:
-        raise ConfigError(f"{path}: [certify] samples and threads must be "
-                          "positive")
+    if samples < 1:
+        raise ConfigError(f"{path}: [certify] samples must be positive")
     out_dir = out.get("directory", ".").strip()
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base, out_dir)
     return RunConfig(kind=kind, files=files, theta=theta, sigma=sigma,
                      solve=solve, samples=samples, seed=seed,
-                     threads=threads, out_dir=out_dir, config_dir=base)
+                     out_dir=out_dir, config_dir=base)
 
 
 def _read_sectored(stem: str, count: int) -> np.ndarray:

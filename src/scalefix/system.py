@@ -146,7 +146,7 @@ class PositiveSystem:
             p = np.asarray(self.sign_pattern)
             if p.shape != (self.dimension, self.dimension):
                 raise ValueError("sign_pattern must be N x N")
-            if not np.isin(p, (-1, 0, 1)).all():
+            if not ((p == 0) | (np.abs(p) == 1)).all():
                 raise ValueError("sign_pattern entries must be -1, 0 or +1")
         if self.scaling is not None:
             object.__setattr__(

@@ -22,7 +22,8 @@ corresponding sum terms are exact zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +80,11 @@ def gamma_constant(theta: float, sigma: float) -> float:
             field="theta")
     arg = (theta + 1.0 - sigma) / theta
     return math.gamma(arg) ** (-theta / (1.0 - sigma))
+
+
+def _sector_constants(theta, sigma) -> NDArray[np.float64]:
+    return np.array([gamma_constant(float(t), float(g))
+                     for t, g in zip(theta, sigma)])
 
 
 # ---------------------------------------------------------- parameters
@@ -195,8 +201,7 @@ class MultiSectorParams:
                                  field="sigma")
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "sigma", sg)
-        for s in range(S):
-            gamma_constant(float(th[s]), float(sg[s]))
+        _sector_constants(th, sg)  # validates theta, sigma
         connected, blocs = _connectivity(np.isfinite(self.tau).any(axis=2))
         object.__setattr__(self, "connected", connected)
         object.__setattr__(self, "blocs", tuple(tuple(b) for b in blocs))
@@ -284,10 +289,10 @@ def one_sector_labels(J: int) -> tuple[str, ...]:
 
 
 def multi_sector_labels(J: int, S: int, wage: str = "W") -> tuple[str, ...]:
-    oms = tuple(f"OMEGA[{i + 1}][{s + 1}]" for i in range(J) for s in range(S))
-    pps = tuple(f"P[{i + 1}][{s + 1}]" for i in range(J) for s in range(S))
-    ws = tuple(f"{wage}[{i + 1}]" for i in range(J))
-    return oms + pps + ws
+    cells = [f"[{i}][{s}]" for i, s in product(range(1, J + 1),
+                                                range(1, S + 1))]
+    return tuple(f"OMEGA{c}" for c in cells) + tuple(f"P{c}" for c in cells) \
+        + tuple(f"{wage}[{i + 1}]" for i in range(J))
 
 
 # ------------------------------------------------------ one-sector model
@@ -361,89 +366,96 @@ def build_one_sector(p: OneSectorParams) -> PositiveSystem:
     )
 
 
+# ------------------------------------------------------ sectored layout
+#
+# Both sectored models keep their sector blocks as one (S, J, J) stack,
+# indexed [s, i, j], and their states as OMEGA[i][s] at i*S + s, P[i][s]
+# at JS + i*S + s and the wage of country i at 2JS + i.
+
+
+def _sector_kernels(p: MultiSectorParams | GeneralParams):
+    """K[s, i, j] = kappa_s A_is tau_ijs^-theta_s and the price-block
+    kernel KP[s, i, j] = K[s, j, i], both C-contiguous: matmul on a
+    strided view sums in another order and moves the last bits."""
+    kappa = _sector_constants(p.theta, p.sigma)
+    T = _tau_power(np.ascontiguousarray(np.moveaxis(p.tau, 2, 0)),
+                   p.theta[:, None, None])
+    K = kappa[:, None, None] * p.A.T[:, :, None] * T
+    return K, np.ascontiguousarray(np.swapaxes(K, 1, 2))
+
+
+def _unpack(x: NDArray, J: int, S: int):
+    """(OMEGA, P) as J x S matrices and the J wages."""
+    return (x[:J * S].reshape(J, S), x[J * S:2 * J * S].reshape(J, S),
+            x[2 * J * S:])
+
+
+def _matvec(K: NDArray, t: NDArray) -> NDArray:
+    # K[s] @ t[s] for every sector s, as an (S, J) array
+    return np.matmul(K, t[:, :, None])[:, :, 0]
+
+
+def _shares(K: NDArray, t: NDArray) -> NDArray:
+    # term j's share of row i's sum in K[s] @ t[s]
+    return K * t[:, None, :] / _matvec(K, t)[:, :, None]
+
+
+def _multi_sector_layout(M, J, S, om_pp, om_w, pp_w, w_om, w_w):
+    """Write the five nonzero blocks of a multi-sector elasticity matrix
+    into M and return it: the (S, J, J) blocks OMEGA-on-P, OMEGA-on-W
+    and P-on-W, W-on-OMEGA as J x S, and the W diagonal."""
+    JS = J * S
+    cell = np.arange(J)[None, :, None] * S + np.arange(S)[:, None, None]
+    wage = 2 * JS + np.arange(J)
+    M[cell, JS + np.swapaxes(cell, 1, 2)] = om_pp
+    M[cell, wage] = om_w
+    M[JS + cell, wage] = pp_w
+    M[wage[:, None], cell[:, :, 0].T] = w_om
+    M[wage, wage] = w_w
+    return M
+
+
 # ---------------------------------------------------- multi-sector model
-
-
-def _multi_sector_pieces(p: MultiSectorParams):
-    J, S = p.J, p.S
-    kappa = np.array([gamma_constant(float(p.theta[s]), float(p.sigma[s]))
-                      for s in range(S)])
-    KOm = np.empty((S, J, J))
-    KP = np.empty((S, J, J))
-    for s in range(S):
-        T = _tau_power(p.tau[:, :, s], p.theta[s])
-        KOm[s] = kappa[s] * p.A[:, None, s] * T * (p.alpha[:, s] * p.L)[None, :]
-        KP[s] = kappa[s] * p.A[None, :, s] * T.T
-    return kappa, KOm, KP
 
 
 def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
     """System of dimension 2JS + J over (OMEGA[i][s], P[i][s], W[i])."""
     J, S = p.J, p.S
     Theta = p.Theta
-    _, KOm, KP = _multi_sector_pieces(p)
+    K, KP = _sector_kernels(p)
+    KOm = K * (p.alpha * p.L[:, None]).T[:, None, :]
     e_w = 1.0 / (1.0 + Theta)
     e_p = -p.theta * e_w                 # (S,) exponent of W in the P rows
     e_self = (Theta - p.theta) * e_w     # (S,) exponent of W in its own row
     n = 2 * J * S + J
 
-    def unpack(x):
-        om = x[:J * S].reshape(J, S)
-        pp = x[J * S:2 * J * S].reshape(J, S)
-        W = x[2 * J * S:]
-        return om, pp, W
+    def terms(x):
+        om, pp, W = _unpack(x, J, S)
+        t_om = W ** e_w / pp.T                               # (S, J)
+        t_pp = W ** e_p[:, None]                             # (S, J)
+        t_W = (om / p.L[:, None]) * W[:, None] ** e_self[None, :]
+        return t_om, t_pp, t_W
 
     def evaluate(x):
-        om, pp, W = unpack(x)
-        f_om = np.empty((J, S))
-        f_pp = np.empty((J, S))
-        Ww = W ** e_w
-        for s in range(S):
-            f_om[:, s] = KOm[s] @ (Ww / pp[:, s])
-            f_pp[:, s] = KP[s] @ (W ** e_p[s])
-        f_W = ((om / p.L[:, None]) * W[:, None] ** e_self[None, :]).sum(axis=1)
-        return np.concatenate([f_om.ravel(), f_pp.ravel(), f_W])
+        t_om, t_pp, t_W = terms(x)
+        return np.concatenate([_matvec(KOm, t_om).T.ravel(),
+                               _matvec(KP, t_pp).T.ravel(), t_W.sum(axis=1)])
 
     def elasticity(x):
-        om, pp, W = unpack(x)
-        E = np.zeros((n, n))
-        Ww = W ** e_w
-        woff = 2 * J * S
-        for s in range(S):
-            t_om = Ww / pp[:, s]
-            f_om = KOm[s] @ t_om
-            sh_om = KOm[s] * t_om[None, :] / f_om[:, None]
-            t_pp = W ** e_p[s]
-            f_pp = KP[s] @ t_pp
-            sh_pp = KP[s] * t_pp[None, :] / f_pp[:, None]
-            rows_om = np.arange(J) * S + s
-            rows_pp = J * S + rows_om
-            cols_pp = J * S + np.arange(J) * S + s
-            E[np.ix_(rows_om, cols_pp)] = -sh_om
-            E[np.ix_(rows_om, woff + np.arange(J))] = sh_om * e_w
-            E[np.ix_(rows_pp, woff + np.arange(J))] = sh_pp * e_p[s]
-        terms_W = (om / p.L[:, None]) * W[:, None] ** e_self[None, :]
-        f_W = terms_W.sum(axis=1)
-        sh_W = terms_W / f_W[:, None]
-        for i in range(J):
-            E[woff + i, i * S + np.arange(S)] = sh_W[i]
-            E[woff + i, woff + i] = float(sh_W[i] @ e_self)
-        return E
+        t_om, t_pp, t_W = terms(x)
+        sh_om = _shares(KOm, t_om)
+        sh_W = t_W / t_W.sum(axis=1)[:, None]
+        # row by row: a single (J, S) @ (S,) matvec moves the last bit
+        w_w = np.matmul(sh_W[:, None, :], e_self[:, None])[:, 0, 0]
+        return _multi_sector_layout(
+            np.zeros((n, n)), J, S, -sh_om, sh_om * e_w,
+            _shares(KP, t_pp) * e_p[:, None, None], sh_W, w_w)
 
-    fin = np.isfinite(p.tau)            # (J, J, S)
-    apos = p.alpha > 0                  # (J, S)
-    pattern = np.zeros((n, n), dtype=int)
-    woff = 2 * J * S
-    for s in range(S):
-        live = fin[:, :, s] & apos[None, :, s]
-        rows_om = np.arange(J) * S + s
-        pattern[np.ix_(rows_om, J * S + rows_om)] = -live.astype(int)
-        pattern[np.ix_(rows_om, woff + np.arange(J))] = live.astype(int)
-        pattern[np.ix_(J * S + rows_om, woff + np.arange(J))] = \
-            -fin[:, :, s].T.astype(int)
-    for i in range(J):
-        pattern[woff + i, i * S + np.arange(S)] = 1
-        pattern[woff + i, woff + i] = 1 if S >= 2 else 0
+    fin = np.isfinite(np.moveaxis(p.tau, 2, 0))          # (S, J, J)
+    live = (fin & (p.alpha.T > 0)[:, None, :]).astype(int)
+    pattern = _multi_sector_layout(
+        np.zeros((n, n), dtype=int), J, S, -live, live,
+        -np.swapaxes(fin, 1, 2).astype(int), 1, int(S >= 2))
 
     u = np.concatenate([
         np.tile((1.0 + p.theta) / (1.0 + Theta), J),
@@ -464,19 +476,6 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
 # --------------------------------------------------------- general model
 
 
-def _general_pieces(p: GeneralParams):
-    J, S = p.J, p.S
-    kappa = np.array([gamma_constant(float(p.theta[s]), float(p.sigma[s]))
-                      for s in range(S)])
-    KOm = np.empty((S, J, J))
-    KP = np.empty((S, J, J))
-    for s in range(S):
-        T = _tau_power(p.tau[:, :, s], p.theta[s])
-        KOm[s] = kappa[s] * p.A[:, None, s] * T
-        KP[s] = kappa[s] * p.A[None, :, s] * T.T
-    return kappa, KOm, KP
-
-
 def _general_costs(p: GeneralParams, pp: NDArray, w: NDArray) -> NDArray:
     # log c_is = labor share * log w_i + sum_r input share * log P_ir
     lnP = -np.log(pp) / p.theta[None, :]
@@ -494,28 +493,19 @@ def build_general(p: GeneralParams) -> PositiveSystem:
     Iterating this system usually needs damping well below 1.
     """
     J, S = p.J, p.S
-    _, KOm, KP = _general_pieces(p)
-
-    def unpack(x):
-        om = x[:J * S].reshape(J, S)
-        pp = x[J * S:2 * J * S].reshape(J, S)
-        w = x[2 * J * S:]
-        return om, pp, w
+    K, KP = _sector_kernels(p)
 
     def evaluate(x):
-        om, pp, w = unpack(x)
-        c = _general_costs(p, pp, w)
-        R = om * c ** (-p.theta[None, :])
+        om, pp, w = _unpack(x, J, S)
+        # R/omega is c^-theta; the price block reads it directly, which
+        # keeps that block exactly independent of omega
+        c_theta = _general_costs(p, pp, w) ** (-p.theta[None, :])
+        R = om * c_theta
         E = p.alpha * (w * p.L)[:, None] + np.einsum("isr,ir->is", p.gamma_io, R)
-        f_om = np.empty((J, S))
-        f_pp = np.empty((J, S))
-        for s in range(S):
-            f_om[:, s] = KOm[s] @ (E[:, s] / pp[:, s])
-            # R/omega reduces to c^-theta; forming it directly keeps the
-            # price block exactly independent of omega
-            f_pp[:, s] = KP[s] @ (c[:, s] ** (-p.theta[s]))
+        f_om = _matvec(K, E.T / pp.T)
+        f_pp = _matvec(KP, c_theta.T)
         f_w = (p.gamma_labor * R).sum(axis=1) / p.L
-        return np.concatenate([f_om.ravel(), f_pp.ravel(), f_w])
+        return np.concatenate([f_om.T.ravel(), f_pp.T.ravel(), f_w])
 
     theta_max = float(p.theta.max())
     u = np.concatenate([
@@ -568,14 +558,9 @@ class Outcomes:
 
 
 def _import_shares(A, c, tau, theta) -> NDArray[np.float64]:
-    # normalized column by column so each destination's shares sum to 1
-    J, S = c.shape
-    pi = np.empty((J, J, S))
-    for s in range(S):
-        numer = A[:, s][:, None] * _tau_power(c[:, s][:, None] * tau[:, :, s],
-                                              theta[s])
-        pi[:, :, s] = numer / numer.sum(axis=0, keepdims=True)
-    return pi
+    # normalized over exporters so each destination's shares sum to 1
+    numer = A[:, None, :] * _tau_power(c[:, None, :] * tau, theta)
+    return numer / numer.sum(axis=0, keepdims=True)
 
 
 def _welfare(w, L, P, alpha) -> NDArray[np.float64]:
@@ -623,9 +608,7 @@ def recover_outcomes(kind: str, x_star: StateVector, params,
         mp: MultiSectorParams = params
         _check_fresh(build_multi_sector(mp), x_star, tol)
         J, S = mp.J, mp.S
-        om = x_star.values[:J * S].reshape(J, S)
-        pp = x_star.values[J * S:2 * J * S].reshape(J, S)
-        W = x_star.values[2 * J * S:]
+        om, pp, W = _unpack(x_star.values, J, S)
         w = W ** (1.0 / (1.0 + mp.Theta))
         c = np.tile(w[:, None], (1, S))
         R = om * w[:, None] ** (-mp.theta[None, :])
@@ -638,10 +621,7 @@ def recover_outcomes(kind: str, x_star: StateVector, params,
     if kind == "general":
         gp: GeneralParams = params
         _check_fresh(build_general(gp), x_star, tol)
-        J, S = gp.J, gp.S
-        om = x_star.values[:J * S].reshape(J, S)
-        pp = x_star.values[J * S:2 * J * S].reshape(J, S)
-        w = x_star.values[2 * J * S:]
+        om, pp, w = _unpack(x_star.values, gp.J, gp.S)
         c = _general_costs(gp, pp, w)
         R = om * c ** (-gp.theta[None, :])
         E = gp.alpha * (w * gp.L)[:, None] + \
@@ -677,23 +657,15 @@ def apply_shock(params, steps: Sequence[ShockStep]):
 
     The result passes full validation again; connectivity is re-derived.
     """
-    editable = {}
-    if isinstance(params, OneSectorParams):
-        names = ("A", "tau", "gamma", "L", "theta", "sigma")
-        cls = OneSectorParams
-    elif isinstance(params, GeneralParams):
-        names = ("A", "tau", "alpha", "L", "theta", "sigma",
-                 "gamma_labor", "gamma_io")
-        cls = GeneralParams
-    elif isinstance(params, MultiSectorParams):
-        names = ("A", "tau", "alpha", "L", "theta", "sigma")
-        cls = MultiSectorParams
-    else:
+    if not isinstance(params, (OneSectorParams, MultiSectorParams,
+                               GeneralParams)):
         raise TypeError(f"unknown parameter bundle {type(params).__name__}")
-    for name in names:
-        val = getattr(params, name)
-        editable[name] = np.array(val, dtype=float) if isinstance(
-            val, np.ndarray) else val
+    editable = {}
+    for f in fields(params):
+        if f.init:
+            val = getattr(params, f.name)
+            editable[f.name] = np.array(val, dtype=float) if isinstance(
+                val, np.ndarray) else val
 
     for step in steps:
         if step.field not in editable:
@@ -721,7 +693,7 @@ def apply_shock(params, steps: Sequence[ShockStep]):
                 field=step.field) from None
         target[idx] = step.value if step.op == "=" else old * step.value
 
-    return cls(**editable)
+    return type(params)(**editable)
 
 
 @dataclass(frozen=True)

@@ -249,16 +249,6 @@ def test_certify_reports_are_deterministic(tmp_path):
     assert ra == rb
 
 
-def test_certify_threads_flag_changes_nothing(tmp_path):
-    cfg = symmetric_one_sector(tmp_path)
-    main(["certify", "--config", cfg, "--out", str(tmp_path / "a"),
-          "--quiet"])
-    main(["certify", "--config", cfg, "--out", str(tmp_path / "b"),
-          "--threads", "3", "--quiet"])
-    assert (tmp_path / "a" / "report.txt").read_bytes() == \
-        (tmp_path / "b" / "report.txt").read_bytes()
-
-
 # --------------------------------------------------------------- solve
 
 

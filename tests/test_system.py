@@ -171,9 +171,15 @@ def test_label_validation():
 
 
 def test_sign_pattern_validation():
-    with pytest.raises(ValueError, match="-1, 0 or \\+1"):
-        PositiveSystem(
-            labels=("a", "b"),
-            evaluate_values=lambda x: x,
-            sign_pattern=np.array([[2, 0], [0, 1]]),
-        )
+    for bad in (2, -2, 0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="-1, 0 or \\+1"):
+            PositiveSystem(
+                labels=("a", "b"),
+                evaluate_values=lambda x: x,
+                sign_pattern=np.array([[bad, 0], [0, 1]]),
+            )
+    for good in (np.array([[1.0, -1.0], [0.0, 1.0]]),
+                 np.array([[True, False], [False, True]])):
+        sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                             sign_pattern=good)
+        assert sys.sign_pattern is good

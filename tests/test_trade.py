@@ -5,6 +5,8 @@ two-country reduction, closed-form autarky algebra, and cross-solves
 between models that must coincide on overlapping parameter sets.
 """
 
+from dataclasses import fields
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -375,15 +377,20 @@ def test_multi_sector_scaling_law_and_signs():
 
 
 def test_multi_sector_analytic_elasticity_matches_numeric():
-    p = multi_sector(J=2, S=3, seed=31)
-    ana = build_multi_sector(p)
-    num = PositiveSystemNoAnalytic(ana)
     rng = np.random.default_rng(37)
-    for _ in range(5):
-        x = ana.state(np.exp(rng.uniform(-1.5, 1.5, size=ana.dimension)))
-        Ea = elasticity_at(ana, x)
-        En = elasticity_at(num, x)
-        assert np.max(np.abs(Ea.entries - En.entries)) <= 1e-6
+    gaps = [ShockStep("tau", (1, 3, 2), "=", np.inf),
+            ShockStep("alpha", (2, 1), "=", 0.0),
+            ShockStep("alpha", (2, 2), "=", 0.0),
+            ShockStep("alpha", (2, 3), "=", 1.0)]
+    for p in (multi_sector(J=2, S=3, seed=31),
+              apply_shock(multi_sector(J=3, S=3, seed=41), gaps)):
+        ana = build_multi_sector(p)
+        num = PositiveSystemNoAnalytic(ana)
+        for _ in range(5):
+            x = ana.state(np.exp(rng.uniform(-1.5, 1.5, size=ana.dimension)))
+            Ea = elasticity_at(ana, x)
+            En = elasticity_at(num, x)
+            assert np.max(np.abs(Ea.entries - En.entries)) <= 1e-6
 
 
 def relative_profile(out):
@@ -710,3 +717,18 @@ def test_apply_shock_validation():
     assert q.theta == pytest.approx(p.theta * 1.1)
     with pytest.raises(ParameterError):
         ShockStep("A", (1,), "+=", 1.0)
+    with pytest.raises(TypeError, match="unknown parameter bundle"):
+        apply_shock(object(), [])
+
+    m = multi_sector(J=2, S=2, seed=101)
+    for base, step in ((m, ShockStep("A", (1, 2), "*=", 2.0)),
+                       (general_from_multi(m),
+                        ShockStep("tau", (1, 2, 1), "*=", 1.5))):
+        q = apply_shock(base, [step])
+        assert type(q) is type(base)
+        for f in fields(base):
+            if f.init and f.name != step.field:
+                assert np.array_equal(getattr(q, f.name), getattr(base, f.name))
+        idx = tuple(k - 1 for k in step.indices)
+        assert getattr(q, step.field)[idx] == \
+            getattr(base, step.field)[idx] * step.value
