@@ -65,6 +65,7 @@ TOL_SIGN = 1e-10          # numeric zero for sign classification
 TOL_DIAG = 1e-10          # diagonal threshold, relative to its row max
 TOL_EIGENVALUE = 1e-8     # window around 1 for the scaling eigenvalue
 TOL_RESIDUAL = 1e-6       # scaling-law verification ceiling
+NEAR_ONE = 1e-6           # eigenvalue window around 1 in check_spectral
 SCALE_TEST_FACTORS = (0.5, 2.0, 10.0)
 
 
@@ -117,8 +118,16 @@ class SpectralEvidence:
     max_rho_deviation: float          # max |rho - 1|
     eigvec_residual: float | None     # max inf-norm of |DG||u| - |u|
     similarity_residual: float | None  # max |D DG D - |DG||, D = diag(sign u)
-    unique_modulus_one: bool | None   # 1 the only eigenvalue on the unit circle
-    spectral_gap: float | None        # min over samples of 1 - second modulus
+    # 1 the only eigenvalue on the unit circle at every sample: from the
+    # spectrum at sample 0, derived by Perron-Frobenius at the others
+    # where check_spectral's premises hold, from the spectrum elsewhere
+    unique_modulus_one: bool | None
+    # min of 1 - second modulus over the samples whose spectrum was
+    # computed: sample 0 plus any sample where uniqueness was not derived
+    spectral_gap: float | None
+    # (min lower, max upper) Collatz-Wielandt bound over the samples; None
+    # when some sample's rho came from eigenvalues (no bracket closed)
+    rho_bracket: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -226,16 +235,91 @@ def check_self_interaction(sys: PositiveSystem,
     return CheckResult("evidence-only")
 
 
+def _oriented(u: NDArray) -> NDArray:
+    """u with its first clearly nonzero entry positive, scaled to
+    max |u_j| = 1."""
+    scale = np.abs(u).max()
+    first = u[np.flatnonzero(np.abs(u) > 1e-12 * scale)[0]]
+    return (-u if first < 0 else u) / scale
+
+
+def _verified(sys: PositiveSystem, samples: Sequence[StateVector],
+              elasticities: Sequence[ElasticityMatrix],
+              u: NDArray) -> ScalingCertificate:
+    """The certificate of u: the DG u = u residual at every sample and
+    the scale law at SCALE_TEST_FACTORS."""
+    res_eq = max(float(np.max(np.abs(E.entries @ u - u)))
+                 for E in elasticities)
+    res_direct = 0.0
+    for idx, x in enumerate(samples):
+        fx = _at_sample(idx, sys._eval_checked, x.values)
+        for c in SCALE_TEST_FACTORS:
+            lhs = _at_sample(idx, sys._eval_checked, c ** u * x.values)
+            rhs = c ** u * fx
+            res_direct = max(res_direct,
+                             float(np.max(np.abs(lhs / rhs - 1.0))))
+    return ScalingCertificate(u=u, residual_fixed_eq=res_eq,
+                              residual_direct=res_direct)
+
+
+def _closed_form_certificate(sys: PositiveSystem,
+                             samples: Sequence[StateVector],
+                             elasticities: Sequence[ElasticityMatrix],
+                             ) -> ScalingCertificate | None:
+    """The system's closed-form scaling, when Perron-Frobenius makes it
+    the only direction the eigenspace extraction could find; else None."""
+    P, s = sys.sign_pattern, sys.scaling
+    n = sys.dimension
+    if (P is None or s is None or s.shape != (n,)
+            or not np.all(np.isfinite(s))
+            or not np.all(np.abs(s) > 1e-9 * np.abs(s).max())):
+        return None
+    u = _oriented(s)
+    # |DG| = D DG D with D = diag(sign u) is irreducible, so its Perron
+    # root is simple, and the eigenvalue-1 eigenspace of DG is the line
+    # of u once rho(|DG|) = 1.  A wrong pattern can hide a sampled DG that
+    # breaks the block rule or is reducible, so each DG must obey the rule
+    # and be nonzero wherever the irreducible pattern is
+    if not is_irreducible(np.abs(P)) or _violations(P, u, 0.0).any():
+        return None
+    declared = P != 0
+    for E in elasticities:
+        if (_violations(E.entries, u, 0.0).any()
+                or not (E.entries != 0.0)[declared].all()):
+            return None
+    cert = _verified(sys, samples, elasticities, u)
+    # Collatz-Wielandt from |u| puts rho(|DG|) within res_eq / min|u| of
+    # 1, and ||(I - DG) u||_2 <= sqrt(n) res_eq bounds the least singular
+    # value: below this gate both of the extraction's tests pass
+    if (cert.residual_fixed_eq
+            <= TOL_EIGENVALUE * float(np.abs(u).min()) / np.sqrt(n)
+            and cert.residual_direct <= TOL_RESIDUAL):
+        return cert
+    return None
+
+
 def find_scaling_exponent(sys: PositiveSystem,
                           samples: Sequence[StateVector],
                           elasticities: Sequence[ElasticityMatrix] | None = None,
                           ) -> ScalingCertificate | None:
-    """Extract and verify a scaling direction from the eigenvalue-1
-    eigenspace of the first sample's elasticity matrix.
+    """Extract and verify a scaling direction u from the eigenvalue-1
+    eigenspace of the first sample's elasticity matrix, normalized to
+    max |u_j| = 1 with its first clearly nonzero entry positive.
 
-    Returns None unless I - DG has both an eigenvalue and a singular value
-    below TOL_EIGENVALUE (a non-normal DG can have the second alone).
-    Raises AmbiguousScalingError when the eigenspace is multi-dimensional.
+    Returns None unless I - DG has both an eigenvalue and a singular
+    value below TOL_EIGENVALUE (a non-normal DG can have the second
+    alone).  Raises AmbiguousScalingError when the eigenspace is
+    multi-dimensional.
+
+    certify first tries the system's closed-form `scaling` instead, with
+    no eigensolve: it is taken when it has no zero entry, the declared
+    pattern is irreducible, every sampled DG is nonzero wherever the
+    pattern is, the pattern and every sampled DG obey the block rule of
+    sign(u), the scale law holds within TOL_RESIDUAL and
+    max |DG u - u| is at most TOL_EIGENVALUE * min|u_j| / sqrt(n) at
+    every sample.  By Perron-Frobenius the eigenspace is then the line of
+    u, and both of this extraction's tests would pass.  Otherwise certify
+    calls this extraction, so a wrong closed form gets its verdict.
     """
     elasticities = elasticities or _elasticities(sys, samples)
     E0 = elasticities[0].entries
@@ -252,27 +336,13 @@ def find_scaling_exponent(sys: PositiveSystem,
         raise AmbiguousScalingError(
             f"eigenspace for eigenvalue 1 has dimension {dim}; "
             "a unique scaling direction requires dimension 1")
-    u = Vh[-1].copy()
-    # orient: first clearly nonzero coordinate positive, then scale
-    for j in range(n):
-        if abs(u[j]) > 1e-12 * np.abs(u).max():
-            if u[j] < 0:
-                u = -u
-            break
-    u /= np.abs(u).max()
+    return _verified(sys, samples, elasticities, _oriented(Vh[-1]))
 
-    res_eq = max(float(np.max(np.abs(E.entries @ u - u)))
-                 for E in elasticities)
-    res_direct = 0.0
-    for idx, x in enumerate(samples):
-        fx = _at_sample(idx, sys._eval_checked, x.values)
-        for c in SCALE_TEST_FACTORS:
-            lhs = _at_sample(idx, sys._eval_checked, c ** u * x.values)
-            rhs = c ** u * fx
-            res_direct = max(res_direct,
-                             float(np.max(np.abs(lhs / rhs - 1.0))))
-    return ScalingCertificate(u=u, residual_fixed_eq=res_eq,
-                              residual_direct=res_direct)
+
+def _violations(M: NDArray, u: NDArray, tol: float) -> NDArray[np.bool_]:
+    """Entries of M against the block rule of sign(u), beyond tol."""
+    same = np.equal.outer(u > 0, u > 0)   # True when j, k share a block
+    return (same & (M < -tol)) | (~same & (M > tol))
 
 
 def _split_by_sign(u: NDArray, labels: tuple[str, ...]) -> SignPartition:
@@ -294,11 +364,9 @@ def check_monotonicity(sys: PositiveSystem, u,
             f"scaling direction has a zero entry at {sys.labels[j]!r}; "
             "the block partition is undefined there")
     partition = _split_by_sign(u, sys.labels)
-    same = np.equal.outer(u > 0, u > 0)   # True when j, k share a block
 
     if sys.sign_pattern is not None:
-        P = sys.sign_pattern
-        bad = (same & (P < 0)) | (~same & (P > 0))
+        bad = _violations(sys.sign_pattern, u, 0.0)
         if not bad.any():
             return CheckResult("pass"), partition
         j, k = map(int, np.argwhere(bad)[0])
@@ -310,7 +378,7 @@ def check_monotonicity(sys: PositiveSystem, u,
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
         M = E.entries
-        bad = (same & (M < -TOL_SIGN)) | (~same & (M > TOL_SIGN))
+        bad = _violations(M, u, TOL_SIGN)
         if bad.any():
             j, k = map(int, np.argwhere(bad)[0])
             return CheckResult("fail", {
@@ -325,15 +393,24 @@ def check_spectral(sys: PositiveSystem, u,
                    samples: Sequence[StateVector],
                    elasticities: Sequence[ElasticityMatrix] | None = None,
                    compare_spectra: bool = True) -> SpectralEvidence:
-    """Spectral radius of |DG|, the |u| eigenvector residual, the
-    signature residual max |D DG D - |DG|| with D = diag(sign u) (exactly
-    0 when the block sign rule holds; DG and |DG| then share a spectrum),
-    and the modulus-1 uniqueness check.
+    """Spectral radius of |DG| with its Collatz-Wielandt bracket, the |u|
+    eigenvector residual, the signature residual max |D DG D - |DG|| with
+    D = diag(sign u) (exactly 0 when the block sign rule holds; DG and
+    |DG| then share a spectrum), and the modulus-1 uniqueness check.
+
+    Uniqueness comes from the spectrum of DG at sample 0, which also
+    gives the gap.  At any other sample where the signature residual is
+    exactly 0, the |u|-started bracket closed within NEAR_ONE of 1 and
+    |DG| has a nonzero diagonal entry, DG is similar to the primitive
+    |DG|, whose Perron root is simple and the only eigenvalue of its
+    modulus (Perron-Frobenius), so uniqueness is derived there and no
+    eigensolve runs; every other sample gets its spectrum.
 
     Out-of-tolerance values are recorded, never raised.
     """
     elasticities = elasticities or _elasticities(sys, samples)
     rhos = []
+    brackets = []
     eig_res = None
     sim_res = None
     unique = None
@@ -346,10 +423,17 @@ def check_spectral(sys: PositiveSystem, u,
         eig_res = 0.0
         sim_res = 0.0 if compare_spectra else None
         start = abs_u if np.all(abs_u > 0.0) else None
-    for E in elasticities:
+    for idx, E in enumerate(elasticities):
         A = np.abs(E.entries)
+        perron = False
         try:
-            rho = spectral_radius(A, tol=1e-12, start=start).rho
+            res = spectral_radius(A, tol=1e-12, start=start)
+            rho = res.rho
+            brackets.append((res.lower_bound, res.upper_bound))
+            perron = (start is not None
+                      and 1.0 - NEAR_ONE <= res.lower_bound
+                      and res.upper_bound <= 1.0 + NEAR_ONE
+                      and A.diagonal().max() > 0.0)
         except (ReducibleMatrixError, PowerIterationError):
             # reducible or imprimitive inputs: eigenvalues instead
             rho = float(np.max(np.abs(eigvals_mod_zero(A))))
@@ -357,18 +441,19 @@ def check_spectral(sys: PositiveSystem, u,
         if u is not None:
             eig_res = max(eig_res, float(np.max(np.abs(A @ abs_u - abs_u))))
             if compare_spectra:
-                sim_res = max(sim_res,
-                              float(np.max(np.abs(flip * E.entries - A))))
-        if compare_spectra:
+                signature = float(np.max(np.abs(flip * E.entries - A)))
+                sim_res = max(sim_res, signature)
+                perron = perron and signature == 0.0
+        if compare_spectra and (idx == 0 or not perron):
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one; the
             # multiplicity of 0, which eigvals_mod_zero may change, is
             # never read
             eigs_raw = eigvals_mod_zero(E.entries)
-            away = eigs_raw[np.abs(eigs_raw - 1.0) > 1e-6]
+            away = eigs_raw[np.abs(eigs_raw - 1.0) > NEAR_ONE]
             second = float(np.max(np.abs(away))) if away.size else 0.0
-            near_one = int(np.sum(np.abs(eigs_raw - 1.0) <= 1e-6))
-            ok = near_one == 1 and second < 1.0 - 1e-6
+            near_one = int(np.sum(np.abs(eigs_raw - 1.0) <= NEAR_ONE))
+            ok = near_one == 1 and second < 1.0 - NEAR_ONE
             unique = ok if unique is None else (unique and ok)
             g = 1.0 - second
             gap = g if gap is None else min(gap, g)
@@ -379,6 +464,9 @@ def check_spectral(sys: PositiveSystem, u,
         similarity_residual=sim_res,
         unique_modulus_one=unique,
         spectral_gap=gap,
+        rho_bracket=((min(lo for lo, _ in brackets),
+                      max(hi for _, hi in brackets))
+                     if len(brackets) == len(rhos) else None),
     )
 
 
@@ -387,7 +475,8 @@ def _check_scaling(sys: PositiveSystem, samples: Sequence[StateVector],
                    ) -> tuple[CheckResult, ScalingCertificate | None]:
     """The scaling verdict and the certificate it rests on."""
     try:
-        certificate = find_scaling_exponent(sys, samples, elas)
+        certificate = (_closed_form_certificate(sys, samples, elas)
+                       or find_scaling_exponent(sys, samples, elas))
     except AmbiguousScalingError as exc:
         return CheckResult("error", {"error": str(exc)}), None
     except (EvaluationError, DifferentiationError) as exc:

@@ -181,11 +181,15 @@ def load_run_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         # configparser errors already carry source and line number
         raise ConfigError(str(exc)) from exc
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [DEFAULT]")
 
-    if not parser.has_section("model"):
+    # every read pops its key, so what is left at the end is unknown
+    sections = {name: dict(parser[name]) for name in parser.sections()}
+    model = sections.pop("model", None)
+    if model is None:
         raise ConfigError(f"{path}: missing [model] section")
-    model = parser["model"]
-    kind = model.get("kind", "").strip()
+    kind = model.pop("kind", "").strip()
     if kind not in _KINDS:
         raise ConfigError(f"{path}: [model] kind must be one of "
                           f"{', '.join(_KINDS)}, got {kind!r}")
@@ -195,49 +199,59 @@ def load_run_config(path: str) -> RunConfig:
     for key in _FILE_KEYS[kind]:
         if key not in model:
             raise ConfigError(f"{path}: [model] is missing the {key} file")
-        files[key] = os.path.join(base, model[key].strip())
+        files[key] = os.path.join(base, model.pop(key).strip())
 
     if kind == "one-sector":
         for key in ("theta", "sigma"):
             if key not in model:
                 raise ConfigError(f"{path}: [model] needs scalar {key}")
-        theta = _parse_float("model", "theta", model["theta"])
-        sigma = _parse_float("model", "sigma", model["sigma"])
+        theta = _parse_float("model", "theta", model.pop("theta"))
+        sigma = _parse_float("model", "sigma", model.pop("sigma"))
     else:
         for key in ("theta.s", "sigma.s"):
             if key not in model:
                 raise ConfigError(f"{path}: [model] needs the per-sector "
                                   f"list {key}")
-        theta = _parse_float_list("model", "theta.s", model["theta.s"])
-        sigma = _parse_float_list("model", "sigma.s", model["sigma.s"])
+        theta = _parse_float_list("model", "theta.s", model.pop("theta.s"))
+        sigma = _parse_float_list("model", "sigma.s", model.pop("sigma.s"))
         if len(theta) != len(sigma):
             raise ConfigError(f"{path}: theta.s and sigma.s disagree on "
                               "the number of sectors")
 
-    sv = parser["solve"] if parser.has_section("solve") else {}
+    sv = sections.pop("solve", {})
     try:
         solve = SolveOptions(
-            tol=_parse_float("solve", "tol", sv.get("tol", "1e-10")),
-            max_iter=int(sv.get("max_iter", "10000")),
-            damping=_parse_float("solve", "damping", sv.get("damping", "1")),
+            tol=_parse_float("solve", "tol", sv.pop("tol", "1e-10")),
+            max_iter=int(sv.pop("max_iter", "10000")),
+            damping=_parse_float("solve", "damping", sv.pop("damping", "1")),
             numeraire_rule=_parse_numeraire(
-                sv.get("numeraire", "first-coordinate-one")),
+                sv.pop("numeraire", "first-coordinate-one")),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: [solve] {exc}") from exc
 
-    cf = parser["certify"] if parser.has_section("certify") else {}
-    out = parser["output"] if parser.has_section("output") else {}
+    cf = sections.pop("certify", {})
+    out = sections.pop("output", {})
     try:
-        samples = int(cf.get("samples", "8"))
-        seed = int(cf.get("seed", "0"))
+        samples = int(cf.pop("samples", "8"))
+        seed = int(cf.pop("seed", "0"))
     except ValueError as exc:
         raise ConfigError(f"{path}: [certify] {exc}") from exc
     if samples < 1:
         raise ConfigError(f"{path}: [certify] samples must be positive")
-    out_dir = out.get("directory", ".").strip()
+    cf.pop("threads", None)     # ignored; it once set a thread count
+    out_dir = out.pop("directory", ".").strip()
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base, out_dir)
+
+    if sections:
+        raise ConfigError(
+            f"{path}: unknown section [{next(iter(sections))}]")
+    for name, left in (("model", model), ("solve", sv), ("certify", cf),
+                       ("output", out)):
+        if left:
+            raise ConfigError(
+                f"{path}: unknown key {next(iter(left))!r} in [{name}]")
     return RunConfig(kind=kind, files=files, theta=theta, sigma=sigma,
                      solve=solve, samples=samples, seed=seed,
                      out_dir=out_dir, config_dir=base)
@@ -434,6 +448,9 @@ def format_report(rep: CertificationReport) -> str:
                      f"{_fmt(sp.max_rho_deviation)}")
         lines.append("spectral.rho.samples: "
                      + " ".join(_fmt(r) for r in sp.rho))
+        if sp.rho_bracket is not None:
+            lines.append("spectral.rho.bracket: "
+                         + " ".join(_fmt(b) for b in sp.rho_bracket))
         if sp.eigvec_residual is not None:
             lines.append("spectral.eigvec_residual: "
                          f"{_fmt(sp.eigvec_residual)}")

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from scalefix.solve import SolveOptions, SolveResult, iterate
-from scalefix.spectral import strongly_connected_components
+from scalefix.spectral import is_irreducible, strongly_connected_components
 from scalefix.system import PositiveSystem, StateVector
 
 __all__ = [
@@ -117,8 +117,13 @@ def _check_tau(tau, shape, name="tau") -> NDArray[np.float64]:
 
 
 def _connectivity(finite_edges: NDArray[np.bool_]):
-    # graph on countries; certification re-checks on the full system
-    comps = strongly_connected_components(finite_edges.astype(float))
+    # graph on countries; certification re-checks on the full system.
+    # Two vectorised reachability sweeps settle the usual connected case;
+    # the components are only enumerated when the graph splits
+    adj = finite_edges.astype(float)
+    if is_irreducible(adj):
+        return True, [list(range(adj.shape[0]))]
+    comps = strongly_connected_components(adj)
     return len(comps) == 1, comps
 
 

@@ -2,6 +2,7 @@
 and each hand-built counterexample must trip exactly the check it was
 designed to violate."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -236,6 +237,9 @@ def test_spectral_evidence(build, params):
     assert sp.similarity_residual == 0.0
     assert sp.unique_modulus_one
     assert sp.spectral_gap > 1e-6
+    lower, upper = sp.rho_bracket
+    assert lower <= min(sp.rho) <= max(sp.rho) <= upper
+    assert upper - lower <= 1e-8
     # dense eigensolver as the oracle for the reported radii
     for x, rho in zip(rep.samples, sp.rho):
         A = np.abs(elasticity_at(sys, x).entries)
@@ -243,14 +247,17 @@ def test_spectral_evidence(build, params):
 
 
 @st.composite
-def signed_perron_matrices(draw):
-    """E = D M D for an irreducible nonnegative M with a positive
-    diagonal and M v = v, a random signature D, and u = D v."""
+def signed_perron_matrices(draw, diagonal=st.just(True)):
+    """E = D M D for an irreducible nonnegative M with M v = v, a random
+    signature D, and u = D v.  M has a positive diagonal unless the
+    `diagonal` strategy draws False, which leaves it all zero."""
     n = draw(st.integers(2, 7))
     weights = draw(arrays(float, (n, n), elements=st.floats(0.1, 2.0)))
     keep = draw(arrays(bool, (n, n)))
-    # the diagonal and the cycle j -> j+1 make B primitive
-    keep |= np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    eye = np.eye(n, dtype=bool)
+    # the cycle j -> j+1 makes B irreducible, the diagonal primitive
+    keep = (keep | eye) if draw(diagonal) else (keep & ~eye)
+    keep |= np.roll(eye, 1, axis=1)
     B = np.where(keep, weights, 0.0)
     v = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
     M = (v / (B @ v))[:, None] * B
@@ -268,6 +275,190 @@ def test_signature_similarity_and_perron_bracket(case):
     assert sp.similarity_residual == 0.0
     assert abs(sp.rho[0] - 1.0) <= 1e-12
     assert abs(sp.rho[0] - np.max(np.abs(np.linalg.eigvals(M)))) <= 1e-9
+
+
+def dense_unique_modulus_one(E):
+    """check_spectral's eigenvalue test on numpy's dense spectrum."""
+    eigs = np.linalg.eigvals(E)
+    near = np.abs(eigs - 1.0) <= 1e-6
+    second = np.max(np.abs(eigs[~near]), initial=0.0)
+    return int(near.sum()) == 1 and second < 1.0 - 1e-6
+
+
+def count_calls(patch, module, name):
+    """Wrap module.name so that each call appends to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch.setattr(module, name, counted)
+    return calls
+
+
+def with_rank_one_first(E, u):
+    """Samples (E0, E) at one state, E0 = D v 1'/(1'v) D: E0 u = u and
+    its spectrum is {1, 0, ...}, so sample 0 reads unique and the verdict
+    on E alone decides the answer."""
+    n = len(u)
+    v = np.abs(u)
+    E0 = np.outer(np.sign(u), np.sign(u)) * np.outer(v, np.ones(n)) / v.sum()
+    sys = custom(tuple(f"x{j}" for j in range(n)), lambda x: x)
+    x = sys.state(np.ones(n))
+    return sys, [x, x], [ElasticityMatrix(E0, x, "analytic"),
+                         ElasticityMatrix(E, x, "analytic")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_perron_matrices(diagonal=st.booleans()))
+def test_derived_uniqueness_matches_dense_eigvals(case):
+    E, u, M = case
+    sys, samples, elas = with_rank_one_first(E, u)
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_calls(m, importlib.import_module("scalefix.certify"),
+                            "eigvals_mod_zero")
+        sp = check_spectral(sys, u, samples, elas)
+    assert sp.unique_modulus_one == dense_unique_modulus_one(E)
+    if np.diag(M).max() > 0.0:
+        assert len(calls) == 1        # derived at sample 1
+    else:
+        # no self-loop, so |E| may be imprimitive: E gets its spectrum
+        assert any(args[0] is elas[1].entries for args in calls)
+
+
+def test_derivation_refused_for_a_flipped_sign_or_radius_off_one():
+    M = np.array([[0.5, 0.3, 0.0], [0.0, 0.2, 0.6], [0.4, 0.0, 0.1]])
+    v = np.array([1.0, 2.0, 0.5])
+    M = (v / (M @ v))[:, None] * M
+    d = np.array([1.0, -1.0, 1.0])
+    E = d[:, None] * M * d[None, :]
+    flipped = E.copy()
+    flipped[0, 1] = -flipped[0, 1]
+    u = d * v
+    # |c E| |u| = c |u|: the bracket closes around c, and 1 is no
+    # eigenvalue at all
+    for F, solves, unique in ((E, 1, True), (flipped, 2, None),
+                              (1.5 * E, 2, False), (0.5 * E, 2, False)):
+        sys, samples, elas = with_rank_one_first(F, u)
+        with pytest.MonkeyPatch.context() as m:
+            calls = count_calls(
+                m, importlib.import_module("scalefix.certify"),
+                "eigvals_mod_zero")
+            sp = check_spectral(sys, u, samples, elas)
+        assert len(calls) == solves
+        assert (sp.similarity_residual > 0.0) == (F is flipped)
+        assert sp.unique_modulus_one == dense_unique_modulus_one(F)
+        assert unique is None or sp.unique_modulus_one == unique
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_one_sector, one_sector_params(J=4)),
+    (build_multi_sector, multi_sector_params(J=3, S=2)),
+])
+def test_exact_certify_runs_no_svd_and_one_eigensolve(build, params,
+                                                      monkeypatch):
+    sys = build(params)
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    eigs = count_calls(monkeypatch, importlib.import_module("scalefix.certify"),
+                       "eigvals_mod_zero")
+    rep = certify(sys, sample_count=8, seed=0)
+    assert rep.uniqueness_applicable and rep.attractivity_applicable
+    assert rep.spectral.unique_modulus_one
+    assert rep.scaling.details["matches_closed_form"]
+    assert (len(svd), len(eigs)) == (0, 1)
+
+
+def perturbed(size):
+    def scaling(u):
+        noise = np.random.default_rng(5).standard_normal(u.size)
+        return u * (1.0 + size * noise)
+    return scaling
+
+
+def flipped_wage_block(u):
+    return np.concatenate([u[:-3], -u[-3:]])    # the J = 3 wages W
+
+
+# a 1e-9 perturbation passes the scale law (residual near 2e-9) and only
+# the DG u = u gate refuses it; it still matches the extracted direction
+@pytest.mark.parametrize("wrong,matches", [
+    (perturbed(1e-3), False), (perturbed(1e-9), True),
+    (flipped_wage_block, False),
+    # matches_closed_form's cosine is 0/0 here, hence False
+    pytest.param(np.zeros_like, False, marks=pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in divide"))])
+def test_wrong_closed_form_gets_the_extraction_report(wrong, matches,
+                                                      monkeypatch):
+    certify_module = importlib.import_module("scalefix.certify")
+    sys = build_multi_sector(multi_sector_params(J=3, S=2))
+    sys = dataclasses.replace(sys, scaling=wrong(sys.scaling))
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    rep = certify(sys, sample_count=6, seed=2)
+    assert len(svd) == 1
+    monkeypatch.setattr(certify_module, "_closed_form_certificate",
+                        lambda *args: None)
+    ref = certify(sys, sample_count=6, seed=2)
+    assert format_report(rep) == format_report(ref)
+    assert np.array_equal(rep.certificate.u, ref.certificate.u)
+    assert rep.uniqueness_applicable
+    assert rep.scaling.details["matches_closed_form"] is matches
+
+
+def test_closed_form_failing_the_scale_law_is_not_taken(monkeypatch):
+    # the provider's DG u = u holds at u = (1, 1), the scale law does not
+    sys = PositiveSystem(
+        labels=("a", "b"),
+        evaluate_values=lambda x: np.sqrt(x[0] * x[1]) * np.array(
+            [1.0, 1.0 + x[0]]),
+        elasticity_values=lambda x: np.full((2, 2), 0.5),
+        sign_pattern=np.ones((2, 2), dtype=int), scaling=np.ones(2))
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    rep = certify(sys, sample_count=4, seed=0)
+    assert len(svd) == 1
+    assert rep.scaling.verdict == "fail"
+    assert rep.certificate.residual_direct > 1e-6
+
+
+def log_linear(E, pattern, scaling):
+    """x -> exp(E log x), whose elasticity matrix is E everywhere."""
+    labels = tuple("abcdefgh"[:E.shape[0]])
+    return PositiveSystem(
+        labels=labels, evaluate_values=lambda x: np.exp(E @ np.log(x)),
+        elasticity_values=lambda x: E, sign_pattern=pattern, scaling=scaling)
+
+
+# the all-ones pattern is a wrong declaration the block rule of u = 1
+# accepts, so only the sampled DG shows the closed form's premise broken
+@pytest.mark.parametrize("declared", ["signs", "all-ones"])
+def test_closed_form_against_the_block_rule_is_not_taken(declared):
+    # E = I + a b' with b'a = -1: E u = u on the plane b'u = 0, whose
+    # u = (1, 1, 1) the block rule rejects (E has negative entries), so
+    # the extraction must see the two-dimensional eigenspace
+    a, b = np.array([0.5, 0.5, 1.0]), np.array([1.0, 1.0, -2.0])
+    E = np.eye(3) + np.outer(a, b)
+    pattern = (np.sign(E) if declared == "signs" else np.ones((3, 3))
+               ).astype(int)
+    rep = certify(log_linear(E, pattern, np.ones(3)), sample_count=4, seed=0)
+    assert rep.connectedness.verdict == "pass"
+    assert rep.scaling.verdict == "error"
+    assert "dimension 2" in rep.scaling.details["error"]
+    assert not rep.uniqueness_applicable
+
+
+# DG = I: every direction solves DG u = u, so the extraction finds a
+# two-dimensional eigenspace, and the closed form must not hide it, also
+# when a wrong all-ones pattern declares the graph connected
+@pytest.mark.parametrize("pattern,connected", [
+    (np.eye(2, dtype=int), "fail"), (np.ones((2, 2), dtype=int), "pass")])
+def test_closed_form_on_a_reducible_dg_is_not_taken(pattern, connected):
+    rep = certify(log_linear(np.eye(2), pattern, np.ones(2)),
+                  sample_count=4, seed=0)
+    assert rep.connectedness.verdict == connected
+    assert rep.scaling.verdict == "error"
+    assert "dimension 2" in rep.scaling.details["error"]
+    assert not rep.uniqueness_applicable
 
 
 def test_spectrum_similarity_via_charpoly():
@@ -291,6 +482,8 @@ def test_identity_fails_connectedness_and_scaling_is_ambiguous():
     assert not rep.uniqueness_applicable
     # no direction u, so no signature to test
     assert rep.spectral.similarity_residual is None
+    # |DG| = I is reducible: rho comes from eigenvalues, with no bracket
+    assert rep.spectral.rho_bracket is None
 
 
 def test_swap_fails_only_self_interaction():
@@ -433,7 +626,7 @@ def test_report_key_vocabulary_multi_sector_exact():
         "monotonicity.verdict", "monotonicity.zeta_plus",
         "monotonicity.zeta_minus",
         "spectral.rho.max_deviation", "spectral.rho.samples",
-        "spectral.eigvec_residual", "spectral.similarity_residual",
+        "spectral.rho.bracket", "spectral.eigvec_residual", "spectral.similarity_residual",
         "spectral.unique_modulus_one", "spectral.gap",
         "scaling_free_radius_one", "uniqueness_applicable",
         "attractivity_applicable",
@@ -466,12 +659,16 @@ def test_reduced_spectrum_matches_dense_on_multi_sector(monkeypatch):
             eigs = eigvals_mod_zero(E.entries)
             assert eigs.size == (sys.dimension if sys is one else 3 * J)
             assert np.min(np.abs(eigs - 1.0)) <= 1e-12
-        reduced = check_spectral(sys, sys.scaling, samples, elas)
-        with monkeypatch.context() as m:
-            m.setattr(certify_module, "eigvals_mod_zero", np.linalg.eigvals)
-            dense = check_spectral(sys, sys.scaling, samples, elas)
-        assert reduced.unique_modulus_one == dense.unique_modulus_one
-        assert abs(reduced.spectral_gap - dense.spectral_gap) <= 1e-12
+        # one sample per call, so that each one is sample 0 and gets its
+        # eigensolve rather than a derived uniqueness
+        for x, E in zip(samples, elas):
+            reduced = check_spectral(sys, sys.scaling, [x], [E])
+            with monkeypatch.context() as m:
+                m.setattr(certify_module, "eigvals_mod_zero",
+                          np.linalg.eigvals)
+                dense = check_spectral(sys, sys.scaling, [x], [E])
+            assert reduced.unique_modulus_one == dense.unique_modulus_one
+            assert abs(reduced.spectral_gap - dense.spectral_gap) <= 1e-12
 
 
 # ------------------------------------------ evaluation failures in F

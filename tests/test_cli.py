@@ -1,6 +1,8 @@
 """File formats and the command-line front end, exercised in process
 through main(argv)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,34 @@ def test_missing_model_key_is_reported(tmp_path):
                  "[model]\nkind = one-sector\nA = A.csv\n")
     with pytest.raises(ConfigError, match="tau"):
         load_run_config(path)
+
+
+@pytest.mark.parametrize("extra,named", [
+    ("sampels = 3\n", "'sampels' in [certify]"),
+    ("[solve]\ntolerance = 1e-8\n", "'tolerance' in [solve]"),
+    ("[output]\ndir = out\n", "'dir' in [output]"),
+    ("[ouptut]\ndirectory = out\n", "unknown section [ouptut]"),
+    ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+])
+def test_unknown_config_key_is_named(tmp_path, extra, named):
+    cfg = symmetric_one_sector(tmp_path, extra=extra)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_run_config(cfg)
+
+
+def test_model_keys_follow_the_kind(tmp_path):
+    cfg = symmetric_one_sector(tmp_path)
+    text = (tmp_path / "run.ini").read_text()
+    # alpha is a key of the sectored kinds only
+    write(tmp_path / "run.ini",
+          text.replace("[model]\n", "[model]\nalpha = alpha.csv\n"))
+    with pytest.raises(ConfigError, match=re.escape("'alpha' in [model]")):
+        load_run_config(cfg)
+
+
+def test_certify_threads_key_is_accepted_and_ignored(tmp_path):
+    cfg = symmetric_one_sector(tmp_path, extra="threads = 4\n")
+    assert load_run_config(cfg).samples == 6
 
 
 def test_shock_file_parsing(tmp_path):

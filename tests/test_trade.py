@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from scalefix.solve import NumeraireRule, SolveOptions, iterate
+from scalefix.spectral import strongly_connected_components
 from scalefix.system import elasticity_at
 from scalefix.trade import (
     CounterfactualResult,
@@ -21,6 +22,7 @@ from scalefix.trade import (
     ParameterError,
     ShockStep,
     StaleStateError,
+    _connectivity,
     apply_shock,
     build_general,
     build_multi_sector,
@@ -151,6 +153,17 @@ def test_two_bloc_network_is_flagged_not_fatal():
                         L=np.ones(4), theta=4.0, sigma=2.0)
     assert not p.connected
     assert p.blocs == ((0, 1), (2, 3))
+
+
+@pytest.mark.parametrize("J,seed", [(1, 0), (2, 1), (6, 2), (12, 3)])
+def test_connectivity_blocs_match_components(J, seed):
+    # a random finite-cost graph (split or not), and the complete one
+    rng = np.random.default_rng(seed)
+    sparse = rng.uniform(size=(J, J)) < 0.25
+    np.fill_diagonal(sparse, True)
+    for finite in (sparse, np.ones((J, J), dtype=bool)):
+        comps = strongly_connected_components(finite.astype(float))
+        assert _connectivity(finite) == (len(comps) == 1, comps)
 
 
 def test_multi_sector_alpha_rows_must_sum_to_one():
