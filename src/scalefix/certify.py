@@ -270,8 +270,7 @@ def _closed_form_certificate(sys: PositiveSystem,
     the only direction the eigenspace extraction could find; else None."""
     P, s = sys.sign_pattern, sys.scaling
     n = sys.dimension
-    if (P is None or s is None or s.shape != (n,)
-            or not np.all(np.isfinite(s))
+    if (P is None or s is None or not np.all(np.isfinite(s))
             or not np.all(np.abs(s) > 1e-9 * np.abs(s).max())):
         return None
     u = _oriented(s)

@@ -149,8 +149,10 @@ class PositiveSystem:
             if not ((p == 0) | (np.abs(p) == 1)).all():
                 raise ValueError("sign_pattern entries must be -1, 0 or +1")
         if self.scaling is not None:
-            object.__setattr__(
-                self, "scaling", np.asarray(self.scaling, dtype=float))
+            u = np.asarray(self.scaling, dtype=float)
+            if u.shape != (self.dimension,):
+                raise ValueError("scaling must have length N")
+            object.__setattr__(self, "scaling", u)
 
     @property
     def dimension(self) -> int:
@@ -194,14 +196,17 @@ def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
 
     Uses the analytic provider when the system has one; otherwise central
     differences in log coordinates with step 1e-6.  Raises
-    DifferentiationError if either gives a non-finite entry.
+    DifferentiationError if the provider's matrix is not N x N or if
+    either method gives a non-finite entry.
     """
     if x.labels != sys.labels:
         raise ValueError("state belongs to a different system")
     if sys.elasticity_values is not None:
         E = np.asarray(sys.elasticity_values(x.values), dtype=float)
         if E.shape != (sys.dimension, sys.dimension):
-            raise ValueError("analytic elasticity has wrong shape")
+            raise DifferentiationError(
+                f"analytic elasticity has shape {E.shape}, expected "
+                f"({sys.dimension}, {sys.dimension})")
         method = "analytic"
     else:
         n = sys.dimension

@@ -13,10 +13,10 @@ Three parameter bundles and their fixed-point systems:
     sign structure is attached: certification is evidence-only there.
 
 All builders return immutable PositiveSystem values with analytic
-elasticities where available, a closed-form scaling direction, and (for
-the two proven models) a fixed sign pattern.  Infinite trade costs are
-legal as long as the finite-cost graph stays strongly connected; the
-corresponding sum terms are exact zeros.
+elasticities, a closed-form scaling direction, and (for the two proven
+models) a fixed sign pattern.  Infinite trade costs are legal as long as
+the finite-cost graph stays strongly connected; the corresponding sum
+terms are exact zeros.
 """
 
 from __future__ import annotations
@@ -493,24 +493,71 @@ def build_general(p: GeneralParams) -> PositiveSystem:
     """System over (OMEGA[i][s], P[i][s], w[i]) with intermediates.
 
     Each evaluation computes input costs, revenues and expenditures from
-    the current state before forming the three blocks.  No sign pattern
-    or analytic elasticity: the certifier works from samples here.
-    Iterating this system usually needs damping well below 1.
+    the current state before forming the three blocks; the analytic
+    elasticities chain through the same intermediates.  No sign pattern:
+    the signs depend on the state, so the certifier works from samples
+    here.  Iterating this system usually needs damping well below 1.
     """
     J, S = p.J, p.S
+    JS = J * S
+    n = 2 * JS + J
     K, KP = _sector_kernels(p)
+    cell = np.arange(JS).reshape(J, S)
+    country = np.arange(J)[:, None]
+    sector = np.arange(S)[None, :]
+    wage = 2 * JS + np.arange(J)[:, None]
 
-    def evaluate(x):
+    def log_derivatives():
+        # log c_is = gamma_labor_is log w_i - sum_r gamma_io_irs log P_ir /
+        # theta_r is linear in log x, so d log c^-theta (as (S, J, n)) and
+        # d log R = d log OMEGA + d log c^-theta (as (J, S, n)) are
+        # constant; made per call, so a system only solved holds neither
+        d_ct = np.zeros((J, S, n))
+        d_ct[country, sector, wage] = -p.theta * p.gamma_labor
+        d_ct[country[:, :, None], sector[:, :, None],
+             JS + cell[:, None, :]] = (p.theta[None, :, None]
+                                       * np.swapaxes(p.gamma_io, 1, 2)
+                                       / p.theta[None, None, :])
+        d_R = d_ct.copy()
+        d_R[country, sector, cell] = 1.0      # d log c^-theta is 0 there
+        return np.ascontiguousarray(np.swapaxes(d_ct, 0, 1)), d_R
+
+    def terms(x):
         om, pp, w = _unpack(x, J, S)
         # R/omega is c^-theta; the price block reads it directly, which
         # keeps that block exactly independent of omega
         c_theta = _general_costs(p, pp, w) ** (-p.theta[None, :])
         R = om * c_theta
         E = p.alpha * (w * p.L)[:, None] + np.einsum("isr,ir->is", p.gamma_io, R)
+        return pp, w, c_theta, R, E
+
+    def evaluate(x):
+        pp, _, c_theta, R, E = terms(x)
         f_om = _matvec(K, E.T / pp.T)
         f_pp = _matvec(KP, c_theta.T)
         f_w = (p.gamma_labor * R).sum(axis=1) / p.L
         return np.concatenate([f_om.T.ravel(), f_pp.T.ravel(), f_w])
+
+    def elasticity(x):
+        pp, w, c_theta, R, E = terms(x)
+        d_ct, d_R = log_derivatives()
+        # d(E_js / P_js) / d log x, times P_js: E_js is 0 where sector s
+        # of country j has neither final nor input demand, so the OMEGA
+        # rows weight these derivatives by K / (P f) instead of taking
+        # shares of d log E
+        d_E = np.matmul(p.gamma_io * R[:, None, :], d_R)       # (J, S, n)
+        d_E[country, sector, wage] += p.alpha * (w * p.L)[:, None]
+        d_E[country, sector, JS + cell] -= E
+        f_om = _matvec(K, E.T / pp.T)
+        om_rows = np.matmul(K, np.swapaxes(d_E / pp[:, :, None], 0, 1)) \
+            / f_om[:, :, None]
+        pp_rows = np.matmul(_shares(KP, c_theta.T), d_ct)
+        sh_w = p.gamma_labor * R
+        sh_w /= sh_w.sum(axis=1)[:, None]
+        w_rows = np.matmul(sh_w[:, None, :], d_R)[:, 0, :]
+        return np.concatenate([np.swapaxes(om_rows, 0, 1).reshape(JS, n),
+                               np.swapaxes(pp_rows, 0, 1).reshape(JS, n),
+                               w_rows])
 
     theta_max = float(p.theta.max())
     u = np.concatenate([
@@ -521,6 +568,7 @@ def build_general(p: GeneralParams) -> PositiveSystem:
     return PositiveSystem(
         labels=multi_sector_labels(J, S, wage="w"),
         evaluate_values=evaluate,
+        elasticity_values=elasticity,
         scaling=u,
         kind="general",
         meta={"params": p},

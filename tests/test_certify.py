@@ -574,7 +574,7 @@ def test_non_normal_map_with_tiny_singular_value_has_no_direction():
 def test_general_model_fails_monotonicity_honestly():
     rep = certify(build_general(general_params()), sample_count=4, seed=5)
     assert rep.mode == "sampled"
-    assert rep.differentiation == "numeric-central-log"
+    assert rep.differentiation == "analytic"
     assert rep.connectedness.verdict == "evidence-only"
     assert rep.scaling.verdict == "evidence-only"
     assert rep.scaling.details["matches_closed_form"]
@@ -582,6 +582,31 @@ def test_general_model_fails_monotonicity_honestly():
     # within-block violation, so the certifier must say so
     assert rep.monotonicity.verdict == "fail"
     assert not rep.uniqueness_applicable
+
+
+def test_general_model_evaluates_only_for_the_scale_law():
+    sys = build_general(general_params(J=3, S=2, seed=7))
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return sys.evaluate_values(x)
+
+    rep = certify(dataclasses.replace(sys, evaluate_values=counted),
+                  sample_count=5, seed=2)
+    assert rep.differentiation == "analytic"
+    assert rep.scaling.verdict == "evidence-only"
+    # F(x) and F(c^u x) for the three SCALE_TEST_FACTORS, per sample
+    assert len(calls) == 4 * 5
+
+
+def test_general_model_witness_is_the_analytic_entry():
+    sys = build_general(general_params())
+    rep = certify(sys, sample_count=4, seed=5)
+    mono = rep.monotonicity.details
+    E = sys.elasticity_values(rep.samples[mono["sample_index"]].values)
+    j, k = sys.labels.index(mono["row"]), sys.labels.index(mono["column"])
+    assert mono["value"] == E[j, k]
 
 
 # ------------------------------------------------- direct op behavior
@@ -739,3 +764,27 @@ def test_non_finite_analytic_elasticity_is_an_error_verdict():
         "to 'a' is nan")
     assert rep.spectral is None
     assert rep.differentiation == "analytic"
+
+
+@pytest.mark.parametrize("pattern", [None, np.ones((2, 2), dtype=int)])
+def test_wrong_shape_analytic_elasticity_is_an_error_verdict(pattern):
+    sys = PositiveSystem(
+        labels=("a", "b"),
+        evaluate_values=lambda x: np.full(2, np.sqrt(x[0] * x[1])),
+        elasticity_values=lambda x: np.full((3, 3), 0.5),
+        sign_pattern=pattern)
+    rep = certify(sys, sample_count=4, seed=0)
+    checks = [rep.scaling]
+    if pattern is None:      # sampled: every check reads the elasticities
+        checks += [rep.connectedness, rep.self_interaction]
+    else:                    # exact: the pattern decides these two
+        assert rep.connectedness.verdict == "pass"
+        assert rep.self_interaction.verdict == "pass"
+    for check in checks:
+        assert check.verdict == "error"
+        assert check.details["sample_index"] == 0
+        assert check.details["error"] == (
+            "DifferentiationError: analytic elasticity has shape (3, 3), "
+            "expected (2, 2)")
+    assert rep.monotonicity.verdict == "skipped"
+    assert rep.spectral is None

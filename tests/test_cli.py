@@ -252,6 +252,22 @@ def test_certify_evaluation_failure_exits_3(tmp_path, monkeypatch):
     assert "spectral.gap" not in kv
 
 
+def test_certify_wrong_shape_elasticity_exits_3(tmp_path, monkeypatch):
+    wrong = PositiveSystem(
+        labels=("a", "b"),
+        evaluate_values=lambda x: np.full(2, np.sqrt(x[0] * x[1])),
+        elasticity_values=lambda x: np.full((3, 3), 0.5))
+    monkeypatch.setattr(cli, "build_system", lambda params: wrong)
+    cfg = symmetric_one_sector(tmp_path)
+    out = tmp_path / "run"
+    assert main(["certify", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 3
+    kv = kv_lines(out / "report.txt")
+    assert kv["scaling.verdict"] == "error"
+    assert "shape (3, 3), expected (2, 2)" in kv["scaling.error"]
+    assert kv["scaling.sample_index"] == "0"
+
+
 def test_certify_general_is_sampled_and_fails_monotonicity(tmp_path, capsys):
     cfg_path = save_parameters(general_params(), str(tmp_path))
     with open(cfg_path, "a") as fh:
@@ -260,6 +276,7 @@ def test_certify_general_is_sampled_and_fails_monotonicity(tmp_path, capsys):
     code = main(["certify", "--config", cfg_path, "--out", str(out)])
     kv = kv_lines(out / "report.txt")
     assert kv["mode"] == "sampled"
+    assert kv["differentiation"] == "analytic"
     assert kv["scaling.verdict"] == "evidence-only"
     # negative wage feedback through input costs: a real violation, so
     # the exit code reports failure rather than the hoped-for pass

@@ -161,6 +161,15 @@ def test_non_finite_analytic_elasticity_rejected():
     assert info.value.sample_index is None
 
 
+def test_wrong_shape_analytic_elasticity_rejected():
+    sys = PositiveSystem(
+        labels=("a", "b"), evaluate_values=lambda x: x[::-1].copy(),
+        elasticity_values=lambda x: np.zeros(2))
+    with pytest.raises(DifferentiationError,
+                       match=r"shape \(2,\), expected \(2, 2\)"):
+        elasticity_at(sys, sys.state([1.0, 2.0]))
+
+
 def test_label_validation():
     with pytest.raises(ValueError, match="unique"):
         PositiveSystem(labels=("a", "a"), evaluate_values=lambda x: x)
@@ -183,3 +192,14 @@ def test_sign_pattern_validation():
         sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
                              sign_pattern=good)
         assert sys.sign_pattern is good
+
+
+def test_scaling_length_validation():
+    for bad in (np.ones(3), np.ones(1), np.ones((2, 1)), 1.0):
+        with pytest.raises(ValueError, match="scaling must have length N"):
+            PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                           scaling=bad)
+    sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                         scaling=[1, -1])
+    assert sys.scaling.dtype == float
+    assert sys.scaling.tolist() == [1.0, -1.0]

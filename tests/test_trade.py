@@ -406,6 +406,51 @@ def test_multi_sector_analytic_elasticity_matches_numeric():
             assert np.max(np.abs(Ea.entries - En.entries)) <= 1e-6
 
 
+def general(J=3, S=3, seed=0):
+    p = multi_sector(J=J, S=S, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    gl = rng.uniform(0.3, 0.9, size=(J, S))
+    gio = rng.uniform(0.1, 1.0, size=(J, S, S))
+    gio *= ((1.0 - gl) / gio.sum(axis=1))[:, None, :]
+    return GeneralParams(A=p.A, tau=p.tau, alpha=p.alpha, L=p.L,
+                         theta=p.theta, sigma=p.sigma,
+                         gamma_labor=gl, gamma_io=gio)
+
+
+def general_with_gaps():
+    # an infinite off-diagonal tau, zero alpha entries, a labor-only
+    # country 1, and sector 1 of country 2 with neither final nor input
+    # demand, so its expenditure E is exactly 0
+    g = general(J=3, S=3, seed=83)
+    tau, alpha = np.array(g.tau), np.array(g.alpha)
+    gl, gio = np.array(g.gamma_labor), np.array(g.gamma_io)
+    tau[0, 2, 1] = np.inf
+    alpha[1] = [0.0, 0.0, 1.0]
+    gl[0], gio[0] = 1.0, 0.0
+    gio[1, 0, :] = 0.0
+    gio[1] *= ((1.0 - gl[1]) / gio[1].sum(axis=0))[None, :]
+    return GeneralParams(A=g.A, tau=tau, alpha=alpha, L=g.L, theta=g.theta,
+                         sigma=g.sigma, gamma_labor=gl, gamma_io=gio)
+
+
+def test_general_analytic_elasticity_matches_numeric():
+    rng = np.random.default_rng(89)
+    gaps = general_with_gaps()
+    labor_only = general_from_multi(multi_sector(J=3, S=2, seed=97))
+    single = general(J=3, S=1, seed=101)
+    for p in (general(J=2, S=3, seed=79), gaps, labor_only, single):
+        ana = build_general(p)
+        num = PositiveSystemNoAnalytic(ana)
+        for _ in range(5):
+            x = ana.state(np.exp(rng.uniform(-1.5, 1.5, size=ana.dimension)))
+            Ea = elasticity_at(ana, x)
+            En = elasticity_at(num, x)
+            assert Ea.method == "analytic"
+            assert np.max(np.abs(Ea.entries - En.entries)) <= 1e-6
+    # the zero-expenditure cell really is in the gapped model
+    assert gaps.alpha[1, 0] == 0.0 and not gaps.gamma_io[1, 0].any()
+
+
 def relative_profile(out):
     # numeraire-free comparison vector: shares, welfare, relative wages
     return np.concatenate([
