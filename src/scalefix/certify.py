@@ -117,7 +117,9 @@ class SpectralEvidence:
     rho: tuple[float, ...]            # spectral radius of |DG| per sample
     max_rho_deviation: float          # max |rho - 1|
     eigvec_residual: float | None     # max inf-norm of |DG||u| - |u|
-    similarity_residual: float | None  # max |D DG D - |DG||, D = diag(sign u)
+    # max |D DG D - |DG||, D = diag(sign u): 2 max |DG| over the entries
+    # against the block rule; None without a zero-free u or compare_spectra
+    similarity_residual: float | None
     # 1 the only eigenvalue on the unit circle at every sample: from the
     # spectrum at sample 0, derived by Perron-Frobenius at the others
     # where check_spectral's premises hold, from the spectrum elsewhere
@@ -394,8 +396,10 @@ def check_spectral(sys: PositiveSystem, u,
                    compare_spectra: bool = True) -> SpectralEvidence:
     """Spectral radius of |DG| with its Collatz-Wielandt bracket, the |u|
     eigenvector residual, the signature residual max |D DG D - |DG|| with
-    D = diag(sign u) (exactly 0 when the block sign rule holds; DG and
-    |DG| then share a spectrum), and the modulus-1 uniqueness check.
+    D = diag(sign u), and the modulus-1 uniqueness check.  D DG D - |DG|
+    is -2|DG| where DG breaks the block rule of sign(u) and 0 elsewhere,
+    so the residual is exactly 0 when the rule holds (DG and |DG| then
+    share a spectrum), and None when a zero entry of u makes D singular.
 
     Uniqueness comes from the spectrum of DG at sample 0, which also
     gives the gap.  At any other sample where the signature residual is
@@ -410,18 +414,13 @@ def check_spectral(sys: PositiveSystem, u,
     elasticities = elasticities or _elasticities(sys, samples)
     rhos = []
     brackets = []
-    eig_res = None
-    sim_res = None
-    unique = None
-    gap = None
-    start = None
+    eig_res = sim_res = unique = gap = start = None
     if u is not None:
         u = np.asarray(u, dtype=float)
         abs_u = np.abs(u)
-        flip = np.outer(np.sign(u), np.sign(u))
         eig_res = 0.0
-        sim_res = 0.0 if compare_spectra else None
         start = abs_u if np.all(abs_u > 0.0) else None
+        sim_res = 0.0 if compare_spectra and start is not None else None
     for idx, E in enumerate(elasticities):
         A = np.abs(E.entries)
         perron = False
@@ -439,10 +438,11 @@ def check_spectral(sys: PositiveSystem, u,
         rhos.append(rho)
         if u is not None:
             eig_res = max(eig_res, float(np.max(np.abs(A @ abs_u - abs_u))))
-            if compare_spectra:
-                signature = float(np.max(np.abs(flip * E.entries - A)))
-                sim_res = max(sim_res, signature)
-                perron = perron and signature == 0.0
+        if sim_res is not None:
+            bad = _violations(E.entries, u, 0.0)
+            signature = 2.0 * float(np.max(A[bad], initial=0.0))
+            sim_res = max(sim_res, signature)
+            perron = perron and signature == 0.0
         if compare_spectra and (idx == 0 or not perron):
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one; the

@@ -14,7 +14,7 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from scalefix.spectral import gauge_norm, quotient_norm
+from scalefix.spectral import quotient_norm
 from scalefix.system import EvaluationError, PositiveSystem, StateVector, log_transform
 
 __all__ = [
@@ -125,10 +125,10 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
             opts: SolveOptions = SolveOptions()) -> SolveResult:
     """Run the damped fixed-point iteration from x0.
 
-    When u is given it must be nonzero in every coordinate; |u| is the
-    gauge and steps are measured modulo span(u).  A run only reports
-    converged once the quotient step is below tol AND the relative
-    residual max_j |F(x)_j - x_j| / x_j is below tol.
+    When u is given it must be finite and nonzero in every coordinate;
+    |u| is the gauge and steps are measured modulo span(u).  A run only
+    reports converged once the quotient step is below tol AND the
+    relative residual max_j |F(x)_j - x_j| / x_j is below tol.
     """
     if x0.labels != sys.labels:
         raise ValueError("x0 belongs to a different system")
@@ -136,8 +136,8 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
         u = np.asarray(u, dtype=float)
         if u.shape != (sys.dimension,):
             raise ValueError("u has wrong dimension")
-        if np.any(u == 0.0):
-            raise ValueError("gauge from u needs every u_j nonzero")
+        if np.any(u == 0.0) or not np.all(np.isfinite(u)):
+            raise ValueError("gauge from u needs every u_j finite and nonzero")
         v = np.abs(u)
     else:
         v = np.ones(sys.dimension)
@@ -169,8 +169,8 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
     for it in range(1, opts.max_iter + 1):
         z_next = (1.0 - d) * z + d * Gz
         step = z_next - z
-        sg = gauge_norm(step, v)
-        sq = quotient_norm(step, u, v) if u is not None else sg
+        sg = float(np.max(np.abs(step) / v))
+        sq = sg if u is None else float(0.5 * np.ptp(step / u))
         gauge_steps.append(sg)
         quot_steps.append(sq)
         try:

@@ -87,23 +87,22 @@ def is_irreducible(M) -> bool:
     A 1x1 matrix counts as irreducible only when its entry is positive,
     so that the positive-eigenvector statement stays valid.
     """
-    A = _as_nonneg_square(M)
-    n = A.shape[0]
-    if n == 1:
+    return _strongly_connected(_as_nonneg_square(M))
+
+
+def _strongly_connected(A: NDArray[np.float64]) -> bool:
+    """is_irreducible for an A that _as_nonneg_square has validated."""
+    if A.shape[0] == 1:
         return bool(A[0, 0] > 0.0)
     adj = A > 0.0
     # strong connectivity == node 0 reaches everyone and everyone reaches it
-    if not _reachable(adj, 0).all():
-        return False
-    return bool(_reachable(adj.T, 0).all())
+    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
 
 
 def is_primitive(M) -> bool:
     """Sufficient primitivity check: irreducible with a nonzero diagonal entry."""
     A = _as_nonneg_square(M)
-    if not is_irreducible(A):
-        return False
-    return bool(np.any(np.diag(A) > 0.0))
+    return _strongly_connected(A) and bool(np.any(np.diag(A) > 0.0))
 
 
 def strongly_connected_components(M) -> list[list[int]]:
@@ -181,7 +180,7 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
     A = _as_nonneg_square(M)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not is_irreducible(A):
+    if not _strongly_connected(A):
         raise ReducibleMatrixError(
             "matrix is reducible; Collatz-Wielandt bounds need not close")
     n = A.shape[0]

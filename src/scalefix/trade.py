@@ -637,11 +637,16 @@ def recover_outcomes(kind: str, x_star: StateVector, params,
     shares and welfare at a solved equilibrium.
 
     Refuses states whose relative fixed-point residual exceeds tol, since
-    every downstream identity would silently degrade.
+    every downstream identity would silently degrade, and a kind other
+    than that of the parameter bundle.
     """
+    sys = build_system(params)
+    if kind != sys.kind:
+        raise ValueError(f"system kind {kind!r} does not match the "
+                         f"{sys.kind!r} parameter bundle")
+    _check_fresh(sys, x_star, tol)
     if kind == "one-sector":
         p: OneSectorParams = params
-        _check_fresh(build_one_sector(p), x_star, tol)
         J = p.J
         om = x_star.values[:J]
         pp = x_star.values[J:]
@@ -659,7 +664,6 @@ def recover_outcomes(kind: str, x_star: StateVector, params,
 
     if kind == "multi-sector":
         mp: MultiSectorParams = params
-        _check_fresh(build_multi_sector(mp), x_star, tol)
         J, S = mp.J, mp.S
         om, pp, W = _unpack(x_star.values, J, S)
         w = W ** (1.0 / (1.0 + mp.Theta))
@@ -671,20 +675,16 @@ def recover_outcomes(kind: str, x_star: StateVector, params,
         U = _welfare(w, mp.L, P, mp.alpha)
         return Outcomes(w=w, R=R, E=E, P=P, c=c, pi=pi, U=U)
 
-    if kind == "general":
-        gp: GeneralParams = params
-        _check_fresh(build_general(gp), x_star, tol)
-        om, pp, w = _unpack(x_star.values, gp.J, gp.S)
-        c = _general_costs(gp, pp, w)
-        R = om * c ** (-gp.theta[None, :])
-        E = gp.alpha * (w * gp.L)[:, None] + \
-            np.einsum("isr,ir->is", gp.gamma_io, R)
-        P = pp ** (-1.0 / gp.theta[None, :])
-        pi = _import_shares(gp.A, c, gp.tau, gp.theta)
-        U = _welfare(w, gp.L, P, gp.alpha)
-        return Outcomes(w=w, R=R, E=E, P=P, c=c, pi=pi, U=U)
-
-    raise ValueError(f"unknown system kind {kind!r}")
+    gp: GeneralParams = params
+    om, pp, w = _unpack(x_star.values, gp.J, gp.S)
+    c = _general_costs(gp, pp, w)
+    R = om * c ** (-gp.theta[None, :])
+    E = gp.alpha * (w * gp.L)[:, None] + \
+        np.einsum("isr,ir->is", gp.gamma_io, R)
+    P = pp ** (-1.0 / gp.theta[None, :])
+    pi = _import_shares(gp.A, c, gp.tau, gp.theta)
+    U = _welfare(w, gp.L, P, gp.alpha)
+    return Outcomes(w=w, R=R, E=E, P=P, c=c, pi=pi, U=U)
 
 
 # ------------------------------------------------------- counterfactuals

@@ -353,6 +353,56 @@ def test_derivation_refused_for_a_flipped_sign_or_radius_off_one():
         assert unique is None or sp.unique_modulus_one == unique
 
 
+# signed zeros, tiny and moderate entries and ones up to 1e40, small
+# enough that the powers of DG in eigvals_mod_zero stay finite
+finite_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-1e-9, 1e-9),
+    st.floats(-1e3, 1e3), st.floats(-1e40, 1e40))
+
+
+@st.composite
+def dg_samples_and_zero_free_u(draw):
+    n = draw(st.integers(1, 6))
+    entries = draw(st.lists(arrays(float, (n, n), elements=finite_entries),
+                            min_size=1, max_size=3))
+    signs = np.where(draw(arrays(bool, n)), 1.0, -1.0)
+    u = signs * draw(arrays(float, n, elements=st.floats(1e-6, 1e6)))
+    return entries, u
+
+
+def spectral_at_one_state(u, entries):
+    sys = custom(tuple(f"x{j}" for j in range(len(u))), lambda x: x)
+    x = sys.state(np.ones(len(u)))
+    # on mixed magnitudes the power iterate can underflow to 0, so the
+    # Collatz-Wielandt ratios divide by zero before the bracket gives up
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return check_spectral(sys, u, [x] * len(entries),
+                              [ElasticityMatrix(E, x, "analytic")
+                               for E in entries])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dg_samples_and_zero_free_u())
+def test_signature_residual_equals_the_dense_flip_reference(case):
+    entries, u = case
+    flip = np.outer(np.sign(u), np.sign(u))
+    reference = max(float(np.max(np.abs(flip * E - np.abs(E))))
+                    for E in entries)
+    assert spectral_at_one_state(u, entries).similarity_residual == reference
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_signature_is_none_when_u_has_a_zero_entry(zero):
+    # D = diag(sign u) is singular: there is no similarity to test
+    E = np.array([[0.5, -0.2, 0.1], [0.3, 0.4, -0.6], [-0.1, 0.2, 0.7]])
+    u = np.array([1.0, zero, -2.0])
+    sp = spectral_at_one_state(u, [E, -E])
+    assert sp.similarity_residual is None
+    assert sp.eigvec_residual == float(np.max(np.abs(np.abs(E) @ np.abs(u)
+                                                     - np.abs(u))))
+    assert sp.unique_modulus_one is not None
+
+
 @pytest.mark.parametrize("build,params", [
     (build_one_sector, one_sector_params(J=4)),
     (build_multi_sector, multi_sector_params(J=3, S=2)),

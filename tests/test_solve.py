@@ -16,7 +16,9 @@ from scalefix.solve import (
     trace_to_csv,
     up_to_scale_distance,
 )
-from scalefix.system import PositiveSystem
+from scalefix.spectral import gauge_norm, quotient_norm
+from scalefix.system import PositiveSystem, log_transform
+from scalefix.trade import OneSectorParams, build_one_sector
 
 
 def loglinear(A, b, labels=None):
@@ -167,6 +169,46 @@ def test_damping_still_converges():
                   opts=SolveOptions(damping=0.5))
     assert res.status == "converged"
     assert np.log(res.x_star.values) == pytest.approx(z_star, abs=1e-9)
+
+
+def replayed_steps(sys, x0, opts, count):
+    """z_{n+1} - z_n of the damped iteration, recomputed here."""
+    z = np.log(x0.values)
+    steps = []
+    for _ in range(count):
+        z_next = (1.0 - opts.damping) * z + opts.damping * log_transform(z, sys)
+        steps.append(z_next - z)
+        z = z_next
+    return steps
+
+
+@pytest.mark.parametrize("with_u", [True, False])
+def test_step_traces_are_the_public_norms_bit_for_bit(with_u):
+    # u = sys.scaling has entries of both signs, so |u| is no all-ones gauge
+    p = OneSectorParams(A=[1.0, 1.1, 0.9],
+                        tau=[[1.0, 1.5, 1.3], [1.4, 1.0, 1.2],
+                             [1.3, 1.25, 1.0]],
+                        gamma=[0.5, 0.6, 0.4], L=[1.0, 0.8, 1.2],
+                        theta=4.0, sigma=2.0)
+    sys = build_one_sector(p)
+    u = sys.scaling if with_u else None
+    opts = SolveOptions(damping=0.7, max_iter=60)
+    x0 = sys.state(np.exp(np.linspace(-1.0, 1.5, sys.dimension)))
+    res = iterate(sys, x0, u=u, opts=opts)
+    assert res.status == "converged" and res.iterations > 10
+    steps = replayed_steps(sys, x0, opts, res.iterations)
+    v = np.ones(sys.dimension) if u is None else np.abs(u)
+    gauge = [gauge_norm(step, v) for step in steps]
+    assert res.step_gauge.tolist() == gauge
+    assert res.step_quotient.tolist() == (
+        gauge if u is None else [quotient_norm(step, u, v) for step in steps])
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_gauge_direction_must_be_finite_and_nonzero(bad):
+    sys = loglinear(np.full((2, 2), 0.5), np.zeros(2))
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        iterate(sys, sys.state([1.0, 2.0]), u=[1.0, bad])
 
 
 def test_options_validation():

@@ -10,6 +10,8 @@ Oracles used here:
     mpmath's 60-digit eigensolver where the dense one is too inexact.
 """
 
+import importlib
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -249,6 +251,42 @@ def test_budget_error_carries_bounds():
 def test_bad_tol_rejected():
     with pytest.raises(ValueError, match="tol"):
         spectral_radius([[0, 1], [1, 0]], tol=0.0)
+
+
+@pytest.mark.parametrize("M", [
+    [[0.5, 1.0], [1.0, 0.5]],          # primitive
+    [[0.0, 1.0], [1.0, 0.0]],          # irreducible, imprimitive
+    [[1.0, 1.0], [0.0, 1.0]],          # reducible
+    [[2.0]],
+])
+def test_each_call_validates_its_matrix_once(monkeypatch, M):
+    module = importlib.import_module("scalefix.spectral")
+    original = module._as_nonneg_square
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(module, "_as_nonneg_square", counted)
+    is_primitive(M)
+    assert len(calls) == 1
+    try:
+        spectral_radius(M)
+    except ReducibleMatrixError:
+        pass
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("M,match", [
+    ([[1.0, -1.0], [1.0, 1.0]], "negative"),
+    ([[1.0, np.nan], [1.0, 1.0]], "finite"),
+    ([[1.0, 1.0]], "square"),
+])
+def test_radius_and_primitivity_reject_invalid_matrices(M, match):
+    for check in (spectral_radius, is_primitive):
+        with pytest.raises(ValueError, match=match):
+            check(M)
 
 
 # ------------------------------------------------------------- gauge norm

@@ -5,6 +5,7 @@ two-country reduction, closed-form autarky algebra, and cross-solves
 between models that must coincide on overlapping parameter sets.
 """
 
+import importlib
 from dataclasses import fields
 
 import mpmath as mp
@@ -27,6 +28,7 @@ from scalefix.trade import (
     build_general,
     build_multi_sector,
     build_one_sector,
+    build_system,
     counterfactual,
     gamma_constant,
     recover_outcomes,
@@ -655,6 +657,37 @@ def test_stale_state_rejected(solved_one_sector):
     sys = build_one_sector(p)
     with pytest.raises(StaleStateError, match="residual"):
         recover_outcomes("one-sector", sys.state(np.ones(sys.dimension)), p)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("one-sector", multi_sector(J=2, S=2, seed=1)),
+    ("general", multi_sector(J=2, S=2, seed=1)),
+    ("multi-sector", general(J=2, S=2, seed=3)),
+    ("multi-sector", one_sector(J=3, seed=0)),
+    ("two-sector", one_sector(J=3, seed=0)),
+])
+def test_kind_other_than_the_bundles_is_refused(kind, params):
+    sys = build_system(params)
+    x = sys.state(np.ones(sys.dimension))
+    with pytest.raises(ValueError) as exc:
+        recover_outcomes(kind, x, params)
+    assert repr(kind) in str(exc.value)
+    assert repr(sys.kind) in str(exc.value)
+
+
+def test_recovery_builds_the_system_once(monkeypatch, solved_multi_sector):
+    p, x, out = solved_multi_sector
+    module = importlib.import_module("scalefix.trade")
+    builds = []
+
+    def counted(params):
+        builds.append(params)
+        return build_system(params)
+
+    monkeypatch.setattr(module, "build_system", counted)
+    again = recover_outcomes("multi-sector", x, p)
+    assert builds == [p]
+    assert np.array_equal(again.U, out.U)
 
 
 def test_symmetric_shares(solved_one_sector):
