@@ -29,11 +29,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from scalefix.spectral import (
-    PowerIterationError,
-    ReducibleMatrixError,
     eigvals_mod_zero,
     is_irreducible,
-    spectral_radius,
+    is_primitive,
     strongly_connected_components,
 )
 from scalefix.system import (
@@ -127,8 +125,8 @@ class SpectralEvidence:
     # min of 1 - second modulus over the samples whose spectrum was
     # computed: sample 0 plus any sample where uniqueness was not derived
     spectral_gap: float | None
-    # (min lower, max upper) Collatz-Wielandt bound over the samples; None
-    # when some sample's rho came from eigenvalues (no bracket closed)
+    # (min lower, max upper) of the one-matvec Collatz-Wielandt brackets;
+    # None when one did not close and its sample's rho came from eigenvalues
     rho_bracket: tuple[float, float] | None = None
 
 
@@ -400,59 +398,60 @@ def check_spectral(sys: PositiveSystem, u,
     is -2|DG| where DG breaks the block rule of sign(u) and 0 elsewhere,
     so the residual is exactly 0 when the rule holds (DG and |DG| then
     share a spectrum), and None when a zero entry of u makes D singular.
+    One matvec w = |DG| v per sample, v = |u| (all ones unless u is
+    zero-free), brackets rho in [min w/v, max w/v] for any nonnegative
+    |DG|; rho is the midpoint if the bracket closes, else from eigvals.
 
     Uniqueness comes from the spectrum of DG at sample 0, which also
     gives the gap.  At any other sample where the signature residual is
-    exactly 0, the |u|-started bracket closed within NEAR_ONE of 1 and
-    |DG| has a nonzero diagonal entry, DG is similar to the primitive
-    |DG|, whose Perron root is simple and the only eigenvalue of its
-    modulus (Perron-Frobenius), so uniqueness is derived there and no
-    eigensolve runs; every other sample gets its spectrum.
+    exactly 0, the bracket lies within NEAR_ONE of 1 and |DG| is
+    primitive, DG is similar to |DG|, whose Perron root is simple and the
+    only eigenvalue of its modulus (Perron-Frobenius), so no eigensolve
+    runs there; every other sample gets its spectrum.
 
     Out-of-tolerance values are recorded, never raised.
     """
     elasticities = elasticities or _elasticities(sys, samples)
     rhos = []
     brackets = []
-    eig_res = sim_res = unique = gap = start = None
+    eig_res = sim_res = unique = gap = None
+    v = np.ones(elasticities[0].entries.shape[0])
     if u is not None:
         u = np.asarray(u, dtype=float)
         abs_u = np.abs(u)
         eig_res = 0.0
-        start = abs_u if np.all(abs_u > 0.0) else None
-        sim_res = 0.0 if compare_spectra and start is not None else None
+        v = abs_u if np.all(abs_u > 0.0) else v
+        sim_res = 0.0 if compare_spectra and v is abs_u else None
     for idx, E in enumerate(elasticities):
         A = np.abs(E.entries)
-        perron = False
-        try:
-            res = spectral_radius(A, tol=1e-12, start=start)
-            rho = res.rho
-            brackets.append((res.lower_bound, res.upper_bound))
-            perron = (start is not None
-                      and 1.0 - NEAR_ONE <= res.lower_bound
-                      and res.upper_bound <= 1.0 + NEAR_ONE
-                      and A.diagonal().max() > 0.0)
-        except (ReducibleMatrixError, PowerIterationError):
-            # reducible or imprimitive inputs: eigenvalues instead
-            rho = float(np.max(np.abs(eigvals_mod_zero(A))))
-        rhos.append(rho)
+        w = A @ v
+        ratios = w / v
+        lower, upper = float(ratios.min()), float(ratios.max())
+        mid = 0.5 * (lower + upper)
+        if np.isfinite(mid) and upper - lower <= 1e-12 * max(1.0, mid):
+            rhos.append(mid)
+            brackets.append((lower, upper))
+        else:
+            rhos.append(float(np.max(np.abs(eigvals_mod_zero(A)))))
         if u is not None:
-            eig_res = max(eig_res, float(np.max(np.abs(A @ abs_u - abs_u))))
+            Au = w if v is abs_u else A @ abs_u
+            eig_res = max(eig_res, float(np.max(np.abs(Au - abs_u))))
+        perron = False
         if sim_res is not None:
             bad = _violations(E.entries, u, 0.0)
             signature = 2.0 * float(np.max(A[bad], initial=0.0))
             sim_res = max(sim_res, signature)
-            perron = perron and signature == 0.0
+            perron = (signature == 0.0 and 1.0 - NEAR_ONE <= lower
+                      and upper <= 1.0 + NEAR_ONE and is_primitive(A))
         if compare_spectra and (idx == 0 or not perron):
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one; the
             # multiplicity of 0, which eigvals_mod_zero may change, is
             # never read
-            eigs_raw = eigvals_mod_zero(E.entries)
-            away = eigs_raw[np.abs(eigs_raw - 1.0) > NEAR_ONE]
-            second = float(np.max(np.abs(away))) if away.size else 0.0
-            near_one = int(np.sum(np.abs(eigs_raw - 1.0) <= NEAR_ONE))
-            ok = near_one == 1 and second < 1.0 - NEAR_ONE
+            eigs = eigvals_mod_zero(E.entries)
+            near_one = np.abs(eigs - 1.0) <= NEAR_ONE
+            second = float(np.max(np.abs(eigs[~near_one]), initial=0.0))
+            ok = int(near_one.sum()) == 1 and second < 1.0 - NEAR_ONE
             unique = ok if unique is None else (unique and ok)
             g = 1.0 - second
             gap = g if gap is None else min(gap, g)

@@ -30,7 +30,8 @@ class ReducibleMatrixError(ValueError):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration ran out of budget before the bounds closed.
+    """Power iteration ran out of budget, or its iterate underflowed to
+    a zero entry, before the bounds closed.
 
     Carries the last Collatz-Wielandt sandwich so callers can decide
     whether the partial answer is good enough.
@@ -167,8 +168,10 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
     Stops once the Collatz-Wielandt sandwich
         min_j (Mv)_j / v_j  <=  rho  <=  max_j (Mv)_j / v_j
     is tighter than tol * max(1, rho); returns the bracket midpoint.
-    The iterate stays strictly positive throughout, which is what makes
-    the sandwich valid at every step.  Iteration starts from `start`, a
+    The sandwich needs a strictly positive iterate, so when normalizing
+    underflows an entry to 0 (entries of very mixed magnitude) a
+    PowerIterationError carries the last bracket, as when the 100 * n
+    iteration budget runs out.  Iteration starts from `start`, a
     strictly positive vector (all ones by default); a start at the
     Perron vector closes the bracket after one matvec.
 
@@ -220,6 +223,15 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
             stall = 0
             prev_width = np.inf
         v = w / w.max()
+        if not v.all():
+            raise PowerIterationError(
+                f"power iterate underflowed to 0 at iteration {it}; "
+                f"Collatz-Wielandt bounds were [{lower - shift:.17g}, "
+                f"{upper - shift:.17g}]",
+                lower_bound=lower - shift,
+                upper_bound=upper - shift,
+                iterations=it,
+            )
     raise PowerIterationError(
         f"Collatz-Wielandt bounds still [{lower - shift:.17g}, "
         f"{upper - shift:.17g}] after {max_iter} iterations",
@@ -247,8 +259,10 @@ def eigvals_mod_zero(M) -> NDArray:
     polynomial of degree m+1 and size |R|, whose roots are the
     eigenvalues of its block companion matrix of size (m+1)|R|, top block
     row [M_RR, M_RK M_KR, ..., M_RK N^(m-1) M_KR] (Gohberg, Lancaster &
-    Rodman, Matrix Polynomials, ch. 1).  When nothing peels, or the
-    companion would be no smaller than M, this is numpy.linalg.eigvals(M).
+    Rodman, Matrix Polynomials, ch. 1).  When nothing peels, the
+    companion would be no smaller than M, or its top block row overflows
+    (the products below can, for finite M with huge entries), this is
+    numpy.linalg.eigvals(M).
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -276,10 +290,13 @@ def eigvals_mod_zero(M) -> NDArray:
     top = [X[R]]
     for _ in range(m):
         X[R] = 0.0
-        X = A @ X
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = A @ X       # inf, then inf * 0 = nan, once it overflows
         top.append(X[R])
     C = np.zeros(((m + 1) * r, (m + 1) * r))
     C[:r] = np.concatenate(top, axis=1)
+    if not np.all(np.isfinite(C[:r])):
+        return np.linalg.eigvals(A)
     C[r:, :-r] = np.eye(m * r)
     return np.linalg.eigvals(C)
 

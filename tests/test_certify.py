@@ -354,7 +354,8 @@ def test_derivation_refused_for_a_flipped_sign_or_radius_off_one():
 
 
 # signed zeros, tiny and moderate entries and ones up to 1e40, small
-# enough that the powers of DG in eigvals_mod_zero stay finite
+# enough that |DG| |u| and the powers of DG in eigvals_mod_zero stay
+# finite, so no overflow warning is raised
 finite_entries = st.one_of(
     st.sampled_from([0.0, -0.0]), st.floats(-1e-9, 1e-9),
     st.floats(-1e3, 1e3), st.floats(-1e40, 1e40))
@@ -371,14 +372,16 @@ def dg_samples_and_zero_free_u(draw):
 
 
 def spectral_at_one_state(u, entries):
-    sys = custom(tuple(f"x{j}" for j in range(len(u))), lambda x: x)
-    x = sys.state(np.ones(len(u)))
-    # on mixed magnitudes the power iterate can underflow to 0, so the
-    # Collatz-Wielandt ratios divide by zero before the bracket gives up
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return check_spectral(sys, u, [x] * len(entries),
-                              [ElasticityMatrix(E, x, "analytic")
-                               for E in entries])
+    n = len(entries[0])
+    sys = custom(tuple(f"x{j}" for j in range(n)), lambda x: x)
+    x = sys.state(np.ones(n))
+    return check_spectral(sys, u, [x] * len(entries),
+                          [ElasticityMatrix(E, x, "analytic")
+                           for E in entries])
+
+
+def dense_radius(E):
+    return float(np.max(np.abs(np.linalg.eigvals(np.abs(E)))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -389,6 +392,35 @@ def test_signature_residual_equals_the_dense_flip_reference(case):
     reference = max(float(np.max(np.abs(flip * E - np.abs(E))))
                     for E in entries)
     assert spectral_at_one_state(u, entries).similarity_residual == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(dg_samples_and_zero_free_u(), st.booleans())
+def test_radius_bracket_and_residual_match_dense_references(case, with_u):
+    entries, u = case
+    sp = spectral_at_one_state(u if with_u else None, entries)
+    for E, rho in zip(entries, sp.rho):
+        assert abs(rho - dense_radius(E)) <= 1e-9 * max(1.0, rho)
+    if sp.rho_bracket is not None:
+        lower, upper = sp.rho_bracket
+        assert all(lower <= rho <= upper for rho in sp.rho)
+    if with_u:
+        abs_u = np.abs(u)
+        assert sp.eigvec_residual == max(
+            float(np.max(np.abs(np.abs(E) @ abs_u - abs_u)))
+            for E in entries)
+    else:
+        assert sp.eigvec_residual is None
+
+
+def test_overflowed_matvec_is_no_closed_bracket():
+    # |DG| 1 = [inf, 2]: an infinite upper bound must not pass for a
+    # closed bracket, so rho comes from the spectrum
+    E = np.array([[1e308, 1e308], [1.0, 1.0]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        sp = spectral_at_one_state(None, [E])
+    assert sp.rho == pytest.approx((1e308,), rel=1e-12)
+    assert sp.rho_bracket is None
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -532,8 +564,14 @@ def test_identity_fails_connectedness_and_scaling_is_ambiguous():
     assert not rep.uniqueness_applicable
     # no direction u, so no signature to test
     assert rep.spectral.similarity_residual is None
-    # |DG| = I is reducible: rho comes from eigenvalues, with no bracket
+    # central differences put the two diagonal entries about 1e-10
+    # apart, so the all-ones bracket stays open and rho is a dense radius
     assert rep.spectral.rho_bracket is None
+    # the exact DG = I is reducible, yet its all-ones Collatz-Wielandt
+    # bracket, valid for any nonnegative matrix, closes exactly at 1
+    exact = spectral_at_one_state(None, [np.eye(2)])
+    assert exact.rho_bracket == (1.0, 1.0)
+    assert exact.rho == (1.0,)
 
 
 def test_swap_fails_only_self_interaction():
@@ -632,6 +670,17 @@ def test_general_model_fails_monotonicity_honestly():
     # within-block violation, so the certifier must say so
     assert rep.monotonicity.verdict == "fail"
     assert not rep.uniqueness_applicable
+
+
+def test_general_model_radius_comes_from_the_spectrum():
+    # rho(|DG|) is far from 1 on the general model, so the one-matvec
+    # bracket from |u| does not close and every rho is a dense radius
+    sys = build_general(general_params())
+    rep = certify(sys, sample_count=4, seed=5)
+    assert rep.spectral.rho_bracket is None
+    for x, rho in zip(rep.samples, rep.spectral.rho):
+        want = dense_radius(elasticity_at(sys, x).entries)
+        assert abs(rho - want) <= 1e-13 * want
 
 
 def test_general_model_evaluates_only_for_the_scale_law():
@@ -814,6 +863,20 @@ def test_non_finite_analytic_elasticity_is_an_error_verdict():
         "to 'a' is nan")
     assert rep.spectral is None
     assert rep.differentiation == "analytic"
+
+
+def test_overflowing_companion_still_gives_a_report():
+    # eigvals_mod_zero's companion of this finite DG overflows; both the
+    # scaling extraction and check_spectral must fall back to the dense
+    # spectrum, +-1e200 and 0, rather than raise out of certify
+    M = np.array([[1.0, 1e200, 1.0], [1e200, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    sys = PositiveSystem(labels=("a", "b", "c"),
+                         evaluate_values=lambda x: x.copy(),
+                         elasticity_values=lambda x: M)
+    rep = certify(sys, sample_count=2, seed=0)
+    assert rep.scaling.verdict == "absent"
+    assert rep.spectral.rho_bracket is None
+    assert rep.spectral.rho == pytest.approx((1e200, 1e200), rel=1e-12)
 
 
 @pytest.mark.parametrize("pattern", [None, np.ones((2, 2), dtype=int)])

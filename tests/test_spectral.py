@@ -248,6 +248,17 @@ def test_budget_error_carries_bounds():
     assert exc.value.iterations == 200
 
 
+def test_underflowed_iterate_raises_with_the_last_bracket():
+    # normalizing w = [4.4e-311, 3.5e16] underflows its first entry to 0,
+    # so the next Collatz-Wielandt ratio would divide by zero
+    A = [[2.2e-311, 2.2e-311], [2.2e-311, 3.5e16]]
+    with pytest.raises(PowerIterationError, match="underflowed") as exc:
+        spectral_radius(A, tol=1e-12)
+    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+    assert exc.value.lower_bound <= rho <= exc.value.upper_bound < np.inf
+    assert exc.value.iterations == 1
+
+
 def test_bad_tol_rejected():
     with pytest.raises(ValueError, match="tol"):
         spectral_radius([[0, 1], [1, 0]], tol=0.0)
@@ -587,3 +598,12 @@ def test_reduced_eigs_of_nilpotent_matrix_are_zero():
     assert not np.any(eigvals_mod_zero(N))
     with pytest.raises(ValueError, match="square"):
         eigvals_mod_zero(np.ones((2, 3)))
+
+
+def test_reduced_eigs_fall_back_when_the_companion_overflows():
+    # one peeling round, companion 2 wide; its top block row holds
+    # M_RK M_KR = 1e200 * 1e200 + 1, which overflows a finite M
+    M = np.array([[1.0, 1e200, 1.0], [1e200, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    got = eigvals_mod_zero(M)
+    assert np.array_equal(got, np.linalg.eigvals(M))
+    assert np.allclose(sorted(got.real), [-1e200, 0.0, 1e200], rtol=1e-12)
