@@ -23,15 +23,19 @@ is known symbolically.  Sample-based runs can at best report
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from scalefix.spectral import (
+    PowerIterationError,
+    ReducibleMatrixError,
     eigvals_mod_zero,
     is_irreducible,
     is_primitive,
+    spectral_radius,
     strongly_connected_components,
 )
 from scalefix.system import (
@@ -125,8 +129,8 @@ class SpectralEvidence:
     # min of 1 - second modulus over the samples whose spectrum was
     # computed: sample 0 plus any sample where uniqueness was not derived
     spectral_gap: float | None
-    # (min lower, max upper) of the one-matvec Collatz-Wielandt brackets;
-    # None when one did not close and its sample's rho came from eigenvalues
+    # (min lower, max upper) of the Collatz-Wielandt brackets; None when
+    # spectral_radius failed at a sample and its rho came from eigenvalues
     rho_bracket: tuple[float, float] | None = None
 
 
@@ -300,7 +304,7 @@ def _closed_form_certificate(sys: PositiveSystem,
 def find_scaling_exponent(sys: PositiveSystem,
                           samples: Sequence[StateVector],
                           elasticities: Sequence[ElasticityMatrix] | None = None,
-                          ) -> ScalingCertificate | None:
+                          *, _spectrum0=None) -> ScalingCertificate | None:
     """Extract and verify a scaling direction u from the eigenvalue-1
     eigenspace of the first sample's elasticity matrix, normalized to
     max |u_j| = 1 with its first clearly nonzero entry positive.
@@ -318,12 +322,14 @@ def find_scaling_exponent(sys: PositiveSystem,
     max |DG u - u| is at most TOL_EIGENVALUE * min|u_j| / sqrt(n) at
     every sample.  By Perron-Frobenius the eigenspace is then the line of
     u, and both of this extraction's tests would pass.  Otherwise certify
-    calls this extraction, so a wrong closed form gets its verdict.
+    calls this extraction, so a wrong closed form gets its verdict.  It
+    passes _spectrum0, a memo of eigvals_mod_zero(E0) for check_spectral.
     """
     elasticities = elasticities or _elasticities(sys, samples)
     E0 = elasticities[0].entries
     n = E0.shape[0]
-    eigs = eigvals_mod_zero(E0)      # a zero eigenvalue is never near 1
+    # a zero eigenvalue is never near 1
+    eigs = _spectrum0() if _spectrum0 else eigvals_mod_zero(E0)
     if np.min(np.abs(eigs - 1.0)) > TOL_EIGENVALUE:
         return None
     sv = np.linalg.svd(np.eye(n) - E0, compute_uv=True)
@@ -391,7 +397,8 @@ def check_monotonicity(sys: PositiveSystem, u,
 def check_spectral(sys: PositiveSystem, u,
                    samples: Sequence[StateVector],
                    elasticities: Sequence[ElasticityMatrix] | None = None,
-                   compare_spectra: bool = True) -> SpectralEvidence:
+                   compare_spectra: bool = True, *,
+                   _spectrum0=None) -> SpectralEvidence:
     """Spectral radius of |DG| with its Collatz-Wielandt bracket, the |u|
     eigenvector residual, the signature residual max |D DG D - |DG|| with
     D = diag(sign u), and the modulus-1 uniqueness check.  D DG D - |DG|
@@ -400,7 +407,8 @@ def check_spectral(sys: PositiveSystem, u,
     share a spectrum), and None when a zero entry of u makes D singular.
     One matvec w = |DG| v per sample, v = |u| (all ones unless u is
     zero-free), brackets rho in [min w/v, max w/v] for any nonnegative
-    |DG|; rho is the midpoint if the bracket closes, else from eigvals.
+    |DG|; rho is its midpoint if it closes, else spectral_radius(|DG|,
+    start=v) gives rho and its bracket, or, where that raises, eigvals.
 
     Uniqueness comes from the spectrum of DG at sample 0, which also
     gives the gap.  At any other sample where the signature residual is
@@ -409,7 +417,8 @@ def check_spectral(sys: PositiveSystem, u,
     only eigenvalue of its modulus (Perron-Frobenius), so no eigensolve
     runs there; every other sample gets its spectrum.
 
-    Out-of-tolerance values are recorded, never raised.
+    Out-of-tolerance values are recorded, never raised.  certify passes
+    _spectrum0, the memo it gave find_scaling_exponent, for sample 0.
     """
     elasticities = elasticities or _elasticities(sys, samples)
     rhos = []
@@ -427,12 +436,16 @@ def check_spectral(sys: PositiveSystem, u,
         w = A @ v
         ratios = w / v
         lower, upper = float(ratios.min()), float(ratios.max())
-        mid = 0.5 * (lower + upper)
-        if np.isfinite(mid) and upper - lower <= 1e-12 * max(1.0, mid):
-            rhos.append(mid)
-            brackets.append((lower, upper))
-        else:
-            rhos.append(float(np.max(np.abs(eigvals_mod_zero(A)))))
+        rho = 0.5 * (lower + upper)
+        bracket = (lower, upper)
+        if not (np.isfinite(rho) and upper - lower <= 1e-12 * max(1.0, rho)):
+            try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
+                res = spectral_radius(A, tol=1e-13, start=v)
+                rho, bracket = res.rho, (res.lower_bound, res.upper_bound)
+            except (ReducibleMatrixError, PowerIterationError):
+                rho, bracket = float(np.max(np.abs(eigvals_mod_zero(A)))), None
+        rhos.append(rho)
+        brackets.append(bracket)
         if u is not None:
             Au = w if v is abs_u else A @ abs_u
             eig_res = max(eig_res, float(np.max(np.abs(Au - abs_u))))
@@ -448,7 +461,8 @@ def check_spectral(sys: PositiveSystem, u,
             # the unit circle for 1 to be the unique peripheral one; the
             # multiplicity of 0, which eigvals_mod_zero may change, is
             # never read
-            eigs = eigvals_mod_zero(E.entries)
+            eigs = (_spectrum0() if _spectrum0 and idx == 0
+                    else eigvals_mod_zero(E.entries))
             near_one = np.abs(eigs - 1.0) <= NEAR_ONE
             second = float(np.max(np.abs(eigs[~near_one]), initial=0.0))
             ok = int(near_one.sum()) == 1 and second < 1.0 - NEAR_ONE
@@ -464,17 +478,18 @@ def check_spectral(sys: PositiveSystem, u,
         spectral_gap=gap,
         rho_bracket=((min(lo for lo, _ in brackets),
                       max(hi for _, hi in brackets))
-                     if len(brackets) == len(rhos) else None),
+                     if None not in brackets else None),
     )
 
 
 def _check_scaling(sys: PositiveSystem, samples: Sequence[StateVector],
-                   elas: Sequence[ElasticityMatrix], mode: str,
+                   elas: Sequence[ElasticityMatrix], mode: str, spectrum0,
                    ) -> tuple[CheckResult, ScalingCertificate | None]:
     """The scaling verdict and the certificate it rests on."""
     try:
         certificate = (_closed_form_certificate(sys, samples, elas)
-                       or find_scaling_exponent(sys, samples, elas))
+                       or find_scaling_exponent(sys, samples, elas,
+                                                _spectrum0=spectrum0))
     except AmbiguousScalingError as exc:
         return CheckResult("error", {"error": str(exc)}), None
     except (EvaluationError, DifferentiationError) as exc:
@@ -532,10 +547,10 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     conn = guarded(check_connectedness)
     self_int = guarded(check_self_interaction)
 
-    if failure is not None:
-        scaling, certificate = failure, None
-    else:
-        scaling, certificate = _check_scaling(sys, samples, elas, mode)
+    # sample 0's spectrum, at most once for the extraction and uniqueness
+    spectrum0 = cache(lambda: eigvals_mod_zero(elas[0].entries))
+    scaling, certificate = ((failure, None) if failure is not None else
+                            _check_scaling(sys, samples, elas, mode, spectrum0))
 
     partition = None
     if certificate is not None and scaling.ok:
@@ -550,7 +565,7 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
 
     spectral = None if elas is None else check_spectral(
         sys, certificate.u if certificate is not None else None,
-        samples, elas, compare_spectra=self_int.ok)
+        samples, elas, compare_spectra=self_int.ok, _spectrum0=spectrum0)
 
     # scaling reads "error", not "absent", whenever spectral is None
     footnote = (scaling.verdict == "absent"

@@ -25,16 +25,21 @@ __all__ = [
 ]
 
 
+POWER_STEPS = 5     # power steps before the first shifted solve
+MAX_SOLVES = 30     # shifted solves before spectral_radius gives up
+
+
 class ReducibleMatrixError(ValueError):
     """Raised when an operation requires an irreducible matrix."""
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration ran out of budget, or its iterate underflowed to
-    a zero entry, before the bounds closed.
+    """spectral_radius stopped with its bounds open: MAX_SOLVES shifted
+    solves did not close them, a solve failed, a matvec overflowed or
+    underflowed the bracket, or an iterate lost a positive finite entry.
 
-    Carries the last Collatz-Wielandt sandwich so callers can decide
-    whether the partial answer is good enough.
+    Carries the last finite Collatz-Wielandt bracket ([0, inf] if none)
+    so callers can decide whether the partial answer is good enough.
     """
 
     def __init__(self, message: str, lower_bound: float, upper_bound: float,
@@ -163,22 +168,17 @@ def strongly_connected_components(M) -> list[list[int]]:
 
 
 def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
-    """Perron root of an irreducible nonnegative matrix by power iteration.
+    """Perron root of an irreducible nonnegative matrix.
 
-    Stops once the Collatz-Wielandt sandwich
-        min_j (Mv)_j / v_j  <=  rho  <=  max_j (Mv)_j / v_j
-    is tighter than tol * max(1, rho); returns the bracket midpoint.
-    The sandwich needs a strictly positive iterate, so when normalizing
-    underflows an entry to 0 (entries of very mixed magnitude) a
-    PowerIterationError carries the last bracket, as when the 100 * n
-    iteration budget runs out.  Iteration starts from `start`, a
-    strictly positive vector (all ones by default); a start at the
-    Perron vector closes the bracket after one matvec.
-
-    Imprimitive matrices can cycle without closing the bracket.  When the
-    bracket stalls we add a tiny diagonal shift (1e-12 * max entry), which
-    moves every eigenvalue by exactly the shift and leaves eigenvectors
-    alone, and subtract it from the reported numbers at the end.
+    Each iterate v > 0 brackets it by an explicit matvec,
+    min_j (Mv)_j / v_j <= rho <= max_j (Mv)_j / v_j, and the midpoint is
+    returned once the bracket is tighter than tol * max(1, rho).  v starts
+    at `start` (all ones by default; a Perron vector closes at once).
+    POWER_STEPS power steps follow, then Noda's steps: v <- y solving
+    (sigma I - M) y = v, sigma the upper bound.  For sigma > rho that
+    inverse is positive with 1/(sigma - rho) its only dominant eigenvalue,
+    so y > 0 and the bracket closes quadratically, imprimitive M included
+    (Noda, Numer. Math. 17, 1971; Elsner, Linear Algebra Appl. 15, 1976).
     """
     A = _as_nonneg_square(M)
     if tol <= 0:
@@ -187,58 +187,43 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
         raise ReducibleMatrixError(
             "matrix is reducible; Collatz-Wielandt bounds need not close")
     n = A.shape[0]
-    max_iter = 100 * n
     v = np.ones(n) if start is None else _check_gauge(start, "start vector")
     if v.shape != (n,):
         raise ValueError(f"start vector has shape {v.shape}, expected ({n},)")
-    shift = 0.0
-    stall = 0
-    prev_width = np.inf
-    lower = 0.0
-    upper = np.inf
-    for it in range(1, max_iter + 1):
-        w = A @ v + shift * v
-        ratios = w / v
-        lower = float(ratios.min())
-        upper = float(ratios.max())
-        mid = 0.5 * (lower + upper)
-        if upper - lower <= tol * max(1.0, mid):
-            rho = mid - shift
-            v = w / w.max()
-            return SpectralResult(
-                rho=rho,
-                right_eigvec=v,
-                lower_bound=lower - shift,
-                upper_bound=upper - shift,
-                iterations=it,
-            )
-        width = upper - lower
-        if width > 0.95 * prev_width:
-            stall += 1
-        else:
-            stall = 0
-        prev_width = width
-        if stall >= 5 and shift == 0.0:
-            shift = 1e-12 * float(A.max())
-            stall = 0
-            prev_width = np.inf
-        v = w / w.max()
-        if not v.all():
-            raise PowerIterationError(
-                f"power iterate underflowed to 0 at iteration {it}; "
-                f"Collatz-Wielandt bounds were [{lower - shift:.17g}, "
-                f"{upper - shift:.17g}]",
-                lower_bound=lower - shift,
-                upper_bound=upper - shift,
-                iterations=it,
-            )
+    lower, upper = 0.0, np.inf
+    why = f"bounds still open after {MAX_SOLVES} shifted solves"
+    with np.errstate(all="ignore"):
+        for it in range(1, POWER_STEPS + MAX_SOLVES + 2):
+            w = A @ v
+            ratios = w / v
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if not 0.0 < lo <= hi < np.inf:
+                why = "bracket not finite and positive"
+                break
+            lower, upper = lo, hi
+            mid = 0.5 * (lower + upper)
+            if upper - lower <= tol * max(1.0, mid):
+                return SpectralResult(rho=mid, right_eigvec=w / w.max(),
+                                      lower_bound=lower, upper_bound=upper,
+                                      iterations=it)
+            if it > POWER_STEPS + MAX_SOLVES:
+                break
+            if it > POWER_STEPS:
+                S = -A
+                S.flat[::n + 1] += upper        # upper I - A
+                try:
+                    w = np.linalg.solve(S, v)
+                except np.linalg.LinAlgError as exc:
+                    why = f"shifted solve failed: {exc}"
+                    break
+            v = w / w[np.argmax(np.abs(w))]
+            if not np.all((v > 0.0) & (v < np.inf)):
+                why = "iterate underflowed or left the positive cone"
+                break
     raise PowerIterationError(
-        f"Collatz-Wielandt bounds still [{lower - shift:.17g}, "
-        f"{upper - shift:.17g}] after {max_iter} iterations",
-        lower_bound=lower - shift,
-        upper_bound=upper - shift,
-        iterations=max_iter,
-    )
+        f"{why} at iteration {it}; Collatz-Wielandt bounds were "
+        f"[{lower:.17g}, {upper:.17g}]",
+        lower_bound=lower, upper_bound=upper, iterations=it)
 
 
 def eigvals_mod_zero(M) -> NDArray:

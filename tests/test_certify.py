@@ -452,6 +452,25 @@ def test_exact_certify_runs_no_svd_and_one_eigensolve(build, params,
     assert (len(svd), len(eigs)) == (0, 1)
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
+    # the extraction's pre-check and check_spectral share sample 0's
+    # spectrum, the signature fails, so each DG gets one eigensolve, and
+    # spectral_radius gives rho(|DG|) with no eigensolve
+    sys = build_general(general_params())
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    eigs = count_calls(monkeypatch, importlib.import_module("scalefix.certify"),
+                       "eigvals_mod_zero")
+    rep = certify(sys, sample_count=k, seed=5)
+    assert rep.monotonicity.verdict == "fail"
+    assert rep.spectral.similarity_residual > 0.0
+    assert rep.spectral.rho_bracket is not None
+    assert (len(svd), len(eigs)) == (1, k)
+    for x, rho in zip(rep.samples, rep.spectral.rho):
+        want = dense_radius(elasticity_at(sys, x).entries)
+        assert abs(rho - want) <= 1e-13 * want
+
+
 def perturbed(size):
     def scaling(u):
         noise = np.random.default_rng(5).standard_normal(u.size)
@@ -674,10 +693,12 @@ def test_general_model_fails_monotonicity_honestly():
 
 def test_general_model_radius_comes_from_the_spectrum():
     # rho(|DG|) is far from 1 on the general model, so the one-matvec
-    # bracket from |u| does not close and every rho is a dense radius
+    # bracket from |u| does not close; spectral_radius closes it, and
+    # every rho is the dense radius
     sys = build_general(general_params())
     rep = certify(sys, sample_count=4, seed=5)
-    assert rep.spectral.rho_bracket is None
+    lower, upper = rep.spectral.rho_bracket
+    assert all(lower <= rho <= upper for rho in rep.spectral.rho)
     for x, rho in zip(rep.samples, rep.spectral.rho):
         want = dense_radius(elasticity_at(sys, x).entries)
         assert abs(rho - want) <= 1e-13 * want
@@ -868,15 +889,18 @@ def test_non_finite_analytic_elasticity_is_an_error_verdict():
 def test_overflowing_companion_still_gives_a_report():
     # eigvals_mod_zero's companion of this finite DG overflows; both the
     # scaling extraction and check_spectral must fall back to the dense
-    # spectrum, +-1e200 and 0, rather than raise out of certify
+    # spectrum, +-1e200 and 0, rather than raise out of certify.  A
+    # bracket, if spectral_radius closes one, must enclose the radii
     M = np.array([[1.0, 1e200, 1.0], [1e200, 0.0, 0.0], [1.0, 0.0, 0.0]])
     sys = PositiveSystem(labels=("a", "b", "c"),
                          evaluate_values=lambda x: x.copy(),
                          elasticity_values=lambda x: M)
     rep = certify(sys, sample_count=2, seed=0)
     assert rep.scaling.verdict == "absent"
-    assert rep.spectral.rho_bracket is None
     assert rep.spectral.rho == pytest.approx((1e200, 1e200), rel=1e-12)
+    if rep.spectral.rho_bracket is not None:
+        lower, upper = rep.spectral.rho_bracket
+        assert all(lower <= rho <= upper for rho in rep.spectral.rho)
 
 
 @pytest.mark.parametrize("pattern", [None, np.ones((2, 2), dtype=int)])

@@ -238,14 +238,33 @@ def test_reducible_refused():
         spectral_radius([[1, 1], [0, 1]])
 
 
-def test_budget_error_carries_bounds():
+def test_budget_error_carries_bounds(monkeypatch):
     # the two-cycle with asymmetric weights makes power iteration orbit
-    # between two ratio patterns; the tiny stall shift cannot close the
-    # bracket within the cap, so the budget error path must fire
-    with pytest.raises(PowerIterationError) as exc:
+    # between two ratio patterns; the shifted solves close the bracket
+    res = spectral_radius([[0, 2], [0.5, 0]], tol=1e-10)
+    assert res.lower_bound <= 1.0 <= res.upper_bound
+    assert res.upper_bound - res.lower_bound <= 1e-10
+    assert res.rho == pytest.approx(1.0, abs=1e-10)
+    # with no solve allowed the orbit runs out of budget
+    module = importlib.import_module("scalefix.spectral")
+    monkeypatch.setattr(module, "MAX_SOLVES", 0)
+    with pytest.raises(PowerIterationError, match="still open") as exc:
         spectral_radius([[0, 2], [0.5, 0]], tol=1e-10)
     assert exc.value.lower_bound <= 1.0 <= exc.value.upper_bound
-    assert exc.value.iterations == 200
+    assert exc.value.iterations == module.POWER_STEPS + 1
+
+
+@pytest.mark.parametrize("M,start", [
+    ([[1e308, 1e308], [1.0, 1.0]], None),       # M 1 = [inf, 2]
+    ([[1e300, 1e300], [1.0, 1.0]], [1e-10, 1.0]),   # ratio 1e300 / 1e-10
+])
+def test_overflowed_bracket_raises_instead_of_an_infinite_rho(M, start):
+    # inf - lower <= tol * inf would pass the stopping test
+    with pytest.raises(PowerIterationError, match="not finite") as exc:
+        spectral_radius(M, tol=1e-10, start=start)
+    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    assert exc.value.lower_bound <= rho <= exc.value.upper_bound
+    assert exc.value.iterations == 1
 
 
 def test_underflowed_iterate_raises_with_the_last_bracket():
@@ -257,6 +276,55 @@ def test_underflowed_iterate_raises_with_the_last_bracket():
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     assert exc.value.lower_bound <= rho <= exc.value.upper_bound < np.inf
     assert exc.value.iterations == 1
+
+
+@st.composite
+def irreducible_nonnegative(draw):
+    """An irreducible nonnegative n x n matrix, n from 1 to 8: a random
+    Hamiltonian cycle keeps it strongly connected.  "primitive" adds
+    random edges and a positive diagonal entry; "cyclic" puts coordinate
+    j in class j mod p for a divisor p >= 2 of n and keeps only edges
+    from class c to class c + 1, so the diagonal is zero and p
+    eigenvalues share the Perron root's modulus; "wide" adds random
+    edges with entries log-uniform over 1e-150 ... 1e150."""
+    kind = draw(st.sampled_from(["primitive", "cyclic", "wide"]))
+    n = draw(st.integers(2 if kind == "cyclic" else 1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    cycle = np.zeros((n, n), dtype=bool)
+    cycle[order, np.roll(order, -1)] = True
+    edges = rng.random((n, n)) < draw(st.floats(0.0, 1.0))
+    if kind == "cyclic":
+        p = int(rng.choice([d for d in range(2, n + 1) if n % d == 0]))
+        cls = np.empty(n, dtype=int)
+        cls[order] = np.arange(n) % p
+        edges &= (cls[None, :] - cls[:, None]) % p == 1
+    pattern = cycle | edges
+    if kind == "primitive":
+        j = int(rng.integers(n))
+        pattern[j, j] = True
+    if kind == "wide":
+        values = 10.0 ** rng.uniform(-150.0, 150.0, (n, n))
+    else:
+        values = rng.uniform(0.01, 2.0, (n, n))
+    return np.where(pattern, values, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(irreducible_nonnegative())
+def test_radius_matches_dense_eigvals_or_raises(A):
+    # rho >= min row sum, the all-ones Collatz-Wielandt lower bound, so
+    # this tol asks for a bracket within 1e-13 * rho also where rho < 1
+    tol = 1e-13 * min(1.0, float(A.sum(axis=1).min()))
+    try:
+        res = spectral_radius(A, tol=tol)
+    except PowerIterationError as exc:
+        assert exc.lower_bound <= exc.upper_bound
+        return
+    want = float(np.max(np.abs(np.linalg.eigvals(A))))
+    assert np.isfinite(res.rho)
+    assert res.lower_bound <= res.rho <= res.upper_bound
+    assert abs(res.rho - want) <= 1e-12 * res.rho
 
 
 def test_bad_tol_rejected():
