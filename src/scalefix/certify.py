@@ -278,18 +278,14 @@ def _closed_form_certificate(sys: PositiveSystem,
             or not np.all(np.abs(s) > 1e-9 * np.abs(s).max())):
         return None
     u = _oriented(s)
-    # |DG| = D DG D with D = diag(sign u) is irreducible, so its Perron
-    # root is simple, and the eigenvalue-1 eigenspace of DG is the line
-    # of u once rho(|DG|) = 1.  A wrong pattern can hide a sampled DG that
-    # breaks the block rule or is reducible, so each DG must obey the rule
-    # and be nonzero wherever the irreducible pattern is
-    if not is_irreducible(np.abs(P)) or _violations(P, u, 0.0).any():
+    # The extraction reads DG0, sample 0's DG, alone, so the premise is
+    # proved there: DG0 obeys the block rule of sign(u), so |DG0| = D DG0 D
+    # with D = diag(sign u), and |DG0| is irreducible, so its Perron root
+    # is simple and DG0's eigenvalue-1 eigenspace is the line of u once
+    # rho(|DG0|) = 1.  Both paths verify u at every sample in _verified
+    E0 = elasticities[0].entries
+    if _violations(E0, u, 0.0).any() or not is_irreducible(np.abs(E0)):
         return None
-    declared = P != 0
-    for E in elasticities:
-        if (_violations(E.entries, u, 0.0).any()
-                or not (E.entries != 0.0)[declared].all()):
-            return None
     cert = _verified(sys, samples, elasticities, u)
     # Collatz-Wielandt from |u| puts rho(|DG|) within res_eq / min|u| of
     # 1, and ||(I - DG) u||_2 <= sqrt(n) res_eq bounds the least singular
@@ -315,15 +311,15 @@ def find_scaling_exponent(sys: PositiveSystem,
     multi-dimensional.
 
     certify first tries the system's closed-form `scaling` instead, with
-    no eigensolve: it is taken when it has no zero entry, the declared
-    pattern is irreducible, every sampled DG is nonzero wherever the
-    pattern is, the pattern and every sampled DG obey the block rule of
-    sign(u), the scale law holds within TOL_RESIDUAL and
-    max |DG u - u| is at most TOL_EIGENVALUE * min|u_j| / sqrt(n) at
-    every sample.  By Perron-Frobenius the eigenspace is then the line of
-    u, and both of this extraction's tests would pass.  Otherwise certify
-    calls this extraction, so a wrong closed form gets its verdict.  It
-    passes _spectrum0, a memo of eigvals_mod_zero(E0) for check_spectral.
+    no eigensolve: it is taken when the system declares a sign pattern,
+    u has no zero entry, the first sample's DG obeys the block rule of
+    sign(u) with |DG| irreducible, and at every sample the scale law
+    holds within TOL_RESIDUAL and max |DG u - u| is at most
+    TOL_EIGENVALUE * min|u_j| / sqrt(n).  By Perron-Frobenius the first
+    sample's eigenspace is then the line of u, and both of this
+    extraction's tests would pass.  Otherwise certify calls this
+    extraction, so a wrong closed form gets its verdict.  It passes
+    _spectrum0, a memo of eigvals_mod_zero(E0) for check_spectral.
     """
     elasticities = elasticities or _elasticities(sys, samples)
     E0 = elasticities[0].entries
@@ -454,9 +450,9 @@ def check_spectral(sys: PositiveSystem, u,
             bad = _violations(E.entries, u, 0.0)
             signature = 2.0 * float(np.max(A[bad], initial=0.0))
             sim_res = max(sim_res, signature)
-            perron = (signature == 0.0 and 1.0 - NEAR_ONE <= lower
+            perron = (idx > 0 and signature == 0.0 and 1.0 - NEAR_ONE <= lower
                       and upper <= 1.0 + NEAR_ONE and is_primitive(A))
-        if compare_spectra and (idx == 0 or not perron):
+        if compare_spectra and not perron:
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one; the
             # multiplicity of 0, which eigvals_mod_zero may change, is

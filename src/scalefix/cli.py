@@ -28,14 +28,14 @@ from scalefix.modelio import (
     parse_shock_file,
     summarize_solve,
 )
-from scalefix.solve import iterate, trace_to_csv
+from scalefix.solve import NormalizationError, iterate, trace_to_csv
 from scalefix.system import EvaluationError, PositiveSystem
 from scalefix.trade import (
     ParameterError,
     StaleStateError,
+    _recover,
     build_system,
     counterfactual,
-    recover_outcomes,
 )
 
 __all__ = ["main", "exit_code_for_report"]
@@ -102,7 +102,7 @@ def run_solve(args) -> int:
     out = _out_dir(args, cfg)
     _write(os.path.join(out, "trace.csv"), trace_to_csv(res))
     if res.status == "converged":
-        outcomes = recover_outcomes(sys_.kind, res.x_star, params)
+        outcomes = _recover(sys_, res.x_star, params)
         path = os.path.join(out, "equilibrium.txt")
         _write(path, format_equilibrium(res.x_star, outcomes))
         _say(args, f"solve {sys_.kind}: {summarize_solve(res)} -> {path}")
@@ -194,15 +194,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, EvaluationError) as exc:
+    except (ConfigError, ParameterError, EvaluationError,
+            NormalizationError, OSError) as exc:
         print(f"scalefix: error: {exc}", file=sys.stderr)
         return 2
     except StaleStateError as exc:
         print(f"scalefix: error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"scalefix: error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

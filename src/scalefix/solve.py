@@ -32,7 +32,7 @@ Status = Literal["converged", "budget-exhausted", "evaluation-failed"]
 
 
 class NormalizationError(ValueError):
-    """The numeraire rule cannot pin the scale (zero exponent at target)."""
+    """The numeraire rule names no coordinate or has a zero exponent there."""
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,8 @@ def normalize(x: StateVector, u, rule: NumeraireRule) -> tuple[StateVector, floa
         raise ValueError("dimension mismatch")
     lx = np.log(x.values)
     if rule.kind in ("first-coordinate-one", "named-coordinate"):
+        if rule.kind == "named-coordinate" and rule.label not in x.labels:
+            raise NormalizationError(f"no coordinate label is {rule.label!r}")
         j = 0 if rule.kind == "first-coordinate-one" else x.labels.index(rule.label)
         if u[j] == 0.0:
             raise NormalizationError(

@@ -622,15 +622,6 @@ def _welfare(w, L, P, alpha) -> NDArray[np.float64]:
     return w * L * np.prod(P ** (-alpha), axis=1)
 
 
-def _check_fresh(sys: PositiveSystem, x: StateVector, tol: float):
-    F = sys._eval_checked(x.values)
-    rel = float(np.max(np.abs(F - x.values) / x.values))
-    if rel > tol:
-        raise StaleStateError(
-            f"state is not an equilibrium: relative residual {rel:.3e} "
-            f"exceeds {tol:.1e}")
-
-
 def recover_outcomes(kind: str, x_star: StateVector, params,
                      tol: float = 1e-6) -> Outcomes:
     """Wages, revenues, expenditures, price levels, input costs, import
@@ -644,8 +635,19 @@ def recover_outcomes(kind: str, x_star: StateVector, params,
     if kind != sys.kind:
         raise ValueError(f"system kind {kind!r} does not match the "
                          f"{sys.kind!r} parameter bundle")
-    _check_fresh(sys, x_star, tol)
-    if kind == "one-sector":
+    return _recover(sys, x_star, params, tol)
+
+
+def _recover(sys: PositiveSystem, x_star: StateVector, params,
+             tol: float = 1e-6) -> Outcomes:
+    """recover_outcomes at sys, which build_system made from params."""
+    F = sys._eval_checked(x_star.values)
+    rel = float(np.max(np.abs(F - x_star.values) / x_star.values))
+    if rel > tol:
+        raise StaleStateError(
+            f"state is not an equilibrium: relative residual {rel:.3e} "
+            f"exceeds {tol:.1e}")
+    if sys.kind == "one-sector":
         p: OneSectorParams = params
         J = p.J
         om = x_star.values[:J]
@@ -662,7 +664,7 @@ def recover_outcomes(kind: str, x_star: StateVector, params,
         return Outcomes(w=w, R=R[:, None], E=R[:, None].copy(),
                         P=P[:, None], c=c[:, None], pi=pi, U=U)
 
-    if kind == "multi-sector":
+    if sys.kind == "multi-sector":
         mp: MultiSectorParams = params
         J, S = mp.J, mp.S
         om, pp, W = _unpack(x_star.values, J, S)
@@ -799,7 +801,7 @@ def counterfactual(base_params, steps: Sequence[ShockStep],
             raise StaleStateError(
                 f"solve did not converge ({res.status}): {res.message}")
         results.append(res)
-        outcomes.append(recover_outcomes(sys.kind, res.x_star, params))
+        outcomes.append(_recover(sys, res.x_star, params))
     return CounterfactualResult(
         base=outcomes[0],
         shocked=outcomes[1],

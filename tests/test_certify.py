@@ -453,6 +453,20 @@ def test_exact_certify_runs_no_svd_and_one_eigensolve(build, params,
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
+def test_exact_certify_tests_the_block_rule_once_per_sample(k, monkeypatch):
+    # the closed form's premise at sample 0, the declared pattern in
+    # check_monotonicity, and the signature in check_spectral at each
+    # sample; primitivity is read only where a spectrum may be skipped
+    certify_module = importlib.import_module("scalefix.certify")
+    sys = build_multi_sector(multi_sector_params(J=3, S=2))
+    violations = count_calls(monkeypatch, certify_module, "_violations")
+    primitive = count_calls(monkeypatch, certify_module, "is_primitive")
+    rep = certify(sys, sample_count=k, seed=0)
+    assert rep.uniqueness_applicable and rep.spectral.unique_modulus_one
+    assert (len(violations), len(primitive)) == (k + 2, k - 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
 def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
     # the extraction's pre-check and check_spectral share sample 0's
     # spectrum, the signature fails, so each DG gets one eigensolve, and
@@ -560,6 +574,44 @@ def test_closed_form_on_a_reducible_dg_is_not_taken(pattern, connected):
     assert rep.scaling.verdict == "error"
     assert "dimension 2" in rep.scaling.details["error"]
     assert not rep.uniqueness_applicable
+
+
+def test_closed_form_premise_is_read_at_sample_zero(monkeypatch):
+    # E0 and E1 both fix u = (1, 1, -1), but only E0 obeys its block
+    # rule: a pattern declared from E0, wrong at the later samples,
+    # changes where u comes from, not a verdict, and the later samples
+    # still show in the signature
+    D = np.diag([1.0, 1.0, -1.0])
+    E0 = D @ np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3],
+                       [0.4, 0.4, 0.2]]) @ D
+    E1 = D @ np.array([[0.7, 0.5, -0.2], [0.3, 0.3, 0.4],
+                       [0.2, 0.3, 0.5]]) @ D
+    first = []
+    sys = PositiveSystem(
+        labels=("a", "b", "c"),
+        evaluate_values=lambda x: np.exp(E0 @ np.log(x)),
+        elasticity_values=lambda x: (E0 if np.array_equal(x, first[0])
+                                     else E1),
+        sign_pattern=np.sign(E0).astype(int),
+        scaling=np.array([2.0, 2.0, -2.0]))
+    first.append(sample_states(sys, 4, seed=3)[0].values)
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    rep = certify(sys, sample_count=4, seed=3)
+    assert len(svd) == 0
+    assert np.array_equal(rep.certificate.u, [1.0, 1.0, -1.0])
+    assert rep.spectral.similarity_residual > 0.0
+    monkeypatch.setattr(importlib.import_module("scalefix.certify"),
+                        "_closed_form_certificate", lambda *args: None)
+    ref = certify(sys, sample_count=4, seed=3)
+    assert len(svd) == 1
+
+    def verdicts(report):
+        return {key: value
+                for key, value in parse_report(format_report(report)).items()
+                if key.endswith((".verdict", "_applicable",
+                                 "unique_modulus_one"))}
+    assert verdicts(rep) == verdicts(ref)
+    assert verdicts(rep)["uniqueness_applicable"] == "true"
 
 
 def test_spectrum_similarity_via_charpoly():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from scalefix import cli
+from scalefix import cli, trade
 from scalefix.cli import main
 from scalefix.modelio import (
     ConfigError,
@@ -346,6 +346,45 @@ def test_solve_multi_sector_with_named_numeraire(tmp_path):
     kv = kv_lines(out / "equilibrium.txt")
     assert kv["W[1]"] == "1.00000000e+00"
     assert "R[2][2]" in kv and "U[2]" in kv
+
+
+@pytest.mark.parametrize("rule,named", [
+    ("named-coordinate:W[9]", "'W[9]'"), ("geometric-mean-one:Q", "'Q'")])
+@pytest.mark.parametrize("command", ["solve", "counterfactual"])
+def test_numeraire_naming_no_coordinate_exits_2(command, rule, named,
+                                                 tmp_path, capsys):
+    cfg_path = save_parameters(multi_params(J=3), str(tmp_path))
+    with open(cfg_path, "a") as fh:
+        fh.write(f"[solve]\nnumeraire = {rule}\n")
+    extra = ([] if command == "solve" else
+             ["--shocks", write(tmp_path / "null.txt", "")])
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg_path, "--out", str(out),
+                 *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scalefix: error: ") and named in err
+    assert not (out / "equilibrium.txt").exists()
+    assert not (out / "deltas.txt").exists()
+
+
+def test_solve_and_counterfactual_build_each_system_once(tmp_path,
+                                                         monkeypatch):
+    builds = []
+    for module in (cli, trade):
+        original = module.build_system
+        monkeypatch.setattr(module, "build_system",
+                            lambda p, f=original: builds.append(p) or f(p))
+    cfg = symmetric_one_sector(tmp_path)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+                 "--quiet"]) == 0
+    assert len(builds) == 1
+    shocks = write(tmp_path / "s.txt", "A[1] *= 2\n")
+    assert main(["counterfactual", "--config", cfg, "--shocks", shocks,
+                 "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    assert len(builds) == 3     # the base and the shocked system
+    base = load_parameters(load_run_config(cfg))
+    trade.counterfactual(base, parse_shock_file(shocks))
+    assert len(builds) == 5
 
 
 def test_solve_disconnected_network_still_errors_cleanly(tmp_path, capsys):
