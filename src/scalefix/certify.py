@@ -23,7 +23,6 @@ is known symbolically.  Sample-based runs can at best report
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -300,7 +299,7 @@ def _closed_form_certificate(sys: PositiveSystem,
 def find_scaling_exponent(sys: PositiveSystem,
                           samples: Sequence[StateVector],
                           elasticities: Sequence[ElasticityMatrix] | None = None,
-                          *, _spectrum0=None) -> ScalingCertificate | None:
+                          ) -> ScalingCertificate | None:
     """Extract and verify a scaling direction u from the eigenvalue-1
     eigenspace of the first sample's elasticity matrix, normalized to
     max |u_j| = 1 with its first clearly nonzero entry positive.
@@ -318,18 +317,17 @@ def find_scaling_exponent(sys: PositiveSystem,
     TOL_EIGENVALUE * min|u_j| / sqrt(n).  By Perron-Frobenius the first
     sample's eigenspace is then the line of u, and both of this
     extraction's tests would pass.  Otherwise certify calls this
-    extraction, so a wrong closed form gets its verdict.  It passes
-    _spectrum0, a memo of eigvals_mod_zero(E0) for check_spectral.
+    extraction, so a wrong closed form gets its verdict.  The pre-check
+    reads the first matrix's memoized `spectrum`, which check_spectral
+    reads again at no cost.
     """
     elasticities = elasticities or _elasticities(sys, samples)
     E0 = elasticities[0].entries
     n = E0.shape[0]
     # a zero eigenvalue is never near 1
-    eigs = _spectrum0() if _spectrum0 else eigvals_mod_zero(E0)
-    if np.min(np.abs(eigs - 1.0)) > TOL_EIGENVALUE:
+    if np.min(np.abs(elasticities[0].spectrum - 1.0)) > TOL_EIGENVALUE:
         return None
-    sv = np.linalg.svd(np.eye(n) - E0, compute_uv=True)
-    s, Vh = sv[1], sv[2]
+    _, s, Vh = np.linalg.svd(np.eye(n) - E0)
     dim = int(np.sum(s < TOL_EIGENVALUE))
     if dim == 0:
         return None
@@ -393,72 +391,63 @@ def check_monotonicity(sys: PositiveSystem, u,
 def check_spectral(sys: PositiveSystem, u,
                    samples: Sequence[StateVector],
                    elasticities: Sequence[ElasticityMatrix] | None = None,
-                   compare_spectra: bool = True, *,
-                   _spectrum0=None) -> SpectralEvidence:
+                   compare_spectra: bool = True) -> SpectralEvidence:
     """Spectral radius of |DG| with its Collatz-Wielandt bracket, the |u|
     eigenvector residual, the signature residual max |D DG D - |DG|| with
     D = diag(sign u), and the modulus-1 uniqueness check.  D DG D - |DG|
     is -2|DG| where DG breaks the block rule of sign(u) and 0 elsewhere,
     so the residual is exactly 0 when the rule holds (DG and |DG| then
     share a spectrum), and None when a zero entry of u makes D singular.
-    One matvec w = |DG| v per sample, v = |u| (all ones unless u is
-    zero-free), brackets rho in [min w/v, max w/v] for any nonnegative
-    |DG|; rho is its midpoint if it closes, else spectral_radius(|DG|,
-    start=v) gives rho and its bracket, or, where that raises, eigvals.
+    Each sample makes one spectral_radius(|DG|, start=|u|) call (all
+    ones unless u is zero-free), which returns after its first matvec
+    when |DG| |u| = |u|; where it raises, rho is the largest eigenvalue
+    modulus of |DG| and the sample has no bracket.
 
     Uniqueness comes from the spectrum of DG at sample 0, which also
     gives the gap.  At any other sample where the signature residual is
     exactly 0, the bracket lies within NEAR_ONE of 1 and |DG| is
     primitive, DG is similar to |DG|, whose Perron root is simple and the
     only eigenvalue of its modulus (Perron-Frobenius), so no eigensolve
-    runs there; every other sample gets its spectrum.
+    runs there; every other sample reads its matrix's `spectrum`, which
+    find_scaling_exponent may already have computed for sample 0.
 
-    Out-of-tolerance values are recorded, never raised.  certify passes
-    _spectrum0, the memo it gave find_scaling_exponent, for sample 0.
+    Out-of-tolerance values are recorded, never raised.
     """
     elasticities = elasticities or _elasticities(sys, samples)
-    rhos = []
-    brackets = []
-    eig_res = sim_res = unique = gap = None
-    v = np.ones(elasticities[0].entries.shape[0])
+    rhos, brackets = [], []
+    eig_res = sim_res = unique = gap = start = None
     if u is not None:
         u = np.asarray(u, dtype=float)
         abs_u = np.abs(u)
         eig_res = 0.0
-        v = abs_u if np.all(abs_u > 0.0) else v
-        sim_res = 0.0 if compare_spectra and v is abs_u else None
+        if np.all(abs_u > 0.0):
+            start = abs_u
+            sim_res = 0.0 if compare_spectra else None
     for idx, E in enumerate(elasticities):
         A = np.abs(E.entries)
-        w = A @ v
-        ratios = w / v
-        lower, upper = float(ratios.min()), float(ratios.max())
-        rho = 0.5 * (lower + upper)
-        bracket = (lower, upper)
-        if not (np.isfinite(rho) and upper - lower <= 1e-12 * max(1.0, rho)):
-            try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
-                res = spectral_radius(A, tol=1e-13, start=v)
-                rho, bracket = res.rho, (res.lower_bound, res.upper_bound)
-            except (ReducibleMatrixError, PowerIterationError):
-                rho, bracket = float(np.max(np.abs(eigvals_mod_zero(A)))), None
+        try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
+            res = spectral_radius(A, tol=1e-13, start=start)
+            rho, bracket = res.rho, (res.lower_bound, res.upper_bound)
+        except (ReducibleMatrixError, PowerIterationError):
+            rho, bracket = float(np.max(np.abs(eigvals_mod_zero(A)))), None
         rhos.append(rho)
         brackets.append(bracket)
         if u is not None:
-            Au = w if v is abs_u else A @ abs_u
-            eig_res = max(eig_res, float(np.max(np.abs(Au - abs_u))))
+            eig_res = max(eig_res, float(np.max(np.abs(A @ abs_u - abs_u))))
         perron = False
         if sim_res is not None:
             bad = _violations(E.entries, u, 0.0)
             signature = 2.0 * float(np.max(A[bad], initial=0.0))
             sim_res = max(sim_res, signature)
-            perron = (idx > 0 and signature == 0.0 and 1.0 - NEAR_ONE <= lower
-                      and upper <= 1.0 + NEAR_ONE and is_primitive(A))
+            perron = (idx > 0 and signature == 0.0 and bracket is not None
+                      and 1.0 - NEAR_ONE <= bracket[0]
+                      and bracket[1] <= 1.0 + NEAR_ONE and is_primitive(A))
         if compare_spectra and not perron:
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one; the
             # multiplicity of 0, which eigvals_mod_zero may change, is
             # never read
-            eigs = (_spectrum0() if _spectrum0 and idx == 0
-                    else eigvals_mod_zero(E.entries))
+            eigs = E.spectrum
             near_one = np.abs(eigs - 1.0) <= NEAR_ONE
             second = float(np.max(np.abs(eigs[~near_one]), initial=0.0))
             ok = int(near_one.sum()) == 1 and second < 1.0 - NEAR_ONE
@@ -479,13 +468,12 @@ def check_spectral(sys: PositiveSystem, u,
 
 
 def _check_scaling(sys: PositiveSystem, samples: Sequence[StateVector],
-                   elas: Sequence[ElasticityMatrix], mode: str, spectrum0,
+                   elas: Sequence[ElasticityMatrix], mode: str,
                    ) -> tuple[CheckResult, ScalingCertificate | None]:
     """The scaling verdict and the certificate it rests on."""
     try:
         certificate = (_closed_form_certificate(sys, samples, elas)
-                       or find_scaling_exponent(sys, samples, elas,
-                                                _spectrum0=spectrum0))
+                       or find_scaling_exponent(sys, samples, elas))
     except AmbiguousScalingError as exc:
         return CheckResult("error", {"error": str(exc)}), None
     except (EvaluationError, DifferentiationError) as exc:
@@ -543,10 +531,8 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     conn = guarded(check_connectedness)
     self_int = guarded(check_self_interaction)
 
-    # sample 0's spectrum, at most once for the extraction and uniqueness
-    spectrum0 = cache(lambda: eigvals_mod_zero(elas[0].entries))
     scaling, certificate = ((failure, None) if failure is not None else
-                            _check_scaling(sys, samples, elas, mode, spectrum0))
+                            _check_scaling(sys, samples, elas, mode))
 
     partition = None
     if certificate is not None and scaling.ok:
@@ -561,7 +547,7 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
 
     spectral = None if elas is None else check_spectral(
         sys, certificate.u if certificate is not None else None,
-        samples, elas, compare_spectra=self_int.ok, _spectrum0=spectrum0)
+        samples, elas, compare_spectra=self_int.ok)
 
     # scaling reads "error", not "absent", whenever spectral is None
     footnote = (scaling.verdict == "absent"

@@ -29,10 +29,11 @@ from scalefix.modelio import (
     summarize_solve,
 )
 from scalefix.solve import NormalizationError, iterate, trace_to_csv
-from scalefix.system import EvaluationError, PositiveSystem
+from scalefix.system import EvaluationError
 from scalefix.trade import (
     ParameterError,
     StaleStateError,
+    _dimension,
     _recover,
     build_system,
     counterfactual,
@@ -59,11 +60,10 @@ def _out_dir(args, cfg) -> str:
     return d
 
 
-def _initial_state(sys_: PositiveSystem, seed: int | None):
+def _start(n: int, seed: int | None):
     if seed is None:
-        return sys_.state(np.ones(sys_.dimension))
-    rng = np.random.default_rng(seed)
-    return sys_.state(np.exp(rng.uniform(-3.0, 3.0, sys_.dimension)))
+        return np.ones(n)
+    return np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, n))
 
 
 def _say(args, message: str) -> None:
@@ -97,8 +97,8 @@ def run_solve(args) -> int:
             "trade network is disconnected, splitting into blocs "
             f"{params.blocs}; refusing to solve", field="tau")
     sys_ = build_system(params)
-    res = iterate(sys_, _initial_state(sys_, args.seed), u=sys_.scaling,
-                  opts=cfg.solve)
+    res = iterate(sys_, sys_.state(_start(sys_.dimension, args.seed)),
+                  u=sys_.scaling, opts=cfg.solve)
     out = _out_dir(args, cfg)
     _write(os.path.join(out, "trace.csv"), trace_to_csv(res))
     if res.status == "converged":
@@ -115,10 +115,8 @@ def run_counterfactual(args) -> int:
     cfg = load_run_config(args.config)
     params = load_parameters(cfg)
     steps = parse_shock_file(args.shocks)
-    x0 = None if args.seed is None else np.exp(
-        np.random.default_rng(args.seed).uniform(
-            -3.0, 3.0, build_system(params).dimension))
-    result = counterfactual(params, steps, opts=cfg.solve, x0_values=x0)
+    result = counterfactual(params, steps, opts=cfg.solve,
+                            x0_values=_start(_dimension(params), args.seed))
     J, S = result.base.R.shape
     path = os.path.join(_out_dir(args, cfg), "deltas.txt")
     _write(path, format_deltas(result.changes, J, S))
@@ -139,8 +137,7 @@ def run_report(args) -> int:
     for key, value in kv.items():
         head, sep, rest = key.partition(".")
         if not sep:
-            if group is not None:
-                group = None
+            group = None
             print(f"{key}: {value}")
             continue
         if head != group:

@@ -400,6 +400,8 @@ def _render(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return _fmt(value)
+    if isinstance(value, tuple):
+        return " ".join(_fmt(v) for v in value)
     return str(value)
 
 
@@ -444,29 +446,19 @@ def format_report(rep: CertificationReport) -> str:
                      + " ".join(rep.partition.zeta_minus))
     sp = rep.spectral
     if sp is not None:
-        lines.append(f"spectral.rho.max_deviation: "
-                     f"{_fmt(sp.max_rho_deviation)}")
-        lines.append("spectral.rho.samples: "
-                     + " ".join(_fmt(r) for r in sp.rho))
-        if sp.rho_bracket is not None:
-            lines.append("spectral.rho.bracket: "
-                         + " ".join(_fmt(b) for b in sp.rho_bracket))
-        if sp.eigvec_residual is not None:
-            lines.append("spectral.eigvec_residual: "
-                         f"{_fmt(sp.eigvec_residual)}")
-        if sp.similarity_residual is not None:
-            lines.append("spectral.similarity_residual: "
-                         f"{_fmt(sp.similarity_residual)}")
-        if sp.unique_modulus_one is not None:
-            lines.append("spectral.unique_modulus_one: "
-                         f"{_render(sp.unique_modulus_one)}")
-        if sp.spectral_gap is not None:
-            lines.append(f"spectral.gap: {_fmt(sp.spectral_gap)}")
-    lines.append("scaling_free_radius_one: "
-                 f"{_render(rep.scaling_free_radius_one)}")
-    lines.append(f"uniqueness_applicable: {_render(rep.uniqueness_applicable)}")
-    lines.append("attractivity_applicable: "
-                 f"{_render(rep.attractivity_applicable)}")
+        # a fact that is None was not computed and gets no line
+        for key, value in (
+                ("rho.max_deviation", sp.max_rho_deviation),
+                ("rho.samples", sp.rho), ("rho.bracket", sp.rho_bracket),
+                ("eigvec_residual", sp.eigvec_residual),
+                ("similarity_residual", sp.similarity_residual),
+                ("unique_modulus_one", sp.unique_modulus_one),
+                ("gap", sp.spectral_gap)):
+            if value is not None:
+                lines.append(f"spectral.{key}: {_render(value)}")
+    for key in ("scaling_free_radius_one", "uniqueness_applicable",
+                "attractivity_applicable"):
+        lines.append(f"{key}: {_render(getattr(rep, key))}")
     return "\n".join(lines) + "\n"
 
 

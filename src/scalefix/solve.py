@@ -126,9 +126,10 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
     """Run the damped fixed-point iteration from x0.
 
     When u is given it must be finite and nonzero in every coordinate;
-    |u| is the gauge and steps are measured modulo span(u).  A run only
-    reports converged once the quotient step is below tol AND the
-    relative residual max_j |F(x)_j - x_j| / x_j is below tol.
+    |u| is the gauge, steps are measured modulo span(u), and a numeraire
+    rule naming no coordinate raises NormalizationError before F runs.
+    A run only reports converged once the quotient step is below tol AND
+    the relative residual max_j |F(x)_j - x_j| / x_j is below tol.
     """
     if x0.labels != sys.labels:
         raise ValueError("x0 belongs to a different system")
@@ -138,6 +139,7 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
             raise ValueError("u has wrong dimension")
         if np.any(u == 0.0) or not np.all(np.isfinite(u)):
             raise ValueError("gauge from u needs every u_j finite and nonzero")
+        _pinned(x0.labels, u, opts.numeraire_rule)
         v = np.abs(u)
     else:
         v = np.ones(sys.dimension)
@@ -205,13 +207,27 @@ def up_to_scale_distance(x: StateVector, y: StateVector, u) -> float:
     return quotient_norm(np.log(x.values) - np.log(y.values), u, np.abs(u))
 
 
-def _block_indices(labels: tuple[str, ...], block: str | None) -> NDArray[np.int64]:
-    if block is None:
-        return np.arange(len(labels))
-    idx = np.array([j for j, name in enumerate(labels)
-                    if name.startswith(block)], dtype=int)
-    if idx.size == 0:
-        raise NormalizationError(f"no coordinate label starts with {block!r}")
+def _pinned(labels: tuple[str, ...], u: NDArray,
+            rule: NumeraireRule) -> NDArray[np.int64]:
+    """The coordinates whose log-sum the rule sets to 0.  Raises
+    NormalizationError when the rule names none or their scaling
+    exponents sum to 0."""
+    if rule.kind == "geometric-mean-one":
+        block = rule.block or ""
+        idx = np.flatnonzero([name.startswith(block) for name in labels])
+        if idx.size == 0:
+            raise NormalizationError(
+                f"no coordinate label starts with {block!r}")
+        zero = "cannot normalize: block scaling exponents sum to 0"
+    else:
+        label = (labels[0] if rule.kind == "first-coordinate-one"
+                 else rule.label)
+        if label not in labels:
+            raise NormalizationError(f"no coordinate label is {label!r}")
+        idx = np.array([labels.index(label)])
+        zero = f"cannot normalize at {label!r}: scaling exponent is 0"
+    if float(u[idx].sum()) == 0.0:
+        raise NormalizationError(zero)
     return idx
 
 
@@ -224,22 +240,9 @@ def normalize(x: StateVector, u, rule: NumeraireRule) -> tuple[StateVector, floa
     u = np.asarray(u, dtype=float)
     if u.shape != x.values.shape:
         raise ValueError("dimension mismatch")
+    idx = _pinned(x.labels, u, rule)
     lx = np.log(x.values)
-    if rule.kind in ("first-coordinate-one", "named-coordinate"):
-        if rule.kind == "named-coordinate" and rule.label not in x.labels:
-            raise NormalizationError(f"no coordinate label is {rule.label!r}")
-        j = 0 if rule.kind == "first-coordinate-one" else x.labels.index(rule.label)
-        if u[j] == 0.0:
-            raise NormalizationError(
-                f"cannot normalize at {x.labels[j]!r}: scaling exponent is 0")
-        lnc = -lx[j] / u[j]
-    else:
-        idx = _block_indices(x.labels, rule.block)
-        usum = float(u[idx].sum())
-        if usum == 0.0:
-            raise NormalizationError(
-                "cannot normalize: block scaling exponents sum to 0")
-        lnc = -float(lx[idx].sum()) / usum
+    lnc = -float(lx[idx].sum()) / float(u[idx].sum())
     scaled = StateVector(np.exp(lx + lnc * u), x.labels)
     return scaled, float(np.exp(lnc))
 

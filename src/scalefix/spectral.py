@@ -172,8 +172,11 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
 
     Each iterate v > 0 brackets it by an explicit matvec,
     min_j (Mv)_j / v_j <= rho <= max_j (Mv)_j / v_j, and the midpoint is
-    returned once the bracket is tighter than tol * max(1, rho).  v starts
-    at `start` (all ones by default; a Perron vector closes at once).
+    returned once the bracket is positive and tighter than
+    tol * max(1, rho).  v starts at `start` (all ones by default; a
+    positive eigenvector closes at once).  The bracket holds for any
+    nonnegative M, so a reducible M whose first bracket closes gets its
+    radius too; otherwise it raises ReducibleMatrixError.
     POWER_STEPS power steps follow, then Noda's steps: v <- y solving
     (sigma I - M) y = v, sigma the upper bound.  For sigma > rho that
     inverse is positive with 1/(sigma - rho) its only dominant eigenvalue,
@@ -183,9 +186,6 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
     A = _as_nonneg_square(M)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not _strongly_connected(A):
-        raise ReducibleMatrixError(
-            "matrix is reducible; Collatz-Wielandt bounds need not close")
     n = A.shape[0]
     v = np.ones(n) if start is None else _check_gauge(start, "start vector")
     if v.shape != (n,):
@@ -197,15 +197,19 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
             w = A @ v
             ratios = w / v
             lo, hi = float(ratios.min()), float(ratios.max())
-            if not 0.0 < lo <= hi < np.inf:
+            positive = 0.0 < lo <= hi < np.inf
+            if positive:
+                lower, upper, mid = lo, hi, 0.5 * (lo + hi)
+                if upper - lower <= tol * max(1.0, mid):
+                    return SpectralResult(
+                        rho=mid, right_eigvec=w / w.max(), lower_bound=lower,
+                        upper_bound=upper, iterations=it)
+            if it == 1 and not _strongly_connected(A):
+                raise ReducibleMatrixError(
+                    "matrix is reducible; Collatz-Wielandt bounds stay open")
+            if not positive:
                 why = "bracket not finite and positive"
                 break
-            lower, upper = lo, hi
-            mid = 0.5 * (lower + upper)
-            if upper - lower <= tol * max(1.0, mid):
-                return SpectralResult(rho=mid, right_eigvec=w / w.max(),
-                                      lower_bound=lower, upper_bound=upper,
-                                      iterations=it)
             if it > POWER_STEPS + MAX_SOLVES:
                 break
             if it > POWER_STEPS:

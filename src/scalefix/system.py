@@ -22,10 +22,13 @@ wage coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
+
+from scalefix.spectral import eigvals_mod_zero
 
 __all__ = [
     "StateVector",
@@ -102,7 +105,8 @@ class ElasticityMatrix:
 
     entries[j, k] is the elasticity of F_j with respect to coordinate k,
     evaluated at `point`.  `method` records how it was obtained
-    ("analytic" or "numeric-central-log"); immutable once built.
+    ("analytic" or "numeric-central-log"); immutable once built, so its
+    `spectrum` is computed at most once, however many checks read it.
     """
 
     entries: NDArray[np.float64]
@@ -113,6 +117,13 @@ class ElasticityMatrix:
         object.__setattr__(
             self, "entries", np.asarray(self.entries, dtype=float))
         self.entries.setflags(write=False)
+
+    @cached_property
+    def spectrum(self) -> NDArray:
+        """eigvals_mod_zero(entries); read-only, as all readers share it."""
+        eigs = eigvals_mod_zero(self.entries)
+        eigs.setflags(write=False)
+        return eigs
 
 
 @dataclass(frozen=True)

@@ -575,6 +575,12 @@ def build_general(p: GeneralParams) -> PositiveSystem:
     )
 
 
+def _dimension(params) -> int:
+    """build_system(params).dimension, without building the system."""
+    return 2 * params.J if isinstance(params, OneSectorParams) else \
+        (2 * params.S + 1) * params.J
+
+
 def build_system(params) -> PositiveSystem:
     """Dispatch on the parameter bundle type."""
     if isinstance(params, GeneralParams):

@@ -298,6 +298,19 @@ def count_calls(patch, module, name):
     return calls
 
 
+def count_eigensolves(patch):
+    """Like count_calls, for eigvals_mod_zero both where certify calls it,
+    for |DG|, and where ElasticityMatrix.spectrum calls it, for DG: each
+    call appends (M,) to the one returned list."""
+    calls = []
+    for name in ("scalefix.certify", "scalefix.system"):
+        module = importlib.import_module(name)
+        patch.setattr(module, "eigvals_mod_zero",
+                      lambda M, f=module.eigvals_mod_zero:
+                      calls.append((M,)) or f(M))
+    return calls
+
+
 def with_rank_one_first(E, u):
     """Samples (E0, E) at one state, E0 = D v 1'/(1'v) D: E0 u = u and
     its spectrum is {1, 0, ...}, so sample 0 reads unique and the verdict
@@ -317,8 +330,7 @@ def test_derived_uniqueness_matches_dense_eigvals(case):
     E, u, M = case
     sys, samples, elas = with_rank_one_first(E, u)
     with pytest.MonkeyPatch.context() as m:
-        calls = count_calls(m, importlib.import_module("scalefix.certify"),
-                            "eigvals_mod_zero")
+        calls = count_eigensolves(m)
         sp = check_spectral(sys, u, samples, elas)
     assert sp.unique_modulus_one == dense_unique_modulus_one(E)
     if np.diag(M).max() > 0.0:
@@ -343,9 +355,7 @@ def test_derivation_refused_for_a_flipped_sign_or_radius_off_one():
                               (1.5 * E, 2, False), (0.5 * E, 2, False)):
         sys, samples, elas = with_rank_one_first(F, u)
         with pytest.MonkeyPatch.context() as m:
-            calls = count_calls(
-                m, importlib.import_module("scalefix.certify"),
-                "eigvals_mod_zero")
+            calls = count_eigensolves(m)
             sp = check_spectral(sys, u, samples, elas)
         assert len(calls) == solves
         assert (sp.similarity_residual > 0.0) == (F is flipped)
@@ -417,8 +427,7 @@ def test_overflowed_matvec_is_no_closed_bracket():
     # |DG| 1 = [inf, 2]: an infinite upper bound must not pass for a
     # closed bracket, so rho comes from the spectrum
     E = np.array([[1e308, 1e308], [1.0, 1.0]])
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        sp = spectral_at_one_state(None, [E])
+    sp = spectral_at_one_state(None, [E])
     assert sp.rho == pytest.approx((1e308,), rel=1e-12)
     assert sp.rho_bracket is None
 
@@ -443,8 +452,7 @@ def test_exact_certify_runs_no_svd_and_one_eigensolve(build, params,
                                                       monkeypatch):
     sys = build(params)
     svd = count_calls(monkeypatch, np.linalg, "svd")
-    eigs = count_calls(monkeypatch, importlib.import_module("scalefix.certify"),
-                       "eigvals_mod_zero")
+    eigs = count_eigensolves(monkeypatch)
     rep = certify(sys, sample_count=8, seed=0)
     assert rep.uniqueness_applicable and rep.attractivity_applicable
     assert rep.spectral.unique_modulus_one
@@ -473,8 +481,7 @@ def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
     # spectral_radius gives rho(|DG|) with no eigensolve
     sys = build_general(general_params())
     svd = count_calls(monkeypatch, np.linalg, "svd")
-    eigs = count_calls(monkeypatch, importlib.import_module("scalefix.certify"),
-                       "eigvals_mod_zero")
+    eigs = count_eigensolves(monkeypatch)
     rep = certify(sys, sample_count=k, seed=5)
     assert rep.monotonicity.verdict == "fail"
     assert rep.spectral.similarity_residual > 0.0
@@ -483,6 +490,38 @@ def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
     for x, rho in zip(rep.samples, rep.spectral.rho):
         want = dense_radius(elasticity_at(sys, x).entries)
         assert abs(rho - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_extraction_then_spectral_share_the_first_spectrum(k, monkeypatch):
+    # the public functions one after the other on one elasticity list:
+    # sample 0's memoized spectrum serves both, and the signature fails,
+    # so every DG gets exactly one eigensolve
+    sys = build_general(general_params())
+    samples = sample_states(sys, k, seed=5)
+    elas = [elasticity_at(sys, x) for x in samples]
+    eigs = count_eigensolves(monkeypatch)
+    cert = find_scaling_exponent(sys, samples, elas)
+    sp = check_spectral(sys, cert.u, samples, elas)
+    assert sp.similarity_residual > 0.0 and sp.rho_bracket is not None
+    assert len(eigs) == k
+    assert all(M is E.entries for (M,), E in zip(eigs, elas))
+    assert not elas[0].spectrum.flags.writeable     # one array, shared
+
+
+def test_exact_check_spectral_calls_spectral_radius_once_per_sample(
+        monkeypatch):
+    # |DG| |u| = |u|, so each call closes its bracket on its first matvec
+    sys = build_multi_sector(multi_sector_params(J=3, S=2))
+    u = sys.scaling / np.abs(sys.scaling).max()
+    samples = sample_states(sys, 6, seed=0)
+    calls = count_calls(monkeypatch,
+                        importlib.import_module("scalefix.certify"),
+                        "spectral_radius")
+    sp = check_spectral(sys, u, samples)
+    assert len(calls) == 6
+    lower, upper = sp.rho_bracket
+    assert 1.0 - 1e-13 <= lower <= upper <= 1.0 + 1e-13
 
 
 def perturbed(size):
@@ -846,7 +885,6 @@ def test_reduced_spectrum_matches_dense_on_multi_sector(monkeypatch):
     # OMEGA rows read P and W, P rows read W: K = OMEGA + P, R = W, and the
     # eigensolve is 3J wide.  With S = 1 the W diagonal is exactly 0 as
     # well, nothing peels, and the dense eigensolve runs unchanged.
-    certify_module = importlib.import_module("scalefix.certify")
     one = build_multi_sector(multi_sector_params(J=3, S=1))
     for sys in acceptance_multi_sector_systems() + [one]:
         J = sys.meta["params"].J
@@ -857,13 +895,16 @@ def test_reduced_spectrum_matches_dense_on_multi_sector(monkeypatch):
             assert eigs.size == (sys.dimension if sys is one else 3 * J)
             assert np.min(np.abs(eigs - 1.0)) <= 1e-12
         # one sample per call, so that each one is sample 0 and gets its
-        # eigensolve rather than a derived uniqueness
+        # eigensolve rather than a derived uniqueness; the dense pass gets
+        # a fresh matrix, whose spectrum is not yet memoized
         for x, E in zip(samples, elas):
             reduced = check_spectral(sys, sys.scaling, [x], [E])
             with monkeypatch.context() as m:
-                m.setattr(certify_module, "eigvals_mod_zero",
-                          np.linalg.eigvals)
-                dense = check_spectral(sys, sys.scaling, [x], [E])
+                for name in ("scalefix.certify", "scalefix.system"):
+                    m.setattr(importlib.import_module(name),
+                              "eigvals_mod_zero", np.linalg.eigvals)
+                dense = check_spectral(sys, sys.scaling, [x],
+                                       [elasticity_at(sys, x)])
             assert reduced.unique_modulus_one == dense.unique_modulus_one
             assert abs(reduced.spectral_gap - dense.spectral_gap) <= 1e-12
 

@@ -352,15 +352,23 @@ def test_solve_multi_sector_with_named_numeraire(tmp_path):
     ("named-coordinate:W[9]", "'W[9]'"), ("geometric-mean-one:Q", "'Q'")])
 @pytest.mark.parametrize("command", ["solve", "counterfactual"])
 def test_numeraire_naming_no_coordinate_exits_2(command, rule, named,
-                                                 tmp_path, capsys):
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
     cfg_path = save_parameters(multi_params(J=3), str(tmp_path))
     with open(cfg_path, "a") as fh:
         fh.write(f"[solve]\nnumeraire = {rule}\n")
     extra = ([] if command == "solve" else
              ["--shocks", write(tmp_path / "null.txt", "")])
     out = tmp_path / "run"
+    # the rule is refused before the first evaluation of F
+    evaluations = []
+    original = PositiveSystem._eval_checked
+    monkeypatch.setattr(PositiveSystem, "_eval_checked",
+                        lambda self, x: evaluations.append(x)
+                        or original(self, x))
     assert main([command, "--config", cfg_path, "--out", str(out),
                  *extra]) == 2
+    assert evaluations == []
     err = capsys.readouterr().err
     assert err.startswith("scalefix: error: ") and named in err
     assert not (out / "equilibrium.txt").exists()
@@ -382,9 +390,14 @@ def test_solve_and_counterfactual_build_each_system_once(tmp_path,
     assert main(["counterfactual", "--config", cfg, "--shocks", shocks,
                  "--out", str(tmp_path / "c"), "--quiet"]) == 0
     assert len(builds) == 3     # the base and the shocked system
+    # the seeded start is sized from the bundle, not from a third build
+    assert main(["counterfactual", "--config", cfg, "--shocks", shocks,
+                 "--out", str(tmp_path / "c3"), "--seed", "3",
+                 "--quiet"]) == 0
+    assert len(builds) == 5
     base = load_parameters(load_run_config(cfg))
     trade.counterfactual(base, parse_shock_file(shocks))
-    assert len(builds) == 5
+    assert len(builds) == 7
 
 
 def test_solve_disconnected_network_still_errors_cleanly(tmp_path, capsys):

@@ -294,6 +294,23 @@ def test_normalize_zero_exponent_rejected():
         normalize(x, np.array([1.0, -1.0]), NumeraireRule.geometric_mean())
 
 
+@pytest.mark.parametrize("rule", [
+    NumeraireRule.named("nope"), NumeraireRule.geometric_mean(block="q"),
+    NumeraireRule.geometric_mean()])
+def test_iterate_refuses_a_bad_rule_before_evaluating_f(rule):
+    # F(x) = 1 / (x_b, x_a) scales along u = (1, -1), whose exponents
+    # sum to 0 over the whole block.  A budget of one iteration would
+    # run out first if the rule were read late
+    evaluations = []
+    sys = PositiveSystem(labels=("a", "b"),
+                         evaluate_values=lambda x: evaluations.append(x)
+                         or 1.0 / x[::-1])
+    with pytest.raises(NormalizationError):
+        iterate(sys, sys.state([2.0, 3.0]), u=np.array([1.0, -1.0]),
+                opts=SolveOptions(max_iter=1, numeraire_rule=rule))
+    assert evaluations == []
+
+
 def test_trace_csv_round_trip():
     A = np.array([[0.0, 0.5], [0.4, 0.0]])
     sys = loglinear(A, [0.3, 0.4])

@@ -234,8 +234,57 @@ def test_start_vector_must_be_strictly_positive(start):
 
 
 def test_reducible_refused():
+    # the all-ones brackets [1, 2] and [0, 0] do not close
     with pytest.raises(ReducibleMatrixError):
         spectral_radius([[1, 1], [0, 1]])
+    with pytest.raises(ReducibleMatrixError):
+        spectral_radius([[0.0]])
+
+
+def test_reducible_with_a_closed_first_bracket_gets_its_radius():
+    # Collatz-Wielandt bounds hold for every nonnegative matrix, so the
+    # identity's first bracket [1, 1] is its radius
+    res = spectral_radius(np.eye(3))
+    assert (res.rho, res.lower_bound, res.upper_bound) == (1.0, 1.0, 1.0)
+    assert res.iterations == 1
+
+
+@st.composite
+def reducible_nonnegative(draw):
+    """(A, start, closes): a reducible nonnegative n x n matrix, n from 2
+    to 7, block upper triangular up to a permutation, with positive
+    diagonal blocks of sizes k and n - k and a sparse upper-right block.
+    "eigvec" and "ones" rescale its rows so that A p = p for a positive
+    p; "eigvec" passes p as the start, "ones" draws p = 1, the default
+    start.  Then the first bracket closes; "plain" leaves A as drawn."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    mode = draw(st.sampled_from(["plain", "eigvec", "ones"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(0.1, 2.0, (n, n))
+    A[k:, :k] = 0.0
+    A[:k, k:] *= rng.random((k, n - k)) < draw(st.floats(0.0, 1.0))
+    p = rng.uniform(0.5, 2.0, n) if mode == "eigvec" else np.ones(n)
+    if mode != "plain":
+        A = (p / (A @ p))[:, None] * A
+    order = rng.permutation(n)
+    return (A[np.ix_(order, order)],
+            p[order] if mode == "eigvec" else None, mode != "plain")
+
+
+@settings(max_examples=300, deadline=None)
+@given(reducible_nonnegative())
+def test_reducible_radius_is_bracketed_or_refused(case):
+    A, start, closes = case
+    try:
+        res = spectral_radius(A, start=start)
+    except (ReducibleMatrixError, PowerIterationError):
+        assert not closes
+        return
+    want = float(np.max(np.abs(np.linalg.eigvals(A))))
+    assert res.lower_bound <= res.rho <= res.upper_bound
+    assert (res.lower_bound * (1.0 - 1e-12) <= want
+            <= res.upper_bound * (1.0 + 1e-12))
 
 
 def test_budget_error_carries_bounds(monkeypatch):
