@@ -60,6 +60,12 @@ def _out_dir(args, cfg) -> str:
     return d
 
 
+def _seed(raw: str) -> int:
+    if int(raw) < 0:
+        raise argparse.ArgumentTypeError(f"{raw!r} is negative")
+    return int(raw)
+
+
 def _start(n: int, seed: int | None):
     if seed is None:
         return np.ones(n)
@@ -117,9 +123,8 @@ def run_counterfactual(args) -> int:
     steps = parse_shock_file(args.shocks)
     result = counterfactual(params, steps, opts=cfg.solve,
                             x0_values=_start(_dimension(params), args.seed))
-    J, S = result.base.R.shape
     path = os.path.join(_out_dir(args, cfg), "deltas.txt")
-    _write(path, format_deltas(result.changes, J, S))
+    _write(path, format_deltas(result.changes))
     worst = float(np.max(np.abs(result.changes["U"])))
     _say(args, f"counterfactual {cfg.kind}: {len(steps)} directive(s), "
                f"max |welfare change| = {worst:.6g} -> {path}")
@@ -158,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run configuration file")
     common.add_argument("--out", default=None,
                         help="output directory (default: from config)")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="certify: sampling seed; solve and "
                              "counterfactual: random starting point")
     common.add_argument("--quiet", action="store_true",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from scalefix.trade import (
     OneSectorParams,
     Outcomes,
     ShockStep,
+    indexed_labels,
 )
 
 __all__ = [
@@ -105,10 +106,7 @@ def read_matrix(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _write_table(path: str, header: list[str], body: np.ndarray) -> None:
-    lines = [",".join(header)]
-    for row in np.atleast_2d(body):
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -129,14 +127,24 @@ class RunConfig:
     samples: int = 8
     seed: int = 0
     out_dir: str = "."
-    config_dir: str = field(default=".", repr=False)
 
 
-_KINDS = ("one-sector", "multi-sector", "general")
-_FILE_KEYS = {
-    "one-sector": ("A", "tau", "gamma", "L"),
-    "multi-sector": ("A", "tau", "alpha", "L"),
-    "general": ("A", "tau", "alpha", "L", "gamma_labor", "gamma_io"),
+# The on-disk layout of each kind: its bundle class; the suffix of the
+# [model] keys theta and sigma, "" for scalars or ".s" for per-sector
+# lists; and one table per array field, in [model] key order, as
+# (field, column labels, one file per sector).  The column labels are
+# the country numbers "{}", the sector names "s{}", or None for a single
+# column headed by the field name.  A table is saved as "<field>.csv";
+# a per-sector table splits its last axis over "<field>.csv.s1", ...
+_MULTI_SECTOR = (("A", "s{}", False), ("tau", "{}", True),
+                 ("alpha", "s{}", False), ("L", None, False))
+_LAYOUTS = {
+    "one-sector": (OneSectorParams, "", (
+        ("A", None, False), ("tau", "{}", False), ("gamma", None, False),
+        ("L", None, False))),
+    "multi-sector": (MultiSectorParams, ".s", _MULTI_SECTOR),
+    "general": (GeneralParams, ".s", _MULTI_SECTOR + (
+        ("gamma_labor", "s{}", False), ("gamma_io", "s{}", True))),
 }
 
 
@@ -190,33 +198,28 @@ def load_run_config(path: str) -> RunConfig:
     if model is None:
         raise ConfigError(f"{path}: missing [model] section")
     kind = model.pop("kind", "").strip()
-    if kind not in _KINDS:
+    if kind not in _LAYOUTS:
         raise ConfigError(f"{path}: [model] kind must be one of "
-                          f"{', '.join(_KINDS)}, got {kind!r}")
+                          f"{', '.join(_LAYOUTS)}, got {kind!r}")
 
     base = os.path.dirname(os.path.abspath(path))
+    _, suffix, tables = _LAYOUTS[kind]
     files = {}
-    for key in _FILE_KEYS[kind]:
+    for key, _, _ in tables:
         if key not in model:
             raise ConfigError(f"{path}: [model] is missing the {key} file")
         files[key] = os.path.join(base, model.pop(key).strip())
 
-    if kind == "one-sector":
-        for key in ("theta", "sigma"):
-            if key not in model:
-                raise ConfigError(f"{path}: [model] needs scalar {key}")
-        theta = _parse_float("model", "theta", model.pop("theta"))
-        sigma = _parse_float("model", "sigma", model.pop("sigma"))
-    else:
-        for key in ("theta.s", "sigma.s"):
-            if key not in model:
-                raise ConfigError(f"{path}: [model] needs the per-sector "
-                                  f"list {key}")
-        theta = _parse_float_list("model", "theta.s", model.pop("theta.s"))
-        sigma = _parse_float_list("model", "sigma.s", model.pop("sigma.s"))
-        if len(theta) != len(sigma):
-            raise ConfigError(f"{path}: theta.s and sigma.s disagree on "
-                              "the number of sectors")
+    keys = (f"theta{suffix}", f"sigma{suffix}")
+    parse, need = ((_parse_float_list, "the per-sector list") if suffix
+                   else (_parse_float, "scalar"))
+    for key in keys:
+        if key not in model:
+            raise ConfigError(f"{path}: [model] needs {need} {key}")
+    theta, sigma = (parse("model", key, model.pop(key)) for key in keys)
+    if suffix and len(theta) != len(sigma):
+        raise ConfigError(f"{path}: theta.s and sigma.s disagree on "
+                          "the number of sectors")
 
     sv = sections.pop("solve", {})
     try:
@@ -239,6 +242,8 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: [certify] {exc}") from exc
     if samples < 1:
         raise ConfigError(f"{path}: [certify] samples must be positive")
+    if seed < 0:
+        raise ConfigError(f"{path}: [certify] seed must be non-negative")
     cf.pop("threads", None)     # ignored; it once set a thread count
     out_dir = out.pop("directory", ".").strip()
     if not os.path.isabs(out_dir):
@@ -254,7 +259,7 @@ def load_run_config(path: str) -> RunConfig:
                 f"{path}: unknown key {next(iter(left))!r} in [{name}]")
     return RunConfig(kind=kind, files=files, theta=theta, sigma=sigma,
                      solve=solve, samples=samples, seed=seed,
-                     out_dir=out_dir, config_dir=base)
+                     out_dir=out_dir)
 
 
 def _read_sectored(stem: str, count: int) -> np.ndarray:
@@ -269,83 +274,49 @@ def _read_sectored(stem: str, count: int) -> np.ndarray:
 
 def load_parameters(cfg: RunConfig):
     """Read and validate the parameter bundle named by a RunConfig."""
-    f = cfg.files
-    if cfg.kind == "one-sector":
-        return OneSectorParams(
-            A=read_vector(f["A"]),
-            tau=read_matrix(f["tau"]),
-            gamma=read_vector(f["gamma"]),
-            L=read_vector(f["L"]),
-            theta=cfg.theta,
-            sigma=cfg.sigma,
-        )
-    S = len(cfg.theta)
-    common = dict(
-        A=read_matrix(f["A"]),
-        tau=_read_sectored(f["tau"], S),
-        alpha=read_matrix(f["alpha"]),
-        L=read_vector(f["L"]),
-        theta=np.array(cfg.theta),
-        sigma=np.array(cfg.sigma),
-    )
-    if cfg.kind == "multi-sector":
-        return MultiSectorParams(**common)
-    return GeneralParams(
-        gamma_labor=read_matrix(f["gamma_labor"]),
-        gamma_io=_read_sectored(f["gamma_io"], S),
-        **common,
-    )
+    cls, _, tables = _LAYOUTS[cfg.kind]
+    arrays = {}
+    for name, columns, sectored in tables:
+        path = cfg.files[name]
+        arrays[name] = (_read_sectored(path, len(cfg.theta)) if sectored
+                        else read_vector(path) if columns is None
+                        else read_matrix(path))
+    return cls(**arrays, theta=cfg.theta, sigma=cfg.sigma)
 
 
 def save_parameters(params, directory: str, stem: str = "params") -> str:
-    """Write a bundle as config plus tables; returns the config path.
+    """Write a bundle as `<stem>.ini` plus one CSV table per array field
+    (per-sector fields one file per sector), in the layout that
+    load_parameters reads; returns the config path.
 
     Reading the result back yields a field-for-field identical bundle.
     """
-    os.makedirs(directory, exist_ok=True)
-
-    def pjoin(name):
-        return os.path.join(directory, name)
-
-    lines = ["[model]"]
-    if isinstance(params, OneSectorParams):
-        J = params.J
-        cols = [str(j + 1) for j in range(J)]
-        _write_table(pjoin("A.csv"), ["A"], params.A[:, None])
-        _write_table(pjoin("tau.csv"), cols, params.tau)
-        _write_table(pjoin("gamma.csv"), ["gamma"], params.gamma[:, None])
-        _write_table(pjoin("L.csv"), ["L"], params.L[:, None])
-        lines += ["kind = one-sector", "A = A.csv", "tau = tau.csv",
-                  "gamma = gamma.csv", "L = L.csv",
-                  f"theta = {_fmt(params.theta)}",
-                  f"sigma = {_fmt(params.sigma)}"]
+    for kind, (cls, suffix, tables) in _LAYOUTS.items():
+        if isinstance(params, cls):
+            break
     else:
-        J, S = params.J, params.S
-        secs = [f"s{k + 1}" for k in range(S)]
-        cols = [str(j + 1) for j in range(J)]
-        _write_table(pjoin("A.csv"), secs, params.A)
-        _write_table(pjoin("alpha.csv"), secs, params.alpha)
-        _write_table(pjoin("L.csv"), ["L"], params.L[:, None])
-        for k in range(S):
-            _write_table(pjoin(f"tau.csv.s{k + 1}"), cols,
-                         params.tau[:, :, k])
-        kind = "general" if isinstance(params, GeneralParams) \
-            else "multi-sector"
-        lines += [f"kind = {kind}", "A = A.csv", "tau = tau.csv",
-                  "alpha = alpha.csv", "L = L.csv"]
-        if isinstance(params, GeneralParams):
-            _write_table(pjoin("gamma_labor.csv"), secs, params.gamma_labor)
-            for k in range(S):
-                _write_table(pjoin(f"gamma_io.csv.s{k + 1}"), secs,
-                             params.gamma_io[:, :, k])
-            lines += ["gamma_labor = gamma_labor.csv",
-                      "gamma_io = gamma_io.csv"]
-        lines += ["theta.s = " + ", ".join(_fmt(t) for t in params.theta),
-                  "sigma.s = " + ", ".join(_fmt(s) for s in params.sigma)]
+        raise TypeError(f"unknown parameter bundle {type(params).__name__}")
+    os.makedirs(directory, exist_ok=True)
+    lines = ["[model]", f"kind = {kind}"]
+    for name, columns, sectored in tables:
+        path = os.path.join(directory, f"{name}.csv")
+        arr = getattr(params, name)
+        parts = ([(f"{path}.s{k + 1}", arr[..., k])
+                  for k in range(arr.shape[-1])] if sectored
+                 else [(path, arr)])
+        for part_path, body in parts:
+            body = body.reshape(len(body), -1)   # a vector is one column
+            header = name if columns is None else ",".join(
+                columns.format(c + 1) for c in range(body.shape[1]))
+            _write_lines(part_path, [header] + [
+                ",".join(map(_fmt, row)) for row in body.tolist()])
+        lines.append(f"{name} = {name}.csv")
+    for key in ("theta", "sigma"):
+        lines.append(f"{key}{suffix} = " + ", ".join(
+            _fmt(v) for v in np.atleast_1d(getattr(params, key)).tolist()))
 
-    cfg_path = pjoin(f"{stem}.ini")
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cfg_path = os.path.join(directory, f"{stem}.ini")
+    _write_lines(cfg_path, lines)
     return cfg_path
 
 
@@ -479,12 +450,20 @@ def parse_report(text: str) -> dict:
 # --------------------------------------------- equilibria and deltas
 
 
-def _sector_label(name: str, i: int, s: int) -> str:
-    return f"{name}[{i + 1}][{s + 1}]"
+_OUTCOMES = ("w", "R", "E", "P", "c", "pi", "U")
+
+
+def _labelled_lines(named_arrays, fmt: str) -> list[str]:
+    """One `name[i]...: value` line per entry, each array in C order."""
+    return [f"{label}: {fmt % v}"
+            for name, arr in named_arrays
+            for label, v in zip(indexed_labels(name, *np.shape(arr)),
+                                np.ravel(arr).tolist())]
 
 
 def format_equilibrium(x_star, outcomes: Outcomes) -> str:
-    """State block then outcomes block, `label: value` per line.
+    """State block then outcomes block (every outcome but pi),
+    `label: value` per line.
 
     Values carry eight fractional digits: runs from different starting
     points agree to far tighter than that once normalized, so the file
@@ -492,39 +471,19 @@ def format_equilibrium(x_star, outcomes: Outcomes) -> str:
     """
     lines = [f"{label}: {v:.8e}"
              for label, v in zip(x_star.labels, x_star.values)]
-    lines.append("")
-    J, S = outcomes.R.shape
-    for i in range(J):
-        lines.append(f"w[{i + 1}]: {outcomes.w[i]:.8e}")
-    for name in ("R", "E", "P", "c"):
-        arr = getattr(outcomes, name)
-        for i in range(J):
-            for s in range(S):
-                lines.append(f"{_sector_label(name, i, s)}: "
-                             f"{arr[i, s]:.8e}")
-    for i in range(J):
-        lines.append(f"U[{i + 1}]: {outcomes.U[i]:.8e}")
+    lines += [""] + _labelled_lines(
+        ((name, getattr(outcomes, name)) for name in _OUTCOMES
+         if name != "pi"), "%.8e")
     return "\n".join(lines) + "\n"
 
 
-def format_deltas(changes: dict, J: int, S: int) -> str:
-    """Relative changes, one `delta.<name>: value` line per entry."""
-    lines = []
-    for i in range(J):
-        lines.append(f"delta.w[{i + 1}]: {_fmt(changes['w'][i])}")
-    for name in ("R", "E", "P", "c"):
-        for i in range(J):
-            for s in range(S):
-                lines.append(f"delta.{_sector_label(name, i, s)}: "
-                             f"{_fmt(changes[name][i, s])}")
-    for i in range(J):
-        for j in range(J):
-            for s in range(S):
-                lines.append(f"delta.pi[{i + 1}][{j + 1}][{s + 1}]: "
-                             f"{_fmt(changes['pi'][i, j, s])}")
-    for i in range(J):
-        lines.append(f"delta.U[{i + 1}]: {_fmt(changes['U'][i])}")
-    return "\n".join(lines) + "\n"
+def format_deltas(changes: dict) -> str:
+    """Relative changes, one `delta.<name>[i]...: value` line per entry
+    of changes["w"], "R", "E", "P", "c", "pi" and "U" in that order; the
+    arrays' own shapes give the indices."""
+    return "\n".join(_labelled_lines(
+        ((f"delta.{name}", changes[name]) for name in _OUTCOMES),
+        FMT)) + "\n"
 
 
 def summarize_solve(res: SolveResult) -> str:

@@ -288,16 +288,22 @@ class GeneralParams:
 # ------------------------------------------------------------- labels
 
 
+def indexed_labels(name: str, *shape: int) -> tuple[str, ...]:
+    """One `name[i][j]...` label per entry of an array of this shape, in
+    C order with 1-based indices: indexed_labels("R", 2, 1) is
+    ("R[1][1]", "R[2][1]").  Every state, outcome and delta label is
+    built here."""
+    return tuple(name + "".join(idx) for idx in product(
+        *([f"[{k}]" for k in range(1, n + 1)] for n in shape)))
+
+
 def one_sector_labels(J: int) -> tuple[str, ...]:
-    return tuple(f"OMEGA[{i + 1}]" for i in range(J)) + \
-        tuple(f"P[{i + 1}]" for i in range(J))
+    return indexed_labels("OMEGA", J) + indexed_labels("P", J)
 
 
 def multi_sector_labels(J: int, S: int, wage: str = "W") -> tuple[str, ...]:
-    cells = [f"[{i}][{s}]" for i, s in product(range(1, J + 1),
-                                                range(1, S + 1))]
-    return tuple(f"OMEGA{c}" for c in cells) + tuple(f"P{c}" for c in cells) \
-        + tuple(f"{wage}[{i + 1}]" for i in range(J))
+    return indexed_labels("OMEGA", J, S) + indexed_labels("P", J, S) \
+        + indexed_labels(wage, J)
 
 
 # ------------------------------------------------------ one-sector model
@@ -745,14 +751,14 @@ def apply_shock(params, steps: Sequence[ShockStep]):
             raise ParameterError(
                 f"{step.field} needs {np.ndim(target)} indices, "
                 f"got {len(step.indices)}", field=step.field)
-        idx = tuple(k - 1 for k in step.indices)
-        try:
-            old = target[idx]
-        except IndexError:
+        # checked by hand: index 0 would wrap around to the last entry
+        if not all(1 <= k <= n for k, n in zip(step.indices, target.shape)):
             raise ParameterError(
                 f"index {step.indices} out of range for {step.field}",
-                field=step.field) from None
-        target[idx] = step.value if step.op == "=" else old * step.value
+                field=step.field)
+        idx = tuple(k - 1 for k in step.indices)
+        target[idx] = step.value if step.op == "=" \
+            else target[idx] * step.value
 
     return type(params)(**editable)
 

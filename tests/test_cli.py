@@ -472,6 +472,16 @@ def test_counterfactual_disconnecting_shock_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run" / "deltas.txt").exists()
 
 
+def test_counterfactual_shock_index_zero_exits_2(tmp_path, capsys):
+    cfg = symmetric_one_sector(tmp_path)
+    shocks = write(tmp_path / "s.txt", "tau[0][2] *= 2\n")
+    code = main(["counterfactual", "--config", cfg, "--shocks", shocks,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "deltas.txt").exists()
+
+
 # ------------------------------------------------------------ plumbing
 
 
@@ -496,3 +506,28 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["certify"]) == 2  # --config is required
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, config_seed, cli_seed, named", [
+    ("certify", None, "-1", "--seed"),
+    ("solve", None, "-1", "--seed"),
+    ("counterfactual", None, "-1", "--seed"),
+    ("certify", "-2", None, "[certify] seed"),
+])
+def test_negative_seed_exits_2(command, config_seed, cli_seed, named,
+                               tmp_path, capsys):
+    cfg = symmetric_one_sector(tmp_path)
+    if config_seed is not None:
+        text = (tmp_path / "run.ini").read_text()
+        write(tmp_path / "run.ini", text.replace("seed = 1",
+                                                 f"seed = {config_seed}"))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "run")]
+    if cli_seed is not None:
+        argv += ["--seed", cli_seed]
+    if command == "counterfactual":
+        argv += ["--shocks", write(tmp_path / "s.txt", "A[1] *= 2\n")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()

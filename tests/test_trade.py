@@ -800,8 +800,9 @@ def test_apply_shock_validation():
         apply_shock(p, [ShockStep("Z", (1,), "=", 1.0)])
     with pytest.raises(ParameterError, match="indices"):
         apply_shock(p, [ShockStep("tau", (1,), "=", 2.0)])
-    with pytest.raises(ParameterError, match="out of range"):
-        apply_shock(p, [ShockStep("A", (9,), "=", 1.0)])
+    for idx in ((9,), (0,)):    # index 0 must not wrap to the last entry
+        with pytest.raises(ParameterError, match="out of range"):
+            apply_shock(p, [ShockStep("A", idx, "=", 1.0)])
     with pytest.raises(ParameterError, match="scalar"):
         apply_shock(p, [ShockStep("theta", (1,), "=", 5.0)])
     q = apply_shock(p, [ShockStep("theta", (), "*=", 1.1)])
@@ -823,3 +824,8 @@ def test_apply_shock_validation():
         idx = tuple(k - 1 for k in step.indices)
         assert getattr(q, step.field)[idx] == \
             getattr(base, step.field)[idx] * step.value
+    m3 = multi_sector(J=3, S=2, seed=103)
+    for step in (ShockStep("tau", (0, 2, 1), "*=", 2.0),
+                 ShockStep("A", (0, 0), "=", 5.0)):
+        with pytest.raises(ParameterError, match="out of range"):
+            apply_shock(m3, [step])
