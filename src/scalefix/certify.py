@@ -177,6 +177,11 @@ def _error_verdict(exc: EvaluationError | DifferentiationError) -> CheckResult:
                                  "sample_index": exc.sample_index})
 
 
+def _need_samples(samples: Sequence[StateVector]) -> None:
+    if not samples:
+        raise ValueError("need at least one sample")
+
+
 def _elasticities(sys: PositiveSystem,
                   samples: Sequence[StateVector]) -> list[ElasticityMatrix]:
     return [_at_sample(idx, elasticity_at, sys, x)
@@ -194,8 +199,7 @@ def check_connectedness(sys: PositiveSystem,
                         ) -> CheckResult:
     """Irreducibility of |DG|: symbolic for systems with a sign pattern,
     per-sample otherwise."""
-    if not samples:
-        raise ValueError("need at least one sample")
+    _need_samples(samples)
     if sys.sign_pattern is not None:
         adj = np.abs(sys.sign_pattern).astype(float)
         if is_irreducible(adj):
@@ -221,6 +225,7 @@ def check_self_interaction(sys: PositiveSystem,
                            elasticities: Sequence[ElasticityMatrix] | None = None,
                            ) -> CheckResult:
     """Some diagonal elasticity entry must be nonzero (at every sample)."""
+    _need_samples(samples)
     if sys.sign_pattern is not None:
         if np.any(np.diag(sys.sign_pattern) != 0):
             return CheckResult("pass")
@@ -321,6 +326,7 @@ def find_scaling_exponent(sys: PositiveSystem,
     reads the first matrix's memoized `spectrum`, which check_spectral
     reads again at no cost.
     """
+    _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
     E0 = elasticities[0].entries
     n = E0.shape[0]
@@ -355,6 +361,7 @@ def check_monotonicity(sys: PositiveSystem, u,
                        elasticities: Sequence[ElasticityMatrix] | None = None,
                        ) -> tuple[CheckResult, SignPartition]:
     """Block sign rule induced by u: within a block >= 0, across <= 0."""
+    _need_samples(samples)
     u = np.asarray(u, dtype=float)
     tiny = np.abs(u) <= 1e-9 * np.abs(u).max()
     if tiny.any():
@@ -413,6 +420,7 @@ def check_spectral(sys: PositiveSystem, u,
 
     Out-of-tolerance values are recorded, never raised.
     """
+    _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
     rhos, brackets = [], []
     eig_res = sim_res = unique = gap = start = None

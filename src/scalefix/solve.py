@@ -78,8 +78,8 @@ class SolveOptions:
     damping: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:     # NaN fails too
+            raise ValueError("tol must be positive and finite")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
         if self.max_iter < 1:

@@ -184,8 +184,8 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
     (Noda, Numer. Math. 17, 1971; Elsner, Linear Algebra Appl. 15, 1976).
     """
     A = _as_nonneg_square(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:     # NaN fails too
+        raise ValueError("tol must be positive and finite")
     n = A.shape[0]
     v = np.ones(n) if start is None else _check_gauge(start, "start vector")
     if v.shape != (n,):

@@ -71,12 +71,14 @@ class StaleStateError(RuntimeError):
 def gamma_constant(theta: float, sigma: float) -> float:
     """The constant multiplying every trade term: the gamma function of
     (theta + 1 - sigma) / theta, raised to -theta / (1 - sigma)."""
-    if sigma <= 1.0:
-        raise ParameterError("sigma must exceed 1", field="sigma")
-    if theta <= sigma - 1.0:
+    # written so that NaN fails both checks
+    if not 1.0 < sigma < math.inf:
+        raise ParameterError(f"sigma={sigma} must be finite and exceed 1",
+                             field="sigma")
+    if not sigma - 1.0 < theta < math.inf:
         raise ParameterError(
-            f"theta={theta} must exceed sigma-1={sigma - 1}: the gamma "
-            "argument (theta+1-sigma)/theta must be positive",
+            f"theta={theta} must be finite and exceed sigma-1={sigma - 1}: "
+            "the gamma argument (theta+1-sigma)/theta must be positive",
             field="theta")
     arg = (theta + 1.0 - sigma) / theta
     return math.gamma(arg) ** (-theta / (1.0 - sigma))
@@ -90,46 +92,76 @@ def _sector_constants(theta, sigma) -> NDArray[np.float64]:
 # ---------------------------------------------------------- parameters
 
 
-def _as_pos_vector(x, n, name) -> NDArray[np.float64]:
-    a = np.asarray(x, dtype=float)
-    if a.shape != (n,):
-        raise ParameterError(f"{name} must have shape ({n},)", field=name)
-    if not np.all(np.isfinite(a) & (a > 0)):
-        raise ParameterError(f"{name} entries must be positive and finite",
-                             field=name)
+_FINITE = float(np.finfo(float).max)    # an upper bound +inf fails
+
+
+def _field(p, name, value, shape, lo, hi=_FINITE, *, strict=False):
+    """Store a read-only float copy of value as p.<name> and return it.
+    Every array field of a bundle passes here.  The copy must have this
+    shape and its entries must lie in [lo, hi], or in (lo, hi] if strict;
+    hi is the largest float unless inf is allowed, and NaN fails each
+    comparison."""
+    a = np.array(value, dtype=float)
+    if a.shape != shape:
+        raise ParameterError(f"{name} must have shape {shape}, got "
+                             f"{a.shape}", field=name)
+    ok = ((a > lo) if strict else (a >= lo)) & (a <= hi)
+    if not ok.all():
+        bad = tuple(np.argwhere(~ok)[0])
+        rule = f"{'>' if strict else '>='} {lo:g}"
+        rule = (f"{rule} or infinite" if hi == math.inf else
+                f"finite and {rule}" if hi == _FINITE else
+                f"{rule} and <= {hi:g}")
+        raise ParameterError(
+            f"{name}{''.join(f'[{k + 1}]' for k in bad)} = {a[bad]:g}: "
+            f"entries must be {rule}", field=name)
+    a.setflags(write=False)
+    object.__setattr__(p, name, a)
     return a
 
 
-def _check_tau(tau, shape, name="tau") -> NDArray[np.float64]:
-    t = np.asarray(tau, dtype=float)
-    if t.shape != shape:
-        raise ParameterError(f"{name} must have shape {shape}", field=name)
-    finite = np.isfinite(t)
-    if np.any(t[finite] < 1.0) or np.any(np.isnan(t)):
-        raise ParameterError(f"{name} entries must be >= 1 or infinite",
-                             field=name)
-    diag = t[np.arange(shape[0]), np.arange(shape[0])] if t.ndim == 2 \
-        else t[np.arange(shape[0]), np.arange(shape[0]), :]
-    if not np.all(np.isfinite(diag)):
-        raise ParameterError(f"{name} must be finite on the diagonal",
-                             field=name)
-    return t
-
-
-def _connectivity(finite_edges: NDArray[np.bool_]):
-    # graph on countries; certification re-checks on the full system.
-    # Two vectorised reachability sweeps settle the usual connected case;
+def _tau(p, shape) -> None:
+    """Store tau (entries >= 1 or infinite, finite on the diagonal) and
+    set connected and blocs from the graph of finite costs between
+    countries; certification re-checks on the full system."""
+    t = _field(p, "tau", p.tau, shape, 1.0, math.inf)
+    J, finite = shape[0], np.isfinite(t)
+    if not finite[np.arange(J), np.arange(J)].all():
+        raise ParameterError("tau must be finite on the diagonal",
+                             field="tau")
+    adj = (finite if t.ndim == 2 else finite.any(axis=2)).astype(float)
+    # two vectorised reachability sweeps settle the usual connected case;
     # the components are only enumerated when the graph splits
-    adj = finite_edges.astype(float)
-    if is_irreducible(adj):
-        return True, [list(range(adj.shape[0]))]
-    comps = strongly_connected_components(adj)
-    return len(comps) == 1, comps
+    blocs = [range(J)] if is_irreducible(adj) else \
+        strongly_connected_components(adj)
+    object.__setattr__(p, "connected", len(blocs) == 1)
+    object.__setattr__(p, "blocs", tuple(tuple(b) for b in blocs))
+
+
+def _sectored_fields(p) -> tuple[int, int]:
+    """Store the six fields both sectored bundles share; returns (J, S)."""
+    shape = np.shape(p.A)
+    if len(shape) != 2 or 0 in shape:
+        raise ParameterError("A must be a nonempty J x S matrix", field="A")
+    J, S = shape
+    _field(p, "A", p.A, shape, 0.0, strict=True)
+    _tau(p, (J, J, S))
+    rowsums = _field(p, "alpha", p.alpha, (J, S), 0.0).sum(axis=1)
+    bad = int(np.argmax(np.abs(rowsums - 1.0)))
+    if abs(rowsums[bad] - 1.0) > 1e-12:     # alpha is finite: no NaN
+        raise ParameterError(
+            f"alpha row for country {bad + 1} sums to {rowsums[bad]:.17g},"
+            " expected 1", field="alpha")
+    _field(p, "L", p.L, (J,), 0.0, strict=True)
+    _sector_constants(_field(p, "theta", p.theta, (S,), 0.0, strict=True),
+                      _field(p, "sigma", p.sigma, (S,), 1.0, strict=True))
+    return J, S
 
 
 @dataclass(frozen=True)
 class OneSectorParams:
-    """One sector, J countries, labor shares gamma in [0, 1]."""
+    """One sector, J countries, labor shares gamma in [0, 1].  The arrays
+    are read-only validated copies; gamma_constant checks theta, sigma."""
 
     A: NDArray[np.float64]
     tau: NDArray[np.float64]
@@ -141,24 +173,14 @@ class OneSectorParams:
     blocs: tuple = field(init=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        J = A.shape[0] if A.ndim == 1 else 0
+        J = len(self.A) if np.ndim(self.A) == 1 else 0
         if J < 1:
             raise ParameterError("A must be a nonempty vector", field="A")
-        object.__setattr__(self, "A", _as_pos_vector(A, J, "A"))
-        object.__setattr__(self, "tau", _check_tau(self.tau, (J, J)))
-        g = np.asarray(self.gamma, dtype=float)
-        if g.shape != (J,) or np.any(g < 0) or np.any(g > 1):
-            raise ParameterError("gamma must be J values in [0, 1]",
-                                 field="gamma")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "L", _as_pos_vector(self.L, J, "L"))
-        gamma_constant(self.theta, self.sigma)  # validates theta, sigma
-        connected, blocs = _connectivity(np.isfinite(self.tau))
-        object.__setattr__(self, "connected", connected)
-        object.__setattr__(self, "blocs", tuple(tuple(b) for b in blocs))
-        for arr in (self.A, self.tau, self.gamma, self.L):
-            arr.setflags(write=False)
+        _field(self, "A", self.A, (J,), 0.0, strict=True)
+        _tau(self, (J, J))
+        _field(self, "gamma", self.gamma, (J,), 0.0, 1.0)
+        _field(self, "L", self.L, (J,), 0.0, strict=True)
+        gamma_constant(self.theta, self.sigma)
 
     @property
     def J(self) -> int:
@@ -167,7 +189,8 @@ class OneSectorParams:
 
 @dataclass(frozen=True)
 class MultiSectorParams:
-    """J countries, S sectors, labor-only production."""
+    """J countries, S sectors, labor-only production.  The arrays, here
+    and in GeneralParams, are read-only validated copies."""
 
     A: NDArray[np.float64]        # (J, S)
     tau: NDArray[np.float64]      # (J, J, S)
@@ -179,39 +202,7 @@ class MultiSectorParams:
     blocs: tuple = field(init=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2:
-            raise ParameterError("A must be a J x S matrix", field="A")
-        J, S = A.shape
-        if not np.all(np.isfinite(A) & (A > 0)):
-            raise ParameterError("A entries must be positive", field="A")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "tau", _check_tau(self.tau, (J, J, S)))
-        al = np.asarray(self.alpha, dtype=float)
-        if al.shape != (J, S) or np.any(al < 0):
-            raise ParameterError("alpha must be J x S nonnegative",
-                                 field="alpha")
-        rowsums = al.sum(axis=1)
-        if np.max(np.abs(rowsums - 1.0)) > 1e-12:
-            bad = int(np.argmax(np.abs(rowsums - 1.0)))
-            raise ParameterError(
-                f"alpha row for country {bad + 1} sums to {rowsums[bad]:.17g},"
-                " expected 1", field="alpha")
-        object.__setattr__(self, "alpha", al)
-        object.__setattr__(self, "L", _as_pos_vector(self.L, J, "L"))
-        th = _as_pos_vector(self.theta, S, "theta")
-        sg = np.asarray(self.sigma, dtype=float)
-        if sg.shape != (S,):
-            raise ParameterError("sigma must have one entry per sector",
-                                 field="sigma")
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "sigma", sg)
-        _sector_constants(th, sg)  # validates theta, sigma
-        connected, blocs = _connectivity(np.isfinite(self.tau).any(axis=2))
-        object.__setattr__(self, "connected", connected)
-        object.__setattr__(self, "blocs", tuple(tuple(b) for b in blocs))
-        for arr in (self.A, self.tau, self.alpha, self.L, th, sg):
-            arr.setflags(write=False)
+        _sectored_fields(self)
 
     @property
     def J(self) -> int:
@@ -230,10 +221,10 @@ class MultiSectorParams:
 class GeneralParams:
     """Sectors plus intermediates.
 
-    gamma_labor[i, s] is the labor cost share of sector s in country i;
-    gamma_io[i, r, s] the cost share of sector-r intermediates used by
-    sector s.  For every (i, s) the labor share plus the column of input
-    shares must sum to one.
+    The fields of MultiSectorParams, plus gamma_labor[i, s], the labor
+    cost share of sector s in country i, and gamma_io[i, r, s], the cost
+    share of sector-r intermediates used by sector s.  For every (i, s)
+    the labor share plus the column of input shares must sum to one.
     """
 
     A: NDArray[np.float64]
@@ -248,33 +239,13 @@ class GeneralParams:
     blocs: tuple = field(init=False)
 
     def __post_init__(self):
-        base = MultiSectorParams(self.A, self.tau, self.alpha, self.L,
-                                 self.theta, self.sigma)
-        for name in ("A", "tau", "alpha", "L", "theta", "sigma"):
-            object.__setattr__(self, name, getattr(base, name))
-        J, S = base.J, base.S
-        gl = np.asarray(self.gamma_labor, dtype=float)
-        gio = np.asarray(self.gamma_io, dtype=float)
-        if gl.shape != (J, S):
-            raise ParameterError("gamma_labor must be J x S",
-                                 field="gamma_labor")
-        if gio.shape != (J, S, S):
-            raise ParameterError("gamma_io must be J x S x S",
-                                 field="gamma_io")
-        if np.any(gl < 0) or np.any(gl > 1) or np.any(gio < 0) or np.any(gio > 1):
-            raise ParameterError("cost shares must lie in [0, 1]",
-                                 field="gamma_io")
-        total = gl + gio.sum(axis=1)  # labor + all input sectors, per (i, s)
-        if np.max(np.abs(total - 1.0)) > 1e-12:
+        J, S = _sectored_fields(self)
+        gl = _field(self, "gamma_labor", self.gamma_labor, (J, S), 0.0, 1.0)
+        gio = _field(self, "gamma_io", self.gamma_io, (J, S, S), 0.0, 1.0)
+        if not np.all(np.abs(gl + gio.sum(axis=1) - 1.0) <= 1e-12):
             raise ParameterError(
                 "labor share plus intermediate shares must sum to 1 "
                 "for every country and sector", field="gamma_labor")
-        object.__setattr__(self, "gamma_labor", gl)
-        object.__setattr__(self, "gamma_io", gio)
-        object.__setattr__(self, "connected", base.connected)
-        object.__setattr__(self, "blocs", base.blocs)
-        gl.setflags(write=False)
-        gio.setflags(write=False)
 
     @property
     def J(self) -> int:

@@ -15,7 +15,9 @@ from test_acceptance import MASTER_SEED, random_multi_sector, random_one_sector
 from scalefix.certify import (
     AmbiguousScalingError,
     certify,
+    check_connectedness,
     check_monotonicity,
+    check_self_interaction,
     check_spectral,
     find_scaling_exponent,
     sample_states,
@@ -140,6 +142,18 @@ def test_sample_states_rejects_empty():
     sys = build_one_sector(one_sector_params())
     with pytest.raises(ValueError):
         sample_states(sys, 0, seed=1)
+
+
+@pytest.mark.parametrize("check", [
+    check_connectedness, check_self_interaction, find_scaling_exponent,
+    lambda sys, samples: check_monotonicity(sys, sys.scaling, samples),
+    lambda sys, samples: check_spectral(sys, sys.scaling, samples),
+])
+@pytest.mark.parametrize("build,params", [
+    (build_one_sector, one_sector_params), (build_general, general_params)])
+def test_public_checks_refuse_an_empty_sample_list(check, build, params):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        check(build(params()), [])
 
 
 # ----------------------------------------------- built-ins, exact mode

@@ -496,6 +496,31 @@ def test_report_command_pretty_prints(tmp_path, capsys):
     assert "mode: exact" in text
 
 
+@pytest.mark.parametrize("name,old,new", [
+    ("gamma.csv", "gamma\n0.5\n", "gamma\nnan\n"),
+    ("run.ini", "theta = 4.0", "theta = nan"),
+])
+def test_nan_parameter_exits_2_without_a_report(name, old, new, tmp_path,
+                                                capsys):
+    cfg = symmetric_one_sector(tmp_path)
+    write(tmp_path / name, (tmp_path / name).read_text().replace(old, new))
+    out = tmp_path / "run"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scalefix: error: ") and "nan" in err
+    assert not (out / "report.txt").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_tol_not_positive_and_finite_exits_2(tol, tmp_path, capsys):
+    cfg = symmetric_one_sector(tmp_path, extra=f"[solve]\ntol = {tol}\n")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "[solve] tol must be positive and finite" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["certify", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)]) == 2

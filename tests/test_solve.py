@@ -214,6 +214,9 @@ def test_gauge_direction_must_be_finite_and_nonzero(bad):
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(tol=-1.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolveOptions(tol=tol)
     with pytest.raises(ValueError):
         SolveOptions(damping=0.0)
     with pytest.raises(ValueError):

@@ -379,6 +379,9 @@ def test_radius_matches_dense_eigvals_or_raises(A):
 def test_bad_tol_rejected():
     with pytest.raises(ValueError, match="tol"):
         spectral_radius([[0, 1], [1, 0]], tol=0.0)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            spectral_radius([[0, 1], [1, 0]], tol=tol)
 
 
 @pytest.mark.parametrize("M", [

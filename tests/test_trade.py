@@ -11,6 +11,8 @@ from dataclasses import fields
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalefix.solve import NumeraireRule, SolveOptions, iterate
 from scalefix.spectral import strongly_connected_components
@@ -23,7 +25,6 @@ from scalefix.trade import (
     ParameterError,
     ShockStep,
     StaleStateError,
-    _connectivity,
     apply_shock,
     build_general,
     build_multi_sector,
@@ -124,6 +125,12 @@ def test_gamma_constant_rejects_bad_elasticities():
         gamma_constant(2.0, 3.5)
     except ParameterError as exc:
         assert exc.field == "theta"
+    for theta, sigma, field in [(np.nan, 2.0, "theta"), (np.inf, 2.0, "theta"),
+                                (-np.inf, 2.0, "theta"), (4.0, np.nan, "sigma"),
+                                (4.0, np.inf, "sigma")]:
+        with pytest.raises(ParameterError) as exc:
+            gamma_constant(theta, sigma)
+        assert exc.value.field == field
 
 
 # ----------------------------------------------------- parameter checks
@@ -157,6 +164,59 @@ def test_two_bloc_network_is_flagged_not_fatal():
     assert p.blocs == ((0, 1), (2, 3))
 
 
+# a value outside each field's range; +inf is legal off tau's diagonal
+OUT_OF_RANGE = {"A": 0.0, "tau": 0.5, "gamma": 1.5, "L": -1.0, "alpha": -0.5,
+                "theta": 0.0, "sigma": 0.5, "gamma_labor": 1.5,
+                "gamma_io": -0.5}
+
+
+@settings(max_examples=200, deadline=None)
+@given(make=st.sampled_from(["one_sector", "multi_sector", "general"]),
+       data=st.data())
+def test_bad_entry_is_blamed_on_its_field(make, data):
+    base = globals()[make]()
+    kwargs = {f.name: getattr(base, f.name) for f in fields(base) if f.init}
+    name = data.draw(st.sampled_from(sorted(kwargs)), label="field")
+    value = np.array(kwargs[name], dtype=float)
+    bad = data.draw(st.sampled_from(
+        [np.nan, np.inf, -np.inf, OUT_OF_RANGE[name]]), label="value")
+    idx = data.draw(st.tuples(*(st.integers(0, n - 1) for n in value.shape)),
+                    label="index")
+    if name == "tau" and bad == np.inf:
+        idx = (idx[1],) + idx[1:]      # on the diagonal
+    value[idx] = bad
+    kwargs[name] = value
+    with pytest.raises(ParameterError) as exc:
+        type(base)(**kwargs)
+    assert exc.value.field == name
+
+
+@pytest.mark.parametrize("make", ["one_sector", "multi_sector", "general"])
+def test_every_array_field_is_a_read_only_copy(make):
+    base = globals()[make]()
+    passed = {f.name: np.array(getattr(base, f.name))
+              for f in fields(base) if f.init}
+    p = type(base)(**passed)
+    for name, arr in passed.items():
+        if arr.ndim:
+            stored = getattr(p, name)
+            assert arr.flags.writeable and not stored.flags.writeable, name
+            assert not np.shares_memory(arr, stored), name
+            assert np.array_equal(arr, stored), name
+
+
+def test_caller_arrays_stay_writable_and_detached():
+    A = np.ones(3)
+    backing = np.ones(6)
+    p = OneSectorParams(A=A, tau=np.ones((3, 3)), gamma=np.full(3, 0.5),
+                        L=backing[::2], theta=4.0, sigma=2.0)
+    assert A.flags.writeable
+    backing[0] = 100.0
+    assert p.L.tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        p.A[0] = 2.0
+
+
 @pytest.mark.parametrize("J,seed", [(1, 0), (2, 1), (6, 2), (12, 3)])
 def test_connectivity_blocs_match_components(J, seed):
     # a random finite-cost graph (split or not), and the complete one
@@ -165,7 +225,11 @@ def test_connectivity_blocs_match_components(J, seed):
     np.fill_diagonal(sparse, True)
     for finite in (sparse, np.ones((J, J), dtype=bool)):
         comps = strongly_connected_components(finite.astype(float))
-        assert _connectivity(finite) == (len(comps) == 1, comps)
+        p = OneSectorParams(A=np.ones(J), tau=np.where(finite, 1.5, np.inf),
+                            gamma=np.full(J, 0.5), L=np.ones(J),
+                            theta=4.0, sigma=2.0)
+        assert (p.connected, p.blocs) == (
+            len(comps) == 1, tuple(tuple(c) for c in comps))
 
 
 def test_multi_sector_alpha_rows_must_sum_to_one():
