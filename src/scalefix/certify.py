@@ -43,6 +43,7 @@ from scalefix.system import (
     EvaluationError,
     PositiveSystem,
     StateVector,
+    _frozen,
     elasticity_at,
 )
 
@@ -106,9 +107,7 @@ class ScalingCertificate:
     normalization: str = "max-abs-one"
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "u", u)
-        u.setflags(write=False)
+        object.__setattr__(self, "u", _frozen(self.u))
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class SpectralEvidence:
     max_rho_deviation: float          # max |rho - 1|
     eigvec_residual: float | None     # max inf-norm of |DG||u| - |u|
     # max |D DG D - |DG||, D = diag(sign u): 2 max |DG| over the entries
-    # against the block rule; None without a zero-free u or compare_spectra
+    # against the block rule; None without a zero-free u
     similarity_residual: float | None
     # 1 the only eigenvalue on the unit circle at every sample: from the
     # spectrum at sample 0, derived by Perron-Frobenius at the others
@@ -398,7 +397,7 @@ def check_monotonicity(sys: PositiveSystem, u,
 def check_spectral(sys: PositiveSystem, u,
                    samples: Sequence[StateVector],
                    elasticities: Sequence[ElasticityMatrix] | None = None,
-                   compare_spectra: bool = True) -> SpectralEvidence:
+                   ) -> SpectralEvidence:
     """Spectral radius of |DG| with its Collatz-Wielandt bracket, the |u|
     eigenvector residual, the signature residual max |D DG D - |DG|| with
     D = diag(sign u), and the modulus-1 uniqueness check.  D DG D - |DG|
@@ -430,7 +429,7 @@ def check_spectral(sys: PositiveSystem, u,
         eig_res = 0.0
         if np.all(abs_u > 0.0):
             start = abs_u
-            sim_res = 0.0 if compare_spectra else None
+            sim_res = 0.0
     for idx, E in enumerate(elasticities):
         A = np.abs(E.entries)
         try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
@@ -450,7 +449,7 @@ def check_spectral(sys: PositiveSystem, u,
             perron = (idx > 0 and signature == 0.0 and bracket is not None
                       and 1.0 - NEAR_ONE <= bracket[0]
                       and bracket[1] <= 1.0 + NEAR_ONE and is_primitive(A))
-        if compare_spectra and not perron:
+        if not perron:
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one; the
             # multiplicity of 0, which eigvals_mod_zero may change, is
@@ -555,7 +554,7 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
 
     spectral = None if elas is None else check_spectral(
         sys, certificate.u if certificate is not None else None,
-        samples, elas, compare_spectra=self_int.ok)
+        samples, elas)
 
     # scaling reads "error", not "absent", whenever spectral is None
     footnote = (scaling.verdict == "absent"

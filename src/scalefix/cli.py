@@ -19,6 +19,8 @@ import numpy as np
 from scalefix.certify import CertificationReport, certify
 from scalefix.modelio import (
     ConfigError,
+    _read_text,
+    _write,
     format_deltas,
     format_equilibrium,
     format_report,
@@ -43,15 +45,7 @@ __all__ = ["main", "exit_code_for_report"]
 
 
 def exit_code_for_report(rep: CertificationReport) -> int:
-    ok = (rep.connectedness.ok and rep.self_interaction.ok
-          and rep.scaling.ok and rep.monotonicity.ok)
-    return 0 if ok else 3
-
-
-def _write(path: str, text: str) -> None:
-    # single write after all computation: no partial files
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    return 0 if rep.attractivity_applicable else 3
 
 
 def _out_dir(args, cfg) -> str:
@@ -132,12 +126,7 @@ def run_counterfactual(args) -> int:
 
 
 def run_report(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{args.file}: {exc.strerror or exc}") from exc
-    kv = parse_report(text)
+    kv = parse_report(_read_text(args.file))
     group = None
     for key, value in kv.items():
         head, sep, rest = key.partition(".")

@@ -53,62 +53,70 @@ def _fmt(v: float) -> str:
     return FMT % v
 
 
-# ---------------------------------------------------------- CSV tables
+# ------------------------------------------------------ reading, writing
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[float]]]:
-    """Header labels plus float rows; errors name file, row and column."""
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text, a leading byte-order mark dropped; a file
+    that cannot be opened or decoded is a ConfigError naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    header: list[str] | None = None
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(raw, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cells = [c.strip() for c in stripped.split(",")]
-        if header is None:
-            header = cells
-            continue
-        parsed = []
-        for col, cell in enumerate(cells, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: row {lineno}, column {col}: "
-                    f"cannot read {cell!r} as a number") from None
-        if len(parsed) != len(header):
-            raise ConfigError(
-                f"{path}: row {lineno}: {len(parsed)} values under "
-                f"{len(header)} header columns")
-        rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") \
+            from None
+
+
+def _write(path: str, text: str) -> None:
+    # single write after all computation: no partial files
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _content_lines(path: str):
+    """(line number, text) for each line that holds more than blanks and
+    a comment; a # starts a comment anywhere on a line."""
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        text = line.partition("#")[0].strip()
+        if text:
+            yield lineno, text
+
+
+def _number(where: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: {raw!r} is not a number") from None
+
+
+def _read_table(path: str, one_column: bool) -> np.ndarray:
+    """The float rows under a CSV table's header row, at least one: a
+    vector if the table must have one column, else a matrix.  Errors
+    name the file, row and column."""
+    lines = _content_lines(path)
+    _, header = next(lines, (0, None))
     if header is None:
         raise ConfigError(f"{path}: file has no header row")
-    return header, rows
-
-
-def read_vector(path: str) -> np.ndarray:
-    header, rows = _read_rows(path)
-    if len(header) != 1:
-        raise ConfigError(f"{path}: expected a single column, "
-                          f"found {len(header)}")
-    return np.array([r[0] for r in rows])
-
-
-def read_matrix(path: str) -> np.ndarray:
-    header, rows = _read_rows(path)
+    width = header.count(",") + 1
+    if one_column and width != 1:
+        raise ConfigError(f"{path}: expected a single column, found {width}")
+    rows = []
+    for lineno, line in lines:
+        cells = line.split(",")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:  # locate the bad cell only on failure
+            for col, cell in enumerate(cells, start=1):
+                _number(f"{path}: row {lineno}, column {col}", cell.strip())
+        if len(row) != width:
+            raise ConfigError(f"{path}: row {lineno}: {len(row)} values "
+                              f"under {width} header columns")
+        rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return np.array(rows)
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return np.array(rows).reshape(-1) if one_column else np.array(rows)
 
 
 # ------------------------------------------------------- configuration
@@ -148,19 +156,6 @@ _LAYOUTS = {
 }
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: {raw!r} is not a number") \
-            from None
-
-
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    return tuple(_parse_float(section, key, tok)
-                 for tok in raw.split(","))
-
-
 def _parse_numeraire(raw: str) -> NumeraireRule:
     kind, _, arg = raw.partition(":")
     kind = kind.strip()
@@ -182,10 +177,7 @@ def load_run_config(path: str) -> RunConfig:
                                        inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        parser.read_string(_read_text(path), source=path)
     except configparser.Error as exc:
         # configparser errors already carry source and line number
         raise ConfigError(str(exc)) from exc
@@ -211,22 +203,26 @@ def load_run_config(path: str) -> RunConfig:
         files[key] = os.path.join(base, model.pop(key).strip())
 
     keys = (f"theta{suffix}", f"sigma{suffix}")
-    parse, need = ((_parse_float_list, "the per-sector list") if suffix
-                   else (_parse_float, "scalar"))
     for key in keys:
         if key not in model:
+            need = "the per-sector list" if suffix else "scalar"
             raise ConfigError(f"{path}: [model] needs {need} {key}")
-    theta, sigma = (parse("model", key, model.pop(key)) for key in keys)
+    theta, sigma = (
+        tuple(_number(f"{path}: [model] {key}", tok)
+              for tok in model.pop(key).split(",")) if suffix
+        else _number(f"{path}: [model] {key}", model.pop(key))
+        for key in keys)
     if suffix and len(theta) != len(sigma):
         raise ConfigError(f"{path}: theta.s and sigma.s disagree on "
                           "the number of sectors")
 
     sv = sections.pop("solve", {})
+    tol = _number(f"{path}: [solve] tol", sv.pop("tol", "1e-10"))
+    damping = _number(f"{path}: [solve] damping", sv.pop("damping", "1"))
     try:
         solve = SolveOptions(
-            tol=_parse_float("solve", "tol", sv.pop("tol", "1e-10")),
-            max_iter=int(sv.pop("max_iter", "10000")),
-            damping=_parse_float("solve", "damping", sv.pop("damping", "1")),
+            tol=tol, max_iter=int(sv.pop("max_iter", "10000")),
+            damping=damping,
             numeraire_rule=_parse_numeraire(
                 sv.pop("numeraire", "first-coordinate-one")),
         )
@@ -263,7 +259,7 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def _read_sectored(stem: str, count: int) -> np.ndarray:
-    mats = [read_matrix(f"{stem}.s{k + 1}") for k in range(count)]
+    mats = [_read_table(f"{stem}.s{k + 1}", False) for k in range(count)]
     shape = mats[0].shape
     for k, m in enumerate(mats[1:], start=2):
         if m.shape != shape:
@@ -279,8 +275,7 @@ def load_parameters(cfg: RunConfig):
     for name, columns, sectored in tables:
         path = cfg.files[name]
         arrays[name] = (_read_sectored(path, len(cfg.theta)) if sectored
-                        else read_vector(path) if columns is None
-                        else read_matrix(path))
+                        else _read_table(path, columns is None))
     return cls(**arrays, theta=cfg.theta, sigma=cfg.sigma)
 
 
@@ -308,15 +303,15 @@ def save_parameters(params, directory: str, stem: str = "params") -> str:
             body = body.reshape(len(body), -1)   # a vector is one column
             header = name if columns is None else ",".join(
                 columns.format(c + 1) for c in range(body.shape[1]))
-            _write_lines(part_path, [header] + [
-                ",".join(map(_fmt, row)) for row in body.tolist()])
+            _write(part_path, "\n".join([header] + [
+                ",".join(map(_fmt, row)) for row in body.tolist()]) + "\n")
         lines.append(f"{name} = {name}.csv")
     for key in ("theta", "sigma"):
         lines.append(f"{key}{suffix} = " + ", ".join(
             _fmt(v) for v in np.atleast_1d(getattr(params, key)).tolist()))
 
     cfg_path = os.path.join(directory, f"{stem}.ini")
-    _write_lines(cfg_path, lines)
+    _write(cfg_path, "\n".join(lines) + "\n")
     return cfg_path
 
 
@@ -328,38 +323,20 @@ _SHOCK_RE = re.compile(
     r"(?P<op>\*?=)\s*(?P<value>\S+)$")
 
 
-def parse_shock_line(line: str) -> ShockStep:
-    m = _SHOCK_RE.match(line.strip())
-    if m is None:
-        raise ConfigError(
-            f"cannot parse shock directive {line.strip()!r}; expected "
-            "e.g. 'tau[1][2] *= 2.0' or 'theta = 5.0'")
-    indices = tuple(int(t) for t in re.findall(r"\[(\d+)\]", m["idx"]))
-    try:
-        value = float(m["value"])
-    except ValueError:
-        raise ConfigError(f"shock value {m['value']!r} is not a number") \
-            from None
-    return ShockStep(field=m["field"], indices=indices,
-                     op=m["op"], value=value)
-
-
 def parse_shock_file(path: str) -> list[ShockStep]:
     """One directive per line; # comments and blank lines ignored."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     steps = []
-    for lineno, line in enumerate(raw, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        try:
-            steps.append(parse_shock_line(stripped))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in _content_lines(path):
+        where = f"{path}: line {lineno}"
+        m = _SHOCK_RE.match(line)
+        if m is None:
+            raise ConfigError(
+                f"{where}: cannot parse shock directive {line!r}; expected "
+                "e.g. 'tau[1][2] *= 2.0' or 'theta = 5.0'")
+        steps.append(ShockStep(
+            field=m["field"],
+            indices=tuple(int(t) for t in re.findall(r"\[(\d+)\]", m["idx"])),
+            op=m["op"], value=_number(where, m["value"])))
     return steps
 
 

@@ -43,6 +43,14 @@ __all__ = [
 NUMERIC_STEP = 1e-6
 
 
+def _frozen(value, dtype=float) -> NDArray:
+    """A read-only copy of value: the holder owns its data, so later edits
+    to the caller's array do not reach it, and no reader can edit it."""
+    a = np.array(value, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 class EvaluationError(RuntimeError):
     """The system produced a non-positive or non-finite value.
 
@@ -71,13 +79,14 @@ class DifferentiationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Strictly positive point in the system's domain."""
+    """Strictly positive point in the system's domain; values is a
+    read-only copy."""
 
     values: NDArray[np.float64]
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _frozen(self.values)
         object.__setattr__(self, "values", vals)
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
@@ -114,9 +123,7 @@ class ElasticityMatrix:
     method: str
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", np.asarray(self.entries, dtype=float))
-        self.entries.setflags(write=False)
+        object.__setattr__(self, "entries", _frozen(self.entries))
 
     @cached_property
     def spectrum(self) -> NDArray:
@@ -136,7 +143,8 @@ class PositiveSystem:
     sign_pattern, when given, fixes the sign of every elasticity entry
     across the whole domain (-1, 0, +1), which certification uses for
     exact sign verdicts.  scaling, when given, is a closed-form scaling
-    direction u with F(c^u x) = c^u F(x).
+    direction u with F(c^u x) = c^u F(x).  Both are stored as read-only
+    copies, sign_pattern as int.
     """
 
     labels: tuple[str, ...]
@@ -159,8 +167,9 @@ class PositiveSystem:
                 raise ValueError("sign_pattern must be N x N")
             if not ((p == 0) | (np.abs(p) == 1)).all():
                 raise ValueError("sign_pattern entries must be -1, 0 or +1")
+            object.__setattr__(self, "sign_pattern", _frozen(p, int))
         if self.scaling is not None:
-            u = np.asarray(self.scaling, dtype=float)
+            u = _frozen(self.scaling)
             if u.shape != (self.dimension,):
                 raise ValueError("scaling must have length N")
             object.__setattr__(self, "scaling", u)
@@ -170,7 +179,7 @@ class PositiveSystem:
         return len(self.labels)
 
     def state(self, values) -> StateVector:
-        return StateVector(np.asarray(values, dtype=float), self.labels)
+        return StateVector(values, self.labels)
 
     def _eval_checked(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
         # overflow/invalid deliberately silenced: the finiteness check

@@ -31,7 +31,7 @@ from numpy.typing import NDArray
 
 from scalefix.solve import SolveOptions, SolveResult, iterate
 from scalefix.spectral import is_irreducible, strongly_connected_components
-from scalefix.system import PositiveSystem, StateVector
+from scalefix.system import PositiveSystem, StateVector, _frozen
 
 __all__ = [
     "ParameterError",
@@ -101,7 +101,7 @@ def _field(p, name, value, shape, lo, hi=_FINITE, *, strict=False):
     shape and its entries must lie in [lo, hi], or in (lo, hi] if strict;
     hi is the largest float unless inf is allowed, and NaN fails each
     comparison."""
-    a = np.array(value, dtype=float)
+    a = _frozen(value)
     if a.shape != shape:
         raise ParameterError(f"{name} must have shape {shape}, got "
                              f"{a.shape}", field=name)
@@ -115,7 +115,6 @@ def _field(p, name, value, shape, lo, hi=_FINITE, *, strict=False):
         raise ParameterError(
             f"{name}{''.join(f'[{k + 1}]' for k in bad)} = {a[bad]:g}: "
             f"entries must be {rule}", field=name)
-    a.setflags(write=False)
     object.__setattr__(p, name, a)
     return a
 
@@ -589,8 +588,8 @@ class Outcomes:
     U: NDArray[np.float64]      # (J,)
 
     def __post_init__(self):
-        for a in (self.w, self.R, self.E, self.P, self.c, self.pi, self.U):
-            np.asarray(a).setflags(write=False)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
 
 
 def _import_shares(A, c, tau, theta) -> NDArray[np.float64]:
@@ -644,7 +643,7 @@ def _recover(sys: PositiveSystem, x_star: StateVector, params,
         pi = _import_shares(p.A[:, None], c[:, None],
                             p.tau[:, :, None], np.array([p.theta]))
         U = _welfare(w, p.L, P[:, None], alpha)
-        return Outcomes(w=w, R=R[:, None], E=R[:, None].copy(),
+        return Outcomes(w=w, R=R[:, None], E=R[:, None],
                         P=P[:, None], c=c[:, None], pi=pi, U=U)
 
     if sys.kind == "multi-sector":

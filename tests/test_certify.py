@@ -5,9 +5,10 @@ designed to violate."""
 import dataclasses
 import importlib
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_acceptance import MASTER_SEED, random_multi_sector, random_one_sector
@@ -408,6 +409,19 @@ def dense_radius(E):
     return float(np.max(np.abs(np.linalg.eigvals(np.abs(E)))))
 
 
+def mpmath_radius(E, digits=60):
+    """The spectral radius of |E| from a 60-digit eigensolve, the judge
+    where the dense one errs: near a defective eigenvalue eigvals is off
+    by up to about sqrt(eps) relative."""
+    with mpmath.workdps(digits):
+        eigs = mpmath.eig(mpmath.matrix(np.abs(E).tolist()),
+                          left=False, right=False)
+        return float(max(abs(v) for v in eigs))
+
+
+B45 = 2.0 ** 45 - 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(dg_samples_and_zero_free_u())
 def test_signature_residual_equals_the_dense_flip_reference(case):
@@ -420,11 +434,20 @@ def test_signature_residual_equals_the_dense_flip_reference(case):
 
 @settings(max_examples=150, deadline=None)
 @given(dg_samples_and_zero_free_u(), st.booleans())
+# dense eigvals is 1e-6 and 2.6e-9 relative off on these two; the
+# Collatz-Wielandt bracket closes on the exact radius
+@example(case=([np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                          [1e-18, 0.0, 1.0]])], np.ones(3)), with_u=False)
+@example(case=([np.array([[0.0, B45, B45, B45], [0.0, 0.0, B45, B45],
+                          [0.0, B45, 0.0, B45], [1e-60, 0.5, 0.0, B45]])],
+               np.ones(4)), with_u=False)
 def test_radius_bracket_and_residual_match_dense_references(case, with_u):
     entries, u = case
     sp = spectral_at_one_state(u if with_u else None, entries)
     for E, rho in zip(entries, sp.rho):
-        assert abs(rho - dense_radius(E)) <= 1e-9 * max(1.0, rho)
+        tol = 1e-9 * max(1.0, rho)
+        assert (abs(rho - dense_radius(E)) <= tol
+                or abs(rho - mpmath_radius(E)) <= tol)
     if sp.rho_bracket is not None:
         lower, upper = sp.rho_bracket
         assert all(lower <= rho <= upper for rho in sp.rho)
@@ -706,6 +729,18 @@ def test_swap_fails_only_self_interaction():
     assert rep.monotonicity.verdict == "evidence-only"
     assert rep.uniqueness_applicable
     assert not rep.attractivity_applicable
+
+
+def test_swap_report_keeps_the_spectrum_that_explains_it():
+    # no self-interaction, and the spectrum shows why: the eigenvalue -1
+    # shares the unit circle with 1, so the gap is zero
+    rep = certify(SWAP, sample_count=6, seed=1)
+    assert rep.spectral.unique_modulus_one is False
+    assert rep.spectral.similarity_residual == 0.0
+    assert rep.spectral.spectral_gap == pytest.approx(0.0, abs=1e-9)
+    kv = parse_report(format_report(rep))
+    assert kv["spectral.unique_modulus_one"] == "false"
+    assert {"spectral.similarity_residual", "spectral.gap"} <= kv.keys()
 
 
 def test_two_bloc_network_fails_connectedness():

@@ -1,6 +1,7 @@
 """File formats and the command-line front end, exercised in process
 through main(argv)."""
 
+import os
 import re
 
 import numpy as np
@@ -525,6 +526,62 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["certify", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name", [
+    ("certify", "A.csv"), ("certify", "run.ini"), ("solve", "A.csv"),
+    ("solve", "run.ini"), ("counterfactual", "shocks.txt"),
+    ("report", "report.txt"),
+])
+def test_non_utf8_file_exits_2_naming_it(command, name, tmp_path, capsys):
+    cfg = symmetric_one_sector(tmp_path)
+    shocks = write(tmp_path / "shocks.txt", "A[1] *= 2.0\n")
+    out = tmp_path / "run"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    os.replace(out / "report.txt", tmp_path / "report.txt")
+    (tmp_path / name).write_bytes(b"\xff")
+    argv = {"certify": ["certify", "--config", cfg],
+            "solve": ["solve", "--config", cfg],
+            "counterfactual": ["counterfactual", "--config", cfg,
+                               "--shocks", shocks],
+            "report": ["report", str(tmp_path / "report.txt")]}[command]
+    capsys.readouterr()
+    assert main(argv + (["--out", str(out)] if command != "report"
+                        else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scalefix: error: ") and name in err
+    assert "not UTF-8" in err and "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+def test_config_with_byte_order_mark_loads(tmp_path):
+    cfg = symmetric_one_sector(tmp_path)
+    plain = load_run_config(cfg)
+    text = (tmp_path / "run.ini").read_text()
+    (tmp_path / "run.ini").write_text("\ufeff" + text, encoding="utf-8")
+    assert load_run_config(cfg) == plain
+
+
+def test_trailing_comment_in_a_table_is_ignored(tmp_path):
+    cfg = symmetric_one_sector(tmp_path)
+    write(tmp_path / "L.csv", "L  # workers\n1.0  # country 1\n1\n")
+    assert load_parameters(load_run_config(cfg)).L.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("name,old,new,where", [
+    ("tau.csv", "1,1.5\n", "1,oops\n", "tau.csv: row 2, column 2"),
+    ("run.ini", "theta = 4.0", "theta = oops", "run.ini: [model] theta"),
+    ("run.ini", "[certify]", "[solve]\ndamping = oops\n[certify]",
+     "run.ini: [solve] damping"),
+    ("shocks.txt", "2.0", "oops", "shocks.txt: line 2"),
+])
+def test_number_errors_name_where(name, old, new, where, tmp_path, capsys):
+    cfg = symmetric_one_sector(tmp_path)
+    shocks = write(tmp_path / "shocks.txt", "# one shock\nA[1] *= 2.0\n")
+    write(tmp_path / name, (tmp_path / name).read_text().replace(old, new))
+    assert main(["counterfactual", "--config", cfg, "--shocks", shocks,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert f"{where}: 'oops' is not a number" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scalefix.certify import ScalingCertificate, certify
 from scalefix.system import (
     DifferentiationError,
     ElasticityMatrix,
@@ -191,7 +192,9 @@ def test_sign_pattern_validation():
                  np.array([[True, False], [False, True]])):
         sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
                              sign_pattern=good)
-        assert sys.sign_pattern is good
+        assert np.array_equal(sys.sign_pattern, good)
+        assert not sys.sign_pattern.flags.writeable
+        assert good.flags.writeable
 
 
 def test_scaling_length_validation():
@@ -203,3 +206,41 @@ def test_scaling_length_validation():
                          scaling=[1, -1])
     assert sys.scaling.dtype == float
     assert sys.scaling.tolist() == [1.0, -1.0]
+
+
+def test_value_types_keep_read_only_copies():
+    pattern = np.array([[0, 1], [1, 0]])
+    scaling = np.array([1.0, 1.0])
+    E = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sys = PositiveSystem(labels=("a", "b"),
+                         evaluate_values=lambda x: x[::-1].copy(),
+                         elasticity_values=lambda x: E,
+                         sign_pattern=pattern, scaling=scaling)
+    x = np.array([1.0, 2.0])
+    state = sys.state(x)
+    elas = elasticity_at(sys, state)
+    pattern[0, 1] = 7
+    scaling[0] = np.nan
+    x[0] = -5.0
+    E[0, 0] = 3.0       # the provider's array stays the caller's
+    u = np.array([1.0, 1.0])
+    cert = ScalingCertificate(u=u, residual_fixed_eq=0.0, residual_direct=0.0)
+    u[0] = 2.0
+    assert cert.u.tolist() == [1.0, 1.0]
+    assert sys.sign_pattern.tolist() == [[0, 1], [1, 0]]
+    assert sys.sign_pattern.dtype.kind == "i"
+    assert sys.scaling.tolist() == [1.0, 1.0]
+    assert state.values.tolist() == [1.0, 2.0]
+    assert elas.entries[0, 0] == 0.0
+    for held in (sys.sign_pattern, sys.scaling, state.values, elas.entries,
+                 cert.u):
+        assert not held.flags.writeable
+
+
+def test_list_sign_pattern_still_certifies():
+    sys = PositiveSystem(labels=("a", "b"),
+                         evaluate_values=lambda x: np.sqrt(x * x[::-1]),
+                         sign_pattern=[[1, 1], [1, 1]], scaling=[1.0, 1.0])
+    rep = certify(sys, sample_count=2)
+    assert rep.mode == "exact"
+    assert rep.monotonicity.verdict == "pass"
