@@ -126,7 +126,11 @@ def run_counterfactual(args) -> int:
 
 
 def run_report(args) -> int:
-    kv = parse_report(_read_text(args.file))
+    text = _read_text(args.file)
+    try:
+        kv = parse_report(text)
+    except ConfigError as exc:  # parse_report locates lines, not files
+        raise ConfigError(f"{args.file}: {exc}") from None
     group = None
     for key, value in kv.items():
         head, sep, rest = key.partition(".")

@@ -84,11 +84,12 @@ def _content_lines(path: str):
             yield lineno, text
 
 
-def _number(where: str, raw: str) -> float:
+def _number(where: str, raw: str, kind=float):
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{where}: {raw!r} is not a number") from None
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{where}: {raw!r} is not {what}") from None
 
 
 def _read_table(path: str, one_column: bool) -> np.ndarray:
@@ -219,10 +220,11 @@ def load_run_config(path: str) -> RunConfig:
     sv = sections.pop("solve", {})
     tol = _number(f"{path}: [solve] tol", sv.pop("tol", "1e-10"))
     damping = _number(f"{path}: [solve] damping", sv.pop("damping", "1"))
+    max_iter = _number(f"{path}: [solve] max_iter",
+                       sv.pop("max_iter", "10000"), int)
     try:
         solve = SolveOptions(
-            tol=tol, max_iter=int(sv.pop("max_iter", "10000")),
-            damping=damping,
+            tol=tol, max_iter=max_iter, damping=damping,
             numeraire_rule=_parse_numeraire(
                 sv.pop("numeraire", "first-coordinate-one")),
         )
@@ -231,11 +233,9 @@ def load_run_config(path: str) -> RunConfig:
 
     cf = sections.pop("certify", {})
     out = sections.pop("output", {})
-    try:
-        samples = int(cf.pop("samples", "8"))
-        seed = int(cf.pop("seed", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [certify] {exc}") from exc
+    samples = _number(f"{path}: [certify] samples", cf.pop("samples", "8"),
+                      int)
+    seed = _number(f"{path}: [certify] seed", cf.pop("seed", "0"), int)
     if samples < 1:
         raise ConfigError(f"{path}: [certify] samples must be positive")
     if seed < 0:

@@ -1,16 +1,7 @@
 """Echo the acceptance verdict lines after the run.  Output capture
-would otherwise swallow them except on failure.
-
-Also registers the hypothesis profile "ci" (pytest
---hypothesis-profile=ci): the profile active at import plus print_blob,
-so a property failure prints the @reproduce_failure line that replays
-it, with example counts, seeds and deadlines unchanged."""
+would otherwise swallow them except on failure."""
 
 import sys
-
-from hypothesis import settings
-
-settings.register_profile("ci", settings(), print_blob=True)
 
 
 def _criterion_number(line):

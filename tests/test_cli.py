@@ -568,20 +568,36 @@ def test_trailing_comment_in_a_table_is_ignored(tmp_path):
     assert load_parameters(load_run_config(cfg)).L.tolist() == [1.0, 1.0]
 
 
-@pytest.mark.parametrize("name,old,new,where", [
-    ("tau.csv", "1,1.5\n", "1,oops\n", "tau.csv: row 2, column 2"),
-    ("run.ini", "theta = 4.0", "theta = oops", "run.ini: [model] theta"),
+@pytest.mark.parametrize("name,old,new,where,what", [
+    ("tau.csv", "1,1.5\n", "1,oops\n", "tau.csv: row 2, column 2",
+     "a number"),
+    ("run.ini", "theta = 4.0", "theta = oops", "run.ini: [model] theta",
+     "a number"),
     ("run.ini", "[certify]", "[solve]\ndamping = oops\n[certify]",
-     "run.ini: [solve] damping"),
-    ("shocks.txt", "2.0", "oops", "shocks.txt: line 2"),
+     "run.ini: [solve] damping", "a number"),
+    ("run.ini", "[certify]", "[solve]\nmax_iter = oops\n[certify]",
+     "run.ini: [solve] max_iter", "an integer"),
+    ("run.ini", "samples = 6", "samples = oops", "run.ini: [certify] samples",
+     "an integer"),
+    ("run.ini", "seed = 1", "seed = oops", "run.ini: [certify] seed",
+     "an integer"),
+    ("shocks.txt", "2.0", "oops", "shocks.txt: line 2", "a number"),
 ])
-def test_number_errors_name_where(name, old, new, where, tmp_path, capsys):
+def test_number_errors_name_where(name, old, new, where, what, tmp_path,
+                                  capsys):
     cfg = symmetric_one_sector(tmp_path)
     shocks = write(tmp_path / "shocks.txt", "# one shock\nA[1] *= 2.0\n")
     write(tmp_path / name, (tmp_path / name).read_text().replace(old, new))
     assert main(["counterfactual", "--config", cfg, "--shocks", shocks,
                  "--out", str(tmp_path / "run")]) == 2
-    assert f"{where}: 'oops' is not a number" in capsys.readouterr().err
+    assert f"{where}: 'oops' is not {what}" in capsys.readouterr().err
+
+
+def test_report_parse_error_names_the_file(tmp_path, capsys):
+    path = write(tmp_path / "A.csv", "A\n1.0\n")
+    assert main(["report", path]) == 2
+    assert f"{path}: line 1: expected 'key: value'" in \
+        capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):
