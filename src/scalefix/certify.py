@@ -31,10 +31,10 @@ from numpy.typing import NDArray
 from scalefix.spectral import (
     PowerIterationError,
     ReducibleMatrixError,
+    _check_gauge,
+    _perron_root,
+    _strongly_connected,
     eigvals_mod_zero,
-    is_irreducible,
-    is_primitive,
-    spectral_radius,
     strongly_connected_components,
 )
 from scalefix.system import (
@@ -127,8 +127,8 @@ class SpectralEvidence:
     # min of 1 - second modulus over the samples whose spectrum was
     # computed: sample 0 plus any sample where uniqueness was not derived
     spectral_gap: float | None
-    # (min lower, max upper) of the Collatz-Wielandt brackets; None when
-    # spectral_radius failed at a sample and its rho came from eigenvalues
+    # (min lower, max upper) of the proved Collatz-Wielandt brackets, each
+    # rho inside its own; None when some sample has none
     rho_bracket: tuple[float, float] | None = None
 
 
@@ -188,7 +188,7 @@ def _elasticities(sys: PositiveSystem,
 
 
 def _bloc_labels(adj: NDArray, labels: tuple[str, ...]) -> list[list[str]]:
-    comps = strongly_connected_components(adj.astype(float))
+    comps = strongly_connected_components(adj)
     return [[labels[j] for j in comp] for comp in comps]
 
 
@@ -197,11 +197,11 @@ def check_connectedness(sys: PositiveSystem,
                         elasticities: Sequence[ElasticityMatrix] | None = None,
                         ) -> CheckResult:
     """Irreducibility of |DG|: symbolic for systems with a sign pattern,
-    per-sample otherwise."""
+    per-sample otherwise; a boolean adjacency needs no validation."""
     _need_samples(samples)
     if sys.sign_pattern is not None:
-        adj = np.abs(sys.sign_pattern).astype(float)
-        if is_irreducible(adj):
+        adj = sys.sign_pattern != 0
+        if _strongly_connected(adj):
             return CheckResult("pass")
         return CheckResult("fail", {
             "blocs": _bloc_labels(adj, sys.labels),
@@ -209,8 +209,8 @@ def check_connectedness(sys: PositiveSystem,
         })
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
-        adj = (np.abs(E.entries) > TOL_SIGN).astype(float)
-        if not is_irreducible(adj):
+        adj = np.abs(E.entries) > TOL_SIGN
+        if not _strongly_connected(adj):
             return CheckResult("fail", {
                 "sample_index": idx,
                 "blocs": _bloc_labels(adj, sys.labels),
@@ -286,8 +286,8 @@ def _closed_form_certificate(sys: PositiveSystem,
     # with D = diag(sign u), and |DG0| is irreducible, so its Perron root
     # is simple and DG0's eigenvalue-1 eigenspace is the line of u once
     # rho(|DG0|) = 1.  Both paths verify u at every sample in _verified
-    E0 = elasticities[0].entries
-    if _violations(E0, u, 0.0).any() or not is_irreducible(np.abs(E0)):
+    E0 = elasticities[0].entries    # finite: E0 != 0 is |E0|'s pattern
+    if _violations(E0, _same_block(u)).any() or not _strongly_connected(E0 != 0):
         return None
     cert = _verified(sys, samples, elasticities, u)
     # Collatz-Wielandt from |u| puts rho(|DG|) within res_eq / min|u| of
@@ -343,9 +343,12 @@ def find_scaling_exponent(sys: PositiveSystem,
     return _verified(sys, samples, elasticities, _oriented(Vh[-1]))
 
 
-def _violations(M: NDArray, u: NDArray, tol: float) -> NDArray[np.bool_]:
-    """Entries of M against the block rule of sign(u), beyond tol."""
-    same = np.equal.outer(u > 0, u > 0)   # True when j, k share a block
+def _same_block(u: NDArray) -> NDArray[np.bool_]:
+    return np.equal.outer(u > 0, u > 0)   # True when j, k share a block
+
+
+def _violations(M: NDArray, same: NDArray, tol: float = 0.0) -> NDArray:
+    """Entries of M against the block rule of _same_block(u), beyond tol."""
     return (same & (M < -tol)) | (~same & (M > tol))
 
 
@@ -368,10 +371,10 @@ def check_monotonicity(sys: PositiveSystem, u,
         raise ValueError(
             f"scaling direction has a zero entry at {sys.labels[j]!r}; "
             "the block partition is undefined there")
-    partition = _split_by_sign(u, sys.labels)
+    partition, same = _split_by_sign(u, sys.labels), _same_block(u)
 
     if sys.sign_pattern is not None:
-        bad = _violations(sys.sign_pattern, u, 0.0)
+        bad = _violations(sys.sign_pattern, same)
         if not bad.any():
             return CheckResult("pass"), partition
         j, k = map(int, np.argwhere(bad)[0])
@@ -383,7 +386,7 @@ def check_monotonicity(sys: PositiveSystem, u,
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
         M = E.entries
-        bad = _violations(M, u, TOL_SIGN)
+        bad = _violations(M, same, TOL_SIGN)
         if bad.any():
             j, k = map(int, np.argwhere(bad)[0])
             return CheckResult("fail", {
@@ -407,7 +410,7 @@ def check_spectral(sys: PositiveSystem, u,
     Each sample makes one spectral_radius(|DG|, start=|u|) call (all
     ones unless u is zero-free), which returns after its first matvec
     when |DG| |u| = |u|; where it raises, rho is the largest eigenvalue
-    modulus of |DG| and the sample has no bracket.
+    modulus of |DG|, clamped into the bracket proved so far, if any.
 
     Uniqueness comes from the spectrum of DG at sample 0, which also
     gives the gap.  At any other sample where the signature residual is
@@ -421,34 +424,38 @@ def check_spectral(sys: PositiveSystem, u,
     """
     _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
-    rhos, brackets = [], []
-    eig_res = sim_res = unique = gap = start = None
+    rhos, brackets, start = [], [], np.ones(sys.dimension)
+    eig_res = sim_res = unique = gap = None
     if u is not None:
         u = np.asarray(u, dtype=float)
         abs_u = np.abs(u)
         eig_res = 0.0
         if np.all(abs_u > 0.0):
-            start = abs_u
+            start, same = _check_gauge(abs_u, "start vector"), _same_block(u)
             sim_res = 0.0
     for idx, E in enumerate(elasticities):
-        A = np.abs(E.entries)
+        A = np.abs(E.entries)       # E is finite, so A is finite and >= 0
         try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
-            res = spectral_radius(A, tol=1e-13, start=start)
+            res = _perron_root(A, 1e-13, start)
             rho, bracket = res.rho, (res.lower_bound, res.upper_bound)
-        except (ReducibleMatrixError, PowerIterationError):
+        except (ReducibleMatrixError, PowerIterationError) as exc:
             rho, bracket = float(np.max(np.abs(eigvals_mod_zero(A)))), None
+            if isinstance(exc, PowerIterationError) and exc.lower_bound > 0:
+                bracket = (exc.lower_bound, exc.upper_bound)    # proved
+                rho = min(max(rho, bracket[0]), bracket[1])
         rhos.append(rho)
         brackets.append(bracket)
         if u is not None:
             eig_res = max(eig_res, float(np.max(np.abs(A @ abs_u - abs_u))))
         perron = False
         if sim_res is not None:
-            bad = _violations(E.entries, u, 0.0)
+            bad = _violations(E.entries, same)
             signature = 2.0 * float(np.max(A[bad], initial=0.0))
             sim_res = max(sim_res, signature)
             perron = (idx > 0 and signature == 0.0 and bracket is not None
                       and 1.0 - NEAR_ONE <= bracket[0]
-                      and bracket[1] <= 1.0 + NEAR_ONE and is_primitive(A))
+                      and bracket[1] <= 1.0 + NEAR_ONE
+                      and np.diag(A).any() and _strongly_connected(A))
         if not perron:
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one; the

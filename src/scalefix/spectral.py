@@ -96,8 +96,8 @@ def is_irreducible(M) -> bool:
     return _strongly_connected(_as_nonneg_square(M))
 
 
-def _strongly_connected(A: NDArray[np.float64]) -> bool:
-    """is_irreducible for an A that _as_nonneg_square has validated."""
+def _strongly_connected(A: NDArray) -> bool:
+    """is_irreducible for a validated A, or a square boolean adjacency."""
     if A.shape[0] == 1:
         return bool(A[0, 0] > 0.0)
     adj = A > 0.0
@@ -190,6 +190,11 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
     v = np.ones(n) if start is None else _check_gauge(start, "start vector")
     if v.shape != (n,):
         raise ValueError(f"start vector has shape {v.shape}, expected ({n},)")
+    return _perron_root(A, tol, v)
+
+
+def _perron_root(A: NDArray, tol: float, v: NDArray) -> SpectralResult:
+    """spectral_radius for a validated A, tol and start v of A's size."""
     lower, upper = 0.0, np.inf
     why = f"bounds still open after {MAX_SOLVES} shifted solves"
     with np.errstate(all="ignore"):
@@ -214,7 +219,7 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
                 break
             if it > POWER_STEPS:
                 S = -A
-                S.flat[::n + 1] += upper        # upper I - A
+                S.flat[::len(A) + 1] += upper   # upper I - A
                 try:
                     w = np.linalg.solve(S, v)
                 except np.linalg.LinAlgError as exc:

@@ -112,10 +112,10 @@ class StateVector:
 class ElasticityMatrix:
     """Log-Jacobian of the system at a point.
 
-    entries[j, k] is the elasticity of F_j with respect to coordinate k,
-    evaluated at `point`.  `method` records how it was obtained
-    ("analytic" or "numeric-central-log"); immutable once built, so its
-    `spectrum` is computed at most once, however many checks read it.
+    entries[j, k] is the elasticity of F_j with respect to coordinate k
+    at `point`: a finite read-only copy, N x N for N coordinates (else
+    DifferentiationError).  `method` is "analytic" or "numeric-central-log".
+    Immutable, so `spectrum` is computed at most once, however many read it.
     """
 
     entries: NDArray[np.float64]
@@ -123,7 +123,16 @@ class ElasticityMatrix:
     method: str
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
+        E, n, labels = _frozen(self.entries), len(self.point), self.point.labels
+        if E.shape != (n, n):
+            raise DifferentiationError(f"{self.method} elasticity has shape "
+                                       f"{E.shape}, expected {(n, n)}")
+        if not np.all(np.isfinite(E)):
+            j, k = map(int, np.argwhere(~np.isfinite(E))[0])
+            raise DifferentiationError(
+                f"{self.method} elasticity of {labels[j]!r} with respect "
+                f"to {labels[k]!r} is {float(E[j, k])}", coordinate=labels[j])
+        object.__setattr__(self, "entries", E)
 
     @cached_property
     def spectrum(self) -> NDArray:
@@ -215,18 +224,14 @@ def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
     """Elasticity matrix of the system at x.
 
     Uses the analytic provider when the system has one; otherwise central
-    differences in log coordinates with step 1e-6.  Raises
-    DifferentiationError if the provider's matrix is not N x N or if
-    either method gives a non-finite entry.
+    differences in log coordinates with step 1e-6.  The ElasticityMatrix
+    it builds raises DifferentiationError if the provider's matrix is not
+    N x N or if either method gives a non-finite entry.
     """
     if x.labels != sys.labels:
         raise ValueError("state belongs to a different system")
     if sys.elasticity_values is not None:
-        E = np.asarray(sys.elasticity_values(x.values), dtype=float)
-        if E.shape != (sys.dimension, sys.dimension):
-            raise DifferentiationError(
-                f"analytic elasticity has shape {E.shape}, expected "
-                f"({sys.dimension}, {sys.dimension})")
+        E = sys.elasticity_values(x.values)
         method = "analytic"
     else:
         n = sys.dimension
@@ -242,9 +247,4 @@ def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
             gm = log_transform(zm, sys)
             E[:, k] = (gp - gm) / (2.0 * h)
         method = "numeric-central-log"
-    if not np.all(np.isfinite(E)):
-        j, k = map(int, np.argwhere(~np.isfinite(E))[0])
-        raise DifferentiationError(
-            f"{method} elasticity of {sys.labels[j]!r} with respect to "
-            f"{sys.labels[k]!r} is {float(E[j, k])}", coordinate=sys.labels[j])
     return ElasticityMatrix(entries=E, point=x, method=method)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from scalefix.solve import SolveOptions, SolveResult, iterate
-from scalefix.spectral import is_irreducible, strongly_connected_components
+from scalefix.spectral import _strongly_connected, strongly_connected_components
 from scalefix.system import PositiveSystem, StateVector, _frozen
 
 __all__ = [
@@ -128,10 +128,10 @@ def _tau(p, shape) -> None:
     if not finite[np.arange(J), np.arange(J)].all():
         raise ParameterError("tau must be finite on the diagonal",
                              field="tau")
-    adj = (finite if t.ndim == 2 else finite.any(axis=2)).astype(float)
-    # two vectorised reachability sweeps settle the usual connected case;
-    # the components are only enumerated when the graph splits
-    blocs = [range(J)] if is_irreducible(adj) else \
+    adj = finite if t.ndim == 2 else finite.any(axis=2)
+    # adj is boolean, so nothing to validate; two vectorised reachability
+    # sweeps settle the usual connected case, and only a split is enumerated
+    blocs = [range(J)] if _strongly_connected(adj) else \
         strongly_connected_components(adj)
     object.__setattr__(p, "connected", len(blocs) == 1)
     object.__setattr__(p, "blocs", tuple(tuple(b) for b in blocs))

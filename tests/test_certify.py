@@ -469,6 +469,41 @@ def test_overflowed_matvec_is_no_closed_bracket():
     assert sp.rho_bracket is None
 
 
+def near_defective(n, eps):
+    """J_n + eps e_n e_1': the n x n Jordan block of eigenvalue 1 closed
+    into a cycle by eps, so its Perron root is 1 + eps^(1/n)."""
+    M = np.eye(n) + np.eye(n, k=1)
+    M[-1, 0] = eps
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.floats(-24.0, -8.0))
+def test_reported_rho_lies_in_its_proved_bracket(n, log_eps):
+    # the bracket closes slowly near a defective eigenvalue, so
+    # spectral_radius may stop with it open; the first matvec from all
+    # ones has already proved [1 + eps, 2], and a proved bracket is kept
+    eps = 10.0 ** log_eps
+    sp = spectral_at_one_state(None, [near_defective(n, eps)])
+    root = 1.0 + eps ** (1.0 / n)
+    lower, upper = sp.rho_bracket
+    assert lower <= sp.rho[0] <= upper
+    assert lower <= root * (1.0 + 1e-15) and root * (1.0 - 1e-15) <= upper
+
+
+@pytest.mark.parametrize("M", [
+    [[1.0, 1.0], [1e-20, 1.0]],                             # 1 + 1e-10
+    [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1e-21, 0.0, 1.0]],  # 1 + 1e-7
+])
+def test_near_defective_radius_stays_in_its_bracket(M):
+    # spectral_radius runs out of solves on both; the dense radius of
+    # the 3 x 3 is 1.0, below the proved lower bound, so it is clamped
+    sp = spectral_at_one_state(None, [np.array(M)])
+    lower, upper = sp.rho_bracket
+    assert lower <= mpmath_radius(np.array(M)) <= upper
+    assert lower <= sp.rho[0] <= upper
+
+
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 def test_signature_is_none_when_u_has_a_zero_entry(zero):
     # D = diag(sign u) is singular: there is no similarity to test
@@ -501,14 +536,41 @@ def test_exact_certify_runs_no_svd_and_one_eigensolve(build, params,
 def test_exact_certify_tests_the_block_rule_once_per_sample(k, monkeypatch):
     # the closed form's premise at sample 0, the declared pattern in
     # check_monotonicity, and the signature in check_spectral at each
-    # sample; primitivity is read only where a spectrum may be skipped
+    # sample; primitivity is read only where a spectrum may be skipped.
+    # Strong connectivity is tested on two boolean patterns, the
+    # declared one and sample 0's premise, and on |DG| for primitivity
     certify_module = importlib.import_module("scalefix.certify")
     sys = build_multi_sector(multi_sector_params(J=3, S=2))
     violations = count_calls(monkeypatch, certify_module, "_violations")
-    primitive = count_calls(monkeypatch, certify_module, "is_primitive")
+    connected = count_calls(monkeypatch, certify_module,
+                            "_strongly_connected")
     rep = certify(sys, sample_count=k, seed=0)
     assert rep.uniqueness_applicable and rep.spectral.unique_modulus_one
-    assert (len(violations), len(primitive)) == (k + 2, k - 1)
+    primitive = [A for (A,) in connected if A.dtype != bool]
+    assert (len(violations), len(connected), len(primitive)) == (
+        k + 2, k + 1, k - 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("exact", [True, False])
+def test_certify_validates_no_matrix_it_built(k, exact, monkeypatch):
+    # an ElasticityMatrix is finite and square by construction, so |E|
+    # is finite and nonnegative, and certify runs the unchecked kernels;
+    # the block mask of sign(u) is built once by each of its callers
+    # that is reached: the closed form (exact only), check_monotonicity
+    # and check_spectral
+    sys = (build_multi_sector(multi_sector_params(J=3, S=2)) if exact
+           else build_general(general_params()))
+    checks = count_calls(monkeypatch,
+                         importlib.import_module("scalefix.spectral"),
+                         "_as_nonneg_square")
+    masks = count_calls(monkeypatch,
+                        importlib.import_module("scalefix.certify"),
+                        "_same_block")
+    rep = certify(sys, sample_count=k, seed=0 if exact else 5)
+    assert rep.mode == ("exact" if exact else "sampled")
+    assert rep.monotonicity.verdict == ("pass" if exact else "fail")
+    assert (len(checks), len(masks)) == (0, 3 if exact else 2)
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -554,7 +616,7 @@ def test_exact_check_spectral_calls_spectral_radius_once_per_sample(
     samples = sample_states(sys, 6, seed=0)
     calls = count_calls(monkeypatch,
                         importlib.import_module("scalefix.certify"),
-                        "spectral_radius")
+                        "_perron_root")
     sp = check_spectral(sys, u, samples)
     assert len(calls) == 6
     lower, upper = sp.rho_bracket

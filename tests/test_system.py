@@ -171,6 +171,33 @@ def test_wrong_shape_analytic_elasticity_rejected():
         elasticity_at(sys, sys.state([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_elasticity_matrix_rejects_non_finite_entries(bad):
+    # the same error, whoever builds the matrix
+    E = np.zeros((3, 3))
+    E[2, 1] = bad
+    sys = PositiveSystem(labels=("a", "b", "c"), evaluate_values=np.sqrt,
+                         elasticity_values=lambda x: E)
+    x = sys.state([1.0, 2.0, 3.0])
+    with pytest.raises(DifferentiationError) as direct:
+        ElasticityMatrix(E, x, "analytic")
+    with pytest.raises(DifferentiationError) as built:
+        elasticity_at(sys, x)
+    assert str(direct.value) == str(built.value) == (
+        f"analytic elasticity of 'c' with respect to 'b' is {bad}")
+    assert direct.value.coordinate == built.value.coordinate == "c"
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2), (3, 3, 1), ()])
+def test_elasticity_matrix_rejects_a_shape_other_than_n_by_n(shape):
+    x = StateVector(np.ones(3), ("a", "b", "c"))
+    with pytest.raises(DifferentiationError) as info:
+        ElasticityMatrix(np.zeros(shape), x, "numeric-central-log")
+    assert str(info.value) == (f"numeric-central-log elasticity has shape "
+                               f"{shape}, expected (3, 3)")
+    assert info.value.coordinate is None
+
+
 def test_label_validation():
     with pytest.raises(ValueError, match="unique"):
         PositiveSystem(labels=("a", "a"), evaluate_values=lambda x: x)
