@@ -23,6 +23,7 @@ is known symbolically.  Sample-based runs can at best report
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from scalefix.system import (
     EvaluationError,
     PositiveSystem,
     StateVector,
+    _elasticity_array,
     _frozen,
     elasticity_at,
 )
@@ -181,10 +183,130 @@ def _need_samples(samples: Sequence[StateVector]) -> None:
         raise ValueError("need at least one sample")
 
 
+class _Support:
+    """Where a declared sign pattern lets DG be nonzero: the entries
+    (rows, cols), at `flat` in the raveled matrix, in row-major order,
+    shared by every sample.  Row heads[i]'s entries start at starts[i]."""
+
+    def __init__(self, pattern: NDArray):
+        self.pattern = pattern
+        self.flat = np.flatnonzero(pattern)
+        self.rows, self.cols = np.divmod(self.flat, pattern.shape[1])
+        self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        self.heads = self.rows[self.starts]
+        self.self_loop = bool(np.any(self.rows == self.cols))
+
+    @cached_property
+    def connected(self) -> bool:
+        # a DG nonzero on every support entry and zero off them has the
+        # pattern's graph, so |DG| is irreducible exactly when this holds
+        return _strongly_connected(self.pattern != 0)
+
+
+class _SupportDG:
+    """DG at one sample kept as `values` = DG[rows, cols] on the declared
+    pattern's support: finite, none of them 0, and DG is 0 elsewhere.
+    Stands in for an ElasticityMatrix: `entries` and `spectrum` read
+    `dense`, which is sample 0's own matrix (kept for its spectrum) or,
+    at a later sample that needs it, DG rebuilt exactly from `values`."""
+
+    def __init__(self, support: _Support, values: NDArray, point: StateVector,
+                 method: str, first: ElasticityMatrix | None):
+        self.support, self.values = support, values
+        self.point, self.method, self.first = point, method, first
+
+    @cached_property
+    def dense(self) -> ElasticityMatrix:
+        if self.first is not None:
+            return self.first
+        n = len(self.point)
+        E = np.zeros((n, n))
+        np.put(E, self.support.flat, self.values)
+        return ElasticityMatrix(E, self.point, self.method)
+
+    @property
+    def entries(self) -> NDArray:
+        return self.dense.entries
+
+    @property
+    def spectrum(self) -> NDArray:
+        return self.dense.spectrum
+
+
+_DG = ElasticityMatrix | _SupportDG
+
+
+def _sample_dg(support: _Support, sys: PositiveSystem, x: StateVector,
+               first: ElasticityMatrix | None = None) -> _DG:
+    """DG at x on the support when the array is N x N, finite and nonzero
+    on the support, and +0.0 off it; else an ElasticityMatrix, which
+    copies and checks it.  `first` is sample 0's matrix, already built
+    and checked."""
+    if first is None:
+        E, method = _elasticity_array(sys, x)
+        E = np.asarray(E, dtype=float)
+    else:
+        E, method = first.entries, first.method
+    if E.shape == (len(x), len(x)):
+        v = np.take(E, support.flat)
+        # every entry but +0.0 has a nonzero bit, a NaN or -0.0 off the
+        # support too, so the dense DG rebuilt from v is E bit for bit
+        if (np.all(np.isfinite(v)) and v.all()
+                and np.count_nonzero(E.view(np.int64)) == v.size):
+            return _SupportDG(support, v, x, method, first)
+    return first or ElasticityMatrix(E, x, method)
+
+
 def _elasticities(sys: PositiveSystem,
-                  samples: Sequence[StateVector]) -> list[ElasticityMatrix]:
-    return [_at_sample(idx, elasticity_at, sys, x)
+                  samples: Sequence[StateVector]) -> list[_DG]:
+    """Each sample's DG, built and checked in sample order, so an error
+    names the first bad sample.  Under a declared pattern a DG that
+    passes _sample_dg's support test keeps only its values, and its
+    dense array does not outlive its step, except at sample 0."""
+    if sys.sign_pattern is None:
+        return [_at_sample(idx, elasticity_at, sys, x)
+                for idx, x in enumerate(samples)]
+    support = _Support(sys.sign_pattern)
+    first = _at_sample(0, elasticity_at, sys, samples[0])
+    return [_at_sample(idx, _sample_dg, support, sys, x,
+                       first if idx == 0 else None)
             for idx, x in enumerate(samples)]
+
+
+def _support_of(sys: PositiveSystem,
+                elasticities: Sequence[_DG] | None) -> _Support:
+    """The support the samples share, else one made from sys's pattern."""
+    for E in elasticities or ():
+        if isinstance(E, _SupportDG):
+            return E.support
+    return _Support(sys.sign_pattern)
+
+
+def _dot(E: _DG, x: NDArray, absolute: bool = False) -> NDArray:
+    """DG x, or |DG| x for x >= 0 when absolute: O(nnz) on the support,
+    a dense matvec otherwise.  Overflow gives inf, which the callers'
+    tests refuse, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(E, _SupportDG):
+            s = E.support
+            p = E.values * x[s.cols]
+            out = np.zeros(len(x))
+            out[s.heads] = np.add.reduceat(np.abs(p) if absolute else p,
+                                           s.starts)
+            return out
+        return (np.abs(E.entries) if absolute else E.entries) @ x
+
+
+def _irreducible(E: _DG) -> bool:
+    if isinstance(E, _SupportDG):
+        return E.support.connected
+    return _strongly_connected(E.entries != 0)
+
+
+def _self_loop(E: _DG) -> bool:
+    if isinstance(E, _SupportDG):
+        return E.support.self_loop
+    return bool(np.diag(E.entries).any())
 
 
 def _bloc_labels(adj: NDArray, labels: tuple[str, ...]) -> list[list[str]]:
@@ -200,11 +322,10 @@ def check_connectedness(sys: PositiveSystem,
     per-sample otherwise; a boolean adjacency needs no validation."""
     _need_samples(samples)
     if sys.sign_pattern is not None:
-        adj = sys.sign_pattern != 0
-        if _strongly_connected(adj):
+        if _support_of(sys, elasticities).connected:
             return CheckResult("pass")
         return CheckResult("fail", {
-            "blocs": _bloc_labels(adj, sys.labels),
+            "blocs": _bloc_labels(sys.sign_pattern != 0, sys.labels),
             "reason": "influence graph splits into isolated blocs",
         })
     elasticities = elasticities or _elasticities(sys, samples)
@@ -251,11 +372,10 @@ def _oriented(u: NDArray) -> NDArray:
 
 
 def _verified(sys: PositiveSystem, samples: Sequence[StateVector],
-              elasticities: Sequence[ElasticityMatrix],
-              u: NDArray) -> ScalingCertificate:
+              elasticities: Sequence[_DG], u: NDArray) -> ScalingCertificate:
     """The certificate of u: the DG u = u residual at every sample and
     the scale law at SCALE_TEST_FACTORS."""
-    res_eq = max(float(np.max(np.abs(E.entries @ u - u)))
+    res_eq = max(float(np.max(np.abs(_dot(E, u) - u)))
                  for E in elasticities)
     res_direct = 0.0
     for idx, x in enumerate(samples):
@@ -271,13 +391,13 @@ def _verified(sys: PositiveSystem, samples: Sequence[StateVector],
 
 def _closed_form_certificate(sys: PositiveSystem,
                              samples: Sequence[StateVector],
-                             elasticities: Sequence[ElasticityMatrix],
+                             elasticities: Sequence[_DG],
                              ) -> ScalingCertificate | None:
     """The system's closed-form scaling, when Perron-Frobenius makes it
     the only direction the eigenspace extraction could find; else None."""
-    P, s = sys.sign_pattern, sys.scaling
-    n = sys.dimension
-    if (P is None or s is None or not np.all(np.isfinite(s))
+    s, n = sys.scaling, sys.dimension
+    # a declared scaling is finite and not all zero
+    if (sys.sign_pattern is None or s is None
             or not np.all(np.abs(s) > 1e-9 * np.abs(s).max())):
         return None
     u = _oriented(s)
@@ -286,8 +406,8 @@ def _closed_form_certificate(sys: PositiveSystem,
     # with D = diag(sign u), and |DG0| is irreducible, so its Perron root
     # is simple and DG0's eigenvalue-1 eigenspace is the line of u once
     # rho(|DG0|) = 1.  Both paths verify u at every sample in _verified
-    E0 = elasticities[0].entries    # finite: E0 != 0 is |E0|'s pattern
-    if _violations(E0, _same_block(u)).any() or not _strongly_connected(E0 != 0):
+    E0 = elasticities[0]
+    if _BlockRule(u).worst(E0) > 0.0 or not _irreducible(E0):
         return None
     cert = _verified(sys, samples, elasticities, u)
     # Collatz-Wielandt from |u| puts rho(|DG|) within res_eq / min|u| of
@@ -348,8 +468,33 @@ def _same_block(u: NDArray) -> NDArray[np.bool_]:
 
 
 def _violations(M: NDArray, same: NDArray, tol: float = 0.0) -> NDArray:
-    """Entries of M against the block rule of _same_block(u), beyond tol."""
+    """Entries of M against the block rule, beyond tol: `same` marks the
+    entries whose row and column share a block, elementwise with M."""
     return (same & (M < -tol)) | (~same & (M > tol))
+
+
+class _BlockRule:
+    """The block rule of sign(u): within a block >= 0, across <= 0."""
+
+    def __init__(self, u: NDArray):
+        self.u, self.positive = u, u > 0
+
+    def same_at(self, rows: NDArray, cols: NDArray) -> NDArray[np.bool_]:
+        return self.positive[rows] == self.positive[cols]
+
+    @cached_property
+    def same(self) -> NDArray[np.bool_]:
+        return _same_block(self.u)        # n x n, built for a dense DG only
+
+    def worst(self, E: _DG) -> float:
+        """max |DG| over the entries against the rule, 0 when none is."""
+        if isinstance(E, _SupportDG):
+            s, v = E.support, E.values
+            bad = _violations(v, self.same_at(s.rows, s.cols))
+            return float(np.max(np.abs(v[bad]), initial=0.0))
+        M = E.entries
+        return float(np.max(np.abs(M[_violations(M, self.same)]),
+                            initial=0.0))
 
 
 def _split_by_sign(u: NDArray, labels: tuple[str, ...]) -> SignPartition:
@@ -371,13 +516,17 @@ def check_monotonicity(sys: PositiveSystem, u,
         raise ValueError(
             f"scaling direction has a zero entry at {sys.labels[j]!r}; "
             "the block partition is undefined there")
-    partition, same = _split_by_sign(u, sys.labels), _same_block(u)
+    partition, rule = _split_by_sign(u, sys.labels), _BlockRule(u)
 
     if sys.sign_pattern is not None:
-        bad = _violations(sys.sign_pattern, same)
+        # a 0 entry breaks no rule; the others come in row-major order
+        s = _support_of(sys, elasticities)
+        bad = _violations(np.take(sys.sign_pattern, s.flat),
+                          rule.same_at(s.rows, s.cols))
         if not bad.any():
             return CheckResult("pass"), partition
-        j, k = map(int, np.argwhere(bad)[0])
+        i = int(np.flatnonzero(bad)[0])
+        j, k = int(s.rows[i]), int(s.cols[i])
         return CheckResult("fail", {
             "row": sys.labels[j], "column": sys.labels[k],
             "reason": "declared sign violates the block rule",
@@ -386,7 +535,7 @@ def check_monotonicity(sys: PositiveSystem, u,
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
         M = E.entries
-        bad = _violations(M, same, TOL_SIGN)
+        bad = _violations(M, rule.same, TOL_SIGN)
         if bad.any():
             j, k = map(int, np.argwhere(bad)[0])
             return CheckResult("fail", {
@@ -395,6 +544,36 @@ def check_monotonicity(sys: PositiveSystem, u,
                 "value": float(M[j, k]),
             }), partition
     return CheckResult("evidence-only"), partition
+
+
+def _first_bracket(w: NDArray, v: NDArray,
+                   ) -> tuple[float, tuple[float, float]] | None:
+    """(rho, bracket) from the Collatz-Wielandt bracket [min w/v, max w/v]
+    of w = |DG| v, when _perron_root(|DG|, 1e-13, v) would return it
+    after its first matvec; None when it stays open."""
+    ratios = w / v
+    lo, hi = float(ratios.min()), float(ratios.max())
+    mid = 0.5 * (lo + hi)
+    if 0.0 < lo <= hi < np.inf and hi - lo <= 1e-13 * max(1.0, mid):
+        return mid, (lo, hi)
+    return None
+
+
+def _dense_root(E: _DG, v: NDArray,
+                ) -> tuple[float, tuple[float, float] | None]:
+    """rho(|DG|) and its proved bracket past the first matvec: by
+    _perron_root from v, or where that raises, the largest eigenvalue
+    modulus of |DG| clamped into the bracket proved so far, if any."""
+    A = np.abs(E.entries)       # E is finite, so A is finite and >= 0
+    try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
+        res = _perron_root(A, 1e-13, v)
+        return res.rho, (res.lower_bound, res.upper_bound)
+    except (ReducibleMatrixError, PowerIterationError) as exc:
+        rho, bracket = float(np.max(np.abs(eigvals_mod_zero(A)))), None
+        if isinstance(exc, PowerIterationError) and exc.lower_bound > 0:
+            bracket = (exc.lower_bound, exc.upper_bound)    # proved
+            rho = min(max(rho, bracket[0]), bracket[1])
+        return rho, bracket
 
 
 def check_spectral(sys: PositiveSystem, u,
@@ -407,10 +586,13 @@ def check_spectral(sys: PositiveSystem, u,
     is -2|DG| where DG breaks the block rule of sign(u) and 0 elsewhere,
     so the residual is exactly 0 when the rule holds (DG and |DG| then
     share a spectrum), and None when a zero entry of u makes D singular.
-    Each sample makes one spectral_radius(|DG|, start=|u|) call (all
-    ones unless u is zero-free), which returns after its first matvec
-    when |DG| |u| = |u|; where it raises, rho is the largest eigenvalue
-    modulus of |DG|, clamped into the bracket proved so far, if any.
+    Each sample takes one product w = |DG| v, v = |u| (all ones unless u
+    is zero-free), which gives the bracket [min w/v, max w/v] and the
+    eigenvector residual; rho is the bracket's midpoint when the bracket
+    is positive and within 1e-13 max(1, rho), as when |DG| |u| = |u|.
+    Where it stays open, spectral_radius's later steps run on the dense
+    |DG|, and where they raise, rho is the largest eigenvalue modulus of
+    |DG|, clamped into the bracket proved so far, if any.
 
     Uniqueness comes from the spectrum of DG at sample 0, which also
     gives the gap.  At any other sample where the signature residual is
@@ -420,42 +602,43 @@ def check_spectral(sys: PositiveSystem, u,
     runs there; every other sample reads its matrix's `spectrum`, which
     find_scaling_exponent may already have computed for sample 0.
 
+    With elasticities None and a declared sign pattern, a sample's DG
+    that is +0.0 off the pattern's support and nonzero on it is kept as
+    its values there (certify passes such samples too): the product, the
+    block rule, the diagonal and irreducibility, from the connected
+    pattern, then cost O(nnz) per sample, and only a sample that needs
+    the dense DG (an open bracket or a spectrum) gets it back.
+
     Out-of-tolerance values are recorded, never raised.
     """
     _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
     rhos, brackets, start = [], [], np.ones(sys.dimension)
-    eig_res = sim_res = unique = gap = None
+    eig_res = sim_res = unique = gap = rule = None
     if u is not None:
         u = np.asarray(u, dtype=float)
         abs_u = np.abs(u)
         eig_res = 0.0
         if np.all(abs_u > 0.0):
-            start, same = _check_gauge(abs_u, "start vector"), _same_block(u)
+            start, rule = _check_gauge(abs_u, "start vector"), _BlockRule(u)
             sim_res = 0.0
     for idx, E in enumerate(elasticities):
-        A = np.abs(E.entries)       # E is finite, so A is finite and >= 0
-        try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
-            res = _perron_root(A, 1e-13, start)
-            rho, bracket = res.rho, (res.lower_bound, res.upper_bound)
-        except (ReducibleMatrixError, PowerIterationError) as exc:
-            rho, bracket = float(np.max(np.abs(eigvals_mod_zero(A)))), None
-            if isinstance(exc, PowerIterationError) and exc.lower_bound > 0:
-                bracket = (exc.lower_bound, exc.upper_bound)    # proved
-                rho = min(max(rho, bracket[0]), bracket[1])
+        w = _dot(E, start, absolute=True)
+        rho, bracket = _first_bracket(w, start) or _dense_root(E, start)
         rhos.append(rho)
         brackets.append(bracket)
         if u is not None:
-            eig_res = max(eig_res, float(np.max(np.abs(A @ abs_u - abs_u))))
+            if rule is None:        # start is all ones, not |u|
+                w = _dot(E, abs_u, absolute=True)
+            eig_res = max(eig_res, float(np.max(np.abs(w - abs_u))))
         perron = False
-        if sim_res is not None:
-            bad = _violations(E.entries, same)
-            signature = 2.0 * float(np.max(A[bad], initial=0.0))
+        if rule is not None:
+            signature = 2.0 * rule.worst(E)
             sim_res = max(sim_res, signature)
             perron = (idx > 0 and signature == 0.0 and bracket is not None
                       and 1.0 - NEAR_ONE <= bracket[0]
                       and bracket[1] <= 1.0 + NEAR_ONE
-                      and np.diag(A).any() and _strongly_connected(A))
+                      and _self_loop(E) and _irreducible(E))
         if not perron:
             # eigenvalues of DG away from 1 must sit strictly inside
             # the unit circle for 1 to be the unique peripheral one; the
@@ -525,6 +708,18 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     coordinate and the sample index, and `spectral` is None.  mode is
     "exact" only when the system declares a parameter-determined sign
     pattern.
+
+    All samples' elasticities are gathered, in order, before any check
+    runs.  In exact mode a sample's DG that is finite, nonzero on the
+    declared pattern's support and +0.0 off it is kept only as its nnz
+    values there, and its array is dropped uncopied: DG u, |DG| |u|,
+    the block rule, the diagonal and irreducibility (from the connected
+    pattern) then cost O(nnz) per sample.  Sample 0 also keeps its dense
+    ElasticityMatrix, for its spectrum.  Any other DG (a wrong
+    declaration, numeric noise off the support, a zero on it) is an
+    ElasticityMatrix, as in sampled mode, and a later sample that needs
+    its dense DG (an open Perron bracket, a spectrum) gets it back
+    exactly from its values.
     """
     samples = sample_states(sys, sample_count, seed)
     mode = "exact" if sys.sign_pattern is not None else "sampled"

@@ -442,9 +442,11 @@ def format_equilibrium(x_star, outcomes: Outcomes) -> str:
     """State block then outcomes block (every outcome but pi),
     `label: value` per line.
 
-    Values carry eight fractional digits: runs from different starting
-    points agree to far tighter than that once normalized, so the file
-    is reproducible byte for byte.
+    Values carry eight fractional digits.  Runs from different starting
+    points agree to about 1e-8 relative once normalized, so their files
+    can differ in the last printed digit: 12 starts on a 30x5
+    multi-sector model gave 6 distinct files, at most 6.5e-9 relative
+    apart.
     """
     lines = [f"{label}: {v:.8e}"
              for label, v in zip(x_star.labels, x_star.values)]

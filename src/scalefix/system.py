@@ -152,8 +152,9 @@ class PositiveSystem:
     sign_pattern, when given, fixes the sign of every elasticity entry
     across the whole domain (-1, 0, +1), which certification uses for
     exact sign verdicts.  scaling, when given, is a closed-form scaling
-    direction u with F(c^u x) = c^u F(x).  Both are stored as read-only
-    copies, sign_pattern as int.
+    direction u with F(c^u x) = c^u F(x): finite and not all zero (else
+    ValueError), though single entries may be 0.  Both are stored as
+    read-only copies, sign_pattern as int.
     """
 
     labels: tuple[str, ...]
@@ -181,6 +182,8 @@ class PositiveSystem:
             u = _frozen(self.scaling)
             if u.shape != (self.dimension,):
                 raise ValueError("scaling must have length N")
+            if not (np.all(np.isfinite(u)) and np.any(u != 0.0)):
+                raise ValueError("scaling must be finite and not all zero")
             object.__setattr__(self, "scaling", u)
 
     @property
@@ -220,6 +223,30 @@ def log_transform(z, sys: PositiveSystem) -> NDArray[np.float64]:
     return np.log(sys._eval_checked(np.exp(z)))
 
 
+def _elasticity_array(sys: PositiveSystem,
+                      x: StateVector) -> tuple[NDArray, str]:
+    """elasticity_at's matrix before ElasticityMatrix copies and checks
+    it, with its method: the provider's own array, or a fresh one from
+    central differences."""
+    if x.labels != sys.labels:
+        raise ValueError("state belongs to a different system")
+    if sys.elasticity_values is not None:
+        return sys.elasticity_values(x.values), "analytic"
+    n = sys.dimension
+    z = np.log(x.values)
+    h = NUMERIC_STEP
+    E = np.empty((n, n))
+    for k in range(n):
+        zp = z.copy()
+        zp[k] += h
+        zm = z.copy()
+        zm[k] -= h
+        gp = log_transform(zp, sys)
+        gm = log_transform(zm, sys)
+        E[:, k] = (gp - gm) / (2.0 * h)
+    return E, "numeric-central-log"
+
+
 def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
     """Elasticity matrix of the system at x.
 
@@ -228,23 +255,5 @@ def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
     it builds raises DifferentiationError if the provider's matrix is not
     N x N or if either method gives a non-finite entry.
     """
-    if x.labels != sys.labels:
-        raise ValueError("state belongs to a different system")
-    if sys.elasticity_values is not None:
-        E = sys.elasticity_values(x.values)
-        method = "analytic"
-    else:
-        n = sys.dimension
-        z = np.log(x.values)
-        h = NUMERIC_STEP
-        E = np.empty((n, n))
-        for k in range(n):
-            zp = z.copy()
-            zp[k] += h
-            zm = z.copy()
-            zm[k] -= h
-            gp = log_transform(zp, sys)
-            gm = log_transform(zm, sys)
-            E[:, k] = (gp - gm) / (2.0 * h)
-        method = "numeric-central-log"
+    E, method = _elasticity_array(sys, x)
     return ElasticityMatrix(entries=E, point=x, method=method)

@@ -4,6 +4,7 @@ designed to violate."""
 
 import dataclasses
 import importlib
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -25,7 +26,12 @@ from scalefix.certify import (
 )
 from scalefix.modelio import format_report, parse_report
 from scalefix.spectral import eigvals_mod_zero
-from scalefix.system import ElasticityMatrix, PositiveSystem, elasticity_at
+from scalefix.system import (
+    DifferentiationError,
+    ElasticityMatrix,
+    PositiveSystem,
+    elasticity_at,
+)
 from scalefix.trade import (
     GeneralParams,
     MultiSectorParams,
@@ -536,41 +542,47 @@ def test_exact_certify_runs_no_svd_and_one_eigensolve(build, params,
 def test_exact_certify_tests_the_block_rule_once_per_sample(k, monkeypatch):
     # the closed form's premise at sample 0, the declared pattern in
     # check_monotonicity, and the signature in check_spectral at each
-    # sample; primitivity is read only where a spectrum may be skipped.
-    # Strong connectivity is tested on two boolean patterns, the
-    # declared one and sample 0's premise, and on |DG| for primitivity
+    # sample, all on the declared support's nnz entries: no n x n block
+    # mask.  The graph is walked once, on the declared pattern, which
+    # connectedness, sample 0's premise and every sample's primitivity
+    # share: no walk per sample
     certify_module = importlib.import_module("scalefix.certify")
     sys = build_multi_sector(multi_sector_params(J=3, S=2))
+    nnz = np.count_nonzero(sys.sign_pattern)
     violations = count_calls(monkeypatch, certify_module, "_violations")
+    masks = count_calls(monkeypatch, certify_module, "_same_block")
     connected = count_calls(monkeypatch, certify_module,
                             "_strongly_connected")
     rep = certify(sys, sample_count=k, seed=0)
     assert rep.uniqueness_applicable and rep.spectral.unique_modulus_one
-    primitive = [A for (A,) in connected if A.dtype != bool]
-    assert (len(violations), len(connected), len(primitive)) == (
-        k + 2, k + 1, k - 1)
+    assert (len(violations), len(masks), len(connected)) == (k + 2, 0, 1)
+    assert all(M.shape == (nnz,) for (M, _) in violations)
+    assert connected[0][0].dtype == bool
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("exact", [True, False])
 def test_certify_validates_no_matrix_it_built(k, exact, monkeypatch):
     # an ElasticityMatrix is finite and square by construction, so |E|
-    # is finite and nonnegative, and certify runs the unchecked kernels;
-    # the block mask of sign(u) is built once by each of its callers
-    # that is reached: the closed form (exact only), check_monotonicity
-    # and check_spectral
+    # is finite and nonnegative, and certify runs the unchecked kernels.
+    # In exact mode only sample 0 becomes an ElasticityMatrix (its
+    # spectrum needs it); the later samples keep their values on the
+    # declared support, and no n x n block mask is built.  In sampled
+    # mode every sample is dense, and check_monotonicity and
+    # check_spectral each build the mask of sign(u) once
+    certify_module = importlib.import_module("scalefix.certify")
     sys = (build_multi_sector(multi_sector_params(J=3, S=2)) if exact
            else build_general(general_params()))
     checks = count_calls(monkeypatch,
                          importlib.import_module("scalefix.spectral"),
                          "_as_nonneg_square")
-    masks = count_calls(monkeypatch,
-                        importlib.import_module("scalefix.certify"),
-                        "_same_block")
+    masks = count_calls(monkeypatch, certify_module, "_same_block")
+    built = count_calls(monkeypatch, certify_module, "elasticity_at")
     rep = certify(sys, sample_count=k, seed=0 if exact else 5)
     assert rep.mode == ("exact" if exact else "sampled")
     assert rep.monotonicity.verdict == ("pass" if exact else "fail")
-    assert (len(checks), len(masks)) == (0, 3 if exact else 2)
+    assert (len(checks), len(masks), len(built)) == (
+        (0, 0, 1) if exact else (0, 2, k))
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -610,15 +622,16 @@ def test_extraction_then_spectral_share_the_first_spectrum(k, monkeypatch):
 
 def test_exact_check_spectral_calls_spectral_radius_once_per_sample(
         monkeypatch):
-    # |DG| |u| = |u|, so each call closes its bracket on its first matvec
+    # |DG| |u| = |u|, so each sample's bracket closes on spectral_radius's
+    # first matvec, taken on the support: no further Perron step runs
+    certify_module = importlib.import_module("scalefix.certify")
     sys = build_multi_sector(multi_sector_params(J=3, S=2))
     u = sys.scaling / np.abs(sys.scaling).max()
     samples = sample_states(sys, 6, seed=0)
-    calls = count_calls(monkeypatch,
-                        importlib.import_module("scalefix.certify"),
-                        "_perron_root")
+    first = count_calls(monkeypatch, certify_module, "_first_bracket")
+    later = count_calls(monkeypatch, certify_module, "_perron_root")
     sp = check_spectral(sys, u, samples)
-    assert len(calls) == 6
+    assert (len(first), len(later)) == (6, 0)
     lower, upper = sp.rho_bracket
     assert 1.0 - 1e-13 <= lower <= upper <= 1.0 + 1e-13
 
@@ -638,10 +651,7 @@ def flipped_wage_block(u):
 # the DG u = u gate refuses it; it still matches the extracted direction
 @pytest.mark.parametrize("wrong,matches", [
     (perturbed(1e-3), False), (perturbed(1e-9), True),
-    (flipped_wage_block, False),
-    # matches_closed_form's cosine is 0/0 here, hence False
-    pytest.param(np.zeros_like, False, marks=pytest.mark.filterwarnings(
-        "ignore:invalid value encountered in divide"))])
+    (flipped_wage_block, False)])
 def test_wrong_closed_form_gets_the_extraction_report(wrong, matches,
                                                       monkeypatch):
     certify_module = importlib.import_module("scalefix.certify")
@@ -750,6 +760,172 @@ def test_closed_form_premise_is_read_at_sample_zero(monkeypatch):
                                  "unique_modulus_one"))}
     assert verdicts(rep) == verdicts(ref)
     assert verdicts(rep)["uniqueness_applicable"] == "true"
+
+
+# ------------------------------------ exact certify on the declared support
+
+
+@st.composite
+def declared_log_linear(draw):
+    """(E, pattern, u, kind, (j, k)) for log_linear(E, pattern, u), E
+    drawn as in signed_perron_matrices, so that E u = u, then changed at
+    (j, k) by kind:
+      exact    pattern = sign(E), nothing changed
+      flipped  E[j, k] != 0 flipped against the block rule of u,
+               pattern = sign(E) after the flip
+      missed   E[j, k] set against the rule and larger than before,
+               pattern = sign(E) before, so it misses that entry
+      absent   E[j, k] = 0 while the pattern declares it"""
+    E, u, _ = draw(signed_perron_matrices(diagonal=st.booleans()))
+    n = len(u)
+    kind = draw(st.sampled_from(["exact", "flipped", "missed", "absent"]))
+    against = -np.sign(u)[:, None] * np.sign(u)[None, :]
+    if kind in ("flipped", "absent"):
+        nonzero = np.argwhere(E != 0.0)
+        j, k = nonzero[draw(st.integers(0, len(nonzero) - 1))]
+    else:
+        j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    pattern = np.sign(E).astype(int)
+    E = E + 0.0     # -0.0 off the support would send E to the dense path
+    if kind == "flipped":
+        E[j, k] = -E[j, k]
+        pattern[j, k] = -pattern[j, k]
+    elif kind == "missed":
+        E[j, k] = against[j, k] * (abs(E[j, k]) + draw(st.floats(0.01, 1.0)))
+        pattern[j, k] = 0
+    elif kind == "absent":
+        E[j, k] = 0.0
+    return E, pattern, u, kind, (j, k)
+
+
+def dense_certify(sys, count, seed):
+    """certify with every sample's DG an ElasticityMatrix, as before
+    the support representation: the reference it must match."""
+    certify_module = importlib.import_module("scalefix.certify")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certify_module, "_sample_dg",
+                  lambda support, sys, x, first=None:
+                  first or elasticity_at(sys, x))
+        return certify(sys, sample_count=count, seed=seed)
+
+
+# only these sums change with the representation, by summation order
+SUMMED_KEYS = ("spectral.rho.", "spectral.eigvec_residual",
+               "scaling.residual_fixed_eq")
+
+
+@settings(max_examples=120, deadline=None)
+@given(declared_log_linear())
+def test_exact_certify_on_the_support_matches_dense_references(case):
+    E, pattern, u, kind, (j, k) = case
+    n = len(u)
+    sys = log_linear(E, pattern, u)
+    rep, ref = certify(sys, 3, 0), dense_certify(sys, 3, 0)
+    assert rep.mode == "exact"
+    elas = importlib.import_module("scalefix.certify")._elasticities(
+        sys, rep.samples)
+    assert (kind in ("exact", "flipped")) == all(
+        not isinstance(D, ElasticityMatrix) for D in elas)
+    got, want = (parse_report(format_report(r)) for r in (rep, ref))
+    assert list(got) == list(want)
+    assert ({key: v for key, v in got.items()
+             if not key.startswith(SUMMED_KEYS)}
+            == {key: v for key, v in want.items()
+                if not key.startswith(SUMMED_KEYS)})
+    assert (rep.certificate is None) == (ref.certificate is None)
+    sp, eps = rep.spectral, np.finfo(float).eps
+    for rho in sp.rho:          # E is DG at every sample
+        tol = 1e-13 * max(1.0, rho)
+        assert (abs(rho - dense_radius(E)) <= tol
+                or abs(rho - mpmath_radius(E)) <= tol)
+    if sp.rho_bracket is not None:
+        lower, upper = sp.rho_bracket
+        assert all(lower <= rho <= upper for rho in sp.rho)
+    if rep.certificate is not None:
+        c = rep.certificate.u
+        assert np.array_equal(c, ref.certificate.u)
+        w, ulps = np.abs(E) @ np.abs(c), 4 * n * eps
+        assert abs(rep.certificate.residual_fixed_eq
+                   - np.max(np.abs(E @ c - c))) <= ulps * np.max(w)
+        assert abs(sp.eigvec_residual
+                   - np.max(np.abs(w - np.abs(c)))) <= ulps * np.max(w)
+        flip = np.outer(np.sign(c), np.sign(c))
+        assert sp.similarity_residual == np.max(np.abs(flip * E - np.abs(E)))
+    if kind == "missed":
+        # the undeclared entry breaks the block rule of u and raises
+        # rho(|E|) above 1, as the support test sends E to the dense path
+        sp = check_spectral(sys, u, sample_states(sys, 2, seed=0))
+        assert sp.similarity_residual >= 2.0 * abs(E[j, k]) > 0.0
+        assert min(sp.rho) > 1.0 + 1e-12
+
+
+def test_support_test_sends_each_wrong_sample_to_its_dense_matrix():
+    # sample 0 gets E, the declared pattern's own matrix; at the later
+    # samples the provider adds an entry the pattern misses, drops or
+    # zeroes (-0.0) a declared one, moves one off the support (so the
+    # count of nonzeros holds), puts -0.0 or NaN off the support: only
+    # the samples that match the support keep their values alone
+    E = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    changed = []
+    for change in ({(0, 2): 1e-300}, {(0, 0): 0.0}, {(0, 0): -0.0},
+                   {(0, 0): 0.0, (0, 2): 0.5}, {(0, 2): -0.0},
+                   {(1, 0): np.nan}):
+        changed.append(E.copy())
+        for (j, k), value in change.items():
+            changed[-1][j, k] = value
+    samples = sample_states(custom(("a", "b", "c"), np.sqrt), 3, seed=0)
+    certify_module = importlib.import_module("scalefix.certify")
+    for provided, dense in zip([E] + changed,
+                               [False] + [True] * 5 + [None]):
+        sys = PositiveSystem(
+            labels=("a", "b", "c"),
+            evaluate_values=lambda x: np.exp(E @ np.log(x)),
+            elasticity_values=lambda x, provided=provided: (
+                E if np.array_equal(x, samples[0].values) else provided),
+            sign_pattern=np.sign(E).astype(int), scaling=np.ones(3))
+        if dense is None:
+            with pytest.raises(DifferentiationError,
+                               match="'b' with respect to 'a' is nan"):
+                certify_module._elasticities(sys, samples)
+            continue
+        elas = certify_module._elasticities(sys, samples)
+        assert [isinstance(D, ElasticityMatrix) for D in elas] == [
+            False, dense, dense]
+        for D in elas[1:]:
+            assert np.array_equal(D.entries.view(np.int64),
+                                  provided.view(np.int64))
+
+
+def wide_multi_sector(J, S, seed=0):
+    """A multi-sector model from the acceptance family at any J, S."""
+    rng = np.random.default_rng(seed)
+    tau = 1.0 + rng.uniform(0.05, 1.2, (J, J, S))
+    for s in range(S):
+        np.fill_diagonal(tau[:, :, s], 1.0)
+    alpha = rng.uniform(0.2, 1.0, (J, S))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    theta = rng.uniform(2.0, 8.0, S)
+    return build_multi_sector(MultiSectorParams(
+        A=rng.uniform(0.5, 2.0, (J, S)), tau=tau, alpha=alpha,
+        L=rng.uniform(0.5, 2.0, J), theta=theta, sigma=1.0 + 0.4 * theta))
+
+
+def test_exact_certify_holds_under_four_dense_matrices():
+    # 8 samples at n = 330: sample 0's dense DG and its copy, one later
+    # sample's array from the provider and the 8 samples' support values
+    # (an eighth of n^2 each) fit; keeping every dense DG, its copy, |DG|
+    # and masks per sample peaked at 10.3 n^2 doubles
+    sys = wide_multi_sector(30, 5)
+    n = sys.dimension
+    certify(sys, 8, 0)
+    tracemalloc.start()
+    try:
+        rep = certify(sys, 8, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.uniqueness_applicable and rep.attractivity_applicable
+    assert peak < 4 * n * n * 8
 
 
 def test_spectrum_similarity_via_charpoly():

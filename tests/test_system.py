@@ -224,6 +224,17 @@ def test_sign_pattern_validation():
         assert good.flags.writeable
 
 
+def test_scaling_must_be_finite_and_not_all_zero():
+    # certify divides by max |scaling|, so an all-zero one was 0/0
+    for bad in (np.zeros(2), [0.0, -0.0], [np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite and not all zero"):
+            PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                           scaling=bad)
+    sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                         scaling=[0.0, 1.0])
+    assert sys.scaling.tolist() == [0.0, 1.0]
+
+
 def test_scaling_length_validation():
     for bad in (np.ones(3), np.ones(1), np.ones((2, 1)), 1.0):
         with pytest.raises(ValueError, match="scaling must have length N"):
