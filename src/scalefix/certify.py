@@ -33,6 +33,8 @@ from scalefix.spectral import (
     PowerIterationError,
     ReducibleMatrixError,
     _check_gauge,
+    _dominant_ritz,
+    _krylov_steps,
     _perron_root,
     _strongly_connected,
     eigvals_mod_zero,
@@ -46,6 +48,7 @@ from scalefix.system import (
     StateVector,
     _elasticity_array,
     _frozen,
+    _numeric,
     elasticity_at,
 )
 
@@ -116,7 +119,10 @@ class ScalingCertificate:
 class SpectralEvidence:
     """Per-sample spectral facts about DG and its entrywise absolute value."""
 
-    rho: tuple[float, ...]            # spectral radius of |DG| per sample
+    # spectral radius of |DG| per sample: the midpoint of a bracket
+    # proved by a matvec from |u|, else from the Krylov Perron start, else
+    # by Noda's steps; the dense radius where those raise
+    rho: tuple[float, ...]
     max_rho_deviation: float          # max |rho - 1|
     eigvec_residual: float | None     # max inf-norm of |DG||u| - |u|
     # max |D DG D - |DG||, D = diag(sign u): 2 max |DG| over the entries
@@ -124,10 +130,14 @@ class SpectralEvidence:
     similarity_residual: float | None
     # 1 the only eigenvalue on the unit circle at every sample: from the
     # spectrum at sample 0, derived by Perron-Frobenius at the others
-    # where check_spectral's premises hold, from the spectrum elsewhere
+    # where check_spectral's premises hold, False from a converged
+    # dominant Ritz value away from 1 at a later sample with more than
+    # _krylov_steps(n) rows, from the spectrum elsewhere.  Informational,
+    # as is the gap: no verdict reads either
     unique_modulus_one: bool | None
-    # min of 1 - second modulus over the samples whose spectrum was
-    # computed: sample 0 plus any sample where uniqueness was not derived
+    # min of 1 - second modulus over the samples where uniqueness was
+    # not derived; |theta| is the second modulus where the Krylov pass
+    # answered
     spectral_gap: float | None
     # (min lower, max upper) of the proved Collatz-Wielandt brackets, each
     # rho inside its own; None when some sample has none
@@ -244,7 +254,7 @@ def _sample_dg(support: _Support, sys: PositiveSystem, x: StateVector,
     and checked."""
     if first is None:
         E, method = _elasticity_array(sys, x)
-        E = np.asarray(E, dtype=float)
+        E = _numeric(E, DifferentiationError, f"{method} elasticity")
     else:
         E, method = first.entries, first.method
     if E.shape == (len(x), len(x)):
@@ -559,12 +569,11 @@ def _first_bracket(w: NDArray, v: NDArray,
     return None
 
 
-def _dense_root(E: _DG, v: NDArray,
+def _dense_root(A: NDArray, v: NDArray,
                 ) -> tuple[float, tuple[float, float] | None]:
-    """rho(|DG|) and its proved bracket past the first matvec: by
-    _perron_root from v, or where that raises, the largest eigenvalue
-    modulus of |DG| clamped into the bracket proved so far, if any."""
-    A = np.abs(E.entries)       # E is finite, so A is finite and >= 0
+    """rho(A), A = |DG|, and its proved bracket: by _perron_root from v,
+    or where that raises, the largest eigenvalue modulus of A clamped
+    into the bracket proved so far, if any."""
     try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
         res = _perron_root(A, 1e-13, v)
         return res.rho, (res.lower_bound, res.upper_bound)
@@ -574,6 +583,80 @@ def _dense_root(E: _DG, v: NDArray,
             bracket = (exc.lower_bound, exc.upper_bound)    # proved
             rho = min(max(rho, bracket[0]), bracket[1])
         return rho, bracket
+
+
+def _open_roots(elasticities: Sequence[_DG], start: NDArray,
+                ) -> list[tuple[float, tuple[float, float] | None]]:
+    """rho(|DG|) and its proved bracket at samples whose first bracket
+    from start stayed open.  Above _krylov_steps(n) coordinates, one
+    lockstep Krylov pass over their |DG| gives each a Ritz vector x of
+    largest modulus, and v = |x| a Collatz-Wielandt bracket by one
+    matvec; _dense_root runs from v only where that stays open too, and
+    from start where v is not positive and finite, or at fewer
+    coordinates."""
+    mats = [np.abs(E.entries) for E in elasticities]  # E finite: A >= 0
+    if len(start) <= _krylov_steps(len(start)):
+        return [_dense_root(A, start) for A in mats]
+    roots = []
+    for A, v in zip(mats, np.abs(_dominant_ritz(mats)[1])):
+        root = None
+        if np.all((v > 0.0) & (v < np.inf)):       # NaN fails too
+            with np.errstate(over="ignore"):
+                root = _first_bracket(A @ v, v)
+        else:
+            v = start
+        roots.append(root or _dense_root(A, v))
+    return roots
+
+
+def _perron_derived(E: _DG, signature: float,
+                    bracket: tuple[float, float] | None) -> bool:
+    """1 is DG's only eigenvalue of modulus 1, by Perron-Frobenius: DG
+    is similar to |DG|, whose bracket lies within NEAR_ONE of 1, and
+    |DG| is primitive."""
+    return (signature == 0.0 and bracket is not None
+            and 1.0 - NEAR_ONE <= bracket[0] and bracket[1] <= 1.0 + NEAR_ONE
+            and _self_loop(E) and _irreducible(E))
+
+
+def _memoized(E: _DG) -> bool:
+    """True when E's spectrum is already computed."""
+    if isinstance(E, _SupportDG):
+        return "dense" in vars(E) and _memoized(E.dense)
+    return "spectrum" in vars(E)
+
+
+def _peripheral(eigs: NDArray) -> tuple[bool, float]:
+    """(1 is the only eigenvalue on the unit circle, the largest modulus
+    of the others) from a spectrum.  Eigenvalues away from 1 must sit
+    strictly inside the unit circle; the multiplicity of 0, which
+    eigvals_mod_zero may change, is never read."""
+    near_one = np.abs(eigs - 1.0) <= NEAR_ONE
+    second = float(np.max(np.abs(eigs[~near_one]), initial=0.0))
+    return int(near_one.sum()) == 1 and second < 1.0 - NEAR_ONE, second
+
+
+def _peripherals(elasticities: Sequence[_DG], spectra: list[int],
+                 ) -> list[tuple[bool, float]]:
+    """_peripheral at the samples `spectra`.  Above _krylov_steps(n)
+    coordinates, one lockstep Krylov pass runs over DG at the samples
+    after the first with no spectrum computed; where its dominant Ritz
+    value theta converged with |theta - 1| > NEAR_ONE, the answer is
+    (False, |theta|), as the dense rule's is whenever the dominant
+    eigenvalue lies away from 1.  Every other sample reads its
+    `spectrum`."""
+    krylov = [idx for idx in spectra
+              if idx > 0 and not _memoized(elasticities[idx])]
+    known = {}
+    n = len(elasticities[0].point)
+    if krylov and n > _krylov_steps(n):
+        theta, _, converged = _dominant_ritz(
+            [elasticities[idx].entries for idx in krylov])
+        known = {idx: (False, float(abs(t)))
+                 for idx, t, ok in zip(krylov, theta, converged)
+                 if ok and abs(t - 1.0) > NEAR_ONE}
+    return [known.get(idx) or _peripheral(elasticities[idx].spectrum)
+            for idx in spectra]
 
 
 def check_spectral(sys: PositiveSystem, u,
@@ -590,17 +673,32 @@ def check_spectral(sys: PositiveSystem, u,
     is zero-free), which gives the bracket [min w/v, max w/v] and the
     eigenvector residual; rho is the bracket's midpoint when the bracket
     is positive and within 1e-13 max(1, rho), as when |DG| |u| = |u|.
-    Where it stays open, spectral_radius's later steps run on the dense
-    |DG|, and where they raise, rho is the largest eigenvalue modulus of
-    |DG|, clamped into the bracket proved so far, if any.
+    Where it stays open, the Perron start comes from one lockstep
+    Krylov pass (_dominant_ritz) over the |DG| of all such samples, when
+    DG has more than _krylov_steps(n) rows: v = |x|, x the Ritz vector of
+    largest modulus, whose bracket by one explicit matvec closes as a
+    rule.  Where it stays open too, or at fewer rows, spectral_radius's
+    later steps run on the dense |DG| from v (v = |u| at fewer rows or
+    with no positive Ritz vector), and where they raise, rho is the
+    largest eigenvalue modulus of |DG|, clamped into the bracket proved
+    so far, if any.  Every rho is thus the midpoint of a bracket proved
+    by a matvec, except for that last fallback.
 
     Uniqueness comes from the spectrum of DG at sample 0, which also
     gives the gap.  At any other sample where the signature residual is
     exactly 0, the bracket lies within NEAR_ONE of 1 and |DG| is
     primitive, DG is similar to |DG|, whose Perron root is simple and the
     only eigenvalue of its modulus (Perron-Frobenius), so no eigensolve
-    runs there; every other sample reads its matrix's `spectrum`, which
-    find_scaling_exponent may already have computed for sample 0.
+    runs there.  The other samples after the first whose spectrum is not
+    yet computed go through one lockstep Krylov pass over their DG when
+    DG has more than _krylov_steps(n) rows: a converged dominant Ritz value
+    theta with |theta - 1| > NEAR_ONE gives unique False and second
+    modulus |theta|, which is the dense rule's answer whenever the
+    dominant eigenvalue lies away from 1.  Every other sample, sample 0
+    included, reads its matrix's `spectrum`, which find_scaling_exponent
+    may already have computed for sample 0.  A non-normal DG has no
+    cheap bound on its second modulus, so the gap and unique_modulus_one
+    are informational: no verdict reads them.
 
     With elasticities None and a declared sign pattern, a sample's DG
     that is +0.0 off the pattern's support and nonzero on it is kept as
@@ -613,51 +711,41 @@ def check_spectral(sys: PositiveSystem, u,
     """
     _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
-    rhos, brackets, start = [], [], np.ones(sys.dimension)
-    eig_res = sim_res = unique = gap = rule = None
+    roots, signatures, start = [], [], np.ones(sys.dimension)
+    eig_res = rule = None
     if u is not None:
         u = np.asarray(u, dtype=float)
         abs_u = np.abs(u)
         eig_res = 0.0
         if np.all(abs_u > 0.0):
             start, rule = _check_gauge(abs_u, "start vector"), _BlockRule(u)
-            sim_res = 0.0
-    for idx, E in enumerate(elasticities):
+    for E in elasticities:
         w = _dot(E, start, absolute=True)
-        rho, bracket = _first_bracket(w, start) or _dense_root(E, start)
-        rhos.append(rho)
-        brackets.append(bracket)
+        roots.append(_first_bracket(w, start))
         if u is not None:
             if rule is None:        # start is all ones, not |u|
                 w = _dot(E, abs_u, absolute=True)
             eig_res = max(eig_res, float(np.max(np.abs(w - abs_u))))
-        perron = False
         if rule is not None:
-            signature = 2.0 * rule.worst(E)
-            sim_res = max(sim_res, signature)
-            perron = (idx > 0 and signature == 0.0 and bracket is not None
-                      and 1.0 - NEAR_ONE <= bracket[0]
-                      and bracket[1] <= 1.0 + NEAR_ONE
-                      and _self_loop(E) and _irreducible(E))
-        if not perron:
-            # eigenvalues of DG away from 1 must sit strictly inside
-            # the unit circle for 1 to be the unique peripheral one; the
-            # multiplicity of 0, which eigvals_mod_zero may change, is
-            # never read
-            eigs = E.spectrum
-            near_one = np.abs(eigs - 1.0) <= NEAR_ONE
-            second = float(np.max(np.abs(eigs[~near_one]), initial=0.0))
-            ok = int(near_one.sum()) == 1 and second < 1.0 - NEAR_ONE
-            unique = ok if unique is None else (unique and ok)
-            g = 1.0 - second
-            gap = g if gap is None else min(gap, g)
+            signatures.append(2.0 * rule.worst(E))
+    still_open = [idx for idx, root in enumerate(roots) if root is None]
+    if still_open:
+        found = _open_roots([elasticities[idx] for idx in still_open], start)
+        for idx, root in zip(still_open, found):
+            roots[idx] = root
+    brackets = [bracket for _, bracket in roots]
+    spectra = [idx for idx, E in enumerate(elasticities)
+               if not (idx > 0 and rule is not None and _perron_derived(
+                   E, signatures[idx], brackets[idx]))]
+    facts = _peripherals(elasticities, spectra)     # sample 0 among them
+    rhos = [rho for rho, _ in roots]
     return SpectralEvidence(
         rho=tuple(rhos),
         max_rho_deviation=float(np.max(np.abs(np.asarray(rhos) - 1.0))),
         eigvec_residual=eig_res,
-        similarity_residual=sim_res,
-        unique_modulus_one=unique,
-        spectral_gap=gap,
+        similarity_residual=max(signatures) if rule is not None else None,
+        unique_modulus_one=all(ok for ok, _ in facts),
+        spectral_gap=min(1.0 - second for _, second in facts),
         rho_bracket=((min(lo for lo, _ in brackets),
                       max(hi for _, hi in brackets))
                      if None not in brackets else None),

@@ -6,7 +6,9 @@ module state, safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -233,6 +235,68 @@ def _perron_root(A: NDArray, tol: float, v: NDArray) -> SpectralResult:
         f"{why} at iteration {it}; Collatz-Wielandt bounds were "
         f"[{lower:.17g}, {upper:.17g}]",
         lower_bound=lower, upper_bound=upper, iterations=it)
+
+
+def _krylov_steps(n: int) -> int:
+    """Arnoldi steps of _dominant_ritz on n x n matrices: 4 sqrt(n), at
+    least 32.  On the general trade model's elasticity matrices, n from
+    56 to 520, the dominant Ritz pairs of DG and |DG| converged within
+    about 3.5 sqrt(n) steps."""
+    return max(32, math.ceil(4.0 * math.sqrt(n)))
+
+
+def _dominant_ritz(mats: Sequence[NDArray],
+                   ) -> tuple[NDArray, NDArray, NDArray[np.bool_]]:
+    """m = _krylov_steps(n) Arnoldi steps on each of the finite square
+    matrices in mats, all of one size n > m, in lockstep: one matvec per
+    matrix per step, with the classical Gram-Schmidt steps, done twice,
+    and the Hessenberg updates batched over the (k, m+1, n) basis (Saad,
+    Numerical Methods for Large Eigenvalue Problems, 2nd ed., 2011,
+    ch. 6).  Every run starts from one fixed generic unit vector.
+
+    Returns, per matrix, the Ritz value theta of largest modulus, its
+    unit Ritz vector x (complex) and whether it converged: its residual
+    ||A x - theta x||_2 = |h_{m+1,m} e_m' y| is finite and at most
+    1e-12 |theta|.  A breakdown, an overflow or a failed eigensolve of
+    the Hessenberg matrices leaves NaNs and counts as not converged; no
+    warning or LinAlgError escapes.
+    """
+    k, n = len(mats), len(mats[0])
+    m = _krylov_steps(n)
+    V = np.empty((k, m + 1, n))
+    H = np.zeros((k, m + 1, m))
+    v = np.random.default_rng(0).standard_normal(n)
+    V[:, 0] = v / np.linalg.norm(v)
+    w = np.empty((k, 1, n))
+    theta = np.full(k, np.nan, dtype=complex)
+    X = np.full((k, n), np.nan, dtype=complex)
+    residual = np.full(k, np.inf)
+    with np.errstate(all="ignore"):
+        for j in range(m):
+            for i, A in enumerate(mats):
+                np.dot(A, V[i, j], out=w[i, 0])
+            B = V[:, :j + 1]
+            c = w @ np.swapaxes(B, 1, 2)        # twice: the second pass
+            w -= c @ B                          # restores orthogonality
+            d = w @ np.swapaxes(B, 1, 2)
+            w -= d @ B
+            H[:, :j + 1, j] = (c + d)[:, 0]
+            H[:, j + 1, j] = np.sqrt(np.einsum("kin,kin->k", w, w))
+            np.divide(w[:, 0], H[:, j + 1, j, None], out=V[:, j + 1])
+        finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
+        try:
+            vals, Y = np.linalg.eig(H[finite, :m])
+        except np.linalg.LinAlgError:
+            finite = finite[:0]
+        if len(finite):
+            top = np.argmax(np.abs(vals), axis=1)
+            rows = np.arange(len(finite))
+            y = Y[rows, :, top]
+            theta[finite] = vals[rows, top]
+            X[finite] = (y[:, None, :] @ V[finite, :m])[:, 0]
+            residual[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1])
+        converged = residual <= 1e-12 * np.abs(theta)
+    return theta, X, converged
 
 
 def eigvals_mod_zero(M) -> NDArray:

@@ -43,6 +43,16 @@ __all__ = [
 NUMERIC_STEP = 1e-6
 
 
+def _numeric(value, error: type[Exception], what: str) -> NDArray:
+    """value as a float array, or `error` naming what returned it: a
+    ragged list or a string fails numpy's conversion."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} returned a {type(value).__name__} that is "
+                    f"not a numeric array ({exc})") from None
+
+
 def _frozen(value, dtype=float) -> NDArray:
     """A read-only copy of value: the holder owns its data, so later edits
     to the caller's array do not reach it, and no reader can edit it."""
@@ -113,8 +123,10 @@ class ElasticityMatrix:
     """Log-Jacobian of the system at a point.
 
     entries[j, k] is the elasticity of F_j with respect to coordinate k
-    at `point`: a finite read-only copy, N x N for N coordinates (else
-    DifferentiationError).  `method` is "analytic" or "numeric-central-log".
+    at `point`: a finite read-only float copy, N x N for N coordinates
+    (else DifferentiationError, also for a value numpy cannot convert,
+    such as a ragged list).  `method` is "analytic" or
+    "numeric-central-log".
     Immutable, so `spectrum` is computed at most once, however many read it.
     """
 
@@ -123,7 +135,9 @@ class ElasticityMatrix:
     method: str
 
     def __post_init__(self):
-        E, n, labels = _frozen(self.entries), len(self.point), self.point.labels
+        E = _frozen(_numeric(self.entries, DifferentiationError,
+                             f"{self.method} elasticity"))
+        n, labels = len(self.point), self.point.labels
         if E.shape != (n, n):
             raise DifferentiationError(f"{self.method} elasticity has shape "
                                        f"{E.shape}, expected {(n, n)}")
@@ -197,7 +211,7 @@ class PositiveSystem:
         # overflow/invalid deliberately silenced: the finiteness check
         # below turns them into coordinate-named errors
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            y = np.asarray(self.evaluate_values(x), dtype=float)
+            y = _numeric(self.evaluate_values(x), EvaluationError, "evaluate")
         if y.shape != (self.dimension,):
             raise EvaluationError(
                 f"evaluate returned shape {y.shape}, expected ({self.dimension},)")
@@ -253,7 +267,7 @@ def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
     Uses the analytic provider when the system has one; otherwise central
     differences in log coordinates with step 1e-6.  The ElasticityMatrix
     it builds raises DifferentiationError if the provider's matrix is not
-    N x N or if either method gives a non-finite entry.
+    a numeric N x N array or if either method gives a non-finite entry.
     """
     E, method = _elasticity_array(sys, x)
     return ElasticityMatrix(entries=E, point=x, method=method)

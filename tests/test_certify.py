@@ -100,8 +100,8 @@ def multi_sector_params(J=3, S=2, seed=11):
         tau=tau,
         alpha=alpha,
         L=rng.uniform(0.5, 2.0, J),
-        theta=np.array([3.5, 5.0])[:S],
-        sigma=np.array([2.0, 2.8])[:S],
+        theta=np.array([3.5, 5.0, 4.2])[:S],
+        sigma=np.array([2.0, 2.8, 2.4])[:S],
     )
 
 
@@ -618,6 +618,160 @@ def test_extraction_then_spectral_share_the_first_spectrum(k, monkeypatch):
     assert len(eigs) == k
     assert all(M is E.entries for (M,), E in zip(eigs, elas))
     assert not elas[0].spectrum.flags.writeable     # one array, shared
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
+        k, monkeypatch):
+    # n = 105 > _krylov_steps(105): one lockstep Krylov pass over |DG|
+    # gives every sample a Perron start whose bracket closes on its
+    # first matvec, and one over DG at samples 1..k-1 finds a dominant
+    # eigenvalue away from 1, so only sample 0's spectrum is dense
+    spectral_module = importlib.import_module("scalefix.spectral")
+    sys = build_general(general_params(J=15, S=3))
+    assert sys.dimension > spectral_module._krylov_steps(sys.dimension)
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    solves = count_calls(monkeypatch, np.linalg, "solve")
+    walks = count_calls(monkeypatch, spectral_module, "_strongly_connected")
+    eigs = count_eigensolves(monkeypatch)
+    rep = certify(sys, sample_count=k, seed=5)
+    assert rep.monotonicity.verdict == "fail"
+    assert rep.spectral.unique_modulus_one is False
+    assert (len(svd), len(eigs), len(solves), len(walks)) == (1, 1, 0, 0)
+    for x, rho in zip(rep.samples, rep.spectral.rho):
+        want = dense_radius(elasticity_at(sys, x).entries)
+        assert abs(rho - want) <= 1e-13 * want
+
+
+@st.composite
+def planted_lists(draw):
+    """2 to 4 non-normal n x n matrices S T S^-1, n > _krylov_steps(n),
+    sharing the eigenpair (1, u), u = S e_0.  T is upper triangular with
+    its other eigenvalues of modulus below 0.9, so that 1 is the only
+    one on the unit circle at sample 0; at the later samples T gets a
+    dominant eigenvalue of modulus 1.2 to 4, or a complex pair from a
+    2 x 2 rotation block."""
+    n, k = draw(st.integers(40, 56)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = np.eye(n) + rng.standard_normal((n, n)) / (4.0 * np.sqrt(n))
+    mats = []
+    for idx in range(k):
+        T = np.triu(rng.standard_normal((n, n)) / np.sqrt(n), 1)
+        T[np.diag_indices(n)] = rng.uniform(-0.9, 0.9, n)
+        T[0, 0] = 1.0
+        r = draw(st.floats(1.2, 4.0))
+        if idx > 0 and draw(st.booleans()):
+            T[1, 1] = r * draw(st.sampled_from([1.0, -1.0]))
+        elif idx > 0:
+            phi = draw(st.floats(0.1, 3.0))
+            T[1:3, 1:3] = r * np.array([[np.cos(phi), -np.sin(phi)],
+                                        [np.sin(phi), np.cos(phi)]])
+        mats.append(S @ T @ np.linalg.inv(S))
+    return mats, S[:, 0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(planted_lists())
+def test_krylov_spectra_agree_with_the_dense_rule(case):
+    mats, u = case
+    n = len(u)
+    sys = custom(tuple(f"x{j}" for j in range(n)), lambda x: x)
+    x = sys.state(np.ones(n))
+    elas = [ElasticityMatrix(E, x, "analytic") for E in mats]
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_eigensolves(m)
+        sp = check_spectral(sys, u, [x] * len(mats), elas)
+    dense = [np.linalg.eigvals(E) for E in mats]
+    seconds = [np.max(np.abs(e[np.abs(e - 1.0) > 1e-6]), initial=0.0)
+               for e in dense]
+    gap = min(1.0 - second for second in seconds)
+    # sample 0 reads unique, so a wrong answer at a later one shows
+    assert dense_unique_modulus_one(mats[0])
+    assert sp.unique_modulus_one is False
+    assert abs(sp.spectral_gap - gap) <= 1e-12 * abs(gap)
+    assert len(calls) <= len(mats)
+    for E, rho in zip(mats, sp.rho):
+        want = dense_radius(E)
+        assert abs(rho - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("bad", [[[0.0, 0.5], [0.5]], "oops"],
+                         ids=["ragged", "string"])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("at", [0, 1])
+def test_malformed_elasticity_is_an_error_verdict(bad, exact, at):
+    # a provider output numpy cannot convert, at sample 0 or later (in
+    # exact mode a later sample goes through the declared support)
+    E = np.full((2, 2), 0.5)
+    calls = []
+
+    def provider(x):
+        calls.append(x)
+        return bad if len(calls) > at else E
+
+    sys = PositiveSystem(
+        labels=("a", "b"), evaluate_values=lambda x: np.exp(E @ np.log(x)),
+        elasticity_values=provider,
+        sign_pattern=np.ones((2, 2), dtype=int) if exact else None)
+    rep = certify(sys, sample_count=3, seed=0)
+    assert rep.mode == ("exact" if exact else "sampled")
+    error = rep.scaling.details["error"]
+    assert rep.scaling.verdict == "error" and rep.spectral is None
+    assert error.startswith("DifferentiationError: analytic elasticity "
+                            f"returned a {type(bad).__name__} ")
+    assert rep.scaling.details["sample_index"] == at
+
+
+def test_malformed_evaluation_is_an_error_verdict():
+    sys = custom(("a", "b"), lambda x: [1.0, [2.0, 3.0]])
+    rep = certify(sys, sample_count=2, seed=0)
+    assert rep.scaling.verdict == "error" and rep.spectral is None
+    assert rep.scaling.details["error"].startswith(
+        "EvaluationError: evaluate returned a list ")
+
+
+def loglinear_system(E):
+    """F(x) = exp(E log x), whose elasticity matrix is E everywhere."""
+    n = len(E)
+    return PositiveSystem(labels=tuple(f"x{j}" for j in range(n)),
+                          evaluate_values=lambda x: np.exp(E @ np.log(x)),
+                          elasticity_values=lambda x: E)
+
+
+def dominant_one(n):
+    """Row-stochastic and positive, then one row's mass moved so that an
+    entry turns negative: E 1 = 1, and 1 stays the dominant eigenvalue."""
+    P = np.random.default_rng(1).uniform(0.5, 1.5, (n, n))
+    E = P / P.sum(axis=1, keepdims=True)
+    E[0, 2] += 2.0 * E[0, 1]
+    E[0, 1] = -E[0, 1]
+    return E
+
+
+@pytest.mark.parametrize("E", [
+    dominant_one(48),                                # dominant 1
+    np.roll(np.eye(48), 1, axis=1),                  # 48 roots of unity
+    1e200 * np.random.default_rng(2).standard_normal((48, 48)),
+], ids=["dominant-one", "tied-top-modulus", "entries-1e200"])
+@pytest.mark.parametrize("k", [2, 5])
+def test_krylov_falls_back_to_the_dense_spectrum(E, k, monkeypatch):
+    # the Krylov pass over DG at samples 1..k-1 finds 1 dominant, does
+    # not converge on a tie of 48 eigenvalues, and overflows its norms:
+    # each of those samples reads its dense spectrum, and no warning
+    # (an error here, as pyproject.toml sets) or LinAlgError escapes
+    sys = loglinear_system(E)
+    eigs = count_eigensolves(monkeypatch)
+    rep = certify(sys, sample_count=k, seed=0)
+    assert rep.spectral is not None
+    assert len(eigs) >= k
+    if np.all(np.abs(E) < 1e3):
+        assert len(eigs) == k
+        assert rep.scaling.verdict == "evidence-only"
+        dense = np.linalg.eigvals(E)
+        assert rep.spectral.unique_modulus_one == dense_unique_modulus_one(E)
+        second = np.max(np.abs(dense[np.abs(dense - 1.0) > 1e-6]))
+        assert rep.spectral.spectral_gap == pytest.approx(1.0 - second,
+                                                          abs=1e-12)
 
 
 def test_exact_check_spectral_calls_spectral_radius_once_per_sample(

@@ -18,6 +18,8 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # the warning policy pyproject.toml applies to the tests in process
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

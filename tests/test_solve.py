@@ -160,6 +160,16 @@ def test_evaluation_failure_keeps_last_iterate():
     assert np.all(res.x_star.values > 0)
 
 
+def test_malformed_evaluation_is_an_evaluation_failure():
+    # a ragged list from F is no array: iterate reports it, not numpy
+    sys = PositiveSystem(labels=("a", "b"),
+                         evaluate_values=lambda x: [x[0], [1.0, 2.0]])
+    res = iterate(sys, sys.state([1.0, 1.0]))
+    assert res.status == "evaluation-failed"
+    assert res.message.startswith("evaluate returned a list that is not "
+                                  "a numeric array")
+
+
 def test_damping_still_converges():
     A = np.array([[0.0, 0.5], [0.4, 0.0]])
     b = np.array([1.0, -1.0])
