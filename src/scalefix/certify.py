@@ -34,7 +34,6 @@ from scalefix.spectral import (
     ReducibleMatrixError,
     _check_gauge,
     _dominant_ritz,
-    _krylov_steps,
     _perron_root,
     _strongly_connected,
     eigvals_mod_zero,
@@ -131,9 +130,9 @@ class SpectralEvidence:
     # 1 the only eigenvalue on the unit circle at every sample: from the
     # spectrum at sample 0, derived by Perron-Frobenius at the others
     # where check_spectral's premises hold, False from a converged
-    # dominant Ritz value away from 1 at a later sample with more than
-    # _krylov_steps(n) rows, from the spectrum elsewhere.  Informational,
-    # as is the gap: no verdict reads either
+    # dominant Ritz value away from 1 at a later sample, from the
+    # spectrum elsewhere.  Informational, as is the gap: no verdict
+    # reads either
     unique_modulus_one: bool | None
     # min of 1 - second modulus over the samples where uniqueness was
     # not derived; |theta| is the second modulus where the Krylov pass
@@ -517,7 +516,9 @@ def check_monotonicity(sys: PositiveSystem, u,
                        samples: Sequence[StateVector],
                        elasticities: Sequence[ElasticityMatrix] | None = None,
                        ) -> tuple[CheckResult, SignPartition]:
-    """Block sign rule induced by u: within a block >= 0, across <= 0."""
+    """Block sign rule induced by u: within a block >= 0, across <= 0.
+    Checked on the declared sign pattern, if any, which alone can pass,
+    and in both modes on each sample's DG beyond TOL_SIGN."""
     _need_samples(samples)
     u = np.asarray(u, dtype=float)
     tiny = np.abs(u) <= 1e-9 * np.abs(u).max()
@@ -528,32 +529,39 @@ def check_monotonicity(sys: PositiveSystem, u,
             "the block partition is undefined there")
     partition, rule = _split_by_sign(u, sys.labels), _BlockRule(u)
 
+    verdict = "evidence-only"
     if sys.sign_pattern is not None:
         # a 0 entry breaks no rule; the others come in row-major order
         s = _support_of(sys, elasticities)
-        bad = _violations(np.take(sys.sign_pattern, s.flat),
-                          rule.same_at(s.rows, s.cols))
-        if not bad.any():
-            return CheckResult("pass"), partition
-        i = int(np.flatnonzero(bad)[0])
-        j, k = int(s.rows[i]), int(s.cols[i])
-        return CheckResult("fail", {
-            "row": sys.labels[j], "column": sys.labels[k],
-            "reason": "declared sign violates the block rule",
-        }), partition
+        declared = np.take(sys.sign_pattern, s.flat).astype(float)
+        bad = np.flatnonzero(_violations(declared,
+                                         rule.same_at(s.rows, s.cols)))
+        if bad.size:
+            return CheckResult("fail", {
+                "row": sys.labels[s.rows[bad[0]]],
+                "column": sys.labels[s.cols[bad[0]]],
+                "reason": "declared sign violates the block rule",
+            }), partition
+        verdict = "pass"
 
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
-        M = E.entries
-        bad = _violations(M, rule.same, TOL_SIGN)
-        if bad.any():
-            j, k = map(int, np.argwhere(bad)[0])
+        if isinstance(E, _SupportDG):
+            # the declared signs obey the rule, so an entry on the
+            # support breaks it where it is against its declared sign
+            bad = np.flatnonzero(declared * E.values < -TOL_SIGN)
+            flat, values = E.support.flat[bad], E.values[bad]
+        else:
+            flat = np.flatnonzero(_violations(E.entries, rule.same, TOL_SIGN))
+            values = np.take(E.entries, flat)
+        if flat.size:
+            j, k = divmod(int(flat[0]), len(u))
             return CheckResult("fail", {
                 "row": sys.labels[j], "column": sys.labels[k],
                 "sample_index": idx,
-                "value": float(M[j, k]),
+                "value": float(values[0]),
             }), partition
-    return CheckResult("evidence-only"), partition
+    return CheckResult(verdict), partition
 
 
 def _first_bracket(w: NDArray, v: NDArray,
@@ -588,24 +596,16 @@ def _dense_root(A: NDArray, v: NDArray,
 def _open_roots(elasticities: Sequence[_DG], start: NDArray,
                 ) -> list[tuple[float, tuple[float, float] | None]]:
     """rho(|DG|) and its proved bracket at samples whose first bracket
-    from start stayed open.  Above _krylov_steps(n) coordinates, one
-    lockstep Krylov pass over their |DG| gives each a Ritz vector x of
-    largest modulus, and v = |x| a Collatz-Wielandt bracket by one
-    matvec; _dense_root runs from v only where that stays open too, and
-    from start where v is not positive and finite, or at fewer
-    coordinates."""
+    from start stayed open.  One lockstep Krylov pass over their |DG|
+    gives each a Ritz vector x of largest modulus, and _dense_root runs
+    from v = |x|, whose first Collatz-Wielandt bracket closes as a
+    rule, or from start where v is not positive and finite."""
     mats = [np.abs(E.entries) for E in elasticities]  # E finite: A >= 0
-    if len(start) <= _krylov_steps(len(start)):
-        return [_dense_root(A, start) for A in mats]
     roots = []
     for A, v in zip(mats, np.abs(_dominant_ritz(mats)[1])):
-        root = None
-        if np.all((v > 0.0) & (v < np.inf)):       # NaN fails too
-            with np.errstate(over="ignore"):
-                root = _first_bracket(A @ v, v)
-        else:
+        if not np.all((v > 0.0) & (v < np.inf)):   # NaN fails too
             v = start
-        roots.append(root or _dense_root(A, v))
+        roots.append(_dense_root(A, v))
     return roots
 
 
@@ -617,13 +617,6 @@ def _perron_derived(E: _DG, signature: float,
     return (signature == 0.0 and bracket is not None
             and 1.0 - NEAR_ONE <= bracket[0] and bracket[1] <= 1.0 + NEAR_ONE
             and _self_loop(E) and _irreducible(E))
-
-
-def _memoized(E: _DG) -> bool:
-    """True when E's spectrum is already computed."""
-    if isinstance(E, _SupportDG):
-        return "dense" in vars(E) and _memoized(E.dense)
-    return "spectrum" in vars(E)
 
 
 def _peripheral(eigs: NDArray) -> tuple[bool, float]:
@@ -638,18 +631,15 @@ def _peripheral(eigs: NDArray) -> tuple[bool, float]:
 
 def _peripherals(elasticities: Sequence[_DG], spectra: list[int],
                  ) -> list[tuple[bool, float]]:
-    """_peripheral at the samples `spectra`.  Above _krylov_steps(n)
-    coordinates, one lockstep Krylov pass runs over DG at the samples
-    after the first with no spectrum computed; where its dominant Ritz
+    """_peripheral at the samples `spectra`.  One lockstep Krylov pass
+    runs over DG at the samples after the first; where its dominant Ritz
     value theta converged with |theta - 1| > NEAR_ONE, the answer is
     (False, |theta|), as the dense rule's is whenever the dominant
-    eigenvalue lies away from 1.  Every other sample reads its
-    `spectrum`."""
-    krylov = [idx for idx in spectra
-              if idx > 0 and not _memoized(elasticities[idx])]
+    eigenvalue lies away from 1.  Every other sample, sample 0 included,
+    reads its `spectrum`."""
+    krylov = [idx for idx in spectra if idx > 0]
     known = {}
-    n = len(elasticities[0].point)
-    if krylov and n > _krylov_steps(n):
+    if krylov:
         theta, _, converged = _dominant_ritz(
             [elasticities[idx].entries for idx in krylov])
         known = {idx: (False, float(abs(t)))
@@ -674,24 +664,22 @@ def check_spectral(sys: PositiveSystem, u,
     eigenvector residual; rho is the bracket's midpoint when the bracket
     is positive and within 1e-13 max(1, rho), as when |DG| |u| = |u|.
     Where it stays open, the Perron start comes from one lockstep
-    Krylov pass (_dominant_ritz) over the |DG| of all such samples, when
-    DG has more than _krylov_steps(n) rows: v = |x|, x the Ritz vector of
-    largest modulus, whose bracket by one explicit matvec closes as a
-    rule.  Where it stays open too, or at fewer rows, spectral_radius's
-    later steps run on the dense |DG| from v (v = |u| at fewer rows or
-    with no positive Ritz vector), and where they raise, rho is the
-    largest eigenvalue modulus of |DG|, clamped into the bracket proved
-    so far, if any.  Every rho is thus the midpoint of a bracket proved
-    by a matvec, except for that last fallback.
+    Krylov pass (_dominant_ritz) over the |DG| of all such samples:
+    v = |x|, x the Ritz vector of largest modulus, whose bracket by one
+    explicit matvec closes as a rule.  Where it stays open too,
+    spectral_radius's later steps run on the dense |DG| from v (from
+    |u|, or all ones, where |x| is not positive), and where they
+    raise, rho is the largest eigenvalue modulus of |DG|, clamped into
+    the bracket proved so far, if any.  Every rho is thus the midpoint
+    of a bracket proved by a matvec, except for that last fallback.
 
     Uniqueness comes from the spectrum of DG at sample 0, which also
     gives the gap.  At any other sample where the signature residual is
     exactly 0, the bracket lies within NEAR_ONE of 1 and |DG| is
     primitive, DG is similar to |DG|, whose Perron root is simple and the
     only eigenvalue of its modulus (Perron-Frobenius), so no eigensolve
-    runs there.  The other samples after the first whose spectrum is not
-    yet computed go through one lockstep Krylov pass over their DG when
-    DG has more than _krylov_steps(n) rows: a converged dominant Ritz value
+    runs there.  The other samples after the first go through one
+    lockstep Krylov pass over their DG: a converged dominant Ritz value
     theta with |theta - 1| > NEAR_ONE gives unique False and second
     modulus |theta|, which is the dense rule's answer whenever the
     dominant eigenvalue lies away from 1.  Every other sample, sample 0

@@ -239,27 +239,29 @@ def _perron_root(A: NDArray, tol: float, v: NDArray) -> SpectralResult:
 
 def _krylov_steps(n: int) -> int:
     """Arnoldi steps of _dominant_ritz on n x n matrices: 4 sqrt(n), at
-    least 32.  On the general trade model's elasticity matrices, n from
-    56 to 520, the dominant Ritz pairs of DG and |DG| converged within
-    about 3.5 sqrt(n) steps."""
-    return max(32, math.ceil(4.0 * math.sqrt(n)))
+    least 32, at most n.  On the general trade model's elasticity
+    matrices, n from 56 to 520, the dominant Ritz pairs of DG and |DG|
+    converged within about 3.5 sqrt(n) steps."""
+    return min(n, max(32, math.ceil(4.0 * math.sqrt(n))))
 
 
 def _dominant_ritz(mats: Sequence[NDArray],
                    ) -> tuple[NDArray, NDArray, NDArray[np.bool_]]:
     """m = _krylov_steps(n) Arnoldi steps on each of the finite square
-    matrices in mats, all of one size n > m, in lockstep: one matvec per
+    matrices in mats, all of one size n, in lockstep: one matvec per
     matrix per step, with the classical Gram-Schmidt steps, done twice,
     and the Hessenberg updates batched over the (k, m+1, n) basis (Saad,
     Numerical Methods for Large Eigenvalue Problems, 2nd ed., 2011,
-    ch. 6).  Every run starts from one fixed generic unit vector.
+    ch. 6).  Every run starts from one fixed generic unit vector.  An
+    h_{j+1,j} of at most 1e-12 ||A||_F is a breakdown (an invariant
+    subspace, as at step n): it is set to 0 and zero vectors follow.
 
     Returns, per matrix, the Ritz value theta of largest modulus, its
     unit Ritz vector x (complex) and whether it converged: its residual
     ||A x - theta x||_2 = |h_{m+1,m} e_m' y| is finite and at most
-    1e-12 |theta|.  A breakdown, an overflow or a failed eigensolve of
-    the Hessenberg matrices leaves NaNs and counts as not converged; no
-    warning or LinAlgError escapes.
+    1e-12 |theta|, which a breakdown makes 0.  An overflow or a failed
+    eigensolve of the Hessenberg matrices leaves NaNs and counts as not
+    converged; no warning or LinAlgError escapes.
     """
     k, n = len(mats), len(mats[0])
     m = _krylov_steps(n)
@@ -272,6 +274,8 @@ def _dominant_ritz(mats: Sequence[NDArray],
     X = np.full((k, n), np.nan, dtype=complex)
     residual = np.full(k, np.inf)
     with np.errstate(all="ignore"):
+        small = 1e-12 * np.array([np.linalg.norm(A) for A in mats])
+        small[~(small < np.inf)] = -1.0     # overflowed: no breakdown
         for j in range(m):
             for i, A in enumerate(mats):
                 np.dot(A, V[i, j], out=w[i, 0])
@@ -281,8 +285,12 @@ def _dominant_ritz(mats: Sequence[NDArray],
             d = w @ np.swapaxes(B, 1, 2)
             w -= d @ B
             H[:, :j + 1, j] = (c + d)[:, 0]
-            H[:, j + 1, j] = np.sqrt(np.einsum("kin,kin->k", w, w))
-            np.divide(w[:, 0], H[:, j + 1, j, None], out=V[:, j + 1])
+            h = np.sqrt(np.einsum("kin,kin->k", w, w))
+            invariant = h <= small
+            h[invariant] = 0.0
+            H[:, j + 1, j] = h
+            np.divide(w[:, 0], h[:, None], out=V[:, j + 1])
+            V[invariant, j + 1] = 0.0
         finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
         try:
             vals, Y = np.linalg.eig(H[finite, :m])

@@ -24,6 +24,7 @@ from scalefix.certify import (
     find_scaling_exponent,
     sample_states,
 )
+from scalefix.cli import exit_code_for_report
 from scalefix.modelio import format_report, parse_report
 from scalefix.spectral import eigvals_mod_zero
 from scalefix.system import (
@@ -352,13 +353,19 @@ def test_derived_uniqueness_matches_dense_eigvals(case):
     sys, samples, elas = with_rank_one_first(E, u)
     with pytest.MonkeyPatch.context() as m:
         calls = count_eigensolves(m)
+        ritz = count_calls(m, importlib.import_module("scalefix.certify"),
+                           "_dominant_ritz")
         sp = check_spectral(sys, u, samples, elas)
     assert sp.unique_modulus_one == dense_unique_modulus_one(E)
     if np.diag(M).max() > 0.0:
-        assert len(calls) == 1        # derived at sample 1
+        # derived at sample 1: sample 0's spectrum is the only one
+        assert (len(calls), len(ritz)) == (1, 0)
     else:
-        # no self-loop, so |E| may be imprimitive: E gets its spectrum
-        assert any(args[0] is elas[1].entries for args in calls)
+        # no self-loop, so |E| may be imprimitive: E goes through the
+        # Krylov pass, and gets its spectrum only where theta is near 1
+        assert len(ritz) == 1 and ritz[0][0][0] is elas[1].entries
+        assert len(calls) <= 2
+        assert all(args[0] is elas[1].entries for args in calls[1:])
 
 
 def test_derivation_refused_for_a_flipped_sign_or_radius_off_one():
@@ -371,14 +378,16 @@ def test_derivation_refused_for_a_flipped_sign_or_radius_off_one():
     flipped[0, 1] = -flipped[0, 1]
     u = d * v
     # |c E| |u| = c |u|: the bracket closes around c, and 1 is no
-    # eigenvalue at all
-    for F, solves, unique in ((E, 1, True), (flipped, 2, None),
-                              (1.5 * E, 2, False), (0.5 * E, 2, False)):
+    # eigenvalue at all.  Where the derivation is refused, the Krylov
+    # pass finds F's dominant eigenvalue away from 1, so sample 0's
+    # spectrum stays the only one
+    for F, unique in ((E, True), (flipped, None), (1.5 * E, False),
+                      (0.5 * E, False)):
         sys, samples, elas = with_rank_one_first(F, u)
         with pytest.MonkeyPatch.context() as m:
             calls = count_eigensolves(m)
             sp = check_spectral(sys, u, samples, elas)
-        assert len(calls) == solves
+        assert len(calls) == 1
         assert (sp.similarity_residual > 0.0) == (F is flipped)
         assert sp.unique_modulus_one == dense_unique_modulus_one(F)
         assert unique is None or sp.unique_modulus_one == unique
@@ -586,79 +595,64 @@ def test_certify_validates_no_matrix_it_built(k, exact, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
-    # the extraction's pre-check and check_spectral share sample 0's
-    # spectrum, the signature fails, so each DG gets one eigensolve, and
-    # spectral_radius gives rho(|DG|) with no eigensolve
-    sys = build_general(general_params())
-    svd = count_calls(monkeypatch, np.linalg, "svd")
-    eigs = count_eigensolves(monkeypatch)
-    rep = certify(sys, sample_count=k, seed=5)
-    assert rep.monotonicity.verdict == "fail"
-    assert rep.spectral.similarity_residual > 0.0
-    assert rep.spectral.rho_bracket is not None
-    assert (len(svd), len(eigs)) == (1, k)
-    for x, rho in zip(rep.samples, rep.spectral.rho):
-        want = dense_radius(elasticity_at(sys, x).entries)
-        assert abs(rho - want) <= 1e-13 * want
-
-
-@pytest.mark.parametrize("k", [1, 3, 8])
-def test_extraction_then_spectral_share_the_first_spectrum(k, monkeypatch):
-    # the public functions one after the other on one elasticity list:
-    # sample 0's memoized spectrum serves both, and the signature fails,
-    # so every DG gets exactly one eigensolve
-    sys = build_general(general_params())
-    samples = sample_states(sys, k, seed=5)
-    elas = [elasticity_at(sys, x) for x in samples]
-    eigs = count_eigensolves(monkeypatch)
-    cert = find_scaling_exponent(sys, samples, elas)
-    sp = check_spectral(sys, cert.u, samples, elas)
-    assert sp.similarity_residual > 0.0 and sp.rho_bracket is not None
-    assert len(eigs) == k
-    assert all(M is E.entries for (M,), E in zip(eigs, elas))
-    assert not elas[0].spectrum.flags.writeable     # one array, shared
-
-
-@pytest.mark.parametrize("k", [1, 3, 8])
 def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
         k, monkeypatch):
-    # n = 105 > _krylov_steps(105): one lockstep Krylov pass over |DG|
+    # at n = 10, where the Krylov pass is a full Arnoldi reduction, and
+    # at n = 105 > _krylov_steps(105): one lockstep Krylov pass over |DG|
     # gives every sample a Perron start whose bracket closes on its
     # first matvec, and one over DG at samples 1..k-1 finds a dominant
-    # eigenvalue away from 1, so only sample 0's spectrum is dense
+    # eigenvalue away from 1, so only sample 0's spectrum is dense, and
+    # the extraction's pre-check and check_spectral share it
     spectral_module = importlib.import_module("scalefix.spectral")
-    sys = build_general(general_params(J=15, S=3))
-    assert sys.dimension > spectral_module._krylov_steps(sys.dimension)
-    svd = count_calls(monkeypatch, np.linalg, "svd")
-    solves = count_calls(monkeypatch, np.linalg, "solve")
-    walks = count_calls(monkeypatch, spectral_module, "_strongly_connected")
-    eigs = count_eigensolves(monkeypatch)
-    rep = certify(sys, sample_count=k, seed=5)
-    assert rep.monotonicity.verdict == "fail"
-    assert rep.spectral.unique_modulus_one is False
-    assert (len(svd), len(eigs), len(solves), len(walks)) == (1, 1, 0, 0)
-    for x, rho in zip(rep.samples, rep.spectral.rho):
-        want = dense_radius(elasticity_at(sys, x).entries)
-        assert abs(rho - want) <= 1e-13 * want
+    for J, S in ((2, 2), (15, 3)):
+        sys = build_general(general_params(J=J, S=S))
+        with pytest.MonkeyPatch.context() as m:
+            svd = count_calls(m, np.linalg, "svd")
+            solves = count_calls(m, np.linalg, "solve")
+            walks = count_calls(m, spectral_module, "_strongly_connected")
+            eigs = count_eigensolves(m)
+            rep = certify(sys, sample_count=k, seed=5)
+        assert rep.monotonicity.verdict == "fail"
+        assert rep.spectral.similarity_residual > 0.0
+        assert rep.spectral.unique_modulus_one is False
+        assert (len(svd), len(eigs), len(solves), len(walks)) == (1, 1, 0, 0)
+        assert rep.spectral.rho_bracket is not None
+        for x, rho in zip(rep.samples, rep.spectral.rho):
+            want = dense_radius(elasticity_at(sys, x).entries)
+            assert abs(rho - want) <= 1e-13 * want
+
+
+def sizes_around_the_krylov_steps(draw, least):
+    """n from least to 32, where _krylov_steps(n) = n, or from 40 to 56,
+    where it is 32 < n."""
+    return draw(st.one_of(st.integers(least, 32), st.integers(40, 56)))
+
+
+def upper_triangular_with_one_first(rng, n):
+    """Upper triangular T, T[0, 0] = 1, its other diagonal entries
+    uniform on (-0.9, 0.9): 1 is its only eigenvalue on the unit
+    circle."""
+    T = np.triu(rng.standard_normal((n, n)) / np.sqrt(n), 1)
+    T[np.diag_indices(n)] = rng.uniform(-0.9, 0.9, n)
+    T[0, 0] = 1.0
+    return T
 
 
 @st.composite
 def planted_lists(draw):
-    """2 to 4 non-normal n x n matrices S T S^-1, n > _krylov_steps(n),
-    sharing the eigenpair (1, u), u = S e_0.  T is upper triangular with
-    its other eigenvalues of modulus below 0.9, so that 1 is the only
-    one on the unit circle at sample 0; at the later samples T gets a
-    dominant eigenvalue of modulus 1.2 to 4, or a complex pair from a
-    2 x 2 rotation block."""
-    n, k = draw(st.integers(40, 56)), draw(st.integers(2, 4))
+    """2 to 4 non-normal n x n matrices S T S^-1 sharing the eigenpair
+    (1, u), u = S e_0, with n from 3 to 32, where _krylov_steps(n) = n,
+    or from 40 to 56, where it is 32.  T is upper triangular with its
+    other eigenvalues of modulus below 0.9, so that 1 is the only one on
+    the unit circle at sample 0; at the later samples T gets a dominant
+    eigenvalue of modulus 1.2 to 4, or a complex pair from a 2 x 2
+    rotation block."""
+    n, k = sizes_around_the_krylov_steps(draw, 3), draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     S = np.eye(n) + rng.standard_normal((n, n)) / (4.0 * np.sqrt(n))
     mats = []
     for idx in range(k):
-        T = np.triu(rng.standard_normal((n, n)) / np.sqrt(n), 1)
-        T[np.diag_indices(n)] = rng.uniform(-0.9, 0.9, n)
-        T[0, 0] = 1.0
+        T = upper_triangular_with_one_first(rng, n)
         r = draw(st.floats(1.2, 4.0))
         if idx > 0 and draw(st.booleans()):
             T[1, 1] = r * draw(st.sampled_from([1.0, -1.0]))
@@ -693,6 +687,50 @@ def test_krylov_spectra_agree_with_the_dense_rule(case):
     for E, rho in zip(mats, sp.rho):
         want = dense_radius(E)
         assert abs(rho - want) <= 1e-12 * want
+
+
+@st.composite
+def clustered_lists(draw):
+    """(mats, u, q): 2 to 4 matrices S T S^-1 as in planted_lists, with
+    (1, u) planted at sample 0.  At the later samples T holds r P_q in
+    rows and columns 1..q, P_q the q x q cyclic shift, so that r times
+    the q-th roots of unity are eigenvalues, a tie of q dominant ones
+    for r > 1; for r = 1 the tie holds 1 twice, and for r < 1 it lies
+    below the eigenvalue 1."""
+    n, k = sizes_around_the_krylov_steps(draw, 4), draw(st.integers(2, 4))
+    q = draw(st.integers(2, n - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = np.eye(n) + rng.standard_normal((n, n)) / (4.0 * np.sqrt(n))
+    mats = []
+    for idx in range(k):
+        T = upper_triangular_with_one_first(rng, n)
+        if idx > 0:
+            r = draw(st.one_of(st.just(1.0), st.floats(0.5, 4.0)))
+            T[1:q + 1, 1:q + 1] = r * np.roll(np.eye(q), 1, axis=1)
+        mats.append(S @ T @ np.linalg.inv(S))
+    return mats, S[:, 0], q
+
+
+@settings(max_examples=40, deadline=None)
+@given(clustered_lists())
+def test_krylov_spectra_of_clustered_ties_agree_with_the_dense_rule(case):
+    # a tie of more than _krylov_steps(n) = 32 roots cannot converge in
+    # the Krylov pass, so every later sample falls back to its spectrum
+    mats, u, q = case
+    n = len(u)
+    sys = custom(tuple(f"x{j}" for j in range(n)), lambda x: x)
+    x = sys.state(np.ones(n))
+    elas = [ElasticityMatrix(E, x, "analytic") for E in mats]
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_eigensolves(m)
+        sp = check_spectral(sys, u, [x] * len(mats), elas)
+    certify_module = importlib.import_module("scalefix.certify")
+    facts = [certify_module._peripheral(np.linalg.eigvals(E)) for E in mats]
+    gap = min(1.0 - second for _, second in facts)
+    assert sp.unique_modulus_one == all(ok for ok, _ in facts)
+    assert abs(sp.spectral_gap - gap) <= 1e-12 * max(1.0, abs(gap))
+    if q > 32:
+        assert len(calls) == len(mats)
 
 
 @pytest.mark.parametrize("bad", [[[0.0, 0.5], [0.5]], "oops"],
@@ -882,7 +920,7 @@ def test_closed_form_premise_is_read_at_sample_zero(monkeypatch):
     # E0 and E1 both fix u = (1, 1, -1), but only E0 obeys its block
     # rule: a pattern declared from E0, wrong at the later samples,
     # changes where u comes from, not a verdict, and the later samples
-    # still show in the signature
+    # still show in the signature and fail monotonicity
     D = np.diag([1.0, 1.0, -1.0])
     E0 = D @ np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3],
                        [0.4, 0.4, 0.2]]) @ D
@@ -913,7 +951,10 @@ def test_closed_form_premise_is_read_at_sample_zero(monkeypatch):
                 if key.endswith((".verdict", "_applicable",
                                  "unique_modulus_one"))}
     assert verdicts(rep) == verdicts(ref)
-    assert verdicts(rep)["uniqueness_applicable"] == "true"
+    # E1's entry against the block rule is a counterexample at sample 1
+    assert rep.monotonicity.details == {
+        "row": "a", "column": "c", "sample_index": 1, "value": 0.2}
+    assert verdicts(rep)["uniqueness_applicable"] == "false"
 
 
 # ------------------------------------ exact certify on the declared support
@@ -1179,6 +1220,28 @@ def test_mixed_sign_row_fails_monotonicity():
 
     flip = bisect_sign_flip(self_elasticity, 0.5, 2.0)
     assert abs(flip - 1.0) < 1e-8
+
+
+# E u = u for u = (1, 1, -1), and E[0, 2] = 0.1 > 0 lies across the
+# blocks: a pattern that declares that entry 0 (so E leaves the support)
+# or -1 (so E stays on it) obeys the block rule, E does not
+@pytest.mark.parametrize("declared", [0, -1])
+def test_exact_monotonicity_fails_on_a_sample_against_the_block_rule(
+        declared):
+    E = np.array([[0.6, 0.5, 0.1], [0.1, 0.6, -0.3], [-0.4, -0.4, 0.2]])
+    u = np.array([1.0, 1.0, -1.0])
+    pattern = np.sign(E).astype(int)
+    pattern[0, 2] = declared
+    rep = certify(log_linear(E, pattern, u), sample_count=8, seed=0)
+    assert rep.mode == "exact" and rep.scaling.verdict == "pass"
+    assert rep.monotonicity.verdict == "fail"
+    assert rep.monotonicity.details == {
+        "row": "a", "column": "c", "sample_index": 0, "value": 0.1}
+    assert not rep.uniqueness_applicable
+    assert exit_code_for_report(rep) == 3
+    # the evidence the declaration hid: D E D != |E| and rho(|E|) > 1
+    assert rep.spectral.similarity_residual == pytest.approx(0.2)
+    assert min(rep.spectral.rho) > 1.05
 
 
 def test_rotation_is_the_radius_one_borderline():

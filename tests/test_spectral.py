@@ -727,3 +727,54 @@ def test_reduced_eigs_fall_back_when_the_companion_overflows():
     got = eigvals_mod_zero(M)
     assert np.array_equal(got, np.linalg.eigvals(M))
     assert np.allclose(sorted(got.real), [-1e200, 0.0, 1e200], rtol=1e-12)
+
+
+# --------------------------------------------------- Krylov breakdown
+
+
+def rank_one(n):
+    a = np.arange(1.0, n + 1.0)
+    return np.outer(a, np.linspace(-1.0, 1.0, n) + 0.3)
+
+
+@pytest.mark.parametrize("M", [
+    np.eye(50),
+    rank_one(50),
+    np.diag(np.repeat([3.0, -1.0, 0.5], [10, 20, 20])),
+], ids=["identity", "rank-one", "three-eigenvalues"])
+def test_krylov_breakdown_gives_the_exact_dominant_pair(M):
+    # the Krylov space of a matrix with 1, 1 or 3 distinct eigenvalues
+    # is invariant after that many steps, far below _krylov_steps(50) =
+    # 32: the Ritz values there are eigenvalues, and the pair converges
+    spectral = importlib.import_module("scalefix.spectral")
+    dense = np.linalg.eigvals(M)
+    want = dense[np.argmax(np.abs(dense))]
+    theta, X, converged = spectral._dominant_ritz([M])
+    assert converged[0]
+    assert abs(theta[0] - want) <= 1e-12 * abs(want)
+    assert np.linalg.norm(M @ X[0] - theta[0] * X[0]) <= 1e-12 * abs(want)
+
+
+def test_krylov_breakdown_is_per_matrix_and_no_overflow_converges():
+    # in one lockstep pass the identity breaks down at its first step,
+    # while the matrix with entries near 1e200 overflows its norms, which
+    # must not read as a breakdown
+    spectral = importlib.import_module("scalefix.spectral")
+    big = 1e200 * np.random.default_rng(2).standard_normal((50, 50))
+    theta, _, converged = spectral._dominant_ritz([np.eye(50), big])
+    assert list(converged) == [True, False]
+    assert theta[0] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 32])
+def test_krylov_pass_at_most_32_rows_is_a_full_reduction(n):
+    # n steps span R^n, so the last one breaks down and the Ritz
+    # values are the eigenvalues of A, up to rounding
+    spectral = importlib.import_module("scalefix.spectral")
+    A = np.random.default_rng(n).standard_normal((n, n))
+    dense = np.linalg.eigvals(A)
+    want = np.max(np.abs(dense))
+    theta, _, converged = spectral._dominant_ritz([A, 2.0 * A])
+    assert spectral._krylov_steps(n) == n
+    assert list(converged) == [True, True]
+    assert np.abs(theta) == pytest.approx([want, 2.0 * want], rel=1e-12)
