@@ -595,31 +595,76 @@ def test_certify_validates_no_matrix_it_built(k, exact, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
+def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
+    # n = 10, where the Krylov pass is a full Arnoldi reduction: the
+    # signature fails, so every DG gets one eigensolve, sample 0's dense
+    # (its spectrum, which the extraction's pre-check shares) and those
+    # of samples 1..k-1 in one lockstep Krylov pass over their DG, whose
+    # dominant eigenvalue lies away from 1; spectral_radius gives
+    # rho(|DG|) with no eigensolve
+    certify_module = importlib.import_module("scalefix.certify")
+    spectral_module = importlib.import_module("scalefix.spectral")
+    sys = build_general(general_params())
+    assert sys.dimension == spectral_module._krylov_steps(sys.dimension)
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    eigs = count_eigensolves(monkeypatch)
+    ritz = count_calls(monkeypatch, certify_module, "_dominant_ritz")
+    rep = certify(sys, sample_count=k, seed=5)
+    assert rep.monotonicity.verdict == "fail"
+    assert rep.spectral.similarity_residual > 0.0
+    assert rep.spectral.unique_modulus_one is False
+    assert rep.spectral.rho_bracket is not None
+    elas = [elasticity_at(sys, x) for x in rep.samples]
+    on_dg = [mats for (mats,) in ritz
+             if any(np.array_equal(M, E.entries) for M, E in
+                    zip(mats, elas[1:]))]
+    assert (len(svd), len(eigs), sum(map(len, on_dg))) == (1, 1, k - 1)
+    assert np.array_equal(eigs[0][0], elas[0].entries)
+    for E, rho in zip(elas, rep.spectral.rho):
+        want = dense_radius(E.entries)
+        assert abs(rho - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_extraction_then_spectral_share_the_first_spectrum(k, monkeypatch):
+    # the public functions one after the other on one elasticity list:
+    # sample 0's memoized spectrum serves both, and the Krylov pass over
+    # DG at samples 1..k-1 answers the rest, so sample 0's DG gets the
+    # only eigensolve
+    sys = build_general(general_params())
+    samples = sample_states(sys, k, seed=5)
+    elas = [elasticity_at(sys, x) for x in samples]
+    eigs = count_eigensolves(monkeypatch)
+    cert = find_scaling_exponent(sys, samples, elas)
+    sp = check_spectral(sys, cert.u, samples, elas)
+    assert sp.similarity_residual > 0.0 and sp.rho_bracket is not None
+    assert len(eigs) == 1 and eigs[0][0] is elas[0].entries
+    assert not elas[0].spectrum.flags.writeable     # one array, shared
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
 def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
         k, monkeypatch):
-    # at n = 10, where the Krylov pass is a full Arnoldi reduction, and
-    # at n = 105 > _krylov_steps(105): one lockstep Krylov pass over |DG|
+    # n = 105 > _krylov_steps(105): one lockstep Krylov pass over |DG|
     # gives every sample a Perron start whose bracket closes on its
     # first matvec, and one over DG at samples 1..k-1 finds a dominant
-    # eigenvalue away from 1, so only sample 0's spectrum is dense, and
-    # the extraction's pre-check and check_spectral share it
+    # eigenvalue away from 1, so only sample 0's spectrum is dense
     spectral_module = importlib.import_module("scalefix.spectral")
-    for J, S in ((2, 2), (15, 3)):
-        sys = build_general(general_params(J=J, S=S))
-        with pytest.MonkeyPatch.context() as m:
-            svd = count_calls(m, np.linalg, "svd")
-            solves = count_calls(m, np.linalg, "solve")
-            walks = count_calls(m, spectral_module, "_strongly_connected")
-            eigs = count_eigensolves(m)
-            rep = certify(sys, sample_count=k, seed=5)
-        assert rep.monotonicity.verdict == "fail"
-        assert rep.spectral.similarity_residual > 0.0
-        assert rep.spectral.unique_modulus_one is False
-        assert (len(svd), len(eigs), len(solves), len(walks)) == (1, 1, 0, 0)
-        assert rep.spectral.rho_bracket is not None
-        for x, rho in zip(rep.samples, rep.spectral.rho):
-            want = dense_radius(elasticity_at(sys, x).entries)
-            assert abs(rho - want) <= 1e-13 * want
+    sys = build_general(general_params(J=15, S=3))
+    assert sys.dimension > spectral_module._krylov_steps(sys.dimension)
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    solves = count_calls(monkeypatch, np.linalg, "solve")
+    walks = count_calls(monkeypatch, spectral_module, "_strongly_connected")
+    eigs = count_eigensolves(monkeypatch)
+    rep = certify(sys, sample_count=k, seed=5)
+    assert rep.monotonicity.verdict == "fail"
+    assert rep.spectral.similarity_residual > 0.0
+    assert rep.spectral.unique_modulus_one is False
+    assert (len(svd), len(eigs), len(solves), len(walks)) == (1, 1, 0, 0)
+    assert rep.spectral.rho_bracket is not None
+    for x, rho in zip(rep.samples, rep.spectral.rho):
+        want = dense_radius(elasticity_at(sys, x).entries)
+        assert abs(rho - want) <= 1e-13 * want
 
 
 def sizes_around_the_krylov_steps(draw, least):
