@@ -15,6 +15,7 @@ import configparser
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -103,21 +104,25 @@ def _read_table(path: str, one_column: bool) -> np.ndarray:
     width = header.count(",") + 1
     if one_column and width != 1:
         raise ConfigError(f"{path}: expected a single column, found {width}")
-    rows = []
-    for lineno, line in lines:
-        cells = line.split(",")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:  # locate the bad cell only on failure
-            for col, cell in enumerate(cells, start=1):
-                _number(f"{path}: row {lineno}, column {col}", cell.strip())
-        if len(row) != width:
-            raise ConfigError(f"{path}: row {lineno}: {len(row)} values "
-                              f"under {width} header columns")
-        rows.append(row)
+    rows = list(lines)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return np.array(rows).reshape(-1) if one_column else np.array(rows)
+    texts = [line for _, line in rows]
+    try:
+        values = list(map(float, ",".join(texts).split(",")))
+    except ValueError:
+        values = None
+    if values is None or any(t.count(",") != width - 1 for t in texts):
+        # locate the first fault in file order only on failure
+        for lineno, line in rows:
+            cells = line.split(",")
+            for col, cell in enumerate(cells, start=1):
+                _number(f"{path}: row {lineno}, column {col}", cell.strip())
+            if len(cells) != width:
+                raise ConfigError(f"{path}: row {lineno}: {len(cells)} "
+                                  f"values under {width} header columns")
+    table = np.array(values)
+    return table if one_column else table.reshape(len(rows), width)
 
 
 # ------------------------------------------------------- configuration
@@ -430,12 +435,18 @@ def parse_report(text: str) -> dict:
 _OUTCOMES = ("w", "R", "E", "P", "c", "pi", "U")
 
 
-def _labelled_lines(named_arrays, fmt: str) -> list[str]:
+def _block(labels, values, fmt: str) -> str:
+    """One `label: value` line per pair, each ended by a newline, from a
+    single % over the interleaved pairs."""
+    return f"%s: {fmt}\n" * len(labels) % tuple(
+        chain.from_iterable(zip(labels, values)))
+
+
+def _labelled_lines(named_arrays, fmt: str) -> str:
     """One `name[i]...: value` line per entry, each array in C order."""
-    return [f"{label}: {fmt % v}"
-            for name, arr in named_arrays
-            for label, v in zip(indexed_labels(name, *np.shape(arr)),
-                                np.ravel(arr).tolist())]
+    return "".join(_block(indexed_labels(name, *np.shape(arr)),
+                          np.ravel(arr).tolist(), fmt)
+                   for name, arr in named_arrays)
 
 
 def format_equilibrium(x_star, outcomes: Outcomes) -> str:
@@ -448,21 +459,17 @@ def format_equilibrium(x_star, outcomes: Outcomes) -> str:
     multi-sector model gave 6 distinct files, at most 6.5e-9 relative
     apart.
     """
-    lines = [f"{label}: {v:.8e}"
-             for label, v in zip(x_star.labels, x_star.values)]
-    lines += [""] + _labelled_lines(
-        ((name, getattr(outcomes, name)) for name in _OUTCOMES
-         if name != "pi"), "%.8e")
-    return "\n".join(lines) + "\n"
+    return _block(x_star.labels, x_star.values.tolist(), "%.8e") + "\n" + \
+        _labelled_lines(((name, getattr(outcomes, name))
+                         for name in _OUTCOMES if name != "pi"), "%.8e")
 
 
 def format_deltas(changes: dict) -> str:
     """Relative changes, one `delta.<name>[i]...: value` line per entry
     of changes["w"], "R", "E", "P", "c", "pi" and "U" in that order; the
     arrays' own shapes give the indices."""
-    return "\n".join(_labelled_lines(
-        ((f"delta.{name}", changes[name]) for name in _OUTCOMES),
-        FMT)) + "\n"
+    return _labelled_lines(
+        ((f"delta.{name}", changes[name]) for name in _OUTCOMES), FMT)
 
 
 def summarize_solve(res: SolveResult) -> str:

@@ -9,6 +9,7 @@ relative residual on F itself before a run is reported converged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Literal
 
 import numpy as np
@@ -140,9 +141,6 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
         if np.any(u == 0.0) or not np.all(np.isfinite(u)):
             raise ValueError("gauge from u needs every u_j finite and nonzero")
         _pinned(x0.labels, u, opts.numeraire_rule)
-        v = np.abs(u)
-    else:
-        v = np.ones(sys.dimension)
 
     d = opts.damping
     z = np.log(x0.values)
@@ -169,10 +167,17 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
         return result("evaluation-failed", z, 0, msg=str(exc))
 
     for it in range(1, opts.max_iter + 1):
-        z_next = (1.0 - d) * z + d * Gz
+        # d == 1 is exact: 0*z + 1*Gz is Gz for finite z
+        z_next = Gz if d == 1.0 else (1.0 - d) * z + d * Gz
         step = z_next - z
-        sg = float(np.max(np.abs(step) / v))
-        sq = sg if u is None else float(0.5 * np.ptp(step / u))
+        if u is None:
+            sg = sq = float(np.abs(step).max())
+        else:
+            # |step|/|u| is |step/u| bit for bit, so one quotient gives
+            # the gauge norm and half the spread
+            q = step / u
+            hi, lo = q.max(), q.min()
+            sg, sq = float(max(hi, -lo)), float(0.5 * (hi - lo))
         gauge_steps.append(sg)
         quot_steps.append(sq)
         try:
@@ -249,7 +254,8 @@ def normalize(x: StateVector, u, rule: NumeraireRule) -> tuple[StateVector, floa
 
 def trace_to_csv(res: SolveResult) -> str:
     """Residual traces as comma-separated text: iteration, step_gauge, step_quotient."""
-    lines = ["iteration,step_gauge,step_quotient"]
-    for n, (sg, sq) in enumerate(zip(res.step_gauge, res.step_quotient), start=1):
-        lines.append(f"{n},{sg:.17g},{sq:.17g}")
-    return "\n".join(lines) + "\n"
+    n = len(res.step_gauge)
+    cells = chain.from_iterable(zip(range(1, n + 1), res.step_gauge.tolist(),
+                                    res.step_quotient.tolist()))
+    return ("iteration,step_gauge,step_quotient\n"
+            + "%d,%.17g,%.17g\n" * n % tuple(cells))

@@ -215,9 +215,8 @@ class PositiveSystem:
         if y.shape != (self.dimension,):
             raise EvaluationError(
                 f"evaluate returned shape {y.shape}, expected ({self.dimension},)")
-        bad = ~(np.isfinite(y) & (y > 0.0))
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
+        if not (0.0 < y.min() and y.max() < np.inf):    # NaN fails both
+            j = int(np.flatnonzero(~(np.isfinite(y) & (y > 0.0)))[0])
             raise EvaluationError(
                 f"evaluate produced {float(y[j])} at coordinate "
                 f"{self.labels[j]!r}",

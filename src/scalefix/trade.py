@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -263,8 +262,11 @@ def indexed_labels(name: str, *shape: int) -> tuple[str, ...]:
     C order with 1-based indices: indexed_labels("R", 2, 1) is
     ("R[1][1]", "R[2][1]").  Every state, outcome and delta label is
     built here."""
-    return tuple(name + "".join(idx) for idx in product(
-        *([f"[{k}]" for k in range(1, n + 1)] for n in shape)))
+    labels = [name]
+    for n in shape:     # one axis at a time, the last varying fastest
+        idx = [f"[{k}]" for k in range(1, n + 1)]
+        labels = [head + tail for head in labels for tail in idx]
+    return tuple(labels)
 
 
 def one_sector_labels(J: int) -> tuple[str, ...]:
@@ -402,13 +404,14 @@ def _multi_sector_layout(M, J, S, om_pp, om_w, pp_w, w_om, w_w):
 def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
     """System of dimension 2JS + J over (OMEGA[i][s], P[i][s], W[i])."""
     J, S = p.J, p.S
+    JS = J * S
     Theta = p.Theta
     K, KP = _sector_kernels(p)
     KOm = K * (p.alpha * p.L[:, None]).T[:, None, :]
     e_w = 1.0 / (1.0 + Theta)
     e_p = -p.theta * e_w                 # (S,) exponent of W in the P rows
     e_self = (Theta - p.theta) * e_w     # (S,) exponent of W in its own row
-    n = 2 * J * S + J
+    n = 2 * JS + J
 
     def terms(x):
         om, pp, W = _unpack(x, J, S)
@@ -419,8 +422,11 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
 
     def evaluate(x):
         t_om, t_pp, t_W = terms(x)
-        return np.concatenate([_matvec(KOm, t_om).T.ravel(),
-                               _matvec(KP, t_pp).T.ravel(), t_W.sum(axis=1)])
+        y = np.empty(n)
+        y[:JS].reshape(J, S).T[...] = _matvec(KOm, t_om)
+        y[JS:2 * JS].reshape(J, S).T[...] = _matvec(KP, t_pp)
+        t_W.sum(axis=1, out=y[2 * JS:])
+        return y
 
     def elasticity(x):
         t_om, t_pp, t_W = terms(x)

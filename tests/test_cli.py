@@ -593,6 +593,35 @@ def test_number_errors_name_where(name, old, new, where, what, tmp_path,
     assert f"{where}: 'oops' is not {what}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table, fault", [
+    # the first fault in file order wins: row 2 is short, row 3 bad
+    ("1,2\n1\n1.5,oops\n", "row 2: 1 values under 2 header columns"),
+    ("1,2\n1,1.5\n1.5,1,2\n", "row 3: 3 values under 2 header columns"),
+    # within one row a bad cell is named before the wrong width
+    ("1,2\n1,oops,3\n1.5,1\n", "row 2, column 2: 'oops' is not a number"),
+    ("1,2\n1,1.5,\n1.5,1\n", "row 2, column 3: '' is not a number"),
+    ("1,2\n,1.5\n1.5,1\n", "row 2, column 1: '' is not a number"),
+    # rows are file lines: comments and blank lines count
+    ("1,2\n# c\n\n1,1.5\n1.5, oops \n",
+     "row 5, column 2: 'oops' is not a number"),
+])
+def test_table_faults_are_named_in_file_order(table, fault, tmp_path):
+    cfg = symmetric_one_sector(tmp_path)
+    path = write(tmp_path / "tau.csv", table)
+    with pytest.raises(ConfigError) as exc:
+        load_parameters(load_run_config(cfg))
+    assert str(exc.value) == f"{path}: {fault}"
+
+
+def test_blank_padded_and_one_column_tables_parse(tmp_path):
+    cfg = symmetric_one_sector(tmp_path)
+    write(tmp_path / "tau.csv", " 1 , 2\n1 ,\t1.25\n  1.5,1 # row 3\n")
+    write(tmp_path / "A.csv", "A\n 2.5 \n\n0.75\n")
+    params = load_parameters(load_run_config(cfg))
+    assert params.tau.tolist() == [[1.0, 1.25], [1.5, 1.0]]
+    assert params.A.tolist() == [2.5, 0.75]
+
+
 def test_report_parse_error_names_the_file(tmp_path, capsys):
     path = write(tmp_path / "A.csv", "A\n1.0\n")
     assert main(["report", path]) == 2

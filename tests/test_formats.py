@@ -1,22 +1,30 @@
 """Golden bytes of the text layouts: parameter tables written by
-save_parameters, equilibrium.txt and deltas.txt.
+save_parameters, equilibrium.txt, deltas.txt and trace.csv.
 
-Every input is built by hand from exact binary fractions, `inf` and 0, so
-the expected text does not depend on a solver or a BLAS build.
+Every golden input is built by hand from exact binary fractions, `inf`
+and 0, so the expected text does not depend on a solver or a BLAS build.
+The property tests compare each formatter with a per-line oracle, the
+plain formula for one line applied entry by entry.
 """
 
 import os
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scalefix.modelio import format_deltas, format_equilibrium, save_parameters
+from scalefix.solve import trace_to_csv
 from scalefix.trade import (
     GeneralParams,
     MultiSectorParams,
     OneSectorParams,
     Outcomes,
+    indexed_labels,
     multi_sector_labels,
 )
 
@@ -221,3 +229,96 @@ def test_format_deltas_bytes():
     changes = {name: np.asarray(getattr(o, name)) - 0.25
                for name in ("w", "R", "E", "P", "c", "pi", "U")}
     assert format_deltas(changes) == DELTAS
+
+
+# ------------------------------------------------- per-line oracles
+
+
+OUTCOME_NAMES = ("w", "R", "E", "P", "c", "pi", "U")
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+           1.7976931348623157e308, -1.7976931348623157e308, 1.0, -0.25]
+
+
+def oracle_labels(name, *shape):
+    return tuple(name + "".join(idx) for idx in product(
+        *([f"[{k}]" for k in range(1, n + 1)] for n in shape)))
+
+
+def oracle_lines(named_arrays, fmt):
+    return [f"{label}: {fmt % v}"
+            for name, arr in named_arrays
+            for label, v in zip(oracle_labels(name, *np.shape(arr)),
+                                np.ravel(arr).tolist())]
+
+
+def oracle_deltas(changes):
+    return "\n".join(oracle_lines(
+        ((f"delta.{name}", changes[name]) for name in OUTCOME_NAMES),
+        "%.17g")) + "\n"
+
+
+def oracle_equilibrium(x_star, outcomes):
+    lines = [f"{label}: {v:.8e}"
+             for label, v in zip(x_star.labels, x_star.values)]
+    lines += [""] + oracle_lines(
+        ((name, getattr(outcomes, name)) for name in OUTCOME_NAMES
+         if name != "pi"), "%.8e")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_trace(res):
+    lines = ["iteration,step_gauge,step_quotient"]
+    for n, (sg, sq) in enumerate(zip(res.step_gauge, res.step_quotient),
+                                 start=1):
+        lines.append(f"{n},{sg:.17g},{sq:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+values = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=True, allow_infinity=True))
+shapes = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)
+
+
+def filled(shape):
+    return arrays(np.float64, shape, elements=values)
+
+
+@st.composite
+def named_arrays(draw):
+    return {name: draw(shapes.flatmap(filled)) for name in OUTCOME_NAMES}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=shapes)
+@example(shape=())
+@example(shape=(1, 1, 1))
+def test_indexed_labels_match_the_product_join_oracle(shape):
+    assert indexed_labels("delta.pi", *shape) == \
+        oracle_labels("delta.pi", *shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(changes=named_arrays())
+def test_format_deltas_matches_its_per_line_oracle(changes):
+    assert format_deltas(changes) == oracle_deltas(changes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays_=named_arrays(),
+       state=arrays(np.float64, st.integers(1, 12), elements=values))
+def test_format_equilibrium_matches_its_per_line_oracle(arrays_, state):
+    # labels with % and braces are data, never format directives
+    x_star = SimpleNamespace(
+        labels=tuple(f"x{j}%s{{}}" for j in range(len(state))),
+        values=state)
+    outcomes = SimpleNamespace(**arrays_)
+    assert format_equilibrium(x_star, outcomes) == \
+        oracle_equilibrium(x_star, outcomes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 30))
+def test_trace_to_csv_matches_its_per_line_oracle(data, n):
+    res = SimpleNamespace(step_gauge=data.draw(filled(n)),
+                          step_quotient=data.draw(filled(n)))
+    assert trace_to_csv(res) == oracle_trace(res)

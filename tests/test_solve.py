@@ -18,7 +18,15 @@ from scalefix.solve import (
 )
 from scalefix.spectral import gauge_norm, quotient_norm
 from scalefix.system import PositiveSystem, log_transform
-from scalefix.trade import OneSectorParams, build_one_sector
+from scalefix.trade import (
+    MultiSectorParams,
+    OneSectorParams,
+    _matvec,
+    _sector_kernels,
+    _unpack,
+    build_multi_sector,
+    build_one_sector,
+)
 
 
 def loglinear(A, b, labels=None):
@@ -212,6 +220,90 @@ def test_step_traces_are_the_public_norms_bit_for_bit(with_u):
     assert res.step_gauge.tolist() == gauge
     assert res.step_quotient.tolist() == (
         gauge if u is None else [quotient_norm(step, u, v) for step in steps])
+
+
+def multi_4x2():
+    rng = np.random.default_rng(8)
+    tau = 1.0 + rng.uniform(0.05, 1.2, (4, 4, 2))
+    for s in range(2):
+        np.fill_diagonal(tau[:, :, s], 1.0)
+    alpha = rng.uniform(0.2, 1.0, (4, 2))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    return MultiSectorParams(A=rng.uniform(0.5, 2.0, (4, 2)), tau=tau,
+                             alpha=alpha, L=rng.uniform(0.5, 2.0, 4),
+                             theta=np.array([3.0, 6.5]),
+                             sigma=np.array([2.2, 3.6]))
+
+
+def recording(sys):
+    """sys with every input and output of F recorded, in call order."""
+    calls = []
+
+    def evaluate(x):
+        y = sys.evaluate_values(x)
+        calls.append((np.array(x), np.array(y)))
+        return y
+
+    return PositiveSystem(labels=sys.labels, evaluate_values=evaluate,
+                          scaling=sys.scaling), calls
+
+
+@pytest.mark.parametrize("model", ["multi-sector", "loglinear"])
+@pytest.mark.parametrize("gauge, damping", [
+    ("u", 1.0), (None, 1.0), ("u", 0.5), (None, 0.5)])
+def test_solve_loop_is_the_damped_formula_bit_for_bit(model, gauge,
+                                                       damping):
+    # the iterates, replayed from F's recorded outputs with the general
+    # damped update, and the two step norms, in their textbook forms
+    if model == "multi-sector":
+        base = build_multi_sector(multi_4x2())
+        u = base.scaling
+    else:
+        base = loglinear([[0.2, 0.5, 0.1], [0.3, 0.1, 0.4],
+                          [0.25, 0.25, 0.2]], [0.3, -0.2, 0.1])
+        u = np.array([1.5, -0.75, 2.0])
+    sys, calls = recording(base)
+    u = u if gauge == "u" else None
+    opts = SolveOptions(damping=damping, max_iter=40)
+    x0 = sys.state(np.exp(np.linspace(-1.5, 2.0, sys.dimension)))
+    res = iterate(sys, x0, u=u, opts=opts)
+    assert res.iterations > 10 and len(calls) == res.iterations + 1
+    z = np.log(x0.values)
+    gauge_ref, quot_ref = [], []
+    for n, (x, y) in enumerate(calls[:res.iterations]):
+        assert np.array_equal(x, np.exp(z)), n
+        z_next = (1.0 - damping) * z + damping * np.log(y)
+        step = z_next - z
+        if u is None:
+            gauge_ref.append(float(np.max(np.abs(step))))
+            quot_ref.append(gauge_ref[-1])
+        else:
+            gauge_ref.append(float(np.max(np.abs(step) / np.abs(u))))
+            quot_ref.append(float(0.5 * np.ptp(step / u)))
+        z = z_next
+    assert res.step_gauge.tolist() == gauge_ref
+    assert res.step_quotient.tolist() == quot_ref
+
+
+def test_multi_sector_evaluate_is_the_concatenated_blocks_bit_for_bit():
+    p = multi_4x2()
+    J, S = p.J, p.S
+    K, KP = _sector_kernels(p)
+    KOm = K * (p.alpha * p.L[:, None]).T[:, None, :]
+    e_w = 1.0 / (1.0 + p.Theta)
+    e_self = (p.Theta - p.theta) * e_w
+    evaluate = build_multi_sector(p).evaluate_values
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        x = np.exp(rng.uniform(-4.0, 4.0, 2 * J * S + J))
+        om, pp, W = _unpack(x, J, S)
+        t_om = W ** e_w / pp.T
+        t_pp = W ** (-p.theta * e_w)[:, None]
+        t_W = (om / p.L[:, None]) * W[:, None] ** e_self[None, :]
+        expected = np.concatenate([_matvec(KOm, t_om).T.ravel(),
+                                   _matvec(KP, t_pp).T.ravel(),
+                                   t_W.sum(axis=1)])
+        assert evaluate(x).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scalefix.certify import ScalingCertificate, certify
+from scalefix.solve import iterate
 from scalefix.system import (
     DifferentiationError,
     ElasticityMatrix,
@@ -82,6 +83,30 @@ def test_evaluation_error_names_coordinate():
     with pytest.raises(EvaluationError) as exc:
         log_transform(np.array([0.0, 0.0]), sys)
     assert exc.value.coordinate == "q"
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("last", [3.0, np.nan])
+@pytest.mark.parametrize("bad, shown", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (0.0, "0.0"),
+    (-0.0, "-0.0"), (-2.5, "-2.5")])
+def test_output_guard_names_the_first_bad_coordinate(bad, shown, last, at):
+    # good values before the bad one; the last value good or bad too
+    labels = tuple(f"x{j}" for j in range(6))
+
+    def evaluate(x):
+        y = np.linspace(0.5, 3.0, 6)
+        y[at] = bad
+        y[5] = last
+        return y
+
+    sys = PositiveSystem(labels=labels, evaluate_values=evaluate)
+    message = f"evaluate produced {shown} at coordinate 'x{at}'"
+    with pytest.raises(EvaluationError) as exc:
+        sys.evaluate(sys.state(np.ones(6)))
+    assert str(exc.value) == message and exc.value.coordinate == f"x{at}"
+    res = iterate(sys, sys.state(np.ones(6)))
+    assert res.status == "evaluation-failed" and res.message == message
 
 
 def test_loglinear_elasticity_is_constant_exponents():
