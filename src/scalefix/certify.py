@@ -45,7 +45,6 @@ from scalefix.system import (
     EvaluationError,
     PositiveSystem,
     StateVector,
-    _elasticity_array,
     _frozen,
     _numeric,
     elasticity_at,
@@ -119,24 +118,17 @@ class SpectralEvidence:
     """Per-sample spectral facts about DG and its entrywise absolute value."""
 
     # spectral radius of |DG| per sample: the midpoint of a bracket
-    # proved by a matvec from |u|, else from the Krylov Perron start, else
-    # by Noda's steps; the dense radius where those raise
+    # proved by a matvec, but for check_spectral's dense fallback
     rho: tuple[float, ...]
     max_rho_deviation: float          # max |rho - 1|
     eigvec_residual: float | None     # max inf-norm of |DG||u| - |u|
     # max |D DG D - |DG||, D = diag(sign u): 2 max |DG| over the entries
     # against the block rule; None without a zero-free u
     similarity_residual: float | None
-    # 1 the only eigenvalue on the unit circle at every sample: from the
-    # spectrum at sample 0, derived by Perron-Frobenius at the others
-    # where check_spectral's premises hold, False from a converged
-    # dominant Ritz value away from 1 at a later sample, from the
-    # spectrum elsewhere.  Informational, as is the gap: no verdict
-    # reads either
+    # 1 the only eigenvalue on the unit circle at every sample, and the
+    # min of 1 - second modulus over the samples where that was not
+    # derived, as check_spectral finds them: no verdict reads either
     unique_modulus_one: bool | None
-    # min of 1 - second modulus over the samples where uniqueness was
-    # not derived; |theta| is the second modulus where the Krylov pass
-    # answered
     spectral_gap: float | None
     # (min lower, max upper) of the proved Collatz-Wielandt brackets, each
     # rho inside its own; None when some sample has none
@@ -213,25 +205,20 @@ class _Support:
 
 
 class _SupportDG:
-    """DG at one sample kept as `values` = DG[rows, cols] on the declared
-    pattern's support: finite, none of them 0, and DG is 0 elsewhere.
-    Stands in for an ElasticityMatrix: `entries` and `spectrum` read
-    `dense`, which is sample 0's own matrix (kept for its spectrum) or,
-    at a later sample that needs it, DG rebuilt exactly from `values`."""
+    """DG at one sample as `values` = DG[rows, cols] from support_values:
+    finite, none of them 0, and DG 0 elsewhere by the declaration.  Stands
+    in for an ElasticityMatrix: `entries` and `spectrum` read `dense`, DG
+    rebuilt exactly from `values`, built only where a sample needs it."""
 
-    def __init__(self, support: _Support, values: NDArray, point: StateVector,
-                 method: str, first: ElasticityMatrix | None):
-        self.support, self.values = support, values
-        self.point, self.method, self.first = point, method, first
+    def __init__(self, support: _Support, values: NDArray, point: StateVector):
+        self.support, self.values, self.point = support, values, point
 
     @cached_property
     def dense(self) -> ElasticityMatrix:
-        if self.first is not None:
-            return self.first
         n = len(self.point)
         E = np.zeros((n, n))
-        np.put(E, self.support.flat, self.values)
-        return ElasticityMatrix(E, self.point, self.method)
+        E.ravel()[self.support.flat] = self.values
+        return ElasticityMatrix(E, self.point, "analytic")
 
     @property
     def entries(self) -> NDArray:
@@ -245,41 +232,33 @@ class _SupportDG:
 _DG = ElasticityMatrix | _SupportDG
 
 
-def _sample_dg(support: _Support, sys: PositiveSystem, x: StateVector,
-               first: ElasticityMatrix | None = None) -> _DG:
-    """DG at x on the support when the array is N x N, finite and nonzero
-    on the support, and +0.0 off it; else an ElasticityMatrix, which
-    copies and checks it.  `first` is sample 0's matrix, already built
-    and checked."""
-    if first is None:
-        E, method = _elasticity_array(sys, x)
-        E = _numeric(E, DifferentiationError, f"{method} elasticity")
-    else:
-        E, method = first.entries, first.method
-    if E.shape == (len(x), len(x)):
-        v = np.take(E, support.flat)
-        # every entry but +0.0 has a nonzero bit, a NaN or -0.0 off the
-        # support too, so the dense DG rebuilt from v is E bit for bit
-        if (np.all(np.isfinite(v)) and v.all()
-                and np.count_nonzero(E.view(np.int64)) == v.size):
-            return _SupportDG(support, v, x, method, first)
-    return first or ElasticityMatrix(E, x, method)
+def _support_dg(support: _Support, sys: PositiveSystem,
+                x: StateVector) -> _DG:
+    """DG at x from a read-only copy of sys.support_values, checked in
+    O(nnz): a wrong count, or a non-finite value, raises
+    DifferentiationError, the latter from the dense rebuild, which names
+    its coordinates as elasticity_at does; a 0 gives that rebuild."""
+    v = _frozen(_numeric(sys.support_values(x.values), DifferentiationError,
+                         "support_values"))
+    if v.shape != support.flat.shape:
+        raise DifferentiationError(f"support_values has shape {v.shape}, "
+                                   f"expected {support.flat.shape}")
+    dg = _SupportDG(support, v, x)
+    return dg if np.isfinite(v).all() and v.all() else dg.dense
 
 
 def _elasticities(sys: PositiveSystem,
                   samples: Sequence[StateVector]) -> list[_DG]:
     """Each sample's DG, built and checked in sample order, so an error
-    names the first bad sample.  Under a declared pattern a DG that
-    passes _sample_dg's support test keeps only its values, and its
-    dense array does not outlive its step, except at sample 0."""
-    if sys.sign_pattern is None:
+    names the first bad sample; a _SupportDG where sys gives its values."""
+    if sys.support_values is None:
         return [_at_sample(idx, elasticity_at, sys, x)
                 for idx, x in enumerate(samples)]
     support = _Support(sys.sign_pattern)
-    first = _at_sample(0, elasticity_at, sys, samples[0])
-    return [_at_sample(idx, _sample_dg, support, sys, x,
-                       first if idx == 0 else None)
-            for idx, x in enumerate(samples)]
+    first = _at_sample(0, _support_dg, support, sys, samples[0])
+    first.entries   # sample 0's spectrum needs it: least peak if built now
+    return [first] + [_at_sample(idx, _support_dg, support, sys, x)
+                      for idx, x in enumerate(samples) if idx > 0]
 
 
 def _support_of(sys: PositiveSystem,
@@ -402,8 +381,12 @@ def _closed_form_certificate(sys: PositiveSystem,
                              samples: Sequence[StateVector],
                              elasticities: Sequence[_DG],
                              ) -> ScalingCertificate | None:
-    """The system's closed-form scaling, when Perron-Frobenius makes it
-    the only direction the eigenspace extraction could find; else None."""
+    """The system's closed-form scaling u, when Perron-Frobenius makes it
+    the only direction the eigenspace extraction could find: the system
+    declares a sign pattern, u has no zero entry, the first sample's DG
+    obeys the block rule of sign(u) with |DG| irreducible, and at every
+    sample the scale law holds within TOL_RESIDUAL and max |DG u - u| is
+    at most TOL_EIGENVALUE * min|u_j| / sqrt(n); else None."""
     s, n = sys.scaling, sys.dimension
     # a declared scaling is finite and not all zero
     if (sys.sign_pattern is None or s is None
@@ -442,14 +425,10 @@ def find_scaling_exponent(sys: PositiveSystem,
     alone).  Raises AmbiguousScalingError when the eigenspace is
     multi-dimensional.
 
-    certify first tries the system's closed-form `scaling` instead, with
-    no eigensolve: it is taken when the system declares a sign pattern,
-    u has no zero entry, the first sample's DG obeys the block rule of
-    sign(u) with |DG| irreducible, and at every sample the scale law
-    holds within TOL_RESIDUAL and max |DG u - u| is at most
-    TOL_EIGENVALUE * min|u_j| / sqrt(n).  By Perron-Frobenius the first
-    sample's eigenspace is then the line of u, and both of this
-    extraction's tests would pass.  Otherwise certify calls this
+    certify first tries the system's closed-form `scaling`, with no
+    eigensolve (_closed_form_certificate): by Perron-Frobenius its
+    premises make the first sample's eigenspace the line of u, where both
+    of this extraction's tests pass.  Otherwise certify calls this
     extraction, so a wrong closed form gets its verdict.  The pre-check
     reads the first matrix's memoized `spectrum`, which check_spectral
     reads again at no cost.
@@ -596,13 +575,12 @@ def _dense_root(A: NDArray, v: NDArray,
 def _open_roots(elasticities: Sequence[_DG], start: NDArray,
                 ) -> list[tuple[float, tuple[float, float] | None]]:
     """rho(|DG|) and its proved bracket at samples whose first bracket
-    from start stayed open.  One lockstep Krylov pass over their |DG|
-    gives each a Ritz vector x of largest modulus, and _dense_root runs
-    from v = |x|, whose first Collatz-Wielandt bracket closes as a
-    rule, or from start where v is not positive and finite."""
+    from start stayed open: _dense_root from v = |x|, x the Ritz vector of
+    one lockstep Krylov pass over their |DG|, or from start where v is
+    not positive and finite."""
     mats = [np.abs(E.entries) for E in elasticities]  # E finite: A >= 0
     roots = []
-    for A, v in zip(mats, np.abs(_dominant_ritz(mats)[1])):
+    for A, v in zip(mats, np.abs(_dominant_ritz(mats, accept=False)[1])):
         if not np.all((v > 0.0) & (v < np.inf)):   # NaN fails too
             v = start
         roots.append(_dense_root(A, v))
@@ -631,12 +609,9 @@ def _peripheral(eigs: NDArray) -> tuple[bool, float]:
 
 def _peripherals(elasticities: Sequence[_DG], spectra: list[int],
                  ) -> list[tuple[bool, float]]:
-    """_peripheral at the samples `spectra`.  One lockstep Krylov pass
-    runs over DG at the samples after the first; where its dominant Ritz
-    value theta converged with |theta - 1| > NEAR_ONE, the answer is
-    (False, |theta|), as the dense rule's is whenever the dominant
-    eigenvalue lies away from 1.  Every other sample, sample 0 included,
-    reads its `spectrum`."""
+    """_peripheral at the samples `spectra`: (False, |theta|) where one
+    lockstep Krylov pass over DG at the later ones converged to theta
+    with |theta - 1| > NEAR_ONE, else from the sample's `spectrum`."""
     krylov = [idx for idx in spectra if idx > 0]
     known = {}
     if krylov:
@@ -660,42 +635,34 @@ def check_spectral(sys: PositiveSystem, u,
     so the residual is exactly 0 when the rule holds (DG and |DG| then
     share a spectrum), and None when a zero entry of u makes D singular.
     Each sample takes one product w = |DG| v, v = |u| (all ones unless u
-    is zero-free), which gives the bracket [min w/v, max w/v] and the
-    eigenvector residual; rho is the bracket's midpoint when the bracket
-    is positive and within 1e-13 max(1, rho), as when |DG| |u| = |u|.
-    Where it stays open, the Perron start comes from one lockstep
-    Krylov pass (_dominant_ritz) over the |DG| of all such samples:
-    v = |x|, x the Ritz vector of largest modulus, whose bracket by one
-    explicit matvec closes as a rule.  Where it stays open too,
-    spectral_radius's later steps run on the dense |DG| from v (from
-    |u|, or all ones, where |x| is not positive), and where they
-    raise, rho is the largest eigenvalue modulus of |DG|, clamped into
-    the bracket proved so far, if any.  Every rho is thus the midpoint
-    of a bracket proved by a matvec, except for that last fallback.
+    is zero-free), for the bracket [min w/v, max w/v] and the eigenvector
+    residual; rho is the bracket's midpoint when it is positive and
+    within 1e-13 max(1, rho), as when |DG| |u| = |u|.  Where it stays
+    open, one lockstep Krylov pass (_dominant_ritz) over the |DG| of all
+    such samples gives the Perron start v = |x|, x the Ritz vector of
+    largest modulus, whose bracket by one matvec closes as a rule; else
+    spectral_radius's later steps run on the dense |DG| from v (or from
+    the first start, where |x| is not positive), and where they raise,
+    rho is the largest eigenvalue modulus of |DG|, clamped into the
+    bracket proved so far, if any: the one rho not proved by a matvec.
 
-    Uniqueness comes from the spectrum of DG at sample 0, which also
-    gives the gap.  At any other sample where the signature residual is
-    exactly 0, the bracket lies within NEAR_ONE of 1 and |DG| is
-    primitive, DG is similar to |DG|, whose Perron root is simple and the
-    only eigenvalue of its modulus (Perron-Frobenius), so no eigensolve
-    runs there.  The other samples after the first go through one
-    lockstep Krylov pass over their DG: a converged dominant Ritz value
-    theta with |theta - 1| > NEAR_ONE gives unique False and second
-    modulus |theta|, which is the dense rule's answer whenever the
-    dominant eigenvalue lies away from 1.  Every other sample, sample 0
-    included, reads its matrix's `spectrum`, which find_scaling_exponent
-    may already have computed for sample 0.  A non-normal DG has no
-    cheap bound on its second modulus, so the gap and unique_modulus_one
-    are informational: no verdict reads them.
+    Uniqueness and the gap come from the spectrum of DG at sample 0.  At
+    a later sample whose signature residual is exactly 0, bracket within
+    NEAR_ONE of 1 and |DG| primitive, DG is similar to |DG|, whose Perron
+    root is simple and the only eigenvalue of its modulus
+    (Perron-Frobenius): no eigensolve runs there.  The other later
+    samples go through one lockstep Krylov pass over their DG: a
+    converged dominant Ritz value theta with |theta - 1| > NEAR_ONE gives
+    unique False and second modulus |theta|, the dense rule's answer
+    whenever the dominant eigenvalue lies away from 1.  Every other
+    sample reads its `spectrum`, which find_scaling_exponent may already
+    have computed for sample 0.  A non-normal DG has no cheap bound on
+    its second modulus, so the gap and unique_modulus_one are
+    informational: no verdict reads them.
 
-    With elasticities None and a declared sign pattern, a sample's DG
-    that is +0.0 off the pattern's support and nonzero on it is kept as
-    its values there (certify passes such samples too): the product, the
-    block rule, the diagonal and irreducibility, from the connected
-    pattern, then cost O(nnz) per sample, and only a sample that needs
-    the dense DG (an open bracket or a spectrum) gets it back.
-
-    Out-of-tolerance values are recorded, never raised.
+    With elasticities None, each DG comes as in certify, from the
+    system's support_values where it gives them.  Out-of-tolerance
+    values are recorded, never raised.
     """
     _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
@@ -786,16 +753,13 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     pattern.
 
     All samples' elasticities are gathered, in order, before any check
-    runs.  In exact mode a sample's DG that is finite, nonzero on the
-    declared pattern's support and +0.0 off it is kept only as its nnz
-    values there, and its array is dropped uncopied: DG u, |DG| |u|,
-    the block rule, the diagonal and irreducibility (from the connected
-    pattern) then cost O(nnz) per sample.  Sample 0 also keeps its dense
-    ElasticityMatrix, for its spectrum.  Any other DG (a wrong
-    declaration, numeric noise off the support, a zero on it) is an
-    ElasticityMatrix, as in sampled mode, and a later sample that needs
-    its dense DG (an open Perron bracket, a spectrum) gets it back
-    exactly from its values.
+    runs.  Where the system gives support_values, each sample's DG is
+    kept only as those nnz values (see _support_dg): DG u, |DG| |u|, the
+    block rule, the diagonal and irreducibility (from the connected
+    pattern) then cost O(nnz) per sample, and a dense DG is rebuilt from
+    them only where a sample needs it (sample 0 for its spectrum, a later
+    one for an open Perron bracket or a spectrum).  Any other system, the
+    one-sector model included, gets a dense ElasticityMatrix per sample.
     """
     samples = sample_states(sys, sample_count, seed)
     mode = "exact" if sys.sign_pattern is not None else "sampled"
@@ -855,6 +819,7 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
         scaling_free_radius_one=footnote,
         system_kind=sys.kind,
         labels=sys.labels,
-        differentiation=("analytic" if sys.elasticity_values is not None
-                         else "numeric-central-log"),
+        differentiation=("numeric-central-log"
+                         if sys.elasticity_values is None
+                         and sys.support_values is None else "analytic"),
     )

@@ -245,8 +245,8 @@ def _krylov_steps(n: int) -> int:
     return min(n, max(32, math.ceil(4.0 * math.sqrt(n))))
 
 
-def _dominant_ritz(mats: Sequence[NDArray],
-                   ) -> tuple[NDArray, NDArray, NDArray[np.bool_]]:
+def _dominant_ritz(mats: Sequence[NDArray], accept: bool = True,
+                   ) -> tuple[NDArray, NDArray, NDArray[np.bool_] | None]:
     """m = _krylov_steps(n) Arnoldi steps on each of the finite square
     matrices in mats, all of one size n, in lockstep: one matvec per
     matrix per step, with the classical Gram-Schmidt steps, done twice,
@@ -257,11 +257,16 @@ def _dominant_ritz(mats: Sequence[NDArray],
     subspace, as at step n): it is set to 0 and zero vectors follow.
 
     Returns, per matrix, the Ritz value theta of largest modulus, its
-    unit Ritz vector x (complex) and whether it converged: its residual
-    ||A x - theta x||_2 = |h_{m+1,m} e_m' y| is finite and at most
-    1e-12 |theta|, which a breakdown makes 0.  An overflow or a failed
-    eigensolve of the Hessenberg matrices leaves NaNs and counts as not
-    converged; no warning or LinAlgError escapes.
+    unit Ritz vector x (complex) and whether it converged: the residual
+    ||A x - theta x||_2 = |h_{m+1,m} e_m' y|, 0 at a breakdown, times
+    theta's condition number 1/|z^H y| in H_m, a first-order bound on its
+    error (Golub & Van Loan, Matrix Computations, 4th ed., 2013, ch. 7),
+    is finite and at most 1e-13 |theta|.  y and z are theta's unit right
+    and left eigenvectors of H_m, z from one batched solve with
+    (H_m - s I)^H, s = theta + 1e-14 |theta| (nonsingular where theta is
+    exact), from all ones.  An overflow, or a failed eigensolve or solve,
+    counts as not converged; no warning or LinAlgError escapes.  With
+    accept=False, for a caller that reads x alone, converged is None.
     """
     k, n = len(mats), len(mats[0])
     m = _krylov_steps(n)
@@ -272,7 +277,7 @@ def _dominant_ritz(mats: Sequence[NDArray],
     w = np.empty((k, 1, n))
     theta = np.full(k, np.nan, dtype=complex)
     X = np.full((k, n), np.nan, dtype=complex)
-    residual = np.full(k, np.inf)
+    error = np.full(k, np.inf)
     with np.errstate(all="ignore"):
         small = 1e-12 * np.array([np.linalg.norm(A) for A in mats])
         small[~(small < np.inf)] = -1.0     # overflowed: no breakdown
@@ -302,9 +307,19 @@ def _dominant_ritz(mats: Sequence[NDArray],
             y = Y[rows, :, top]
             theta[finite] = vals[rows, top]
             X[finite] = (y[:, None, :] @ V[finite, :m])[:, 0]
-            residual[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1])
-        converged = residual <= 1e-12 * np.abs(theta)
-    return theta, X, converged
+        if accept and len(finite):
+            t = theta[finite]
+            # conj(z) solves (H_m - s I)^T conj(z) = 1: z^H y = sum(conj(z) y)
+            A = np.swapaxes(H[finite, :m], 1, 2).astype(complex)
+            A[:, range(m), range(m)] -= (t + 1e-14 * np.abs(t))[:, None]
+            try:
+                zc = np.linalg.solve(A, np.ones((len(t), m, 1)))[:, :, 0]
+            except np.linalg.LinAlgError:
+                zc = np.zeros_like(y)
+            cos = np.abs(np.sum(zc * y, axis=1)) / np.linalg.norm(zc, axis=1)
+            error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
+        converged = error <= 1e-13 * np.abs(theta)
+    return theta, X, converged if accept else None
 
 
 def eigvals_mod_zero(M) -> NDArray:

@@ -165,10 +165,13 @@ class PositiveSystem:
     when given, returns the analytic elasticity matrix at a value array.
     sign_pattern, when given, fixes the sign of every elasticity entry
     across the whole domain (-1, 0, +1), which certification uses for
-    exact sign verdicts.  scaling, when given, is a closed-form scaling
-    direction u with F(c^u x) = c^u F(x): finite and not all zero (else
-    ValueError), though single entries may be 0.  Both are stored as
-    read-only copies, sign_pattern as int.
+    exact sign verdicts.  support_values, only with a sign_pattern (else
+    ValueError), returns DG's analytic values on the pattern's nonzero
+    entries, in row-major order, and so declares DG 0 off the pattern;
+    certify then reads only those.  scaling, when given, is a closed-form
+    scaling direction u with F(c^u x) = c^u F(x): finite and not all
+    zero (else ValueError), though single entries may be 0.  Both arrays
+    are stored as read-only copies, sign_pattern as int.
     """
 
     labels: tuple[str, ...]
@@ -178,6 +181,7 @@ class PositiveSystem:
     scaling: NDArray[np.float64] | None = None
     kind: str = "custom"
     meta: Mapping[str, Any] = field(default_factory=dict)
+    support_values: Callable[[NDArray[np.float64]], NDArray[np.float64]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -192,6 +196,8 @@ class PositiveSystem:
             if not ((p == 0) | (np.abs(p) == 1)).all():
                 raise ValueError("sign_pattern entries must be -1, 0 or +1")
             object.__setattr__(self, "sign_pattern", _frozen(p, int))
+        elif self.support_values is not None:
+            raise ValueError("support_values needs a sign_pattern")
         if self.scaling is not None:
             u = _frozen(self.scaling)
             if u.shape != (self.dimension,):
@@ -236,15 +242,18 @@ def log_transform(z, sys: PositiveSystem) -> NDArray[np.float64]:
     return np.log(sys._eval_checked(np.exp(z)))
 
 
-def _elasticity_array(sys: PositiveSystem,
-                      x: StateVector) -> tuple[NDArray, str]:
-    """elasticity_at's matrix before ElasticityMatrix copies and checks
-    it, with its method: the provider's own array, or a fresh one from
-    central differences."""
+def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
+    """Elasticity matrix of the system at x.
+
+    Uses the analytic provider when the system has one; otherwise central
+    differences in log coordinates with step 1e-6.  The ElasticityMatrix
+    it builds raises DifferentiationError if the provider's matrix is not
+    a numeric N x N array or if either method gives a non-finite entry.
+    """
     if x.labels != sys.labels:
         raise ValueError("state belongs to a different system")
     if sys.elasticity_values is not None:
-        return sys.elasticity_values(x.values), "analytic"
+        return ElasticityMatrix(sys.elasticity_values(x.values), x, "analytic")
     n = sys.dimension
     z = np.log(x.values)
     h = NUMERIC_STEP
@@ -257,16 +266,4 @@ def _elasticity_array(sys: PositiveSystem,
         gp = log_transform(zp, sys)
         gm = log_transform(zm, sys)
         E[:, k] = (gp - gm) / (2.0 * h)
-    return E, "numeric-central-log"
-
-
-def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
-    """Elasticity matrix of the system at x.
-
-    Uses the analytic provider when the system has one; otherwise central
-    differences in log coordinates with step 1e-6.  The ElasticityMatrix
-    it builds raises DifferentiationError if the provider's matrix is not
-    a numeric N x N array or if either method gives a non-finite entry.
-    """
-    E, method = _elasticity_array(sys, x)
-    return ElasticityMatrix(entries=E, point=x, method=method)
+    return ElasticityMatrix(E, x, "numeric-central-log")

@@ -21,6 +21,7 @@ terms are exact zeros.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -428,15 +429,36 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
         t_W.sum(axis=1, out=y[2 * JS:])
         return y
 
-    def elasticity(x):
+    def blocks(x):
         t_om, t_pp, t_W = terms(x)
         sh_om = _shares(KOm, t_om)
         sh_W = t_W / t_W.sum(axis=1)[:, None]
         # row by row: a single (J, S) @ (S,) matvec moves the last bit
         w_w = np.matmul(sh_W[:, None, :], e_self[:, None])[:, 0, 0]
-        return _multi_sector_layout(
-            np.zeros((n, n)), J, S, -sh_om, sh_om * e_w,
-            _shares(KP, t_pp) * e_p[:, None, None], sh_W, w_w)
+        return (-sh_om, sh_om * e_w, _shares(KP, t_pp) * e_p[:, None, None],
+                sh_W, w_w)
+
+    def elasticity(x):
+        # + 0.0 turns the -0.0 of a dead term, off the support, into +0.0
+        return _multi_sector_layout(np.zeros((n, n)), J, S,
+                                    *(b + 0.0 for b in blocks(x)))
+
+    @functools.cache
+    def order():
+        # the raveled blocks' entry at each support entry, row-major (row
+        # i*S+s: OMEGA-on-P, OMEGA-on-W; JS+i*S+s: P-on-W; wage i: W-on-OMEGA,
+        # W-on-W), made on the first call, so solving never pays for it
+        a = S * J * J
+        b = np.arange(3 * a).reshape(3, S, J, J).swapaxes(1, 2)  # [., i, s, j]
+        w = 3 * a + np.column_stack([np.arange(JS).reshape(J, S),
+                                     JS + np.arange(J)])
+        on = np.swapaxes(live, 0, 1) != 0
+        return np.concatenate([np.concatenate(b[:2], axis=2)[np.tile(on, 2)],
+                               b[2][fin.transpose(2, 0, 1)],
+                               w[:, :S + (S >= 2)].ravel()])
+
+    def support_values(x):
+        return np.concatenate([b.ravel() for b in blocks(x)])[order()]
 
     fin = np.isfinite(np.moveaxis(p.tau, 2, 0))          # (S, J, J)
     live = (fin & (p.alpha.T > 0)[:, None, :]).astype(int)
@@ -457,6 +479,7 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
         scaling=u,
         kind="multi-sector",
         meta={"params": p},
+        support_values=support_values,
     )
 
 

@@ -249,6 +249,18 @@ def test_sign_pattern_validation():
         assert good.flags.writeable
 
 
+def test_support_values_need_a_sign_pattern():
+    # the values are read in the order of the pattern's support, so a
+    # system without one cannot give them
+    with pytest.raises(ValueError, match="support_values needs a sign_pattern"):
+        PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                       support_values=lambda x: np.ones(2))
+    sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                         sign_pattern=np.eye(2, dtype=int),
+                         support_values=lambda x: np.ones(2))
+    assert sys.support_values is not None
+
+
 def test_scaling_must_be_finite_and_not_all_zero():
     # certify divides by max |scaling|, so an all-zero one was 0/0
     for bad in (np.zeros(2), [0.0, -0.0], [np.nan, 1.0], [1.0, np.inf]):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scalefix.solve import NumeraireRule, SolveOptions, iterate
 from scalefix.spectral import strongly_connected_components
@@ -470,6 +471,45 @@ def test_multi_sector_analytic_elasticity_matches_numeric():
             Ea = elasticity_at(ana, x)
             En = elasticity_at(num, x)
             assert np.max(np.abs(Ea.entries - En.entries)) <= 1e-6
+
+
+@st.composite
+def gapped_multi_sector(draw):
+    """(params, x): multi_sector(J, S) with infinite tau entries off the
+    diagonal and zero alpha entries drawn, and a state x.  Sector s keeps
+    a country c whose alpha_cs > 0 and every tau into c finite, so that
+    every OMEGA row has a live term; every alpha row keeps a positive
+    entry."""
+    J, S = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    p = multi_sector(J=J, S=S, seed=draw(st.integers(0, 2**16)))
+    keep = [draw(st.integers(0, J - 1)) for _ in range(S)]
+    tau = np.where(draw(arrays(bool, (J, J, S))), np.inf, p.tau)
+    zero = draw(arrays(bool, (J, S)))
+    for s, c in enumerate(keep):
+        tau[:, c, s] = p.tau[:, c, s]
+        zero[c, s] = False
+    for s in range(S):
+        np.fill_diagonal(tau[:, :, s], 1.0)
+    zero[zero.all(axis=1), 0] = False
+    alpha = np.where(zero, 0.0, p.alpha)
+    p = MultiSectorParams(A=p.A, tau=tau, alpha=alpha / alpha.sum(axis=1)[:, None],
+                          L=p.L, theta=p.theta, sigma=p.sigma)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return p, np.exp(rng.uniform(-3.0, 3.0, (2 * S + 1) * J))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gapped_multi_sector())
+def test_multi_sector_support_values_are_the_dense_values_on_the_support(
+        case):
+    # the block-to-support order against the dense layout, bit for bit,
+    # and DG +0.0 off the support, where dead terms give no -0.0
+    p, x = case
+    sys = build_multi_sector(p)
+    on = sys.sign_pattern != 0
+    E, v = sys.elasticity_values(x), sys.support_values(x)
+    assert np.array_equal(v.view(np.int64), E[on].view(np.int64))
+    assert not E[~on].view(np.int64).any()
 
 
 def general(J=3, S=3, seed=0):
