@@ -40,13 +40,11 @@ from scalefix.spectral import (
     strongly_connected_components,
 )
 from scalefix.system import (
-    DifferentiationError,
     ElasticityMatrix,
-    EvaluationError,
     PositiveSystem,
     StateVector,
     _frozen,
-    _numeric,
+    _Support,
     elasticity_at,
 )
 
@@ -165,18 +163,19 @@ def sample_states(sys: PositiveSystem, count: int, seed: int) -> list[StateVecto
 
 
 def _at_sample(idx: int, fn, *args):
-    """fn(*args), recording idx on an evaluation or differentiation error."""
+    """fn(*args), recording idx on any Exception: F is the caller's code."""
     try:
         return fn(*args)
-    except (EvaluationError, DifferentiationError) as exc:
+    except Exception as exc:
         exc.sample_index = idx
         raise
 
 
-def _error_verdict(exc: EvaluationError | DifferentiationError) -> CheckResult:
-    # the message names the coordinate
+def _error_verdict(exc: Exception) -> CheckResult:
+    # our own errors' messages name the coordinate
     return CheckResult("error", {"error": f"{type(exc).__name__}: {exc}",
-                                 "sample_index": exc.sample_index})
+                                 "sample_index": getattr(exc, "sample_index",
+                                                         None)})
 
 
 def _need_samples(samples: Sequence[StateVector]) -> None:
@@ -184,41 +183,18 @@ def _need_samples(samples: Sequence[StateVector]) -> None:
         raise ValueError("need at least one sample")
 
 
-class _Support:
-    """Where a declared sign pattern lets DG be nonzero: the entries
-    (rows, cols), at `flat` in the raveled matrix, in row-major order,
-    shared by every sample.  Row heads[i]'s entries start at starts[i]."""
-
-    def __init__(self, pattern: NDArray):
-        self.pattern = pattern
-        self.flat = np.flatnonzero(pattern)
-        self.rows, self.cols = np.divmod(self.flat, pattern.shape[1])
-        self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-        self.heads = self.rows[self.starts]
-        self.self_loop = bool(np.any(self.rows == self.cols))
-
-    @cached_property
-    def connected(self) -> bool:
-        # a DG nonzero on every support entry and zero off them has the
-        # pattern's graph, so |DG| is irreducible exactly when this holds
-        return _strongly_connected(self.pattern != 0)
-
-
 class _SupportDG:
     """DG at one sample as `values` = DG[rows, cols] from support_values:
     finite, none of them 0, and DG 0 elsewhere by the declaration.  Stands
     in for an ElasticityMatrix: `entries` and `spectrum` read `dense`, DG
-    rebuilt exactly from `values`, built only where a sample needs it."""
+    scattered from `values`, built only where a sample needs it."""
 
     def __init__(self, support: _Support, values: NDArray, point: StateVector):
         self.support, self.values, self.point = support, values, point
 
     @cached_property
     def dense(self) -> ElasticityMatrix:
-        n = len(self.point)
-        E = np.zeros((n, n))
-        E.ravel()[self.support.flat] = self.values
-        return ElasticityMatrix(E, self.point, "analytic")
+        return self.support.scatter(self.values, self.point)
 
     @property
     def entries(self) -> NDArray:
@@ -232,18 +208,12 @@ class _SupportDG:
 _DG = ElasticityMatrix | _SupportDG
 
 
-def _support_dg(support: _Support, sys: PositiveSystem,
-                x: StateVector) -> _DG:
-    """DG at x from a read-only copy of sys.support_values, checked in
-    O(nnz): a wrong count, or a non-finite value, raises
-    DifferentiationError, the latter from the dense rebuild, which names
-    its coordinates as elasticity_at does; a 0 gives that rebuild."""
-    v = _frozen(_numeric(sys.support_values(x.values), DifferentiationError,
-                         "support_values"))
-    if v.shape != support.flat.shape:
-        raise DifferentiationError(f"support_values has shape {v.shape}, "
-                                   f"expected {support.flat.shape}")
-    dg = _SupportDG(support, v, x)
+def _support_dg(sys: PositiveSystem, x: StateVector) -> _DG:
+    """DG at x from sys.support_values, checked in O(nnz): a 0 or a
+    non-finite value gives the dense DG, as elasticity_at scatters it,
+    which then raises its DifferentiationError for the latter."""
+    v = sys._support_checked(x.values)
+    dg = _SupportDG(sys._support, v, x)
     return dg if np.isfinite(v).all() and v.all() else dg.dense
 
 
@@ -251,23 +221,11 @@ def _elasticities(sys: PositiveSystem,
                   samples: Sequence[StateVector]) -> list[_DG]:
     """Each sample's DG, built and checked in sample order, so an error
     names the first bad sample; a _SupportDG where sys gives its values."""
-    if sys.support_values is None:
-        return [_at_sample(idx, elasticity_at, sys, x)
-                for idx, x in enumerate(samples)]
-    support = _Support(sys.sign_pattern)
-    first = _at_sample(0, _support_dg, support, sys, samples[0])
+    build = elasticity_at if sys.support_values is None else _support_dg
+    first = _at_sample(0, build, sys, samples[0])
     first.entries   # sample 0's spectrum needs it: least peak if built now
-    return [first] + [_at_sample(idx, _support_dg, support, sys, x)
+    return [first] + [_at_sample(idx, build, sys, x)
                       for idx, x in enumerate(samples) if idx > 0]
-
-
-def _support_of(sys: PositiveSystem,
-                elasticities: Sequence[_DG] | None) -> _Support:
-    """The support the samples share, else one made from sys's pattern."""
-    for E in elasticities or ():
-        if isinstance(E, _SupportDG):
-            return E.support
-    return _Support(sys.sign_pattern)
 
 
 def _dot(E: _DG, x: NDArray, absolute: bool = False) -> NDArray:
@@ -310,10 +268,10 @@ def check_connectedness(sys: PositiveSystem,
     per-sample otherwise; a boolean adjacency needs no validation."""
     _need_samples(samples)
     if sys.sign_pattern is not None:
-        if _support_of(sys, elasticities).connected:
+        if sys._support.connected:
             return CheckResult("pass")
         return CheckResult("fail", {
-            "blocs": _bloc_labels(sys.sign_pattern != 0, sys.labels),
+            "blocs": _bloc_labels(sys._support.adjacency, sys.labels),
             "reason": "influence graph splits into isolated blocs",
         })
     elasticities = elasticities or _elasticities(sys, samples)
@@ -335,7 +293,7 @@ def check_self_interaction(sys: PositiveSystem,
     """Some diagonal elasticity entry must be nonzero (at every sample)."""
     _need_samples(samples)
     if sys.sign_pattern is not None:
-        if np.any(np.diag(sys.sign_pattern) != 0):
+        if sys._support.self_loop:
             return CheckResult("pass")
         return CheckResult("fail", {"reason": "all diagonal entries vanish"})
     elasticities = elasticities or _elasticities(sys, samples)
@@ -511,9 +469,8 @@ def check_monotonicity(sys: PositiveSystem, u,
     verdict = "evidence-only"
     if sys.sign_pattern is not None:
         # a 0 entry breaks no rule; the others come in row-major order
-        s = _support_of(sys, elasticities)
-        declared = np.take(sys.sign_pattern, s.flat).astype(float)
-        bad = np.flatnonzero(_violations(declared,
+        s = sys._support
+        bad = np.flatnonzero(_violations(s.signs,
                                          rule.same_at(s.rows, s.cols)))
         if bad.size:
             return CheckResult("fail", {
@@ -528,7 +485,7 @@ def check_monotonicity(sys: PositiveSystem, u,
         if isinstance(E, _SupportDG):
             # the declared signs obey the rule, so an entry on the
             # support breaks it where it is against its declared sign
-            bad = np.flatnonzero(declared * E.values < -TOL_SIGN)
+            bad = np.flatnonzero(s.signs * E.values < -TOL_SIGN)
             flat, values = E.support.flat[bad], E.values[bad]
         else:
             flat = np.flatnonzero(_violations(E.entries, rule.same, TOL_SIGN))
@@ -716,7 +673,7 @@ def _check_scaling(sys: PositiveSystem, samples: Sequence[StateVector],
                        or find_scaling_exponent(sys, samples, elas))
     except AmbiguousScalingError as exc:
         return CheckResult("error", {"error": str(exc)}), None
-    except (EvaluationError, DifferentiationError) as exc:
+    except Exception as exc:    # F failed at a sample, or the check did
         return _error_verdict(exc), None
     if certificate is None:
         return CheckResult("absent", {
@@ -746,27 +703,28 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     """Run all four property checks plus the spectral evidence.
 
     Checker errors are recorded in the relevant verdict; a report is
-    always produced.  When F or its elasticities fail at a sample, every
-    check that needs the elasticities reads `error`, naming the
-    coordinate and the sample index, and `spectral` is None.  mode is
-    "exact" only when the system declares a parameter-determined sign
-    pattern.
+    always produced.  When F or its elasticities fail at a sample (a bad
+    value, or any Exception they raise), every check that needs them
+    reads `error`, naming the exception type, any coordinate and the
+    sample index, and `spectral` is None.  mode is "exact" only when the
+    system declares a parameter-determined sign pattern.
 
     All samples' elasticities are gathered, in order, before any check
     runs.  Where the system gives support_values, each sample's DG is
     kept only as those nnz values (see _support_dg): DG u, |DG| |u|, the
     block rule, the diagonal and irreducibility (from the connected
-    pattern) then cost O(nnz) per sample, and a dense DG is rebuilt from
-    them only where a sample needs it (sample 0 for its spectrum, a later
-    one for an open Perron bracket or a spectrum).  Any other system, the
-    one-sector model included, gets a dense ElasticityMatrix per sample.
+    pattern) then cost O(nnz) per sample, and a dense DG is scattered
+    from them only where a sample needs it (sample 0 for its spectrum, a
+    later one for an open Perron bracket or a spectrum).  Any other
+    system, the one-sector model included, gets a dense ElasticityMatrix
+    per sample.
     """
     samples = sample_states(sys, sample_count, seed)
     mode = "exact" if sys.sign_pattern is not None else "sampled"
     failure = None
     try:
         elas = _elasticities(sys, samples)
-    except (EvaluationError, DifferentiationError) as exc:
+    except Exception as exc:    # the caller's F or elasticities failed
         elas, failure = None, _error_verdict(exc)
 
     def guarded(check):

@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from scalefix.spectral import eigvals_mod_zero
+from scalefix.spectral import _strongly_connected, eigvals_mod_zero
 
 __all__ = [
     "StateVector",
@@ -156,6 +156,39 @@ class ElasticityMatrix:
         return eigs
 
 
+class _Support:
+    """Where a declared sign pattern lets DG be nonzero: `adjacency`, and its
+    entries (rows, cols), at `flat` in the raveled matrix, in row-major
+    order, with float `signs`.  Row heads[i]'s entries start at starts[i]."""
+
+    def __init__(self, pattern: NDArray):
+        self.adjacency = pattern != 0
+        self.flat = np.flatnonzero(self.adjacency)
+        self.signs = np.take(pattern, self.flat).astype(float)
+        self.rows, self.cols = np.divmod(self.flat, len(pattern))
+        self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        self.heads = self.rows[self.starts]
+        self.self_loop = bool(np.any(self.rows == self.cols))
+
+    @cached_property
+    def connected(self) -> bool:
+        # a DG nonzero on every support entry and zero off them has the
+        # pattern's graph, so |DG| is irreducible exactly when this holds
+        return _strongly_connected(self.adjacency)
+
+    def scatter(self, values: NDArray, point: StateVector) -> ElasticityMatrix:
+        """The analytic ElasticityMatrix at point with `values` on the
+        support, 0 elsewhere: it holds this array, frozen, not a copy."""
+        E = np.zeros(self.adjacency.shape)
+        E.ravel()[self.flat] = values
+        if not np.isfinite(values).all():   # the constructor names the entry
+            return ElasticityMatrix(E, point, "analytic")
+        E.setflags(write=False)
+        held = ElasticityMatrix.__new__(ElasticityMatrix)
+        held.__dict__.update(entries=E, point=point, method="analytic")
+        return held
+
+
 @dataclass(frozen=True)
 class PositiveSystem:
     """A map F on the strictly positive orthant, addressed by labels.
@@ -168,10 +201,12 @@ class PositiveSystem:
     exact sign verdicts.  support_values, only with a sign_pattern (else
     ValueError), returns DG's analytic values on the pattern's nonzero
     entries, in row-major order, and so declares DG 0 off the pattern;
-    certify then reads only those.  scaling, when given, is a closed-form
-    scaling direction u with F(c^u x) = c^u F(x): finite and not all
-    zero (else ValueError), though single entries may be 0.  Both arrays
-    are stored as read-only copies, sign_pattern as int.
+    certify reads only those, and elasticity_at scatters them where
+    elasticity_values is None, both on the support the system builds on
+    first read, which solving never does.  scaling, when given, is a
+    closed-form scaling direction u with F(c^u x) = c^u F(x): finite and
+    not all zero (else ValueError), though single entries may be 0.  Both
+    arrays are stored as read-only copies, sign_pattern as int.
     """
 
     labels: tuple[str, ...]
@@ -213,6 +248,20 @@ class PositiveSystem:
     def state(self, values) -> StateVector:
         return StateVector(values, self.labels)
 
+    @cached_property
+    def _support(self) -> _Support:
+        return _Support(self.sign_pattern)
+
+    def _support_checked(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """support_values(x) as a read-only float copy, one value per
+        support entry (else DifferentiationError)."""
+        v = _frozen(_numeric(self.support_values(x), DifferentiationError,
+                             "support_values"))
+        if v.shape != self._support.flat.shape:
+            raise DifferentiationError(f"support_values has shape {v.shape}, "
+                                       f"expected {self._support.flat.shape}")
+        return v
+
     def _eval_checked(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
         # overflow/invalid deliberately silenced: the finiteness check
         # below turns them into coordinate-named errors
@@ -245,15 +294,18 @@ def log_transform(z, sys: PositiveSystem) -> NDArray[np.float64]:
 def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:
     """Elasticity matrix of the system at x.
 
-    Uses the analytic provider when the system has one; otherwise central
-    differences in log coordinates with step 1e-6.  The ElasticityMatrix
-    it builds raises DifferentiationError if the provider's matrix is not
-    a numeric N x N array or if either method gives a non-finite entry.
+    Uses the analytic provider when the system has one, elasticity_values
+    or else support_values scattered onto the pattern; otherwise central
+    differences in log coordinates with step 1e-6.  DifferentiationError
+    if a provider's output is not a numeric N x N array (or one value per
+    support entry), or if any method gives a non-finite entry.
     """
     if x.labels != sys.labels:
         raise ValueError("state belongs to a different system")
     if sys.elasticity_values is not None:
         return ElasticityMatrix(sys.elasticity_values(x.values), x, "analytic")
+    if sys.support_values is not None:
+        return sys._support.scatter(sys._support_checked(x.values), x)
     n = sys.dimension
     z = np.log(x.values)
     h = NUMERIC_STEP

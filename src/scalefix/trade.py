@@ -321,21 +321,12 @@ def build_one_sector(p: OneSectorParams) -> PositiveSystem:
         f_pp = KP @ t_pp
         sh_om = KOm * t_om[None, :] / f_om[:, None]
         sh_pp = KP * t_pp[None, :] / f_pp[:, None]
-        E = np.zeros((2 * J, 2 * J))
-        E[:J, :J] = sh_om * a[None, :]
-        E[:J, J:] = sh_om * b[None, :]
-        E[J:, :J] = sh_pp * (a - 1.0)[None, :]
-        E[J:, J:] = sh_pp * (b + 1.0)[None, :]
-        return E
+        return np.block([[sh_om * a, sh_om * b],
+                         [sh_pp * (a - 1.0), sh_pp * (b + 1.0)]])
 
-    fin = np.isfinite(p.tau)
-    pos_g = p.gamma > 0
-    sub_g = p.gamma < 1
-    pattern = np.zeros((2 * J, 2 * J), dtype=int)
-    pattern[:J, :J] = fin.astype(int)
-    pattern[:J, J:] = -(fin & pos_g[None, :]).astype(int)
-    pattern[J:, :J] = -(fin.T & pos_g[None, :]).astype(int)
-    pattern[J:, J:] = (fin.T & sub_g[None, :]).astype(int)
+    fin = np.isfinite(p.tau).astype(int)
+    pos_g, sub_g = p.gamma > 0, p.gamma < 1
+    pattern = np.block([[fin, -fin * pos_g], [-fin.T * pos_g, fin.T * sub_g]])
 
     u = np.concatenate([np.ones(J),
                         np.full(J, -p.theta / (1.0 + p.theta))])
@@ -445,26 +436,24 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
 
     @functools.cache
     def order():
-        # the raveled blocks' entry at each support entry, row-major (row
-        # i*S+s: OMEGA-on-P, OMEGA-on-W; JS+i*S+s: P-on-W; wage i: W-on-OMEGA,
-        # W-on-W), made on the first call, so solving never pays for it
-        a = S * J * J
-        b = np.arange(3 * a).reshape(3, S, J, J).swapaxes(1, 2)  # [., i, s, j]
-        w = 3 * a + np.column_stack([np.arange(JS).reshape(J, S),
-                                     JS + np.arange(J)])
-        on = np.swapaxes(live, 0, 1) != 0
-        return np.concatenate([np.concatenate(b[:2], axis=2)[np.tile(on, 2)],
-                               b[2][fin.transpose(2, 0, 1)],
-                               w[:, :S + (S >= 2)].ravel()])
+        # the raveled blocks' entry at each support entry: 1 + the blocks'
+        # indices, laid out as the pattern where it is nonzero and read in
+        # row-major order; made on the first call, so solving never pays
+        at = 1 + np.arange(3 * S * J * J + JS + J)
+        index = (*at[:-JS - J].reshape(3, S, J, J),
+                 at[-JS - J:-J].reshape(J, S), at[-J:])
+        at = _multi_sector_layout(
+            np.zeros((n, n), dtype=at.dtype), J, S,
+            *(b * (sign != 0) for b, sign in zip(index, signs)))
+        return at[at != 0] - 1
 
     def support_values(x):
         return np.concatenate([b.ravel() for b in blocks(x)])[order()]
 
     fin = np.isfinite(np.moveaxis(p.tau, 2, 0))          # (S, J, J)
     live = (fin & (p.alpha.T > 0)[:, None, :]).astype(int)
-    pattern = _multi_sector_layout(
-        np.zeros((n, n), dtype=int), J, S, -live, live,
-        -np.swapaxes(fin, 1, 2).astype(int), 1, int(S >= 2))
+    signs = (-live, live, -np.swapaxes(fin, 1, 2).astype(int), 1, int(S >= 2))
+    pattern = _multi_sector_layout(np.zeros((n, n), dtype=int), J, S, *signs)
 
     u = np.concatenate([
         np.tile((1.0 + p.theta) / (1.0 + Theta), J),

@@ -27,6 +27,7 @@ from scalefix.certify import (
 )
 from scalefix.cli import exit_code_for_report
 from scalefix.modelio import format_report, parse_report
+from scalefix.solve import iterate
 from scalefix.spectral import eigvals_mod_zero
 from scalefix.system import (
     DifferentiationError,
@@ -43,6 +44,7 @@ from scalefix.trade import (
     build_general,
     build_multi_sector,
     build_one_sector,
+    counterfactual,
 )
 
 
@@ -555,19 +557,21 @@ def test_exact_certify_tests_the_block_rule_once_per_sample(k, monkeypatch):
     # sample, all on the declared support's nnz entries: no n x n block
     # mask.  The graph is walked once, on the declared pattern, which
     # connectedness, sample 0's premise and every sample's primitivity
-    # share: no walk per sample
+    # share: no walk per sample, and that one by the system's support
     certify_module = importlib.import_module("scalefix.certify")
     sys = build_multi_sector(multi_sector_params(J=3, S=2))
     nnz = np.count_nonzero(sys.sign_pattern)
     violations = count_calls(monkeypatch, certify_module, "_violations")
     masks = count_calls(monkeypatch, certify_module, "_same_block")
-    connected = count_calls(monkeypatch, certify_module,
-                            "_strongly_connected")
+    walks = [count_calls(monkeypatch, importlib.import_module(module),
+                         "_strongly_connected")
+             for module in ("scalefix.certify", "scalefix.system")]
     rep = certify(sys, sample_count=k, seed=0)
     assert rep.uniqueness_applicable and rep.spectral.unique_modulus_one
-    assert (len(violations), len(masks), len(connected)) == (k + 2, 0, 1)
+    assert (len(violations), len(masks)) == (k + 2, 0)
+    assert [len(calls) for calls in walks] == [0, 1]
     assert all(M.shape == (nnz,) for (M, _) in violations)
-    assert connected[0][0].dtype == bool
+    assert walks[1][0][0].dtype == bool
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -1209,10 +1213,10 @@ def wide_multi_sector(J, S, seed=0):
 
 
 def test_exact_certify_holds_under_four_dense_matrices():
-    # 8 samples at n = 330: sample 0's dense DG and its copy, one later
-    # sample's array from the provider and the 8 samples' support values
-    # (an eighth of n^2 each) fit; keeping every dense DG, its copy, |DG|
-    # and masks per sample peaked at 10.3 n^2 doubles
+    # 8 samples at n = 330: sample 0's dense DG, its spectrum's work and
+    # the 8 samples' support values (an eighth of n^2 each) fit, at about
+    # 2.4 n^2 doubles; keeping every dense DG, its copy, |DG| and masks
+    # per sample peaked at 10.3 n^2
     sys = wide_multi_sector(30, 5)
     n = sys.dimension
     certify(sys, 8, 0)
@@ -1246,11 +1250,31 @@ def test_warm_exact_certify_reads_each_sample_once_on_the_support(
     assert format_report(rep) == want
 
 
+def test_the_declared_support_is_built_once_per_system_and_never_to_solve(
+        monkeypatch):
+    # solving and a counterfactual never read the support; two certifies
+    # and an elasticity_at scattering support values share one build
+    builds = count_calls(monkeypatch, importlib.import_module(
+        "scalefix.system"), "_Support")
+    params = multi_sector_params(J=3, S=2)
+    sys = build_multi_sector(params)
+    res = iterate(sys, sys.state(np.ones(sys.dimension)), u=sys.scaling)
+    shock = counterfactual(params, [ShockStep("tau", (1, 2, 1), "*=", 1.5)])
+    assert res.status == shock.shocked_solve.status == "converged"
+    assert builds == []
+    sys = dataclasses.replace(sys, elasticity_values=None)
+    for seed in (0, 1):
+        assert certify(sys, sample_count=3, seed=seed).uniqueness_applicable
+    assert elasticity_at(sys, res.x_star).method == "analytic"
+    assert len(builds) == 1
+
+
 def test_warm_exact_certify_at_n_1260_peaks_below_a_dense_build_per_sample():
-    # multi 60 x 10: sample 0's dense DG, its copy in the ElasticityMatrix
-    # and the 8 samples' support values (0.07 n^2 each) peak at about
-    # 2.4 n^2 doubles; a dense DG built per sample before its support
-    # test peaked at 2.81 n^2
+    # multi 60 x 10: sample 0's dense DG, scattered into the one array
+    # its ElasticityMatrix holds, and the 8 samples' support values
+    # (0.07 n^2 each) peak at about 1.8 n^2 doubles; a copy of that array
+    # in the ElasticityMatrix peaked at 2.41 n^2, and a dense DG built
+    # per sample before its support test at 2.81 n^2
     sys = wide_multi_sector(60, 10)
     n = sys.dimension
     certify(sys, 8, 0)
@@ -1261,7 +1285,7 @@ def test_warm_exact_certify_at_n_1260_peaks_below_a_dense_build_per_sample():
     finally:
         tracemalloc.stop()
     assert rep.uniqueness_applicable and rep.attractivity_applicable
-    assert peak <= 2.8 * n * n * 8
+    assert peak <= 2.2 * n * n * 8
 
 
 def test_spectrum_similarity_via_charpoly():
@@ -1663,3 +1687,68 @@ def test_wrong_shape_analytic_elasticity_is_an_error_verdict(pattern):
             "expected (2, 2)")
     assert rep.monotonicity.verdict == "skipped"
     assert rep.spectral is None
+
+
+def raising_system(provider, error, exact, limit):
+    """F = (sqrt(x0 x1), sqrt(x0 x1)), DG = 0.5 everywhere, where the
+    `provider` callable raises `error` once x0 > limit; the analytic
+    providers, elasticity_values and support_values, come only in exact
+    mode."""
+    fns = {"evaluate_values": lambda x: np.full(2, np.sqrt(x[0] * x[1]))}
+    if exact:
+        fns["elasticity_values"] = lambda x: np.full((2, 2), 0.5)
+        if provider == "support_values":
+            fns["support_values"] = lambda x: np.full(4, 0.5)
+    fn = fns[provider]
+
+    def raising(x):
+        if x[0] > limit:
+            raise error("raised by the caller's code")
+        return fn(x)
+
+    fns[provider] = raising
+    return PositiveSystem(labels=("a", "b"),
+                          sign_pattern=np.ones((2, 2), dtype=int)
+                          if exact else None, **fns)
+
+
+@pytest.mark.parametrize("provider,error,exact,limit,where", [
+    ("evaluate_values", ZeroDivisionError, False, 0.0, "sample 0"),
+    ("evaluate_values", ZeroDivisionError, False, 5.0, "later sample"),
+    # every sample has x0 <= e^3 < 25: only 10^u x, u = (1, 1), raises
+    ("evaluate_values", ZeroDivisionError, False, 25.0, "scale law"),
+    # with analytic elasticities F runs only in the scale law
+    ("evaluate_values", ZeroDivisionError, True, 0.0, "scale law"),
+    ("elasticity_values", IndexError, True, 0.0, "sample 0"),
+    ("elasticity_values", IndexError, True, 5.0, "later sample"),
+    ("support_values", IndexError, True, 0.0, "sample 0"),
+    ("support_values", IndexError, True, 5.0, "later sample"),
+])
+def test_a_raising_callable_is_an_error_verdict(provider, error, exact,
+                                                limit, where):
+    rep = certify(raising_system(provider, error, exact, limit),
+                  sample_count=8, seed=0)
+    bad = 0 if limit == 0.0 else first_sample_beyond(
+        rep, 2.5 if where == "scale law" else limit)
+    assert (bad > 0) == (limit > 0.0)
+    checks = [rep.scaling]
+    if not exact and where != "scale law":
+        checks += [rep.connectedness, rep.self_interaction]
+    for check in checks:
+        assert check.verdict == "error"
+        assert check.details == {
+            "error": f"{error.__name__}: raised by the caller's code",
+            "sample_index": bad}
+    assert rep.monotonicity.verdict == "skipped"
+    assert (rep.spectral is None) == (where != "scale law")
+    assert parse_report(format_report(rep))["scaling.sample_index"] == str(bad)
+
+
+@pytest.mark.parametrize("provider,exact", [
+    ("evaluate_values", False), ("evaluate_values", True),
+    ("support_values", True)])
+def test_an_interrupt_in_a_callable_propagates(provider, exact):
+    # only an Exception becomes a verdict
+    sys = raising_system(provider, KeyboardInterrupt, exact, 0.0)
+    with pytest.raises(KeyboardInterrupt):
+        certify(sys, sample_count=2, seed=0)

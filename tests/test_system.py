@@ -223,6 +223,37 @@ def test_elasticity_matrix_rejects_a_shape_other_than_n_by_n(shape):
     assert info.value.coordinate is None
 
 
+def test_elasticity_from_support_values_alone_is_their_scatter():
+    # analytic, from no evaluation of F: the values, -0.0 among them, on
+    # the pattern's support in row-major order, +0.0 everywhere else
+    pattern = np.array([[0, 1, 0], [-1, 1, 1], [1, 0, 0]])
+    values = np.array([0.25, -0.0, 0.5, 0.75, 1.5])
+    evals = []
+    sys = PositiveSystem(labels=("a", "b", "c"),
+                         evaluate_values=lambda x: evals.append(x) or x,
+                         sign_pattern=pattern,
+                         support_values=lambda x: values)
+    E = elasticity_at(sys, sys.state([1.0, 2.0, 3.0]))
+    want = np.zeros((3, 3))
+    want[pattern != 0] = values
+    assert E.method == "analytic" and evals == []
+    assert np.array_equal(E.entries.view(np.int64), want.view(np.int64))
+    assert not E.entries.flags.writeable
+
+
+@pytest.mark.parametrize("values,message", [
+    (np.ones(3), r"support_values has shape \(3,\), expected \(2,\)"),
+    (np.array([1.0, np.nan]), "analytic elasticity of 'b' with respect to "
+                              "'a' is nan"),
+])
+def test_wrong_support_values_rejected(values, message):
+    sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                         sign_pattern=[[0, 1], [1, 0]],
+                         support_values=lambda x: values)
+    with pytest.raises(DifferentiationError, match=message):
+        elasticity_at(sys, sys.state([1.0, 2.0]))
+
+
 def test_label_validation():
     with pytest.raises(ValueError, match="unique"):
         PositiveSystem(labels=("a", "a"), evaluate_values=lambda x: x)

@@ -6,7 +6,7 @@ between models that must coincide on overlapping parameter sets.
 """
 
 import importlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -503,13 +503,19 @@ def gapped_multi_sector(draw):
 def test_multi_sector_support_values_are_the_dense_values_on_the_support(
         case):
     # the block-to-support order against the dense layout, bit for bit,
-    # and DG +0.0 off the support, where dead terms give no -0.0
+    # and DG +0.0 off the support, where dead terms give no -0.0; the
+    # values scattered by elasticity_at, without the dense provider, are
+    # that dense matrix
     p, x = case
     sys = build_multi_sector(p)
     on = sys.sign_pattern != 0
     E, v = sys.elasticity_values(x), sys.support_values(x)
     assert np.array_equal(v.view(np.int64), E[on].view(np.int64))
     assert not E[~on].view(np.int64).any()
+    scattered = elasticity_at(replace(sys, elasticity_values=None),
+                              sys.state(x))
+    assert np.array_equal(scattered.entries.view(np.int64),
+                          E.view(np.int64))
 
 
 def general(J=3, S=3, seed=0):
