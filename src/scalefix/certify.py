@@ -23,7 +23,6 @@ is known symbolically.  Sample-based runs can at best report
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,11 +39,12 @@ from scalefix.spectral import (
     strongly_connected_components,
 )
 from scalefix.system import (
+    _DG,
     ElasticityMatrix,
     PositiveSystem,
     StateVector,
     _frozen,
-    _Support,
+    _support_dg,
     elasticity_at,
 )
 
@@ -120,8 +120,8 @@ class SpectralEvidence:
     rho: tuple[float, ...]
     max_rho_deviation: float          # max |rho - 1|
     eigvec_residual: float | None     # max inf-norm of |DG||u| - |u|
-    # max |D DG D - |DG||, D = diag(sign u): 2 max |DG| over the entries
-    # against the block rule; None without a zero-free u
+    # max |D DG D - |DG||, D = diag(sign u): -2 min(D DG D), clamped to
+    # +0.0 where DG obeys the block rule; None without a zero-free u
     similarity_residual: float | None
     # 1 the only eigenvalue on the unit circle at every sample, and the
     # min of 1 - second modulus over the samples where that was not
@@ -183,40 +183,6 @@ def _need_samples(samples: Sequence[StateVector]) -> None:
         raise ValueError("need at least one sample")
 
 
-class _SupportDG:
-    """DG at one sample as `values` = DG[rows, cols] from support_values:
-    finite, none of them 0, and DG 0 elsewhere by the declaration.  Stands
-    in for an ElasticityMatrix: `entries` and `spectrum` read `dense`, DG
-    scattered from `values`, built only where a sample needs it."""
-
-    def __init__(self, support: _Support, values: NDArray, point: StateVector):
-        self.support, self.values, self.point = support, values, point
-
-    @cached_property
-    def dense(self) -> ElasticityMatrix:
-        return self.support.scatter(self.values, self.point)
-
-    @property
-    def entries(self) -> NDArray:
-        return self.dense.entries
-
-    @property
-    def spectrum(self) -> NDArray:
-        return self.dense.spectrum
-
-
-_DG = ElasticityMatrix | _SupportDG
-
-
-def _support_dg(sys: PositiveSystem, x: StateVector) -> _DG:
-    """DG at x from sys.support_values, checked in O(nnz): a 0 or a
-    non-finite value gives the dense DG, as elasticity_at scatters it,
-    which then raises its DifferentiationError for the latter."""
-    v = sys._support_checked(x.values)
-    dg = _SupportDG(sys._support, v, x)
-    return dg if np.isfinite(v).all() and v.all() else dg.dense
-
-
 def _elasticities(sys: PositiveSystem,
                   samples: Sequence[StateVector]) -> list[_DG]:
     """Each sample's DG, built and checked in sample order, so an error
@@ -226,33 +192,6 @@ def _elasticities(sys: PositiveSystem,
     first.entries   # sample 0's spectrum needs it: least peak if built now
     return [first] + [_at_sample(idx, build, sys, x)
                       for idx, x in enumerate(samples) if idx > 0]
-
-
-def _dot(E: _DG, x: NDArray, absolute: bool = False) -> NDArray:
-    """DG x, or |DG| x for x >= 0 when absolute: O(nnz) on the support,
-    a dense matvec otherwise.  Overflow gives inf, which the callers'
-    tests refuse, not a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(E, _SupportDG):
-            s = E.support
-            p = E.values * x[s.cols]
-            out = np.zeros(len(x))
-            out[s.heads] = np.add.reduceat(np.abs(p) if absolute else p,
-                                           s.starts)
-            return out
-        return (np.abs(E.entries) if absolute else E.entries) @ x
-
-
-def _irreducible(E: _DG) -> bool:
-    if isinstance(E, _SupportDG):
-        return E.support.connected
-    return _strongly_connected(E.entries != 0)
-
-
-def _self_loop(E: _DG) -> bool:
-    if isinstance(E, _SupportDG):
-        return E.support.self_loop
-    return bool(np.diag(E.entries).any())
 
 
 def _bloc_labels(adj: NDArray, labels: tuple[str, ...]) -> list[list[str]]:
@@ -321,7 +260,7 @@ def _verified(sys: PositiveSystem, samples: Sequence[StateVector],
               elasticities: Sequence[_DG], u: NDArray) -> ScalingCertificate:
     """The certificate of u: the DG u = u residual at every sample and
     the scale law at SCALE_TEST_FACTORS."""
-    res_eq = max(float(np.max(np.abs(_dot(E, u) - u)))
+    res_eq = max(float(np.max(np.abs(E._dot(u) - u)))
                  for E in elasticities)
     res_direct = 0.0
     for idx, x in enumerate(samples):
@@ -357,7 +296,7 @@ def _closed_form_certificate(sys: PositiveSystem,
     # is simple and DG0's eigenvalue-1 eigenspace is the line of u once
     # rho(|DG0|) = 1.  Both paths verify u at every sample in _verified
     E0 = elasticities[0]
-    if _BlockRule(u).worst(E0) > 0.0 or not _irreducible(E0):
+    if E0._worst(_signs(u)) > 0.0 or not E0._irreducible():
         return None
     cert = _verified(sys, samples, elasticities, u)
     # Collatz-Wielandt from |u| puts rho(|DG|) within res_eq / min|u| of
@@ -409,38 +348,11 @@ def find_scaling_exponent(sys: PositiveSystem,
     return _verified(sys, samples, elasticities, _oriented(Vh[-1]))
 
 
-def _same_block(u: NDArray) -> NDArray[np.bool_]:
-    return np.equal.outer(u > 0, u > 0)   # True when j, k share a block
-
-
-def _violations(M: NDArray, same: NDArray, tol: float = 0.0) -> NDArray:
-    """Entries of M against the block rule, beyond tol: `same` marks the
-    entries whose row and column share a block, elementwise with M."""
-    return (same & (M < -tol)) | (~same & (M > tol))
-
-
-class _BlockRule:
-    """The block rule of sign(u): within a block >= 0, across <= 0."""
-
-    def __init__(self, u: NDArray):
-        self.u, self.positive = u, u > 0
-
-    def same_at(self, rows: NDArray, cols: NDArray) -> NDArray[np.bool_]:
-        return self.positive[rows] == self.positive[cols]
-
-    @cached_property
-    def same(self) -> NDArray[np.bool_]:
-        return _same_block(self.u)        # n x n, built for a dense DG only
-
-    def worst(self, E: _DG) -> float:
-        """max |DG| over the entries against the rule, 0 when none is."""
-        if isinstance(E, _SupportDG):
-            s, v = E.support, E.values
-            bad = _violations(v, self.same_at(s.rows, s.cols))
-            return float(np.max(np.abs(v[bad]), initial=0.0))
-        M = E.entries
-        return float(np.max(np.abs(M[_violations(M, self.same)]),
-                            initial=0.0))
+def _signs(u: NDArray) -> NDArray:
+    """d = sign(u) as +-1, for a zero-free u: DG obeys the block rule of
+    u, >= 0 within a block of sign(u) and <= 0 across, where D DG D >= 0
+    with D = diag(d), and there |DG| = D DG D."""
+    return np.where(u > 0, 1.0, -1.0)
 
 
 def _split_by_sign(u: NDArray, labels: tuple[str, ...]) -> SignPartition:
@@ -449,13 +361,22 @@ def _split_by_sign(u: NDArray, labels: tuple[str, ...]) -> SignPartition:
     return SignPartition(zeta_plus=plus, zeta_minus=minus)
 
 
+def _fail_at(labels: tuple[str, ...], flat: int, **details) -> CheckResult:
+    """A fail naming the row and column of DG's raveled entry `flat`."""
+    j, k = divmod(int(flat), len(labels))
+    return CheckResult("fail", {"row": labels[j], "column": labels[k],
+                                **details})
+
+
 def check_monotonicity(sys: PositiveSystem, u,
                        samples: Sequence[StateVector],
                        elasticities: Sequence[ElasticityMatrix] | None = None,
                        ) -> tuple[CheckResult, SignPartition]:
-    """Block sign rule induced by u: within a block >= 0, across <= 0.
-    Checked on the declared sign pattern, if any, which alone can pass,
-    and in both modes on each sample's DG beyond TOL_SIGN."""
+    """Block sign rule induced by u: within a block >= 0, across <= 0,
+    that is D DG D >= 0 with D = diag(sign u).  Checked on the declared
+    sign pattern, if any, which alone can pass, and in both modes on each
+    sample's DG beyond TOL_SIGN; a fail names the first witness in
+    row-major order."""
     _need_samples(samples)
     u = np.asarray(u, dtype=float)
     tiny = np.abs(u) <= 1e-9 * np.abs(u).max()
@@ -464,39 +385,22 @@ def check_monotonicity(sys: PositiveSystem, u,
         raise ValueError(
             f"scaling direction has a zero entry at {sys.labels[j]!r}; "
             "the block partition is undefined there")
-    partition, rule = _split_by_sign(u, sys.labels), _BlockRule(u)
+    partition, d = _split_by_sign(u, sys.labels), _signs(u)
 
     verdict = "evidence-only"
     if sys.sign_pattern is not None:
-        # a 0 entry breaks no rule; the others come in row-major order
-        s = sys._support
-        bad = np.flatnonzero(_violations(s.signs,
-                                         rule.same_at(s.rows, s.cols)))
-        if bad.size:
-            return CheckResult("fail", {
-                "row": sys.labels[s.rows[bad[0]]],
-                "column": sys.labels[s.cols[bad[0]]],
-                "reason": "declared sign violates the block rule",
-            }), partition
+        flat, _ = sys._support.declared._witnesses(d)   # a 0 breaks no rule
+        if flat.size:
+            return _fail_at(sys.labels, flat[0], reason="declared sign "
+                            "violates the block rule"), partition
         verdict = "pass"
 
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
-        if isinstance(E, _SupportDG):
-            # the declared signs obey the rule, so an entry on the
-            # support breaks it where it is against its declared sign
-            bad = np.flatnonzero(s.signs * E.values < -TOL_SIGN)
-            flat, values = E.support.flat[bad], E.values[bad]
-        else:
-            flat = np.flatnonzero(_violations(E.entries, rule.same, TOL_SIGN))
-            values = np.take(E.entries, flat)
+        flat, values = E._witnesses(d, TOL_SIGN)
         if flat.size:
-            j, k = divmod(int(flat[0]), len(u))
-            return CheckResult("fail", {
-                "row": sys.labels[j], "column": sys.labels[k],
-                "sample_index": idx,
-                "value": float(values[0]),
-            }), partition
+            return _fail_at(sys.labels, flat[0], sample_index=idx,
+                            value=float(values[0])), partition
     return CheckResult(verdict), partition
 
 
@@ -551,7 +455,7 @@ def _perron_derived(E: _DG, signature: float,
     |DG| is primitive."""
     return (signature == 0.0 and bracket is not None
             and 1.0 - NEAR_ONE <= bracket[0] and bracket[1] <= 1.0 + NEAR_ONE
-            and _self_loop(E) and _irreducible(E))
+            and E._self_loop() and E._irreducible())
 
 
 def _peripheral(eigs: NDArray) -> tuple[bool, float]:
@@ -588,9 +492,10 @@ def check_spectral(sys: PositiveSystem, u,
     """Spectral radius of |DG| with its Collatz-Wielandt bracket, the |u|
     eigenvector residual, the signature residual max |D DG D - |DG|| with
     D = diag(sign u), and the modulus-1 uniqueness check.  D DG D - |DG|
-    is -2|DG| where DG breaks the block rule of sign(u) and 0 elsewhere,
-    so the residual is exactly 0 when the rule holds (DG and |DG| then
-    share a spectrum), and None when a zero entry of u makes D singular.
+    is -2|DG| where DG breaks the block rule of sign(u), that is where
+    D DG D < 0, and 0 elsewhere, so the residual is -2 min(D DG D),
+    exactly +0.0 when the rule holds (DG and |DG| then share a
+    spectrum), and None when a zero entry of u makes D singular.
     Each sample takes one product w = |DG| v, v = |u| (all ones unless u
     is zero-free), for the bracket [min w/v, max w/v] and the eigenvector
     residual; rho is the bracket's midpoint when it is positive and
@@ -624,22 +529,22 @@ def check_spectral(sys: PositiveSystem, u,
     _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
     roots, signatures, start = [], [], np.ones(sys.dimension)
-    eig_res = rule = None
+    eig_res = d = None
     if u is not None:
         u = np.asarray(u, dtype=float)
         abs_u = np.abs(u)
         eig_res = 0.0
         if np.all(abs_u > 0.0):
-            start, rule = _check_gauge(abs_u, "start vector"), _BlockRule(u)
+            start, d = _check_gauge(abs_u, "start vector"), _signs(u)
     for E in elasticities:
-        w = _dot(E, start, absolute=True)
+        w = E._dot(start, absolute=True)
         roots.append(_first_bracket(w, start))
         if u is not None:
-            if rule is None:        # start is all ones, not |u|
-                w = _dot(E, abs_u, absolute=True)
+            if d is None:        # start is all ones, not |u|
+                w = E._dot(abs_u, absolute=True)
             eig_res = max(eig_res, float(np.max(np.abs(w - abs_u))))
-        if rule is not None:
-            signatures.append(2.0 * rule.worst(E))
+        if d is not None:
+            signatures.append(2.0 * E._worst(d))
     still_open = [idx for idx, root in enumerate(roots) if root is None]
     if still_open:
         found = _open_roots([elasticities[idx] for idx in still_open], start)
@@ -647,7 +552,7 @@ def check_spectral(sys: PositiveSystem, u,
             roots[idx] = root
     brackets = [bracket for _, bracket in roots]
     spectra = [idx for idx, E in enumerate(elasticities)
-               if not (idx > 0 and rule is not None and _perron_derived(
+               if not (idx > 0 and d is not None and _perron_derived(
                    E, signatures[idx], brackets[idx]))]
     facts = _peripherals(elasticities, spectra)     # sample 0 among them
     rhos = [rho for rho, _ in roots]
@@ -655,7 +560,7 @@ def check_spectral(sys: PositiveSystem, u,
         rho=tuple(rhos),
         max_rho_deviation=float(np.max(np.abs(np.asarray(rhos) - 1.0))),
         eigvec_residual=eig_res,
-        similarity_residual=max(signatures) if rule is not None else None,
+        similarity_residual=max(signatures) if d is not None else None,
         unique_modulus_one=all(ok for ok, _ in facts),
         spectral_gap=min(1.0 - second for _, second in facts),
         rho_bracket=((min(lo for lo, _ in brackets),
@@ -711,8 +616,8 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
 
     All samples' elasticities are gathered, in order, before any check
     runs.  Where the system gives support_values, each sample's DG is
-    kept only as those nnz values (see _support_dg): DG u, |DG| |u|, the
-    block rule, the diagonal and irreducibility (from the connected
+    kept only as those nnz values (system._SupportDG): DG u, |DG| |u|,
+    the block rule, the diagonal and irreducibility (from the connected
     pattern) then cost O(nnz) per sample, and a dense DG is scattered
     from them only where a sample needs it (sample 0 for its spectrum, a
     later one for an open Perron bracket or a spectrum).  Any other

@@ -11,7 +11,9 @@ matrix of elasticities
 which is what the sign and spectral checks consume.  Systems may ship an
 analytic elasticity provider; otherwise central finite differences in log
 space are used (stepping in log coordinates gives relative steps for
-free).
+free).  This module owns both ways a DG is held, a dense ElasticityMatrix
+and a _SupportDG of values on a declared support, and gives both the
+private operations certification asks for.
 
 Coordinates are addressed by label everywhere.  For the built-in trade
 models the stacking order is: all market-access coordinates
@@ -155,6 +157,36 @@ class ElasticityMatrix:
         eigs.setflags(write=False)
         return eigs
 
+    # What certify asks of a DG, which _SupportDG answers on its support.
+    # d is sign(u) as +-1 and D = diag(d): DG obeys the block rule of u,
+    # >= 0 within a block of sign(u) and <= 0 across, where D DG D >= 0
+
+    def _dot(self, x: NDArray, absolute: bool = False) -> NDArray:
+        """DG x, or |DG| x; overflow gives inf, not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.abs(self.entries) if absolute else self.entries) @ x
+
+    def _ddgd(self, d: NDArray) -> NDArray:
+        """D DG D: each entry times +-1, so |DG| bit for bit where >= 0."""
+        return d[:, None] * self.entries * d
+
+    def _witnesses(self, d: NDArray, tol: float = 0.0,
+                   ) -> tuple[NDArray, NDArray]:
+        """The entries where D DG D < -tol, in row-major order: their
+        indices in the raveled DG, and their values."""
+        flat = np.flatnonzero(self._ddgd(d) < -tol)
+        return flat, np.take(self.entries, flat)
+
+    def _worst(self, d: NDArray) -> float:
+        """max |DG| over the entries against the block rule, +0.0 if none."""
+        return max(0.0, -float(self._ddgd(d).min()))
+
+    def _irreducible(self) -> bool:
+        return _strongly_connected(self.entries != 0)
+
+    def _self_loop(self) -> bool:
+        return bool(np.diag(self.entries).any())
+
 
 class _Support:
     """Where a declared sign pattern lets DG be nonzero: `adjacency`, and its
@@ -169,6 +201,12 @@ class _Support:
         self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
         self.heads = self.rows[self.starts]
         self.self_loop = bool(np.any(self.rows == self.cols))
+
+    @property
+    def declared(self) -> _SupportDG:
+        # made on each read: held here, it would make a reference cycle
+        # that keeps the support alive until the garbage collector runs
+        return _SupportDG(self, self.signs, None)
 
     @cached_property
     def connected(self) -> bool:
@@ -187,6 +225,60 @@ class _Support:
         held = ElasticityMatrix.__new__(ElasticityMatrix)
         held.__dict__.update(entries=E, point=point, method="analytic")
         return held
+
+
+class _SupportDG:
+    """DG at one sample as `values` = DG[rows, cols] on a _Support: finite,
+    none of them 0, and DG 0 elsewhere by the declaration.  Stands in for
+    an ElasticityMatrix: `entries` and `spectrum` read `dense`, DG
+    scattered from `values`, built only where a sample needs it, and
+    ElasticityMatrix's private operations cost O(nnz) here."""
+
+    def __init__(self, support: _Support, values: NDArray,
+                 point: StateVector | None):
+        self.support, self.values, self.point = support, values, point
+
+    @cached_property
+    def dense(self) -> ElasticityMatrix:
+        return self.support.scatter(self.values, self.point)
+
+    @property
+    def entries(self) -> NDArray:
+        return self.dense.entries
+
+    @property
+    def spectrum(self) -> NDArray:
+        return self.dense.spectrum
+
+    def _dot(self, x: NDArray, absolute: bool = False) -> NDArray:
+        s = self.support
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = self.values * x[s.cols]
+            out = np.zeros(len(x))
+            out[s.heads] = np.add.reduceat(np.abs(p) if absolute else p,
+                                           s.starts)
+        return out
+
+    def _ddgd(self, d: NDArray) -> NDArray:
+        s = self.support
+        return d[s.rows] * self.values * d[s.cols]
+
+    def _witnesses(self, d: NDArray, tol: float = 0.0,
+                   ) -> tuple[NDArray, NDArray]:
+        bad = np.flatnonzero(self._ddgd(d) < -tol)
+        return self.support.flat[bad], self.values[bad]
+
+    def _worst(self, d: NDArray) -> float:
+        return max(0.0, -float(np.min(self._ddgd(d), initial=0.0)))
+
+    def _irreducible(self) -> bool:
+        return self.support.connected
+
+    def _self_loop(self) -> bool:
+        return self.support.self_loop
+
+
+_DG = ElasticityMatrix | _SupportDG
 
 
 @dataclass(frozen=True)
@@ -283,6 +375,15 @@ class PositiveSystem:
         if x.labels != self.labels:
             raise ValueError("state belongs to a different system")
         return StateVector(self._eval_checked(x.values), self.labels)
+
+
+def _support_dg(sys: PositiveSystem, x: StateVector) -> _DG:
+    """DG at x from sys.support_values, checked in O(nnz): a 0 or a
+    non-finite value gives the dense DG, as elasticity_at scatters it,
+    which then raises its DifferentiationError for the latter."""
+    v = sys._support_checked(x.values)
+    dg = _SupportDG(sys._support, v, x)
+    return dg if np.isfinite(v).all() and v.all() else dg.dense
 
 
 def log_transform(z, sys: PositiveSystem) -> NDArray[np.float64]:

@@ -31,7 +31,7 @@ from numpy.typing import NDArray
 
 from scalefix.solve import SolveOptions, SolveResult, iterate
 from scalefix.spectral import _strongly_connected, strongly_connected_components
-from scalefix.system import PositiveSystem, StateVector, _frozen
+from scalefix.system import EvaluationError, PositiveSystem, StateVector, _frozen
 
 __all__ = [
     "ParameterError",
@@ -779,7 +779,9 @@ def counterfactual(base_params, steps: Sequence[ShockStep],
 
     Both solves share the starting point and the numeraire rule, so the
     reported relative changes are well defined.  A shock that severs the
-    trade network is rejected before any solving happens.
+    trade network is rejected before any solving happens.  Where F fails
+    in either solve, EvaluationError carries the solve's message; where
+    a solve does not converge otherwise, StaleStateError.
     """
     if not base_params.connected:
         raise ParameterError("base trade network is not connected",
@@ -797,6 +799,8 @@ def counterfactual(base_params, steps: Sequence[ShockStep],
         x0 = sys.state(np.ones(sys.dimension) if x0_values is None
                        else x0_values)
         res = iterate(sys, x0, u=sys.scaling, opts=opts)
+        if res.status == "evaluation-failed":
+            raise EvaluationError(res.message)
         if res.status != "converged":
             raise StaleStateError(
                 f"solve did not converge ({res.status}): {res.message}")

@@ -3,9 +3,13 @@ and each hand-built counterexample must trip exactly the check it was
 designed to violate."""
 
 import dataclasses
+import gc
 import importlib
+import pathlib
+import runpy
 import tracemalloc
 import types
+import weakref
 
 import mpmath
 import numpy as np
@@ -16,7 +20,9 @@ from hypothesis.extra.numpy import arrays
 from test_acceptance import MASTER_SEED, random_multi_sector, random_one_sector
 
 from scalefix.certify import (
+    TOL_SIGN,
     AmbiguousScalingError,
+    _signs,
     certify,
     check_connectedness,
     check_monotonicity,
@@ -33,6 +39,8 @@ from scalefix.system import (
     DifferentiationError,
     ElasticityMatrix,
     PositiveSystem,
+    _Support,
+    _SupportDG,
     elasticity_at,
 )
 from scalefix.trade import (
@@ -323,6 +331,16 @@ def count_calls(patch, module, name):
     return calls
 
 
+def record_rule_tests(patch):
+    """Wrap _ddgd, the block rule's one test, on both DG formats: each
+    call appends the D DG D it returns to the returned list."""
+    products = []
+    for cls in (ElasticityMatrix, _SupportDG):
+        patch.setattr(cls, "_ddgd", lambda self, d, f=cls._ddgd:
+                      products.append(f(self, d)) or products[-1])
+    return products
+
+
 def count_eigensolves(patch):
     """Like count_calls, for eigvals_mod_zero both where certify calls it,
     for |DG|, and where ElasticityMatrix.spectrum calls it, for DG: each
@@ -450,6 +468,66 @@ def test_signature_residual_equals_the_dense_flip_reference(case):
     assert spectral_at_one_state(u, entries).similarity_residual == reference
 
 
+def old_block_rule(M, u, tol):
+    """The entries of M against the block rule of sign(u) beyond tol, by
+    a mask of the blocks: the reference that D DG D < -tol must match."""
+    same = np.equal.outer(u > 0, u > 0)
+    return (same & (M < -tol)) | (~same & (M > tol))
+
+
+@st.composite
+def both_dg_formats(draw):
+    """A dense DG with signed zeros and maybe a zero row, a DG held as
+    nonzero values on a random declared support, both with entries at
+    +-TOL_SIGN, a zero-free u, a positive x and a tol."""
+    at_tol = st.sampled_from([TOL_SIGN, -TOL_SIGN])
+    n = draw(st.integers(1, 6))
+    E = draw(arrays(float, (n, n), elements=st.one_of(finite_entries, at_tol)))
+    if draw(st.booleans()):
+        E[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    support = _Support(draw(arrays(bool, (n, n))).astype(int))
+    values = draw(arrays(float, len(support.flat), elements=st.one_of(
+        at_tol, st.floats(-1e-9, 1e-9), st.floats(-1e40, 1e40)).filter(bool)))
+    point = custom(tuple(f"x{j}" for j in range(n)), lambda x: x).state(
+        np.ones(n))
+    signs = np.where(draw(arrays(bool, n)), 1.0, -1.0)
+    u = signs * draw(arrays(float, n, elements=st.floats(1e-6, 1e6)))
+    x = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
+    return (ElasticityMatrix(E, point, "analytic"),
+            _SupportDG(support, values, point), u, x,
+            draw(st.sampled_from([0.0, TOL_SIGN])))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(both_dg_formats())
+def test_both_dg_formats_agree_with_the_old_block_rule(case):
+    dense, on_support, u, x, tol = case
+    d = _signs(u)
+    for E in (dense, on_support):
+        M = E.entries
+        flat, values = E._witnesses(d, tol)
+        assert np.array_equal(flat, np.flatnonzero(old_block_rule(M, u, tol)))
+        assert np.array_equal(bits(values), bits(np.take(M, flat)))
+        worst = E._worst(d)
+        want = float(np.max(np.abs(M[old_block_rule(M, u, 0.0)]),
+                            initial=0.0))
+        assert bits(worst) == bits(want)     # +0.0 when none breaks it
+    scattered = on_support.dense
+    assert on_support._irreducible() == scattered._irreducible()
+    assert on_support._self_loop() == scattered._self_loop()
+    # reduceat on the support and BLAS on the dense DG sum in their own
+    # orders: a few ulp of the sum of |terms| apart
+    scale = np.abs(scattered.entries) @ x
+    for absolute in (False, True):
+        got = on_support._dot(x, absolute)
+        want = scattered._dot(x, absolute)
+        assert np.all(np.abs(got - want) <= 4 * len(x) * 2.0 ** -52 * scale)
+
+
 @settings(max_examples=150, deadline=None)
 @given(dg_samples_and_zero_free_u(), st.booleans())
 # dense eigvals is 1e-6 and 2.6e-9 relative off on these two; the
@@ -553,24 +631,23 @@ def test_exact_certify_runs_no_svd_and_one_eigensolve(build, params,
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_exact_certify_tests_the_block_rule_once_per_sample(k, monkeypatch):
     # the closed form's premise at sample 0, the declared pattern in
-    # check_monotonicity, and the signature in check_spectral at each
-    # sample, all on the declared support's nnz entries: no n x n block
-    # mask.  The graph is walked once, on the declared pattern, which
-    # connectedness, sample 0's premise and every sample's primitivity
-    # share: no walk per sample, and that one by the system's support
-    certify_module = importlib.import_module("scalefix.certify")
+    # check_monotonicity, and at each sample the witnesses in
+    # check_monotonicity and the signature in check_spectral, all on the
+    # declared support's nnz entries: no n x n rule array.  The graph is
+    # walked once, on the declared pattern, which connectedness, sample
+    # 0's premise and every sample's primitivity share: no walk per
+    # sample, and that one by the system's support
     sys = build_multi_sector(multi_sector_params(J=3, S=2))
     nnz = np.count_nonzero(sys.sign_pattern)
-    violations = count_calls(monkeypatch, certify_module, "_violations")
-    masks = count_calls(monkeypatch, certify_module, "_same_block")
+    products = record_rule_tests(monkeypatch)
     walks = [count_calls(monkeypatch, importlib.import_module(module),
                          "_strongly_connected")
              for module in ("scalefix.certify", "scalefix.system")]
     rep = certify(sys, sample_count=k, seed=0)
     assert rep.uniqueness_applicable and rep.spectral.unique_modulus_one
-    assert (len(violations), len(masks)) == (k + 2, 0)
+    assert len(products) == 2 * k + 2
     assert [len(calls) for calls in walks] == [0, 1]
-    assert all(M.shape == (nnz,) for (M, _) in violations)
+    assert all(M.shape == (nnz,) for M in products)
     assert walks[1][0][0].dtype == bool
 
 
@@ -581,22 +658,27 @@ def test_certify_validates_no_matrix_it_built(k, exact, monkeypatch):
     # is finite and nonnegative, and certify runs the unchecked kernels.
     # In exact mode every sample keeps its support values, sample 0's
     # dense DG (its spectrum needs it) is rebuilt from them, so
-    # elasticity_at never runs, and no n x n block mask is built.  In
-    # sampled mode every sample is dense, and check_monotonicity and
-    # check_spectral each build the mask of sign(u) once
+    # elasticity_at never runs, and no n x n rule array is built.  In
+    # sampled mode every sample is dense, and the block rule is tested on
+    # n x n arrays: in check_monotonicity up to the failing sample, and
+    # in check_spectral at each sample
     certify_module = importlib.import_module("scalefix.certify")
     sys = (build_multi_sector(multi_sector_params(J=3, S=2)) if exact
            else build_general(general_params()))
+    n = sys.dimension
     checks = count_calls(monkeypatch,
                          importlib.import_module("scalefix.spectral"),
                          "_as_nonneg_square")
-    masks = count_calls(monkeypatch, certify_module, "_same_block")
+    products = record_rule_tests(monkeypatch)
     built = count_calls(monkeypatch, certify_module, "elasticity_at")
     rep = certify(sys, sample_count=k, seed=0 if exact else 5)
     assert rep.mode == ("exact" if exact else "sampled")
     assert rep.monotonicity.verdict == ("pass" if exact else "fail")
-    assert (len(checks), len(masks), len(built)) == (
-        (0, 0, 0) if exact else (0, 2, k))
+    dense = [M for M in products if M.shape == (n, n)]
+    assert (len(checks), len(dense), len(built)) == (
+        (0, 0, 0) if exact
+        else (0, rep.monotonicity.details["sample_index"] + 1 + k, k))
+    assert len(dense) == (0 if exact else len(products))
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -1269,6 +1351,20 @@ def test_the_declared_support_is_built_once_per_system_and_never_to_solve(
     assert len(builds) == 1
 
 
+def test_a_certified_system_frees_its_support_without_the_cycle_collector():
+    # a reference cycle through the support would hold its arrays, n x n
+    # adjacency included, until the garbage collector next runs
+    sys = build_multi_sector(multi_sector_params(J=3, S=2))
+    assert certify(sys, sample_count=2, seed=0).uniqueness_applicable
+    support = weakref.ref(sys._support)
+    gc.disable()
+    try:
+        del sys
+        assert support() is None
+    finally:
+        gc.enable()
+
+
 def test_warm_exact_certify_at_n_1260_peaks_below_a_dense_build_per_sample():
     # multi 60 x 10: sample 0's dense DG, scattered into the one array
     # its ElasticityMatrix holds, and the 8 samples' support values
@@ -1752,3 +1848,15 @@ def test_an_interrupt_in_a_callable_propagates(provider, exact):
     sys = raising_system(provider, KeyboardInterrupt, exact, 0.0)
     with pytest.raises(KeyboardInterrupt):
         certify(sys, sample_count=2, seed=0)
+
+
+def test_every_certify_name_the_tracer_wraps_is_callable():
+    # the tracer skips a name it cannot find without an error, which
+    # would show only as a traced layer's time falling to zero
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    certify_module = importlib.import_module("scalefix.certify")
+    names = [attr for module, attr, *_ in runpy.run_path(str(path))["PATCHES"]
+             if module == "scalefix.certify"]
+    assert names
+    assert [name for name in names
+            if not callable(getattr(certify_module, name, None))] == []

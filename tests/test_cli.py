@@ -376,6 +376,28 @@ def test_numeraire_naming_no_coordinate_exits_2(command, rule, named,
     assert not (out / "deltas.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "counterfactual"])
+def test_evaluation_failure_exits_2_and_an_exhausted_budget_4(command,
+                                                              tmp_path,
+                                                              capsys):
+    # F overflows within this general model's first iterations
+    failing = save_parameters(general_params(), str(tmp_path / "general"))
+    budget = symmetric_one_sector(tmp_path, extra="[solve]\nmax_iter = 1\n")
+    out = tmp_path / "run"
+    for cfg, shock, code, message in [
+            (failing, "tau[1][2][1] *= 1.2\n", 2,
+             "evaluate produced inf at coordinate 'OMEGA[1][1]'"),
+            (budget, "A[1] *= 2\n", 4, "no convergence in 1 iterations")]:
+        extra = ([] if command == "solve" else
+                 ["--shocks", write(tmp_path / "shocks.txt", shock)])
+        assert main([command, "--config", cfg, "--out", str(out),
+                     *extra]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("scalefix: ") and message in err
+        assert not (out / "equilibrium.txt").exists()
+        assert not (out / "deltas.txt").exists()
+
+
 def test_solve_and_counterfactual_build_each_system_once(tmp_path,
                                                          monkeypatch):
     builds = []
