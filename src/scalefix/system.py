@@ -281,6 +281,36 @@ class _SupportDG:
 _DG = ElasticityMatrix | _SupportDG
 
 
+class _LazyPattern:
+    """PositiveSystem.sign_pattern, a field whose default is this
+    descriptor.  It holds what the constructor was given, in the
+    instance's __dict__, and reads as the checked read-only int pattern:
+    a callable is called, checked and frozen on the first read only."""
+
+    HELD = "_sign_pattern"
+
+    def __get__(self, sys, owner=None):
+        if sys is None:
+            return None     # the field's default
+        held = sys.__dict__[self.HELD]
+        return self.hold(sys, held()) if callable(held) else held
+
+    def __set__(self, sys, value):
+        # only __init__ gets here: the frozen class's __setattr__ raises
+        sys.__dict__[self.HELD] = value
+
+    @classmethod
+    def hold(cls, sys, value) -> NDArray[np.int64]:
+        """value, checked (else ValueError), as sys's pattern from now on."""
+        p = np.asarray(value)
+        if p.shape != (sys.dimension, sys.dimension):
+            raise ValueError("sign_pattern must be N x N")
+        if not ((p == 0) | (np.abs(p) == 1)).all():
+            raise ValueError("sign_pattern entries must be -1, 0 or +1")
+        p = sys.__dict__[cls.HELD] = _frozen(p, int)
+        return p
+
+
 @dataclass(frozen=True)
 class PositiveSystem:
     """A map F on the strictly positive orthant, addressed by labels.
@@ -290,21 +320,26 @@ class PositiveSystem:
     when given, returns the analytic elasticity matrix at a value array.
     sign_pattern, when given, fixes the sign of every elasticity entry
     across the whole domain (-1, 0, +1), which certification uses for
-    exact sign verdicts.  support_values, only with a sign_pattern (else
-    ValueError), returns DG's analytic values on the pattern's nonzero
-    entries, in row-major order, and so declares DG 0 off the pattern;
-    certify reads only those, and elasticity_at scatters them where
-    elasticity_values is None, both on the support the system builds on
-    first read, which solving never does.  scaling, when given, is a
-    closed-form scaling direction u with F(c^u x) = c^u F(x): finite and
-    not all zero (else ValueError), though single entries may be 0.  Both
-    arrays are stored as read-only copies, sign_pattern as int.
+    exact sign verdicts.  It is an N x N array, or a zero-argument
+    callable returning one: an array is checked here, a callable only
+    on the first read of sign_pattern, which calls it once, so a system
+    that is only solved never builds the pattern.  Either way it reads as
+    a read-only int copy, and a wrong one raises the same ValueError.
+    support_values, only with a sign_pattern (else ValueError), returns
+    DG's analytic values on the pattern's nonzero entries, in row-major
+    order, and so declares DG 0 off the pattern; certify reads only
+    those, and elasticity_at scatters them where elasticity_values is
+    None, both on the support the system builds on first read, which
+    solving never does.  scaling, when given, is a closed-form scaling
+    direction u with F(c^u x) = c^u F(x): finite and not all zero (else
+    ValueError), though single entries may be 0; it is stored as a
+    read-only copy.
     """
 
     labels: tuple[str, ...]
     evaluate_values: Callable[[NDArray[np.float64]], NDArray[np.float64]]
     elasticity_values: Callable[[NDArray[np.float64]], NDArray[np.float64]] | None = None
-    sign_pattern: NDArray[np.int64] | None = None
+    sign_pattern: NDArray[np.int64] | None = _LazyPattern()
     scaling: NDArray[np.float64] | None = None
     kind: str = "custom"
     meta: Mapping[str, Any] = field(default_factory=dict)
@@ -316,15 +351,12 @@ class PositiveSystem:
             raise ValueError("a system needs at least one coordinate")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("coordinate labels must be unique")
-        if self.sign_pattern is not None:
-            p = np.asarray(self.sign_pattern)
-            if p.shape != (self.dimension, self.dimension):
-                raise ValueError("sign_pattern must be N x N")
-            if not ((p == 0) | (np.abs(p) == 1)).all():
-                raise ValueError("sign_pattern entries must be -1, 0 or +1")
-            object.__setattr__(self, "sign_pattern", _frozen(p, int))
-        elif self.support_values is not None:
-            raise ValueError("support_values needs a sign_pattern")
+        given = self.__dict__[_LazyPattern.HELD]
+        if given is None:
+            if self.support_values is not None:
+                raise ValueError("support_values needs a sign_pattern")
+        elif not callable(given):
+            _LazyPattern.hold(self, given)
         if self.scaling is not None:
             u = _frozen(self.scaling)
             if u.shape != (self.dimension,):

@@ -324,9 +324,11 @@ def build_one_sector(p: OneSectorParams) -> PositiveSystem:
         return np.block([[sh_om * a, sh_om * b],
                          [sh_pp * (a - 1.0), sh_pp * (b + 1.0)]])
 
-    fin = np.isfinite(p.tau).astype(int)
-    pos_g, sub_g = p.gamma > 0, p.gamma < 1
-    pattern = np.block([[fin, -fin * pos_g], [-fin.T * pos_g, fin.T * sub_g]])
+    def pattern():
+        fin = np.isfinite(p.tau).astype(int)
+        pos_g, sub_g = p.gamma > 0, p.gamma < 1
+        return np.block([[fin, -fin * pos_g],
+                         [-fin.T * pos_g, fin.T * sub_g]])
 
     u = np.concatenate([np.ones(J),
                         np.full(J, -p.theta / (1.0 + p.theta))])
@@ -435,25 +437,37 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
                                     *(b + 0.0 for b in blocks(x)))
 
     @functools.cache
-    def order():
-        # the raveled blocks' entry at each support entry: 1 + the blocks'
-        # indices, laid out as the pattern where it is nonzero and read in
-        # row-major order; made on the first call, so solving never pays
+    def layout():
+        # sign * (1 + the raveled blocks' index) at each entry: the sign
+        # pattern is its sign, and the support order its magnitude read
+        # in row-major order; made on first use, so solving never pays,
+        # and once per system
+        fin = np.isfinite(np.moveaxis(p.tau, 2, 0))          # (S, J, J)
+        live = (fin & (p.alpha.T > 0)[:, None, :]).astype(int)
+        signs = (-live, live, -np.swapaxes(fin, 1, 2).astype(int), 1,
+                 int(S >= 2))
         at = 1 + np.arange(3 * S * J * J + JS + J)
         index = (*at[:-JS - J].reshape(3, S, J, J),
                  at[-JS - J:-J].reshape(J, S), at[-J:])
-        at = _multi_sector_layout(
+        return _multi_sector_layout(
             np.zeros((n, n), dtype=at.dtype), J, S,
-            *(b * (sign != 0) for b, sign in zip(index, signs)))
-        return at[at != 0] - 1
+            *(b * sign for b, sign in zip(index, signs)))
+
+    @functools.cache
+    def order():
+        at = layout()
+        return np.abs(at[at != 0]) - 1
 
     def support_values(x):
         return np.concatenate([b.ravel() for b in blocks(x)])[order()]
 
-    fin = np.isfinite(np.moveaxis(p.tau, 2, 0))          # (S, J, J)
-    live = (fin & (p.alpha.T > 0)[:, None, :]).astype(int)
-    signs = (-live, live, -np.swapaxes(fin, 1, 2).astype(int), 1, int(S >= 2))
-    pattern = _multi_sector_layout(np.zeros((n, n), dtype=int), J, S, *signs)
+    def pattern():
+        # the order is read off the layout first; then the layout becomes
+        # the pattern in place and is dropped, as the system keeps a copy
+        order()
+        at = layout()
+        layout.cache_clear()
+        return np.sign(at, out=at)
 
     u = np.concatenate([
         np.tile((1.0 + p.theta) / (1.0 + Theta), J),
@@ -780,8 +794,10 @@ def counterfactual(base_params, steps: Sequence[ShockStep],
     Both solves share the starting point and the numeraire rule, so the
     reported relative changes are well defined.  A shock that severs the
     trade network is rejected before any solving happens.  Where F fails
-    in either solve, EvaluationError carries the solve's message; where
-    a solve does not converge otherwise, StaleStateError.
+    in either solve, EvaluationError carries the solve's message, after
+    the solve (base or shocked) and the iteration (0 for the start);
+    where a solve does not converge otherwise, StaleStateError names the
+    solve the same way.
     """
     if not base_params.connected:
         raise ParameterError("base trade network is not connected",
@@ -799,11 +815,13 @@ def counterfactual(base_params, steps: Sequence[ShockStep],
         x0 = sys.state(np.ones(sys.dimension) if x0_values is None
                        else x0_values)
         res = iterate(sys, x0, u=sys.scaling, opts=opts)
+        solve = f"{'shocked' if results else 'base'} solve"
         if res.status == "evaluation-failed":
-            raise EvaluationError(res.message)
+            raise EvaluationError(f"{solve} failed at iteration "
+                                  f"{res.iterations}: {res.message}")
         if res.status != "converged":
-            raise StaleStateError(
-                f"solve did not converge ({res.status}): {res.message}")
+            raise StaleStateError(f"{solve} did not converge "
+                                  f"({res.status}): {res.message}")
         results.append(res)
         outcomes.append(_recover(sys, res.x_star, params))
     return CounterfactualResult(

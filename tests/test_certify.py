@@ -1351,6 +1351,20 @@ def test_the_declared_support_is_built_once_per_system_and_never_to_solve(
     assert len(builds) == 1
 
 
+def test_exact_certify_lays_out_the_multi_sector_pattern_once(monkeypatch):
+    # one signed index layout gives both the sign pattern and the order
+    # of the support values; the dense provider lays out float arrays
+    trade = importlib.import_module("scalefix.trade")
+    calls = count_calls(monkeypatch, trade, "_multi_sector_layout")
+    sys = build_multi_sector(multi_sector_params(J=3, S=2))
+    assert calls == []
+    for seed in (0, 1):
+        assert certify(sys, sample_count=3, seed=seed).uniqueness_applicable
+    elasticity_at(sys, sys.state(np.ones(sys.dimension)))
+    kinds = [M.dtype.kind for M, *_ in calls]
+    assert kinds.count("i") == 1 and set(kinds) == {"i", "f"}
+
+
 def test_a_certified_system_frees_its_support_without_the_cycle_collector():
     # a reference cycle through the support would hold its arrays, n x n
     # adjacency included, until the garbage collector next runs

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from scalefix import cli, trade
+from scalefix.certify import certify
 from scalefix.cli import main
 from scalefix.modelio import (
     ConfigError,
@@ -16,6 +17,7 @@ from scalefix.modelio import (
     parse_shock_file,
     save_parameters,
 )
+from scalefix.solve import iterate
 from scalefix.system import PositiveSystem
 from scalefix.trade import (
     GeneralParams,
@@ -380,20 +382,32 @@ def test_numeraire_naming_no_coordinate_exits_2(command, rule, named,
 def test_evaluation_failure_exits_2_and_an_exhausted_budget_4(command,
                                                               tmp_path,
                                                               capsys):
-    # F overflows within this general model's first iterations
+    # F overflows within this general model's first iterations; a
+    # counterfactual names the solve that failed, and where F failed
     failing = save_parameters(general_params(), str(tmp_path / "general"))
     budget = symmetric_one_sector(tmp_path, extra="[solve]\nmax_iter = 1\n")
     out = tmp_path / "run"
-    for cfg, shock, code, message in [
-            (failing, "tau[1][2][1] *= 1.2\n", 2,
-             "evaluate produced inf at coordinate 'OMEGA[1][1]'"),
-            (budget, "A[1] *= 2\n", 4, "no convergence in 1 iterations")]:
+    cases = [(failing, "tau[1][2][1] *= 1.2\n", 2,
+              "evaluate produced inf at coordinate 'OMEGA[1][1]'",
+              r"base solve failed at iteration [1-9]\d*: evaluate"),
+             (budget, "A[1] *= 2\n", 4, "no convergence in 1 iterations",
+              r"base solve did not converge \(budget-exhausted\): no ")]
+    if command == "counterfactual":
+        # the base model converges within 40 iterations, the shocked not
+        (tmp_path / "slow").mkdir()
+        slow = symmetric_one_sector(tmp_path / "slow",
+                                    extra="[solve]\nmax_iter = 40\n")
+        cases.append((slow, "A[1] *= 2\n", 4,
+                      "no convergence in 40 iterations",
+                      r"shocked solve did not converge \(budget-exhausted\)"))
+    for cfg, shock, code, message, solve in cases:
         extra = ([] if command == "solve" else
                  ["--shocks", write(tmp_path / "shocks.txt", shock)])
         assert main([command, "--config", cfg, "--out", str(out),
                      *extra]) == code
         err = capsys.readouterr().err
         assert err.startswith("scalefix: ") and message in err
+        assert bool(re.search(solve, err)) == (command == "counterfactual")
         assert not (out / "equilibrium.txt").exists()
         assert not (out / "deltas.txt").exists()
 
@@ -421,6 +435,38 @@ def test_solve_and_counterfactual_build_each_system_once(tmp_path,
     base = load_parameters(load_run_config(cfg))
     trade.counterfactual(base, parse_shock_file(shocks))
     assert len(builds) == 7
+
+
+@pytest.mark.parametrize("kind", ["one-sector", "multi-sector"])
+def test_solve_and_counterfactual_never_build_the_sign_pattern(kind, tmp_path,
+                                                               monkeypatch):
+    # the builders pass the pattern as a callable, which only a read of
+    # sign_pattern calls: certify does, once, and nothing on the way to
+    # an equilibrium or a counterfactual
+    calls = []
+    original = trade.PositiveSystem
+
+    def counted(**kwargs):
+        pattern = kwargs["sign_pattern"]
+        assert callable(pattern)
+        return original(**{**kwargs, "sign_pattern":
+                           lambda: calls.append(kind) or pattern()})
+
+    monkeypatch.setattr(trade, "PositiveSystem", counted)
+    cfg = (symmetric_one_sector(tmp_path) if kind == "one-sector" else
+           save_parameters(multi_params(), str(tmp_path / "multi")))
+    params = load_parameters(load_run_config(cfg))
+    shocks = write(tmp_path / "s.txt", f"A{'[1]' * params.A.ndim} *= 1.3\n")
+    sys = trade.build_system(params)
+    res = iterate(sys, sys.state(np.ones(sys.dimension)), u=sys.scaling)
+    trade._recover(sys, res.x_star, params)
+    trade.counterfactual(params, parse_shock_file(shocks))
+    for argv in (["solve"], ["counterfactual", "--shocks", shocks]):
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+    assert calls == []
+    assert certify(sys, sample_count=2, seed=0).mode == "exact"
+    assert calls == [kind]
 
 
 def test_solve_disconnected_network_still_errors_cleanly(tmp_path, capsys):

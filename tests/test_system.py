@@ -1,5 +1,7 @@
 """Log-coordinate machinery on hand-built systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,63 @@ def test_sign_pattern_validation():
         assert np.array_equal(sys.sign_pattern, good)
         assert not sys.sign_pattern.flags.writeable
         assert good.flags.writeable
+
+
+def test_a_callable_sign_pattern_is_checked_on_first_read_as_an_array():
+    # the same ValueError, from the first read (certify's included)
+    # rather than the constructor, and nothing held after it
+    cases = [(np.array([[2, 0], [0, 1]]), "-1, 0 or \\+1"),
+             (np.array([[0.5, 0], [0, 1]]), "-1, 0 or \\+1"),
+             (np.ones((2, 3), dtype=int), "must be N x N"),
+             (np.ones(2, dtype=int), "must be N x N")]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                           sign_pattern=bad)
+        calls = []
+        sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                             sign_pattern=lambda b=bad: calls.append(1) or b,
+                             scaling=[1.0, 1.0])
+        for read in (lambda: sys.sign_pattern, lambda: certify(sys, 2)):
+            with pytest.raises(ValueError, match=message):
+                read()
+        assert len(calls) == 2
+
+
+def test_a_callable_sign_pattern_is_called_at_most_once():
+    # built on the first read, then held as a read-only int copy that a
+    # later edit of the callable's array does not reach
+    pattern = np.array([[1.0, 1.0], [1.0, 1.0]])
+    calls = []
+    sys = PositiveSystem(labels=("a", "b"),
+                         evaluate_values=lambda x: np.sqrt(x * x[::-1]),
+                         sign_pattern=lambda: calls.append(1) or pattern,
+                         scaling=[1.0, 1.0])
+    assert calls == []
+    held = sys.sign_pattern
+    assert sys.sign_pattern is held and held.dtype.kind == "i"
+    assert not held.flags.writeable and pattern.flags.writeable
+    pattern[0, 1] = 0.0
+    rep = certify(sys, sample_count=3)
+    assert rep.mode == "exact" and rep.monotonicity.verdict == "pass"
+    assert held.tolist() == [[1, 1], [1, 1]] and calls == [1]
+
+
+def test_sign_pattern_stays_a_dataclass_field():
+    # replace carries the pattern over, and its default is still None
+    calls = []
+    sys = PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                         sign_pattern=lambda: calls.append(1) or np.eye(2),
+                         elasticity_values=lambda x: np.eye(2))
+    field = {f.name: f for f in dataclasses.fields(sys)}["sign_pattern"]
+    assert field.default is None
+    assert swap_system().sign_pattern is None
+    copy = dataclasses.replace(sys, elasticity_values=None)
+    assert copy.elasticity_values is None and calls == [1]
+    assert copy.sign_pattern.tolist() == sys.sign_pattern.tolist() \
+        == [[1, 0], [0, 1]]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys.sign_pattern = None
 
 
 def test_support_values_need_a_sign_pattern():

@@ -6,6 +6,7 @@ between models that must coincide on overlapping parameter sets.
 """
 
 import importlib
+import tracemalloc
 from dataclasses import fields, replace
 
 import mpmath as mp
@@ -308,6 +309,20 @@ def PositiveSystemNoAnalytic(sys):
     from scalefix.system import PositiveSystem
     return PositiveSystem(labels=sys.labels,
                           evaluate_values=sys.evaluate_values)
+
+
+def test_a_30_by_5_build_allocates_no_n_by_n_array():
+    # the n x n sign pattern is laid out on its first read, not here
+    p = multi_sector(J=30, S=5, seed=3)
+    build_multi_sector(p)
+    tracemalloc.start()
+    try:
+        sys = build_multi_sector(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = sys.dimension
+    assert n == 330 and peak < n * n * 8
 
 
 def test_one_sector_sign_pattern_agrees_with_numbers():
