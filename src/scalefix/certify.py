@@ -194,8 +194,8 @@ def _elasticities(sys: PositiveSystem,
                       for idx, x in enumerate(samples) if idx > 0]
 
 
-def _bloc_labels(adj: NDArray, labels: tuple[str, ...]) -> list[list[str]]:
-    comps = strongly_connected_components(adj)
+def _bloc_labels(comps: list[list[int]],
+                 labels: tuple[str, ...]) -> list[list[str]]:
     return [[labels[j] for j in comp] for comp in comps]
 
 
@@ -206,11 +206,12 @@ def check_connectedness(sys: PositiveSystem,
     """Irreducibility of |DG|: symbolic for systems with a sign pattern,
     per-sample otherwise; a boolean adjacency needs no validation."""
     _need_samples(samples)
-    if sys.sign_pattern is not None:
-        if sys._support.connected:
+    support = sys._support
+    if support is not None:
+        if support.connected:
             return CheckResult("pass")
         return CheckResult("fail", {
-            "blocs": _bloc_labels(sys._support.adjacency, sys.labels),
+            "blocs": _bloc_labels(support.components(), sys.labels),
             "reason": "influence graph splits into isolated blocs",
         })
     elasticities = elasticities or _elasticities(sys, samples)
@@ -219,7 +220,8 @@ def check_connectedness(sys: PositiveSystem,
         if not _strongly_connected(adj):
             return CheckResult("fail", {
                 "sample_index": idx,
-                "blocs": _bloc_labels(adj, sys.labels),
+                "blocs": _bloc_labels(strongly_connected_components(adj),
+                                      sys.labels),
                 "reason": "influence graph splits into isolated blocs",
             })
     return CheckResult("evidence-only")
@@ -231,7 +233,7 @@ def check_self_interaction(sys: PositiveSystem,
                            ) -> CheckResult:
     """Some diagonal elasticity entry must be nonzero (at every sample)."""
     _need_samples(samples)
-    if sys.sign_pattern is not None:
+    if sys._support is not None:
         if sys._support.self_loop:
             return CheckResult("pass")
         return CheckResult("fail", {"reason": "all diagonal entries vanish"})
@@ -286,7 +288,7 @@ def _closed_form_certificate(sys: PositiveSystem,
     at most TOL_EIGENVALUE * min|u_j| / sqrt(n); else None."""
     s, n = sys.scaling, sys.dimension
     # a declared scaling is finite and not all zero
-    if (sys.sign_pattern is None or s is None
+    if (sys._support is None or s is None
             or not np.all(np.abs(s) > 1e-9 * np.abs(s).max())):
         return None
     u = _oriented(s)
@@ -388,7 +390,7 @@ def check_monotonicity(sys: PositiveSystem, u,
     partition, d = _split_by_sign(u, sys.labels), _signs(u)
 
     verdict = "evidence-only"
-    if sys.sign_pattern is not None:
+    if sys._support is not None:
         flat, _ = sys._support.declared._witnesses(d)   # a 0 breaks no rule
         if flat.size:
             return _fail_at(sys.labels, flat[0], reason="declared sign "
@@ -625,7 +627,7 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     per sample.
     """
     samples = sample_states(sys, sample_count, seed)
-    mode = "exact" if sys.sign_pattern is not None else "sampled"
+    mode = "exact" if sys._support is not None else "sampled"
     failure = None
     try:
         elas = _elasticities(sys, samples)

@@ -113,6 +113,48 @@ def is_primitive(M) -> bool:
     return _strongly_connected(A) and bool(np.any(np.diag(A) > 0.0))
 
 
+def _strongly_connected_edges(n: int, rows: NDArray, cols: NDArray) -> bool:
+    """_strongly_connected for the graph on n nodes with edges rows[e] ->
+    cols[e], rows ascending, in O(n + nnz) for n < 2**16: node 0 reaches
+    every node along the edges, and against them.  A single node needs
+    its self-loop."""
+    if n == 1:
+        return rows.size > 0
+    # the reversed edges by tail: a stable sort of the narrowest unsigned
+    # type, which numpy does by radix below 2**16
+    return (_reaches_all(np.bincount(rows, minlength=n), cols)
+            and _reaches_all(np.bincount(cols, minlength=n), rows[np.argsort(
+                cols.astype(np.min_scalar_type(n)), kind="stable")]))
+
+
+def _reaches_all(counts: NDArray, heads: NDArray) -> bool:
+    """Whether node 0 reaches every node along the edges, where node v has
+    counts[v] of them and heads lists their heads grouped by tail in node
+    order: a breadth-first walk that reads each edge once."""
+    n = counts.size
+    firsts = np.cumsum(counts) - counts
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    slot = np.empty(n, dtype=np.intp)
+    frontier = np.zeros(1, dtype=np.intp)
+    reached = 1
+    while frontier.size:
+        # the frontier's edges: each node's run of them, in node order
+        k = counts[frontier]
+        ends = np.cumsum(k)
+        at = np.repeat(firsts[frontier] + k - ends, k)
+        at += np.arange(ends[-1])
+        new = heads[at]
+        new = new[~seen[new]]
+        # each new node once: at the one position slot kept for it
+        at = np.arange(new.size)
+        slot[new] = at
+        frontier = new[slot[new] == at]
+        seen[frontier] = True
+        reached += frontier.size
+    return reached == n
+
+
 def strongly_connected_components(M) -> list[list[int]]:
     """Strongly connected components of the nonzero pattern, as sorted
     index lists, ordered by smallest member.
@@ -120,8 +162,14 @@ def strongly_connected_components(M) -> list[list[int]]:
     Iterative Tarjan; used for diagnosing disconnected trade networks.
     """
     A = _as_nonneg_square(M)
-    n = A.shape[0]
-    succ = [np.flatnonzero(A[j] > 0.0).tolist() for j in range(n)]
+    return _components(A.shape[0], *np.nonzero(A > 0.0))
+
+
+def _components(n: int, rows: NDArray, cols: NDArray) -> list[list[int]]:
+    """strongly_connected_components of the graph on n nodes with edges
+    rows[e] -> cols[e], rows ascending: Tarjan on successor lists."""
+    succ = [c.tolist() for c in np.split(
+        cols, np.cumsum(np.bincount(rows, minlength=n))[:-1])]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n

@@ -30,7 +30,12 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from scalefix.spectral import _strongly_connected, eigvals_mod_zero
+from scalefix.spectral import (
+    _components,
+    _strongly_connected,
+    _strongly_connected_edges,
+    eigvals_mod_zero,
+)
 
 __all__ = [
     "StateVector",
@@ -188,19 +193,57 @@ class ElasticityMatrix:
         return bool(np.diag(self.entries).any())
 
 
-class _Support:
-    """Where a declared sign pattern lets DG be nonzero: `adjacency`, and its
-    entries (rows, cols), at `flat` in the raveled matrix, in row-major
-    order, with float `signs`.  Row heads[i]'s entries start at starts[i]."""
+def _support_entries(n: int, flat, signs) -> tuple[NDArray, NDArray]:
+    """A sign pattern's support as (flat, signs), checked in O(nnz) with
+    the ValueErrors of a wrong N x N pattern: indices into the raveled
+    N x N matrix, strictly increasing, so in row-major order, and below
+    n^2, and one sign +-1 at each."""
+    flat, signs = np.asarray(flat), np.asarray(signs)
+    if not (flat.ndim == 1 and flat.dtype.kind in "iu"
+            and signs.shape == flat.shape
+            and (flat.size == 0 or 0 <= flat[0] and flat[-1] < n * n)
+            and np.all(flat[1:] > flat[:-1])):
+        raise ValueError("sign_pattern must be N x N")
+    if not np.all(np.abs(signs) == 1):
+        raise ValueError("sign_pattern entries must be -1, 0 or +1")
+    return flat.astype(np.intp, copy=False), signs
 
-    def __init__(self, pattern: NDArray):
-        self.adjacency = pattern != 0
-        self.flat = np.flatnonzero(self.adjacency)
-        self.signs = np.take(pattern, self.flat).astype(float)
-        self.rows, self.cols = np.divmod(self.flat, len(pattern))
+
+class _DeclaredSupport:
+    """A sign_pattern callable that declares its support: `entries()`
+    returns its (flat, signs) as _support_entries takes them, which a
+    system's support reads as they are, in O(nnz).  Called, as a read of
+    sign_pattern calls it, it scatters them into the N x N pattern."""
+
+    def __init__(self, n: int,
+                 entries: Callable[[], tuple[NDArray, NDArray]]):
+        self.n, self.entries = n, entries
+
+    def __call__(self) -> NDArray[np.int64]:
+        flat, signs = _support_entries(self.n, *self.entries())
+        pattern = np.zeros(self.n * self.n, dtype=int)
+        pattern[flat] = signs
+        return pattern.reshape(self.n, self.n)
+
+
+class _Support:
+    """Where a declared sign pattern lets an n x n DG be nonzero, held in
+    O(nnz) and built from the declaration, never from an n x n array: its
+    entries at `flat` in the raveled matrix, in row-major order, at
+    (rows, cols), with float `signs` +-1, checked as _support_entries
+    checks them.  Row heads[i]'s entries start at starts[i].  Its graph's
+    connectedness and components are read off (rows, cols)."""
+
+    def __init__(self, n: int, flat, signs):
+        self.n = n
+        self.flat, signs = _support_entries(n, flat, signs)
+        self.signs = np.asarray(signs, dtype=float)
+        self.rows = self.flat // n
+        self.cols = self.flat - self.rows * n
         self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
         self.heads = self.rows[self.starts]
         self.self_loop = bool(np.any(self.rows == self.cols))
+        self._flips = (None, None)
 
     @property
     def declared(self) -> _SupportDG:
@@ -212,12 +255,26 @@ class _Support:
     def connected(self) -> bool:
         # a DG nonzero on every support entry and zero off them has the
         # pattern's graph, so |DG| is irreducible exactly when this holds
-        return _strongly_connected(self.adjacency)
+        return _strongly_connected_edges(self.n, self.rows, self.cols)
+
+    def components(self) -> list[list[int]]:
+        """The strongly connected components of the pattern's graph."""
+        return _components(self.n, self.rows, self.cols)
+
+    def flips(self, d: NDArray) -> NDArray:
+        """d[rows] * d[cols], the sign D DG D gives each entry, for the
+        last d asked; each factor is +-1, so products with it are exact."""
+        key = d.tobytes()
+        held, flips = self._flips
+        if held != key:
+            flips = d[self.rows] * d[self.cols]
+            self._flips = (key, flips)
+        return flips
 
     def scatter(self, values: NDArray, point: StateVector) -> ElasticityMatrix:
         """The analytic ElasticityMatrix at point with `values` on the
         support, 0 elsewhere: it holds this array, frozen, not a copy."""
-        E = np.zeros(self.adjacency.shape)
+        E = np.zeros((self.n, self.n))
         E.ravel()[self.flat] = values
         if not np.isfinite(values).all():   # the constructor names the entry
             return ElasticityMatrix(E, point, "analytic")
@@ -225,6 +282,12 @@ class _Support:
         held = ElasticityMatrix.__new__(ElasticityMatrix)
         held.__dict__.update(entries=E, point=point, method="analytic")
         return held
+
+
+def _pattern_support(pattern: NDArray) -> _Support:
+    """The _Support of a checked N x N sign pattern."""
+    flat = np.flatnonzero(pattern)
+    return _Support(len(pattern), flat, np.take(pattern, flat))
 
 
 class _SupportDG:
@@ -260,8 +323,7 @@ class _SupportDG:
         return out
 
     def _ddgd(self, d: NDArray) -> NDArray:
-        s = self.support
-        return d[s.rows] * self.values * d[s.cols]
+        return self.support.flips(d) * self.values
 
     def _witnesses(self, d: NDArray, tol: float = 0.0,
                    ) -> tuple[NDArray, NDArray]:
@@ -325,6 +387,11 @@ class PositiveSystem:
     on the first read of sign_pattern, which calls it once, so a system
     that is only solved never builds the pattern.  Either way it reads as
     a read-only int copy, and a wrong one raises the same ValueError.
+    The multi-sector model's callable also declares the pattern's
+    support, its nonzero entries' flat indices and signs, from its
+    blocks: the system's support reads those, checked in O(nnz), and the
+    N x N pattern is scattered from them only when sign_pattern is read,
+    which certify never does.
     support_values, only with a sign_pattern (else ValueError), returns
     DG's analytic values on the pattern's nonzero entries, in row-major
     order, and so declares DG 0 off the pattern; certify reads only
@@ -373,8 +440,16 @@ class PositiveSystem:
         return StateVector(values, self.labels)
 
     @cached_property
-    def _support(self) -> _Support:
-        return _Support(self.sign_pattern)
+    def _support(self) -> _Support | None:
+        """The declared support, built on first read, or None where no
+        sign pattern is declared: from the entries a _DeclaredSupport
+        gives, else from the checked N x N pattern.  Either way a wrong
+        declaration raises the ValueError of sign_pattern."""
+        held = self.__dict__[_LazyPattern.HELD]
+        if isinstance(held, _DeclaredSupport):
+            return _Support(self.dimension, *held.entries())
+        pattern = self.sign_pattern
+        return None if pattern is None else _pattern_support(pattern)
 
     def _support_checked(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
         """support_values(x) as a read-only float copy, one value per

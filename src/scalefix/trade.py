@@ -31,7 +31,13 @@ from numpy.typing import NDArray
 
 from scalefix.solve import SolveOptions, SolveResult, iterate
 from scalefix.spectral import _strongly_connected, strongly_connected_components
-from scalefix.system import EvaluationError, PositiveSystem, StateVector, _frozen
+from scalefix.system import (
+    EvaluationError,
+    PositiveSystem,
+    StateVector,
+    _DeclaredSupport,
+    _frozen,
+)
 
 __all__ = [
     "ParameterError",
@@ -377,18 +383,23 @@ def _shares(K: NDArray, t: NDArray) -> NDArray:
     return K * t[:, None, :] / _matvec(K, t)[:, :, None]
 
 
-def _multi_sector_layout(M, J, S, om_pp, om_w, pp_w, w_om, w_w):
-    """Write the five nonzero blocks of a multi-sector elasticity matrix
-    into M and return it: the (S, J, J) blocks OMEGA-on-P, OMEGA-on-W
-    and P-on-W, W-on-OMEGA as J x S, and the W diagonal."""
+def _multi_sector_cells(J, S):
+    """The (rows, cols) where the five nonzero blocks of a multi-sector
+    elasticity matrix sit, each pair broadcasting to its block's shape:
+    the (S, J, J) blocks OMEGA-on-P, OMEGA-on-W and P-on-W, W-on-OMEGA
+    as J x S, and the W diagonal."""
     JS = J * S
     cell = np.arange(J)[None, :, None] * S + np.arange(S)[:, None, None]
     wage = 2 * JS + np.arange(J)
-    M[cell, JS + np.swapaxes(cell, 1, 2)] = om_pp
-    M[cell, wage] = om_w
-    M[JS + cell, wage] = pp_w
-    M[wage[:, None], cell[:, :, 0].T] = w_om
-    M[wage, wage] = w_w
+    return ((cell, JS + np.swapaxes(cell, 1, 2)), (cell, wage),
+            (JS + cell, wage), (wage[:, None], cell[:, :, 0].T), (wage, wage))
+
+
+def _multi_sector_layout(M, J, S, *blocks):
+    """Write the five nonzero blocks of a multi-sector elasticity matrix,
+    in the order of _multi_sector_cells, into M and return it."""
+    for (rows, cols), block in zip(_multi_sector_cells(J, S), blocks):
+        M[rows, cols] = block
     return M
 
 
@@ -436,38 +447,34 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
         return _multi_sector_layout(np.zeros((n, n)), J, S,
                                     *(b + 0.0 for b in blocks(x)))
 
-    @functools.cache
-    def layout():
-        # sign * (1 + the raveled blocks' index) at each entry: the sign
-        # pattern is its sign, and the support order its magnitude read
-        # in row-major order; made on first use, so solving never pays,
-        # and once per system
-        fin = np.isfinite(np.moveaxis(p.tau, 2, 0))          # (S, J, J)
-        live = (fin & (p.alpha.T > 0)[:, None, :]).astype(int)
-        signs = (-live, live, -np.swapaxes(fin, 1, 2).astype(int), 1,
-                 int(S >= 2))
-        at = 1 + np.arange(3 * S * J * J + JS + J)
-        index = (*at[:-JS - J].reshape(3, S, J, J),
-                 at[-JS - J:-J].reshape(J, S), at[-J:])
-        return _multi_sector_layout(
-            np.zeros((n, n), dtype=at.dtype), J, S,
-            *(b * sign for b, sign in zip(index, signs)))
+    a = S * J * J       # entries in each (S, J, J) block
 
     @functools.cache
     def order():
-        at = layout()
-        return np.abs(at[at != 0]) - 1
+        # the raveled blocks' entry at each support entry, row-major (row
+        # i*S+s: OMEGA-on-P, then OMEGA-on-W; JS+i*S+s: P-on-W; wage i:
+        # W-on-OMEGA, then W-on-W), by index arithmetic; made on first
+        # use, so solving never pays, and once per system
+        fin = np.isfinite(np.moveaxis(p.tau, 2, 0))          # (S, J, J)
+        live = fin & (p.alpha.T > 0)[:, None, :]
+        b = np.arange(3 * a).reshape(3, S, J, J).swapaxes(1, 2)  # [., i, s, j]
+        w = 3 * a + np.column_stack([np.arange(JS).reshape(J, S),
+                                     JS + np.arange(J)])
+        return np.concatenate([
+            np.concatenate(b[:2], axis=2)[np.tile(live.swapaxes(0, 1), 2)],
+            b[2][fin.transpose(2, 0, 1)],
+            w[:, :S + (S >= 2)].ravel()])
 
     def support_values(x):
         return np.concatenate([b.ravel() for b in blocks(x)])[order()]
 
-    def pattern():
-        # the order is read off the layout first; then the layout becomes
-        # the pattern in place and is dropped, as the system keeps a copy
-        order()
-        at = layout()
-        layout.cache_clear()
-        return np.sign(at, out=at)
+    def support():
+        # each support entry's flat index and sign, read off its block
+        # entry: made for the system's support, which keeps them
+        flat = np.concatenate([np.ravel(r * n + c)
+                               for r, c in _multi_sector_cells(J, S)])
+        signs = np.repeat([-1.0, 1.0, -1.0, 1.0, 1.0], [a, a, a, JS, J])
+        return flat[order()], signs[order()]
 
     u = np.concatenate([
         np.tile((1.0 + p.theta) / (1.0 + Theta), J),
@@ -478,7 +485,7 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
         labels=multi_sector_labels(J, S),
         evaluate_values=evaluate,
         elasticity_values=elasticity,
-        sign_pattern=pattern,
+        sign_pattern=_DeclaredSupport(n, support),
         scaling=u,
         kind="multi-sector",
         meta={"params": p},

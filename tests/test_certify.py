@@ -34,12 +34,12 @@ from scalefix.certify import (
 from scalefix.cli import exit_code_for_report
 from scalefix.modelio import format_report, parse_report
 from scalefix.solve import iterate
-from scalefix.spectral import eigvals_mod_zero
+from scalefix.spectral import eigvals_mod_zero, strongly_connected_components
 from scalefix.system import (
     DifferentiationError,
     ElasticityMatrix,
     PositiveSystem,
-    _Support,
+    _pattern_support,
     _SupportDG,
     elasticity_at,
 )
@@ -485,7 +485,7 @@ def both_dg_formats(draw):
     E = draw(arrays(float, (n, n), elements=st.one_of(finite_entries, at_tol)))
     if draw(st.booleans()):
         E[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))
-    support = _Support(draw(arrays(bool, (n, n))).astype(int))
+    support = _pattern_support(draw(arrays(bool, (n, n))).astype(int))
     values = draw(arrays(float, len(support.flat), elements=st.one_of(
         at_tol, st.floats(-1e-9, 1e-9), st.floats(-1e40, 1e40)).filter(bool)))
     point = custom(tuple(f"x{j}" for j in range(n)), lambda x: x).state(
@@ -634,21 +634,24 @@ def test_exact_certify_tests_the_block_rule_once_per_sample(k, monkeypatch):
     # check_monotonicity, and at each sample the witnesses in
     # check_monotonicity and the signature in check_spectral, all on the
     # declared support's nnz entries: no n x n rule array.  The graph is
-    # walked once, on the declared pattern, which connectedness, sample
+    # walked once, on the support's edges, which connectedness, sample
     # 0's premise and every sample's primitivity share: no walk per
-    # sample, and that one by the system's support
+    # sample, and no walk of an n x n adjacency
     sys = build_multi_sector(multi_sector_params(J=3, S=2))
-    nnz = np.count_nonzero(sys.sign_pattern)
     products = record_rule_tests(monkeypatch)
-    walks = [count_calls(monkeypatch, importlib.import_module(module),
-                         "_strongly_connected")
-             for module in ("scalefix.certify", "scalefix.system")]
+    walks = [count_calls(monkeypatch, importlib.import_module(module), name)
+             for module, name in [("scalefix.certify", "_strongly_connected"),
+                                  ("scalefix.system", "_strongly_connected"),
+                                  ("scalefix.system",
+                                   "_strongly_connected_edges")]]
     rep = certify(sys, sample_count=k, seed=0)
+    support = sys._support
     assert rep.uniqueness_applicable and rep.spectral.unique_modulus_one
     assert len(products) == 2 * k + 2
-    assert [len(calls) for calls in walks] == [0, 1]
-    assert all(M.shape == (nnz,) for M in products)
-    assert walks[1][0][0].dtype == bool
+    assert [len(calls) for calls in walks] == [0, 0, 1]
+    assert all(M.shape == support.flat.shape for M in products)
+    n, rows, cols = walks[2][0]
+    assert n == sys.dimension and rows is support.rows and cols is support.cols
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -1351,18 +1354,42 @@ def test_the_declared_support_is_built_once_per_system_and_never_to_solve(
     assert len(builds) == 1
 
 
-def test_exact_certify_lays_out_the_multi_sector_pattern_once(monkeypatch):
-    # one signed index layout gives both the sign pattern and the order
-    # of the support values; the dense provider lays out float arrays
+def test_exact_certify_never_lays_out_the_multi_sector_pattern(monkeypatch):
+    # the support comes from the blocks by index arithmetic, so only the
+    # dense provider lays out an array, a float one
     trade = importlib.import_module("scalefix.trade")
     calls = count_calls(monkeypatch, trade, "_multi_sector_layout")
     sys = build_multi_sector(multi_sector_params(J=3, S=2))
-    assert calls == []
     for seed in (0, 1):
         assert certify(sys, sample_count=3, seed=seed).uniqueness_applicable
+    assert calls == []
     elasticity_at(sys, sys.state(np.ones(sys.dimension)))
-    kinds = [M.dtype.kind for M, *_ in calls]
-    assert kinds.count("i") == 1 and set(kinds) == {"i", "f"}
+    assert [M.dtype.kind for M, *_ in calls] == ["f"]
+
+
+def test_a_fresh_exact_certify_holds_no_n_by_n_pattern_or_adjacency(
+        monkeypatch):
+    # multi 30 x 5, built and certified under tracemalloc: the support
+    # from the blocks (nnz = 0.13 n^2), the 8 samples' support values,
+    # sample 0's dense DG and its spectrum's work peak at about 3.3 n^2
+    # doubles.  The n x n int layout, the pattern made from it, its
+    # checked copy and the bool adjacency walked for connectedness took
+    # that to 4.3 n^2
+    trade = importlib.import_module("scalefix.trade")
+    calls = count_calls(monkeypatch, trade, "_multi_sector_layout")
+    params = wide_multi_sector(30, 5).meta["params"]
+    n = 330
+    tracemalloc.start()
+    try:
+        sys = build_multi_sector(params)
+        rep = certify(sys, 8, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.uniqueness_applicable and rep.attractivity_applicable
+    # nor was the pattern read: the system still holds the callable
+    assert calls == [] and callable(vars(sys)["_sign_pattern"])
+    assert peak < 3.5 * n * n * 8
 
 
 def test_a_certified_system_frees_its_support_without_the_cycle_collector():
@@ -1449,6 +1476,31 @@ def test_swap_report_keeps_the_spectrum_that_explains_it():
     kv = parse_report(format_report(rep))
     assert kv["spectral.unique_modulus_one"] == "false"
     assert {"spectral.similarity_residual", "spectral.gap"} <= kv.keys()
+
+
+@pytest.mark.parametrize("J", [4, 6])
+def test_a_severed_multi_sector_network_names_its_blocs_from_the_support(
+        J, monkeypatch):
+    # trade cut between the country pairs {1, 2}, {3, 4}, ...: the blocs
+    # are the components of the support's edges, as they were of the
+    # n x n adjacency, which no certify builds any more
+    p = multi_sector_params(J=J, S=2, seed=2)
+    pair = np.arange(J) // 2
+    tau = np.where((pair[:, None] != pair[None, :])[:, :, None], np.inf,
+                   p.tau)
+    sys = build_multi_sector(dataclasses.replace(p, tau=tau))
+    dense = count_calls(monkeypatch, importlib.import_module(
+        "scalefix.certify"), "strongly_connected_components")
+    rep = certify(sys, sample_count=3, seed=0)
+    assert rep.connectedness.verdict == "fail" and dense == []
+    want = [[sys.labels[j] for j in comp] for comp in
+            strongly_connected_components(sys.sign_pattern != 0)]
+    assert rep.connectedness.details["blocs"] == want
+    assert parse_report(format_report(rep))["connectedness.blocs"] == \
+        " | ".join(" ".join([f"{name}[{i}][{s}]" for name in ("OMEGA", "P")
+                             for i in (c, c + 1) for s in (1, 2)]
+                            + [f"W[{c}]", f"W[{c + 1}]"])
+                   for c in range(1, J, 2))
 
 
 def test_two_bloc_network_fails_connectedness():

@@ -22,6 +22,9 @@ from hypothesis.extra.numpy import arrays
 from scalefix.spectral import (
     PowerIterationError,
     ReducibleMatrixError,
+    _components,
+    _strongly_connected,
+    _strongly_connected_edges,
     eigvals_mod_zero,
     gauge_norm,
     is_irreducible,
@@ -151,6 +154,29 @@ def test_scc_matches_irreducibility():
         single = len(strongly_connected_components(A)) == 1
         assert single == is_irreducible(A)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: arrays(bool, (n, n))))
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.ones((1, 1), dtype=bool))
+def test_the_walk_on_the_edges_agrees_with_the_dense_walk(adj):
+    # the support's walk reads (rows, cols) in row-major order, as a
+    # declared support holds them; one node is connected by its self-loop
+    n = len(adj)
+    rows, cols = np.nonzero(adj)
+    got = _strongly_connected_edges(n, rows, cols)
+    assert got == _strongly_connected(adj)
+    if n == 1:
+        assert got == bool(adj[0, 0])
+    # Tarjan on the same edges: the classes of mutual reachability in
+    # the reflexive transitive closure
+    reach = np.eye(n, dtype=bool) | adj
+    for _ in range(n):
+        reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+    mutual = reach & reach.T
+    want = sorted({tuple(np.flatnonzero(row)) for row in mutual})
+    assert _components(n, rows, cols) == [list(c) for c in want]
 
 # -------------------------------------------------------------- primitivity
 

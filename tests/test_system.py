@@ -13,6 +13,7 @@ from scalefix.system import (
     EvaluationError,
     PositiveSystem,
     StateVector,
+    _DeclaredSupport,
     elasticity_at,
     log_transform,
 )
@@ -302,6 +303,41 @@ def test_a_callable_sign_pattern_is_checked_on_first_read_as_an_array():
                 read()
         assert len(calls) == 2
 
+
+
+def test_a_declared_support_is_checked_in_o_nnz_with_the_pattern_errors():
+    # (flat, signs) as a declared support gives them: the support reads
+    # them as they are, a read of sign_pattern scatters them, and a bad
+    # declaration raises a wrong pattern's ValueError from both
+    def system(flat, signs):
+        return PositiveSystem(
+            labels=("a", "b"), evaluate_values=lambda x: np.sqrt(x * x[::-1]),
+            sign_pattern=_DeclaredSupport(2, lambda: (np.array(flat),
+                                                      np.array(signs))),
+            scaling=[1.0, 1.0])
+
+    sys = system([1, 2], [1, -1])
+    assert sys._support.rows.tolist() == [0, 1]
+    assert sys._support.cols.tolist() == [1, 0]
+    assert sys._support.signs.tolist() == [1.0, -1.0]
+    assert callable(vars(sys)["_sign_pattern"])      # the pattern not read
+    assert sys.sign_pattern.tolist() == [[0, 1], [-1, 0]]
+    assert sys.sign_pattern.dtype == np.int64
+    for flat, signs, message in [
+            ([2, 1], [1, 1], "must be N x N"),          # not increasing
+            ([1, 1], [1, 1], "must be N x N"),          # repeated
+            ([-1, 1], [1, 1], "must be N x N"),         # below 0
+            ([1, 4], [1, 1], "must be N x N"),          # n^2 and above
+            ([0.0, 1.0], [1, 1], "must be N x N"),      # not indices
+            ([[1, 2]], [[1, 1]], "must be N x N"),
+            ([1, 2], [1], "must be N x N"),
+            ([1, 2], [1, 0], "-1, 0 or \\+1"),
+            ([1, 2], [1, 2], "-1, 0 or \\+1"),
+            ([1, 2], [1.0, np.nan], "-1, 0 or \\+1")]:
+        for read in (lambda s: s.sign_pattern, lambda s: s._support,
+                     lambda s: certify(s, 2)):
+            with pytest.raises(ValueError, match=message):
+                read(system(flat, signs))
 
 def test_a_callable_sign_pattern_is_called_at_most_once():
     # built on the first read, then held as a read-only int copy that a

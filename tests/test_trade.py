@@ -533,6 +533,66 @@ def test_multi_sector_support_values_are_the_dense_values_on_the_support(
                           E.view(np.int64))
 
 
+
+def signed_index_layout(p):
+    """The reference the multi-sector support is read against: the n x n
+    int matrix of sign * (1 + the entry's index in the raveled blocks),
+    written block by block (OMEGA-on-P, OMEGA-on-W, P-on-W, W-on-OMEGA,
+    W-on-W), a sign 0 where tau is infinite, alpha is 0 or S = 1."""
+    J, S = p.J, p.S
+    JS, a = J * S, p.S * p.J * p.J
+    cell = np.arange(J)[None, :, None] * S + np.arange(S)[:, None, None]
+    wage = 2 * JS + np.arange(J)
+    fin = np.isfinite(np.moveaxis(p.tau, 2, 0)).astype(int)   # [s, i, j]
+    live = fin * (p.alpha.T > 0)[:, None, :]
+    at = 1 + np.arange(3 * a + JS + J)
+    M = np.zeros((2 * JS + J,) * 2, dtype=int)
+    M[cell, JS + np.swapaxes(cell, 1, 2)] = -live * at[:a].reshape(S, J, J)
+    M[cell, wage] = live * at[a:2 * a].reshape(S, J, J)
+    M[JS + cell, wage] = -np.swapaxes(fin, 1, 2) * \
+        at[2 * a:3 * a].reshape(S, J, J)
+    M[wage[:, None], cell[:, :, 0].T] = at[3 * a:3 * a + JS].reshape(J, S)
+    M[wage, wage] = at[3 * a + JS:] * (S >= 2)
+    return M
+
+
+@pytest.mark.parametrize("J,S", [(1, 1), (2, 1), (3, 2), (4, 3), (30, 5)])
+@pytest.mark.parametrize("gaps", [False, True])
+def test_multi_sector_support_from_its_blocks_is_the_signed_layout(J, S,
+                                                                   gaps):
+    # flat indices, signs, support-value order and the pattern a read of
+    # sign_pattern scatters, bit for bit, whether the support or the
+    # pattern is read first; with gaps, tau = inf links and zero alpha
+    rng = np.random.default_rng(10 * J + S)
+    p = multi_sector(J=J, S=S, seed=J + S)
+    if gaps:
+        tau = np.where(rng.random((J, J, S)) < 0.3, np.inf, p.tau)
+        for s in range(S):
+            np.fill_diagonal(tau[:, :, s], 1.0)
+        alpha = np.where(rng.random((J, S)) < 0.3, 0.0, p.alpha)
+        alpha[:, 0] += alpha.sum(axis=1) == 0.0
+        p = replace(p, tau=tau, alpha=alpha / alpha.sum(axis=1)[:, None])
+    M = signed_index_layout(p)
+    flat = np.flatnonzero(M)
+    x = np.exp(rng.uniform(-2.0, 2.0, M.shape[0]))
+    for first in ("support", "pattern"):
+        sys = build_multi_sector(p)
+        if first == "pattern":
+            sys.sign_pattern
+        support = sys._support
+        assert support.flat.dtype == np.intp
+        assert np.array_equal(support.flat, flat)
+        assert np.array_equal(support.signs, np.sign(M.ravel()[flat]))
+        assert support.signs.dtype == float
+        pattern = sys.sign_pattern
+        assert pattern.dtype == np.int64 and not pattern.flags.writeable
+        assert np.array_equal(pattern, np.sign(M))
+        # the order: the values are the dense DG's on the support, in
+        # row-major order
+        v = sys.support_values(x)
+        E = sys.elasticity_values(x).ravel()
+        assert np.array_equal(v.view(np.int64), E[flat].view(np.int64))
+
 def general(J=3, S=3, seed=0):
     p = multi_sector(J=J, S=S, seed=seed)
     rng = np.random.default_rng(seed + 1)
