@@ -204,7 +204,12 @@ def check_connectedness(sys: PositiveSystem,
                         elasticities: Sequence[ElasticityMatrix] | None = None,
                         ) -> CheckResult:
     """Irreducibility of |DG|: symbolic for systems with a sign pattern,
-    per-sample otherwise; a boolean adjacency needs no validation."""
+    per-sample otherwise, on the graph of |DG| > TOL_SIGN.  Sampled, one
+    walk runs over the graph common to all samples, the AND of their
+    adjacencies: each sample's graph contains it, so if it is strongly
+    connected, so is every sample's.  Only otherwise is each sample's
+    graph walked in turn, so a fail names the first split sample and its
+    blocs.  A boolean adjacency needs no validation."""
     _need_samples(samples)
     support = sys._support
     if support is not None:
@@ -215,6 +220,11 @@ def check_connectedness(sys: PositiveSystem,
             "reason": "influence graph splits into isolated blocs",
         })
     elasticities = elasticities or _elasticities(sys, samples)
+    common = np.abs(elasticities[0].entries) > TOL_SIGN
+    for E in elasticities[1:]:
+        common &= np.abs(E.entries) > TOL_SIGN
+    if _strongly_connected(common):
+        return CheckResult("evidence-only")
     for idx, E in enumerate(elasticities):
         adj = np.abs(E.entries) > TOL_SIGN
         if not _strongly_connected(adj):
@@ -504,7 +514,8 @@ def check_spectral(sys: PositiveSystem, u,
     within 1e-13 max(1, rho), as when |DG| |u| = |u|.  Where it stays
     open, one lockstep Krylov pass (_dominant_ritz) over the |DG| of all
     such samples gives the Perron start v = |x|, x the Ritz vector of
-    largest modulus, whose bracket by one matvec closes as a rule; else
+    largest modulus from an eigensolve of the small Hessenberg matrices,
+    whose bracket by one matvec closes as a rule; else
     spectral_radius's later steps run on the dense |DG| from v (or from
     the first start, where |x| is not positive), and where they raise,
     rho is the largest eigenvalue modulus of |DG|, clamped into the
@@ -515,8 +526,10 @@ def check_spectral(sys: PositiveSystem, u,
     NEAR_ONE of 1 and |DG| primitive, DG is similar to |DG|, whose Perron
     root is simple and the only eigenvalue of its modulus
     (Perron-Frobenius): no eigensolve runs there.  The other later
-    samples go through one lockstep Krylov pass over their DG: a
-    converged dominant Ritz value theta with |theta - 1| > NEAR_ONE gives
+    samples go through one lockstep Krylov pass over their DG, which
+    takes the Hessenberg matrices' eigenvalues alone and each dominant
+    Ritz value's two eigenvectors from two small solves: a converged
+    dominant Ritz value theta with |theta - 1| > NEAR_ONE gives
     unique False and second modulus |theta|, the dense rule's answer
     whenever the dominant eigenvalue lies away from 1.  Every other
     sample reads its `spectrum`, which find_scaling_exponent may already

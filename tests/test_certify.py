@@ -760,17 +760,21 @@ def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
         assert abs(rho - want) <= 1e-13 * want
 
 
-@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", range(3, 15))
 def test_sampled_certify_takes_every_krylov_answer(seed, monkeypatch):
     # general 15 x 3 (n = 105): after _krylov_steps(105) = 41 steps the
     # dominant Ritz values' residuals are 1e-20 to 1e-46 relative, so the
-    # error bound accepts each one at samples 1..7 and only sample 0's
-    # spectrum is dense
+    # error bound accepts each one at samples 1..7.  Every fallback
+    # counted: the one dense eigensolve is sample 0's DG, where the
+    # modulus-1 check starts; no later DG's spectrum and no |DG| radius
+    # is dense
     sys = build_general(general_params(J=15, S=3, seed=seed))
     eigs = count_eigensolves(monkeypatch)
     rep = certify(sys, sample_count=8, seed=seed)
     assert rep.spectral.unique_modulus_one is False
-    assert len(eigs) == 1
+    dense = [idx for (M,) in eigs for idx, x in enumerate(rep.samples)
+             if np.array_equal(M, elasticity_at(sys, x).entries)]
+    assert len(eigs) == 1 and dense == [0]
 
 
 def sizes_around_the_krylov_steps(draw, least):
@@ -1517,6 +1521,59 @@ def test_two_bloc_network_fails_connectedness():
     assert frozenset({"OMEGA[1]", "OMEGA[2]", "P[1]", "P[2]"}) in blocs
     assert frozenset({"OMEGA[3]", "OMEGA[4]", "P[3]", "P[4]"}) in blocs
     assert not rep.uniqueness_applicable
+
+
+def cycle(n, step):
+    """The n x n cycle j -> j + step (mod n), as an elasticity matrix."""
+    return np.roll(np.eye(n), step, axis=1)
+
+
+def connectedness_at(mats):
+    """check_connectedness with mats as the samples' elasticities."""
+    n = len(mats[0])
+    sys = custom(tuple(f"x{j}" for j in range(n)), lambda x: x)
+    x = sys.state(np.ones(n))
+    return check_connectedness(
+        sys, [x] * len(mats),
+        [ElasticityMatrix(E, x, "analytic") for E in mats])
+
+
+def test_connected_samples_without_a_connected_common_graph_pass(
+        monkeypatch):
+    # the cycle 0 -> 1 -> 2 -> 3 -> 0 and its reverse each connect all
+    # four coordinates but share no edge above TOL_SIGN: the walk over
+    # their common graph fails, and each sample's own walk then passes
+    walks = count_calls(monkeypatch, importlib.import_module(
+        "scalefix.certify"), "_strongly_connected")
+    forward = cycle(4, 1) + 0.5 * TOL_SIGN * cycle(4, -1)
+    res = connectedness_at([forward, cycle(4, -1)])
+    assert res.verdict == "evidence-only" and len(walks) == 3
+
+
+def test_a_later_split_sample_is_named_with_its_blocs():
+    # samples 0, 1 and 3 are connected; sample 2 keeps only the 2-cycles
+    # {x0, x1} and {x2, x3}, sample 4 only {x0, x3} and {x1, x2}: the
+    # common graph splits, and the fail names the first split sample
+    # and its blocs, as when every sample was walked alone
+    full = np.ones((4, 4))
+    pairs = np.kron(np.eye(2), np.ones((2, 2)))
+    other = pairs[[0, 2, 3, 1]][:, [0, 2, 3, 1]]
+    res = connectedness_at([full, cycle(4, 1), pairs, full, other])
+    assert res.verdict == "fail"
+    assert res.details == {
+        "sample_index": 2, "blocs": [["x0", "x1"], ["x2", "x3"]],
+        "reason": "influence graph splits into isolated blocs"}
+
+
+def test_sampled_connectedness_walks_one_graph_for_all_samples(monkeypatch):
+    # general 15 x 3: every sample's graph, and so their common graph,
+    # is strongly connected; one walk decides it for all 8 samples
+    walks = count_calls(monkeypatch, importlib.import_module(
+        "scalefix.certify"), "_strongly_connected")
+    rep = certify(build_general(general_params(J=15, S=3)), sample_count=8,
+                  seed=5)
+    assert rep.connectedness.verdict == "evidence-only"
+    assert len(walks) == 1
 
 
 def test_sqrt_swap_has_no_scaling_direction():

@@ -804,3 +804,79 @@ def test_krylov_pass_at_most_32_rows_is_a_full_reduction(n):
     assert spectral._krylov_steps(n) == n
     assert list(converged) == [True, True]
     assert np.abs(theta) == pytest.approx([want, 2.0 * want], rel=1e-12)
+
+
+# ------------------------------------------- Krylov acceptance pass
+
+
+def eig_acceptance(mats):
+    """The acceptance pass of _dominant_ritz with a full eigensolve of
+    H_m, as it was before it took eigenvalues alone: theta and y from
+    np.linalg.eig, z from one solve with (H_m - s I)^T from all ones.
+    Returns (theta, converged) over the same Arnoldi pass."""
+    spectral = importlib.import_module("scalefix.spectral")
+    H, _ = spectral._arnoldi(mats)
+    k, m = len(mats), H.shape[2]
+    theta = np.full(k, np.nan, dtype=complex)
+    error = np.full(k, np.inf)
+    with np.errstate(all="ignore"):
+        finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
+        vals, Y = np.linalg.eig(H[finite, :m])
+        top = np.argmax(np.abs(vals), axis=1)
+        rows = np.arange(len(finite))
+        y = Y[rows, :, top]
+        t = theta[finite] = vals[rows, top]
+        A = np.swapaxes(H[finite, :m], 1, 2).astype(complex)
+        A[:, range(m), range(m)] -= (t + 1e-14 * np.abs(t))[:, None]
+        zc = np.linalg.solve(A, np.ones((len(t), m, 1)))[:, :, 0]
+        cos = np.abs(np.sum(zc * y, axis=1)) / np.linalg.norm(zc, axis=1)
+        error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
+        return theta, error <= 1e-13 * np.abs(theta)
+
+
+def acceptance_cases():
+    """Lists of matrices for one lockstep pass each: seeded random ones,
+    n from 2 to 60 (complex dominant pairs among them, and n <= 32 a
+    full reduction that breaks down at step n); the slow planted family
+    of test_certify, dominant modulus 1.2 to 1.25 at n = 40 to 56, where
+    most Ritz values are rejected; dominant complex pairs planted by a
+    rotation; and matrices whose Krylov space is invariant early."""
+    from test_certify import planted
+    for n in range(2, 61):
+        rng = np.random.default_rng(n)
+        yield [rng.standard_normal((n, n)), rng.uniform(0.0, 1.0, (n, n)),
+               rng.standard_normal((n, n)) + 3.0 * np.eye(n)]
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(40, 57)), int(rng.integers(2, 5))
+        tops = [None] + [
+            (r * rng.choice([1.0, -1.0]), None) if rng.random() < 0.5
+            else (r, rng.uniform(0.1, 3.0))
+            for r in rng.uniform(1.2, 1.25, k - 1)]
+        yield planted(rng, n, tops)[0]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 57))
+        yield planted(rng, n, [(r, rng.uniform(0.1, 3.0))
+                               for r in rng.uniform(1.2, 4.0, 3)])[0]
+    yield [np.eye(50), rank_one(50),
+           np.diag(np.repeat([3.0, -1.0, 0.5], [10, 20, 20]))]
+
+
+def test_eigenvalues_only_acceptance_agrees_with_the_full_eigensolve(
+        monkeypatch):
+    spectral = importlib.import_module("scalefix.spectral")
+    eigs = []
+    flags = set()
+    for mats in acceptance_cases():
+        want_theta, want = eig_acceptance(mats)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eig", lambda *a: eigs.append(a))
+            theta, X, converged = spectral._dominant_ritz(mats)
+        assert np.array_equal(theta, want_theta)
+        assert list(converged) == list(want)
+        flags.update(converged)
+        for A, t, x, ok in zip(mats, theta, X, converged):
+            if ok:
+                assert np.linalg.norm(A @ x - t * x) <= 1e-12 * abs(t)
+    assert eigs == [] and flags == {True, False}
