@@ -33,6 +33,7 @@ from scalefix.spectral import (
     ReducibleMatrixError,
     _check_gauge,
     _dominant_ritz,
+    _krylov_steps,
     _perron_root,
     _strongly_connected,
     eigvals_mod_zero,
@@ -450,10 +451,14 @@ def _open_roots(elasticities: Sequence[_DG], start: NDArray,
     """rho(|DG|) and its proved bracket at samples whose first bracket
     from start stayed open: _dense_root from v = |x|, x the Ritz vector of
     one lockstep Krylov pass over their |DG|, or from start where v is
-    not positive and finite."""
+    not positive and finite.  The pass only picks the start, which Noda's
+    steps make good from any positive v, so it takes 3 sqrt(n) steps, not
+    the acceptance pass's 4 sqrt(n): 32 against 41 at n = 105
+    (_krylov_steps counts the starts whose first bracket stays open)."""
     mats = [np.abs(E.entries) for E in elasticities]  # E finite: A >= 0
+    x = _dominant_ritz(mats, _krylov_steps(len(mats[0]), 3.0))[1]
     roots = []
-    for A, v in zip(mats, np.abs(_dominant_ritz(mats, accept=False)[1])):
+    for A, v in zip(mats, np.abs(x)):
         if not np.all((v > 0.0) & (v < np.inf)):   # NaN fails too
             v = start
         roots.append(_dense_root(A, v))
@@ -488,8 +493,8 @@ def _peripherals(elasticities: Sequence[_DG], spectra: list[int],
     krylov = [idx for idx in spectra if idx > 0]
     known = {}
     if krylov:
-        theta, _, converged = _dominant_ritz(
-            [elasticities[idx].entries for idx in krylov])
+        mats = [elasticities[idx].entries for idx in krylov]
+        theta, _, converged = _dominant_ritz(mats, _krylov_steps(len(mats[0])))
         known = {idx: (False, float(abs(t)))
                  for idx, t, ok in zip(krylov, theta, converged)
                  if ok and abs(t - 1.0) > NEAR_ONE}
@@ -512,26 +517,27 @@ def check_spectral(sys: PositiveSystem, u,
     is zero-free), for the bracket [min w/v, max w/v] and the eigenvector
     residual; rho is the bracket's midpoint when it is positive and
     within 1e-13 max(1, rho), as when |DG| |u| = |u|.  Where it stays
-    open, one lockstep Krylov pass (_dominant_ritz) over the |DG| of all
-    such samples gives the Perron start v = |x|, x the Ritz vector of
-    largest modulus from an eigensolve of the small Hessenberg matrices,
-    whose bracket by one matvec closes as a rule; else
-    spectral_radius's later steps run on the dense |DG| from v (or from
-    the first start, where |x| is not positive), and where they raise,
-    rho is the largest eigenvalue modulus of |DG|, clamped into the
-    bracket proved so far, if any: the one rho not proved by a matvec.
+    open, one lockstep Krylov pass (_dominant_ritz) of 3 sqrt(n) steps
+    over the |DG| of all such samples gives the Perron start v = |x|, x
+    the Ritz vector of largest modulus, from the small Hessenberg
+    matrices' eigenvalues and two small solves, whose bracket by one
+    matvec closes as a rule; else spectral_radius's later steps (Noda's)
+    run on the dense |DG| from v (or from the first start, where |x| is
+    not positive), and where they raise, rho is the largest eigenvalue
+    modulus of |DG|, clamped into the bracket proved so far, if any: the
+    one rho not proved by a matvec.  _krylov_steps gives how often each
+    of these ran on the general model.
 
     Uniqueness and the gap come from the spectrum of DG at sample 0.  At
     a later sample whose signature residual is exactly 0, bracket within
     NEAR_ONE of 1 and |DG| primitive, DG is similar to |DG|, whose Perron
     root is simple and the only eigenvalue of its modulus
     (Perron-Frobenius): no eigensolve runs there.  The other later
-    samples go through one lockstep Krylov pass over their DG, which
-    takes the Hessenberg matrices' eigenvalues alone and each dominant
-    Ritz value's two eigenvectors from two small solves: a converged
-    dominant Ritz value theta with |theta - 1| > NEAR_ONE gives
-    unique False and second modulus |theta|, the dense rule's answer
-    whenever the dominant eigenvalue lies away from 1.  Every other
+    samples go through one lockstep Krylov pass of 4 sqrt(n) steps over
+    their DG, finished the same way: a converged dominant Ritz value
+    theta with |theta - 1| > NEAR_ONE gives unique False and second
+    modulus |theta|, the dense rule's answer whenever the dominant
+    eigenvalue lies away from 1.  Every other
     sample reads its `spectrum`, which find_scaling_exponent may already
     have computed for sample 0.  A non-normal DG has no cheap bound on
     its second modulus, so the gap and unique_modulus_one are

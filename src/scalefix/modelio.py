@@ -416,8 +416,11 @@ def format_report(rep: CertificationReport) -> str:
 
 
 def parse_report(text: str) -> dict:
-    """The `key: value` lines back as an ordered dict of strings."""
+    """The `key: value` lines back as an ordered dict of strings.  A
+    line without a colon, or a key given twice, is a ConfigError that
+    names the line (and for a repeat, the line it repeats)."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -425,7 +428,12 @@ def parse_report(text: str) -> dict:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key: value', "
                               f"got {line!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats "
+                              f"line {first[key]}")
+        first[key] = lineno
+        out[key] = value.strip()
     return out
 
 

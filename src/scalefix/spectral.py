@@ -285,30 +285,34 @@ def _perron_root(A: NDArray, tol: float, v: NDArray) -> SpectralResult:
         lower_bound=lower, upper_bound=upper, iterations=it)
 
 
-def _krylov_steps(n: int) -> int:
-    """Arnoldi steps of _dominant_ritz on n x n matrices: 4 sqrt(n), at
-    least 32, at most n.  On the general trade model's elasticity
-    matrices, n from 56 to 520, the dominant Ritz pairs of DG and |DG|
-    converged within about 3.5 sqrt(n) steps.  At n = 105, m = 41, over
-    8 samples of each of 32 general 15 x 3 models, the acceptance rule
-    first held at a median step of 26 (at most 32) for |DG| and of 30
-    (at most 39) for DG."""
-    return min(n, max(32, math.ceil(4.0 * math.sqrt(n))))
+def _krylov_steps(n: int, per_root: float = 4.0) -> int:
+    """Arnoldi steps for a Krylov pass on n x n matrices: per_root sqrt(n),
+    at least 32, at most n.  Measured on 8 samples of each of 32 general
+    models from the benchmark's generator (seeds 1 and 2) per size: at
+    n = 105 the acceptance rule first held at a median step of 30 (at
+    most 39) for DG, whose acceptance pass takes 4 sqrt(n) = 41 steps,
+    and of 26 (at most 32) for |DG|.  The pass over |DG| only picks the
+    Perron start, which Noda's steps improve from any positive start, so
+    it takes 3 sqrt(n): 32 at n = 56 and 105, 55 at n = 330.  Of the 256
+    starts per size, 11 at n = 56, 6 at n = 105 and 7 at n = 330 left
+    their first bracket open, so that _perron_root's later steps ran (5,
+    1 and 0 with 4 sqrt(n) steps and a full eigensolve of H_m), and none
+    fell back to an eigensolve of |DG|."""
+    return min(n, max(32, math.ceil(per_root * math.sqrt(n))))
 
 
-def _arnoldi(mats: Sequence[NDArray]) -> tuple[NDArray, NDArray]:
-    """(H, V): m = _krylov_steps(n) Arnoldi steps on each of the finite
-    square matrices in mats, all of one size n, in lockstep, giving the
-    (k, m+1, m) Hessenberg matrices and the (k, m+1, n) bases, A V_m' =
-    V_{m+1}' H.  One matvec per matrix per step, with the classical
-    Gram-Schmidt steps, done twice, and the Hessenberg updates batched
-    over the bases (Saad, Numerical Methods for Large Eigenvalue
+def _arnoldi(mats: Sequence[NDArray], m: int) -> tuple[NDArray, NDArray]:
+    """(H, V): m Arnoldi steps (the caller's _krylov_steps) on each of the
+    finite square matrices in mats, all of one size n, in lockstep,
+    giving the (k, m+1, m) Hessenberg matrices and the (k, m+1, n) bases,
+    A V_m' = V_{m+1}' H.  One matvec per matrix per step, with the
+    classical Gram-Schmidt steps, done twice, and the Hessenberg updates
+    batched over the bases (Saad, Numerical Methods for Large Eigenvalue
     Problems, 2nd ed., 2011, ch. 6).  Every run starts from one fixed
     generic unit vector.  An h_{j+1,j} of at most 1e-12 ||A||_F is a
     breakdown (an invariant subspace, as at step n): it is set to 0 and
     zero vectors follow.  An overflow leaves H not finite."""
     k, n = len(mats), len(mats[0])
-    m = _krylov_steps(n)
     V = np.empty((k, m + 1, n))
     H = np.zeros((k, m + 1, m))
     v = np.random.default_rng(0).standard_normal(n)
@@ -335,10 +339,10 @@ def _arnoldi(mats: Sequence[NDArray]) -> tuple[NDArray, NDArray]:
     return H, V
 
 
-def _dominant_ritz(mats: Sequence[NDArray], accept: bool = True,
-                   ) -> tuple[NDArray, NDArray, NDArray[np.bool_] | None]:
+def _dominant_ritz(mats: Sequence[NDArray], m: int,
+                   ) -> tuple[NDArray, NDArray, NDArray[np.bool_]]:
     """The dominant Ritz pair of each of the finite square matrices in
-    mats, all of one size n, from one lockstep _arnoldi pass over them.
+    mats, all of one size n, from one lockstep pass of m _arnoldi steps.
 
     Returns, per matrix, the Ritz value theta of largest modulus, its
     unit Ritz vector x = V_m' y (complex) and whether it converged: the
@@ -348,22 +352,20 @@ def _dominant_ritz(mats: Sequence[NDArray], accept: bool = True,
     ch. 7), is finite and at most 1e-13 |theta|.  y and z are theta's
     unit right and left eigenvectors of H_m.
 
-    The acceptance pass (accept=True) takes the eigenvalues of H_m alone:
-    with s = theta + 1e-14 |theta| (nonsingular where theta is exact),
-    conj(z) solves (H_m - s I)^T conj(z) = 1, and y solves
-    (H_m - s I) y = z, one inverse-iteration step from the left vector.
-    That leaves ||(H_m - theta I) y|| within about 2e-14 |theta|; a step
-    from all ones leaves about 1e-14 |theta| |z^H y| / cos(z, 1), which
-    put accepted Ritz pairs of random matrices above 1e-12 |theta| and
-    moved the acceptance of two planted ones.  With accept=False, for a
-    caller that reads x alone, y comes with theta from one eigensolve,
-    whose Ritz vector sets the Perron start's last digits, and converged
-    is None.  An overflow, or a failed eigensolve or solve, counts as not
-    converged, with x NaN where a solve failed; no warning or LinAlgError
-    escapes.
+    Only the eigenvalues of H_m are computed: with s = theta +
+    1e-14 |theta| (nonsingular where theta is exact), conj(z) solves
+    (H_m - s I)^T conj(z) = 1, and y solves (H_m - s I) y = z, one
+    inverse-iteration step from the left vector.  That leaves
+    ||(H_m - theta I) y|| within about 2e-14 |theta|; a step from all
+    ones leaves about 1e-14 |theta| |z^H y| / cos(z, 1), which put
+    accepted Ritz pairs of random matrices above 1e-12 |theta| and moved
+    the acceptance of two planted ones.  The same y gives the Perron
+    start's x, for a caller that reads x alone.  An overflow, or a
+    failed eigensolve or solve, counts as not converged, with x NaN
+    where a solve failed; no warning or LinAlgError escapes.
     """
-    H, V = _arnoldi(mats)
-    k, m, n = len(mats), H.shape[2], V.shape[2]
+    H, V = _arnoldi(mats, m)
+    k, n = len(mats), V.shape[2]
     theta = np.full(k, np.nan, dtype=complex)
     X = np.full((k, n), np.nan, dtype=complex)
     error = np.full(k, np.inf)
@@ -371,36 +373,27 @@ def _dominant_ritz(mats: Sequence[NDArray], accept: bool = True,
         finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
         Hm = H[finite, :m]
         try:
-            if accept:
-                vals = np.linalg.eigvals(Hm)
-            else:
-                vals, Y = np.linalg.eig(Hm)
+            vals = np.linalg.eigvals(Hm)
         except np.linalg.LinAlgError:
             finite = finite[:0]
         if len(finite):
-            top = np.argmax(np.abs(vals), axis=1)
-            rows = np.arange(len(finite))
-            t = theta[finite] = vals[rows, top]
-            if accept:
-                S = Hm.astype(complex)
-                S[:, range(m), range(m)] -= (t + 1e-14 * np.abs(t))[:, None]
-                try:
-                    zc = np.linalg.solve(np.swapaxes(S, 1, 2),
-                                         np.ones((len(t), m, 1)))
-                    y = np.linalg.solve(S, zc.conj())[:, :, 0]
-                    zc = zc[:, :, 0]
-                except np.linalg.LinAlgError:
-                    zc = y = np.full((len(t), m), np.nan, dtype=complex)
-                y = y / np.linalg.norm(y, axis=1)[:, None]
-                # z^H y = sum(conj(z) y)
-                cos = (np.abs(np.sum(zc * y, axis=1))
-                       / np.linalg.norm(zc, axis=1))
-                error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
-            else:
-                y = Y[rows, :, top]
+            t = theta[finite] = vals[np.arange(len(finite)),
+                                     np.argmax(np.abs(vals), axis=1)]
+            S = Hm.astype(complex)
+            S[:, range(m), range(m)] -= (t + 1e-14 * np.abs(t))[:, None]
+            try:
+                zc = np.linalg.solve(np.swapaxes(S, 1, 2),
+                                     np.ones((len(t), m, 1)))
+                y = np.linalg.solve(S, zc.conj())[:, :, 0]
+                zc = zc[:, :, 0]
+            except np.linalg.LinAlgError:
+                zc = y = np.full((len(t), m), np.nan, dtype=complex)
+            y = y / np.linalg.norm(y, axis=1)[:, None]
+            # z^H y = sum(conj(z) y)
+            cos = np.abs(np.sum(zc * y, axis=1)) / np.linalg.norm(zc, axis=1)
+            error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
             X[finite] = (y[:, None, :] @ V[finite, :m])[:, 0]
-        converged = error <= 1e-13 * np.abs(theta)
-    return theta, X, converged if accept else None
+        return theta, X, error <= 1e-13 * np.abs(theta)
 
 
 def eigvals_mod_zero(M) -> NDArray:

@@ -34,7 +34,11 @@ from scalefix.certify import (
 from scalefix.cli import exit_code_for_report
 from scalefix.modelio import format_report, parse_report
 from scalefix.solve import iterate
-from scalefix.spectral import eigvals_mod_zero, strongly_connected_components
+from scalefix.spectral import (
+    eigvals_mod_zero,
+    spectral_radius,
+    strongly_connected_components,
+)
 from scalefix.system import (
     DifferentiationError,
     ElasticityMatrix,
@@ -705,7 +709,7 @@ def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
     assert rep.spectral.unique_modulus_one is False
     assert rep.spectral.rho_bracket is not None
     elas = [elasticity_at(sys, x) for x in rep.samples]
-    on_dg = [mats for (mats,) in ritz
+    on_dg = [mats for mats, _ in ritz
              if any(np.array_equal(M, E.entries) for M, E in
                     zip(mats, elas[1:]))]
     assert (len(svd), len(eigs), sum(map(len, on_dg))) == (1, 1, k - 1)
@@ -775,6 +779,42 @@ def test_sampled_certify_takes_every_krylov_answer(seed, monkeypatch):
     dense = [idx for (M,) in eigs for idx, x in enumerate(rep.samples)
              if np.array_equal(M, elasticity_at(sys, x).entries)]
     assert len(eigs) == 1 and dense == [0]
+
+
+def test_sampled_certify_counts_every_perron_fallback(monkeypatch):
+    # the models above, 96 roots of |DG| in all, each from the Ritz
+    # vector of the 32-step pass over |DG|.  Every fallback counted: 3
+    # starts left their first bracket open, so that _perron_root went
+    # past its first matvec (0 with the 41-step pass and a full
+    # eigensolve of H_m), and none reached the eigensolve of |DG|.  The
+    # ceiling, twice the count measured, leaves room for BLAS builds
+    # that differ in the last bit, where a start's closing is marginal
+    certify_module = importlib.import_module("scalefix.certify")
+    results = []
+    perron = certify_module._perron_root
+    monkeypatch.setattr(certify_module, "_perron_root",
+                        lambda *args: results.append(perron(*args))
+                        or results[-1])
+    eigs = count_calls(monkeypatch, certify_module, "eigvals_mod_zero")
+    for seed in range(3, 15):
+        sys = build_general(general_params(J=15, S=3, seed=seed))
+        rep = certify(sys, sample_count=8, seed=seed)
+        assert rep.spectral.rho_bracket is not None
+    past_first = sum(res.iterations > 1 for res in results)
+    assert len(results) == 96
+    assert past_first <= 6 and len(eigs) == 0
+
+
+def test_neither_krylov_pass_of_a_sampled_certify_calls_eig(monkeypatch):
+    # the pass over |DG| for the Perron starts and the one over DG for
+    # the later samples' spectra take the Hessenberg eigenvalues alone
+    certify_module = importlib.import_module("scalefix.certify")
+    eig = count_calls(monkeypatch, np.linalg, "eig")
+    ritz = count_calls(monkeypatch, certify_module, "_dominant_ritz")
+    sys = build_general(general_params(J=15, S=3))
+    certify(sys, sample_count=8, seed=5)
+    assert [len(mats) for mats, _ in ritz] == [8, 7]
+    assert [m for _, m in ritz] == [32, 41] and eig == []
 
 
 def sizes_around_the_krylov_steps(draw, least):
@@ -878,6 +918,43 @@ def test_krylov_spectra_agree_near_the_slowest_planted_modulus():
             else (r, rng.uniform(0.1, 3.0))
             for r in rng.uniform(1.2, 1.25, k - 1)]
         assert_krylov_agrees_with_the_dense_rule(*planted(rng, n, tops))
+
+
+@st.composite
+def irreducible_lists(draw):
+    """1 to 4 nonnegative n x n matrices, n from 2 to 60: each holds a
+    cycle through every coordinate with entries from 1 to 2, so it is
+    irreducible with radius at least 1, and uniform entries elsewhere at
+    a density from 0 (the cycle alone, imprimitive) to 1."""
+    n, k = draw(st.integers(2, 60)), draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(k):
+        A = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
+        cycle = rng.permutation(n)
+        A[cycle, np.roll(cycle, 1)] += rng.uniform(1.0, 2.0, n)
+        mats.append(A)
+    return mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(irreducible_lists(), planted_lists().map(
+    lambda case: [np.abs(M) for M in case[0]])))
+def test_open_roots_prove_each_rho_from_the_shorter_start(mats):
+    # the pass over |DG| runs 3 sqrt(n) steps, fewer than the acceptance
+    # pass: its start may leave the first bracket open, but Noda's steps
+    # close it, so each rho still lies in a bracket proved by a matvec
+    certify_module = importlib.import_module("scalefix.certify")
+    n = len(mats[0])
+    x = custom(tuple(f"x{j}" for j in range(n)), lambda x: x).state(
+        np.ones(n))
+    elas = [ElasticityMatrix(A, x, "analytic") for A in mats]
+    roots = certify_module._open_roots(elas, np.ones(n))
+    for A, (rho, bracket) in zip(mats, roots, strict=True):
+        assert bracket is not None and bracket[0] <= rho <= bracket[1]
+        want = spectral_radius(A, tol=1e-13).rho
+        assert abs(rho - want) <= 1e-13 * want
 
 
 @st.composite

@@ -697,6 +697,16 @@ def test_report_parse_error_names_the_file(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_report_with_a_repeated_key_exits_2(tmp_path, capsys):
+    # refused with both lines named, as load_run_config refuses a
+    # repeated key, so that no line is dropped silently
+    path = write(tmp_path / "report.txt", "a: 1\n\nb: 3\n a : 2\n")
+    assert main(["report", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: line 4: key 'a' repeats line 1" in captured.err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["certify"]) == 2  # --config is required

@@ -775,7 +775,8 @@ def test_krylov_breakdown_gives_the_exact_dominant_pair(M):
     spectral = importlib.import_module("scalefix.spectral")
     dense = np.linalg.eigvals(M)
     want = dense[np.argmax(np.abs(dense))]
-    theta, X, converged = spectral._dominant_ritz([M])
+    theta, X, converged = spectral._dominant_ritz(
+        [M], spectral._krylov_steps(50))
     assert converged[0]
     assert abs(theta[0] - want) <= 1e-12 * abs(want)
     assert np.linalg.norm(M @ X[0] - theta[0] * X[0]) <= 1e-12 * abs(want)
@@ -787,7 +788,8 @@ def test_krylov_breakdown_is_per_matrix_and_no_overflow_converges():
     # must not read as a breakdown
     spectral = importlib.import_module("scalefix.spectral")
     big = 1e200 * np.random.default_rng(2).standard_normal((50, 50))
-    theta, _, converged = spectral._dominant_ritz([np.eye(50), big])
+    theta, _, converged = spectral._dominant_ritz(
+        [np.eye(50), big], spectral._krylov_steps(50))
     assert list(converged) == [True, False]
     assert theta[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -800,7 +802,8 @@ def test_krylov_pass_at_most_32_rows_is_a_full_reduction(n):
     A = np.random.default_rng(n).standard_normal((n, n))
     dense = np.linalg.eigvals(A)
     want = np.max(np.abs(dense))
-    theta, _, converged = spectral._dominant_ritz([A, 2.0 * A])
+    theta, _, converged = spectral._dominant_ritz(
+        [A, 2.0 * A], spectral._krylov_steps(n))
     assert spectral._krylov_steps(n) == n
     assert list(converged) == [True, True]
     assert np.abs(theta) == pytest.approx([want, 2.0 * want], rel=1e-12)
@@ -815,7 +818,7 @@ def eig_acceptance(mats):
     np.linalg.eig, z from one solve with (H_m - s I)^T from all ones.
     Returns (theta, converged) over the same Arnoldi pass."""
     spectral = importlib.import_module("scalefix.spectral")
-    H, _ = spectral._arnoldi(mats)
+    H, _ = spectral._arnoldi(mats, spectral._krylov_steps(len(mats[0])))
     k, m = len(mats), H.shape[2]
     theta = np.full(k, np.nan, dtype=complex)
     error = np.full(k, np.inf)
@@ -872,7 +875,8 @@ def test_eigenvalues_only_acceptance_agrees_with_the_full_eigensolve(
         want_theta, want = eig_acceptance(mats)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eig", lambda *a: eigs.append(a))
-            theta, X, converged = spectral._dominant_ritz(mats)
+            theta, X, converged = spectral._dominant_ritz(
+                mats, spectral._krylov_steps(len(mats[0])))
         assert np.array_equal(theta, want_theta)
         assert list(converged) == list(want)
         flags.update(converged)
