@@ -46,6 +46,7 @@ from scalefix.system import (
     StateVector,
     _frozen,
     _support_dg,
+    _worst,
     elasticity_at,
 )
 
@@ -205,8 +206,10 @@ def check_connectedness(sys: PositiveSystem,
                         elasticities: Sequence[ElasticityMatrix] | None = None,
                         ) -> CheckResult:
     """Irreducibility of |DG|: symbolic for systems with a sign pattern,
-    per-sample otherwise, on the graph of |DG| > TOL_SIGN.  Sampled, one
-    walk runs over the graph common to all samples, the AND of their
+    on the edges of the declared support, per-sample otherwise, on the
+    graph of |DG| > TOL_SIGN.  Either way one level-synchronous walk
+    runs from node 0 along the edges and against them.  Sampled, it
+    runs over the graph common to all samples, the AND of their
     adjacencies: each sample's graph contains it, so if it is strongly
     connected, so is every sample's.  Only otherwise is each sample's
     graph walked in turn, so a fail names the first split sample and its
@@ -221,13 +224,10 @@ def check_connectedness(sys: PositiveSystem,
             "reason": "influence graph splits into isolated blocs",
         })
     elasticities = elasticities or _elasticities(sys, samples)
-    common = np.abs(elasticities[0].entries) > TOL_SIGN
-    for E in elasticities[1:]:
-        common &= np.abs(E.entries) > TOL_SIGN
-    if _strongly_connected(common):
+    adjs = [np.abs(E.entries) > TOL_SIGN for E in elasticities]
+    if _strongly_connected(np.logical_and.reduce(adjs)):
         return CheckResult("evidence-only")
-    for idx, E in enumerate(elasticities):
-        adj = np.abs(E.entries) > TOL_SIGN
+    for idx, adj in enumerate(adjs):
         if not _strongly_connected(adj):
             return CheckResult("fail", {
                 "sample_index": idx,
@@ -309,7 +309,7 @@ def _closed_form_certificate(sys: PositiveSystem,
     # is simple and DG0's eigenvalue-1 eigenspace is the line of u once
     # rho(|DG0|) = 1.  Both paths verify u at every sample in _verified
     E0 = elasticities[0]
-    if E0._worst(_signs(u)) > 0.0 or not E0._irreducible():
+    if _worst(E0, _signs(u)) > 0.0 or not E0._irreducible():
         return None
     cert = _verified(sys, samples, elasticities, u)
     # Collatz-Wielandt from |u| puts rho(|DG|) within res_eq / min|u| of
@@ -565,7 +565,7 @@ def check_spectral(sys: PositiveSystem, u,
                 w = E._dot(abs_u, absolute=True)
             eig_res = max(eig_res, float(np.max(np.abs(w - abs_u))))
         if d is not None:
-            signatures.append(2.0 * E._worst(d))
+            signatures.append(2.0 * _worst(E, d))
     still_open = [idx for idx, root in enumerate(roots) if root is None]
     if still_open:
         found = _open_roots([elasticities[idx] for idx in still_open], start)

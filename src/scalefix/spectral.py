@@ -76,18 +76,6 @@ def _as_nonneg_square(M) -> NDArray[np.float64]:
     return A
 
 
-def _reachable(adj: NDArray[np.bool_], start: int) -> NDArray[np.bool_]:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = np.flatnonzero(nxt).tolist()
-    return seen
-
-
 def is_irreducible(M) -> bool:
     """True iff the directed graph induced by the nonzero pattern of M
     is strongly connected.
@@ -103,8 +91,10 @@ def _strongly_connected(A: NDArray) -> bool:
     if A.shape[0] == 1:
         return bool(A[0, 0] > 0.0)
     adj = A > 0.0
+    n = len(adj)
     # strong connectivity == node 0 reaches everyone and everyone reaches it
-    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
+    return (_reaches_all(n, lambda front: adj[front].any(axis=0))
+            and _reaches_all(n, lambda front: adj[:, front].any(axis=1)))
 
 
 def is_primitive(M) -> bool:
@@ -115,44 +105,29 @@ def is_primitive(M) -> bool:
 
 def _strongly_connected_edges(n: int, rows: NDArray, cols: NDArray) -> bool:
     """_strongly_connected for the graph on n nodes with edges rows[e] ->
-    cols[e], rows ascending, in O(n + nnz) for n < 2**16: node 0 reaches
-    every node along the edges, and against them.  A single node needs
-    its self-loop."""
+    cols[e]: node 0 reaches every node along the edges, and against them,
+    each level reading every edge.  A single node needs its self-loop."""
     if n == 1:
         return rows.size > 0
-    # the reversed edges by tail: a stable sort of the narrowest unsigned
-    # type, which numpy does by radix below 2**16
-    return (_reaches_all(np.bincount(rows, minlength=n), cols)
-            and _reaches_all(np.bincount(cols, minlength=n), rows[np.argsort(
-                cols.astype(np.min_scalar_type(n)), kind="stable")]))
+    return (_reaches_all(n, lambda front: cols[front[rows]])
+            and _reaches_all(n, lambda front: rows[front[cols]]))
 
 
-def _reaches_all(counts: NDArray, heads: NDArray) -> bool:
-    """Whether node 0 reaches every node along the edges, where node v has
-    counts[v] of them and heads lists their heads grouped by tail in node
-    order: a breadth-first walk that reads each edge once."""
-    n = counts.size
-    firsts = np.cumsum(counts) - counts
+def _reaches_all(n: int, step) -> bool:
+    """Whether node 0 reaches every one of n nodes, where step(front)
+    indexes the successors of the nodes marked in the boolean front, by
+    a mask or by their numbers: a level-synchronous breadth-first walk,
+    the top-down step of Beamer, Asanovic & Patterson
+    (Direction-optimizing breadth-first search, SC 2012)."""
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    slot = np.empty(n, dtype=np.intp)
-    frontier = np.zeros(1, dtype=np.intp)
-    reached = 1
-    while frontier.size:
-        # the frontier's edges: each node's run of them, in node order
-        k = counts[frontier]
-        ends = np.cumsum(k)
-        at = np.repeat(firsts[frontier] + k - ends, k)
-        at += np.arange(ends[-1])
-        new = heads[at]
-        new = new[~seen[new]]
-        # each new node once: at the one position slot kept for it
-        at = np.arange(new.size)
-        slot[new] = at
-        frontier = new[slot[new] == at]
-        seen[frontier] = True
-        reached += frontier.size
-    return reached == n
+    front = seen.copy()
+    while front.any():
+        nxt = np.zeros(n, dtype=bool)
+        nxt[step(front)] = True
+        front = nxt & ~seen
+        seen |= front
+    return bool(seen.all())
 
 
 def strongly_connected_components(M) -> list[list[int]]:

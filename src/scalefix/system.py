@@ -182,10 +182,6 @@ class ElasticityMatrix:
         flat = np.flatnonzero(self._ddgd(d) < -tol)
         return flat, np.take(self.entries, flat)
 
-    def _worst(self, d: NDArray) -> float:
-        """max |DG| over the entries against the block rule, +0.0 if none."""
-        return max(0.0, -float(self._ddgd(d).min()))
-
     def _irreducible(self) -> bool:
         return _strongly_connected(self.entries != 0)
 
@@ -193,50 +189,28 @@ class ElasticityMatrix:
         return bool(np.diag(self.entries).any())
 
 
-def _support_entries(n: int, flat, signs) -> tuple[NDArray, NDArray]:
-    """A sign pattern's support as (flat, signs), checked in O(nnz) with
-    the ValueErrors of a wrong N x N pattern: indices into the raveled
-    N x N matrix, strictly increasing, so in row-major order, and below
-    n^2, and one sign +-1 at each."""
-    flat, signs = np.asarray(flat), np.asarray(signs)
-    if not (flat.ndim == 1 and flat.dtype.kind in "iu"
-            and signs.shape == flat.shape
-            and (flat.size == 0 or 0 <= flat[0] and flat[-1] < n * n)
-            and np.all(flat[1:] > flat[:-1])):
-        raise ValueError("sign_pattern must be N x N")
-    if not np.all(np.abs(signs) == 1):
-        raise ValueError("sign_pattern entries must be -1, 0 or +1")
-    return flat.astype(np.intp, copy=False), signs
-
-
-class _DeclaredSupport:
-    """A sign_pattern callable that declares its support: `entries()`
-    returns its (flat, signs) as _support_entries takes them, which a
-    system's support reads as they are, in O(nnz).  Called, as a read of
-    sign_pattern calls it, it scatters them into the N x N pattern."""
-
-    def __init__(self, n: int,
-                 entries: Callable[[], tuple[NDArray, NDArray]]):
-        self.n, self.entries = n, entries
-
-    def __call__(self) -> NDArray[np.int64]:
-        flat, signs = _support_entries(self.n, *self.entries())
-        pattern = np.zeros(self.n * self.n, dtype=int)
-        pattern[flat] = signs
-        return pattern.reshape(self.n, self.n)
-
-
 class _Support:
     """Where a declared sign pattern lets an n x n DG be nonzero, held in
-    O(nnz) and built from the declaration, never from an n x n array: its
-    entries at `flat` in the raveled matrix, in row-major order, at
-    (rows, cols), with float `signs` +-1, checked as _support_entries
-    checks them.  Row heads[i]'s entries start at starts[i].  Its graph's
-    connectedness and components are read off (rows, cols)."""
+    O(nnz): its entries at `flat` in the raveled matrix, at (rows, cols),
+    with float `signs` +-1.  Made from (flat, signs) as a declaration
+    gives them, checked in O(nnz) with the ValueErrors of a wrong N x N
+    pattern: flat indexes the raveled N x N matrix, strictly increasing,
+    so in row-major order, and below n^2, with one sign +-1 at each.  Row
+    heads[i]'s entries start at starts[i].  Its graph's connectedness and
+    components are read off (rows, cols), and `pattern` scatters the
+    N x N sign pattern only when read."""
 
     def __init__(self, n: int, flat, signs):
+        flat, signs = np.asarray(flat), np.asarray(signs)
+        if not (flat.ndim == 1 and flat.dtype.kind in "iu"
+                and signs.shape == flat.shape
+                and (flat.size == 0 or 0 <= flat[0] and flat[-1] < n * n)
+                and np.all(flat[1:] > flat[:-1])):
+            raise ValueError("sign_pattern must be N x N")
+        if not np.all(np.abs(signs) == 1):
+            raise ValueError("sign_pattern entries must be -1, 0 or +1")
         self.n = n
-        self.flat, signs = _support_entries(n, flat, signs)
+        self.flat = flat.astype(np.intp, copy=False)
         self.signs = np.asarray(signs, dtype=float)
         self.rows = self.flat // n
         self.cols = self.flat - self.rows * n
@@ -244,6 +218,15 @@ class _Support:
         self.heads = self.rows[self.starts]
         self.self_loop = bool(np.any(self.rows == self.cols))
         self._flips = (None, None)
+
+    @cached_property
+    def pattern(self) -> NDArray[np.int64]:
+        """The N x N sign pattern, scattered on first read and held,
+        read-only."""
+        pattern = np.zeros((self.n, self.n), dtype=np.int64)
+        pattern.ravel()[self.flat] = self.signs
+        pattern.setflags(write=False)
+        return pattern
 
     @property
     def declared(self) -> _SupportDG:
@@ -284,10 +267,15 @@ class _Support:
         return held
 
 
-def _pattern_support(pattern: NDArray) -> _Support:
-    """The _Support of a checked N x N sign pattern."""
-    flat = np.flatnonzero(pattern)
-    return _Support(len(pattern), flat, np.take(pattern, flat))
+def _pattern_support(n: int, pattern) -> _Support:
+    """The _Support of an N x N sign pattern, checked (else ValueError)."""
+    p = np.asarray(pattern)
+    if p.shape != (n, n):
+        raise ValueError("sign_pattern must be N x N")
+    if not ((p == 0) | (np.abs(p) == 1)).all():
+        raise ValueError("sign_pattern entries must be -1, 0 or +1")
+    flat = np.flatnonzero(p)
+    return _Support(n, flat, np.take(p, flat))
 
 
 class _SupportDG:
@@ -330,9 +318,6 @@ class _SupportDG:
         bad = np.flatnonzero(self._ddgd(d) < -tol)
         return self.support.flat[bad], self.values[bad]
 
-    def _worst(self, d: NDArray) -> float:
-        return max(0.0, -float(np.min(self._ddgd(d), initial=0.0)))
-
     def _irreducible(self) -> bool:
         return self.support.connected
 
@@ -343,34 +328,29 @@ class _SupportDG:
 _DG = ElasticityMatrix | _SupportDG
 
 
+def _worst(E: _DG, d: NDArray) -> float:
+    """max |DG| over the entries of E against the block rule of d, +0.0
+    if none: the most negative entry of D DG D, negated."""
+    return max(0.0, -float(np.min(E._ddgd(d), initial=0.0)))
+
+
 class _LazyPattern:
     """PositiveSystem.sign_pattern, a field whose default is this
-    descriptor.  It holds what the constructor was given, in the
-    instance's __dict__, and reads as the checked read-only int pattern:
-    a callable is called, checked and frozen on the first read only."""
+    descriptor.  It keeps what the constructor was given in the
+    instance's __dict__, where the system's _support replaces it by the
+    checked _Support, and reads as that support's pattern."""
 
     HELD = "_sign_pattern"
 
     def __get__(self, sys, owner=None):
         if sys is None:
             return None     # the field's default
-        held = sys.__dict__[self.HELD]
-        return self.hold(sys, held()) if callable(held) else held
+        support = sys._support
+        return None if support is None else support.pattern
 
     def __set__(self, sys, value):
         # only __init__ gets here: the frozen class's __setattr__ raises
         sys.__dict__[self.HELD] = value
-
-    @classmethod
-    def hold(cls, sys, value) -> NDArray[np.int64]:
-        """value, checked (else ValueError), as sys's pattern from now on."""
-        p = np.asarray(value)
-        if p.shape != (sys.dimension, sys.dimension):
-            raise ValueError("sign_pattern must be N x N")
-        if not ((p == 0) | (np.abs(p) == 1)).all():
-            raise ValueError("sign_pattern entries must be -1, 0 or +1")
-        p = sys.__dict__[cls.HELD] = _frozen(p, int)
-        return p
 
 
 @dataclass(frozen=True)
@@ -384,23 +364,22 @@ class PositiveSystem:
     across the whole domain (-1, 0, +1), which certification uses for
     exact sign verdicts.  It is an N x N array, or a zero-argument
     callable returning one: an array is checked here, a callable only
-    on the first read of sign_pattern, which calls it once, so a system
-    that is only solved never builds the pattern.  Either way it reads as
-    a read-only int copy, and a wrong one raises the same ValueError.
-    The multi-sector model's callable also declares the pattern's
-    support, its nonzero entries' flat indices and signs, from its
-    blocks: the system's support reads those, checked in O(nnz), and the
-    N x N pattern is scattered from them only when sign_pattern is read,
-    which certify never does.
+    on the first read of sign_pattern or of the system's support, which
+    calls it once, so a system that is only solved never calls it.  A
+    wrong one raises the same ValueError either way.  Once checked, the
+    system holds the pattern's support, its nonzero entries, in O(nnz),
+    and sign_pattern reads as the read-only int64 pattern scattered from
+    it on first read.  The multi-sector model's callable returns that
+    support itself, made from its blocks, so certify, which reads the
+    support alone, never lays out the N x N pattern.
     support_values, only with a sign_pattern (else ValueError), returns
     DG's analytic values on the pattern's nonzero entries, in row-major
     order, and so declares DG 0 off the pattern; certify reads only
     those, and elasticity_at scatters them where elasticity_values is
-    None, both on the support the system builds on first read, which
-    solving never does.  scaling, when given, is a closed-form scaling
-    direction u with F(c^u x) = c^u F(x): finite and not all zero (else
-    ValueError), though single entries may be 0; it is stored as a
-    read-only copy.
+    None, both on the system's support, which solving never reads.
+    scaling, when given, is a closed-form scaling direction u with
+    F(c^u x) = c^u F(x): finite and not all zero (else ValueError),
+    though single entries may be 0; it is stored as a read-only copy.
     """
 
     labels: tuple[str, ...]
@@ -423,7 +402,8 @@ class PositiveSystem:
             if self.support_values is not None:
                 raise ValueError("support_values needs a sign_pattern")
         elif not callable(given):
-            _LazyPattern.hold(self, given)
+            self.__dict__[_LazyPattern.HELD] = _pattern_support(
+                self.dimension, given)
         if self.scaling is not None:
             u = _frozen(self.scaling)
             if u.shape != (self.dimension,):
@@ -439,17 +419,20 @@ class PositiveSystem:
     def state(self, values) -> StateVector:
         return StateVector(values, self.labels)
 
-    @cached_property
+    @property
     def _support(self) -> _Support | None:
-        """The declared support, built on first read, or None where no
-        sign pattern is declared: from the entries a _DeclaredSupport
-        gives, else from the checked N x N pattern.  Either way a wrong
-        declaration raises the ValueError of sign_pattern."""
+        """The declared support, or None where no sign pattern is
+        declared.  A callable is called on the first read, and what it
+        returns, a _Support of this size or else an N x N pattern, is
+        checked and held in its place; a wrong one raises the ValueError
+        of sign_pattern, and the callable stays held."""
         held = self.__dict__[_LazyPattern.HELD]
-        if isinstance(held, _DeclaredSupport):
-            return _Support(self.dimension, *held.entries())
-        pattern = self.sign_pattern
-        return None if pattern is None else _pattern_support(pattern)
+        if callable(held):
+            held = held()
+            if not isinstance(held, _Support):
+                held = _pattern_support(self.dimension, held)
+            self.__dict__[_LazyPattern.HELD] = held
+        return held
 
     def _support_checked(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
         """support_values(x) as a read-only float copy, one value per

@@ -35,7 +35,7 @@ from scalefix.system import (
     EvaluationError,
     PositiveSystem,
     StateVector,
-    _DeclaredSupport,
+    _Support,
     _frozen,
 )
 
@@ -135,8 +135,9 @@ def _tau(p, shape) -> None:
         raise ParameterError("tau must be finite on the diagonal",
                              field="tau")
     adj = finite if t.ndim == 2 else finite.any(axis=2)
-    # adj is boolean, so nothing to validate; two vectorised reachability
-    # sweeps settle the usual connected case, and only a split is enumerated
+    # adj is boolean, so nothing to validate; one level-synchronous walk
+    # each way along adj settles the usual connected case, and only a
+    # split is enumerated
     blocs = [range(J)] if _strongly_connected(adj) else \
         strongly_connected_components(adj)
     object.__setattr__(p, "connected", len(blocs) == 1)
@@ -485,7 +486,7 @@ def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
         labels=multi_sector_labels(J, S),
         evaluate_values=evaluate,
         elasticity_values=elasticity,
-        sign_pattern=_DeclaredSupport(n, support),
+        sign_pattern=lambda: _Support(n, *support()),
         scaling=u,
         kind="multi-sector",
         meta={"params": p},

@@ -45,6 +45,7 @@ from scalefix.system import (
     PositiveSystem,
     _pattern_support,
     _SupportDG,
+    _worst,
     elasticity_at,
 )
 from scalefix.trade import (
@@ -489,7 +490,7 @@ def both_dg_formats(draw):
     E = draw(arrays(float, (n, n), elements=st.one_of(finite_entries, at_tol)))
     if draw(st.booleans()):
         E[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))
-    support = _pattern_support(draw(arrays(bool, (n, n))).astype(int))
+    support = _pattern_support(n, draw(arrays(bool, (n, n))).astype(int))
     values = draw(arrays(float, len(support.flat), elements=st.one_of(
         at_tol, st.floats(-1e-9, 1e-9), st.floats(-1e40, 1e40)).filter(bool)))
     point = custom(tuple(f"x{j}" for j in range(n)), lambda x: x).state(
@@ -506,8 +507,21 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def signed_zeros_against_u():
+    """Both formats against u = (1, -1), whose blocks are {0} and {1}: a
+    dense DG with -0.0 on a cross-block entry and on a diagonal one, and
+    a DG on a support that breaks the block rule nowhere."""
+    point = custom(("x0", "x1"), lambda x: x).state(np.ones(2))
+    dense = np.array([[0.5, -0.0], [-1.0, -0.0]])
+    support = _pattern_support(2, [[1, 0], [1, 1]])
+    return (ElasticityMatrix(dense, point, "analytic"),
+            _SupportDG(support, np.array([0.5, -1.0, 2.0]), point),
+            np.array([1.0, -1.0]), np.ones(2), 0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(both_dg_formats())
+@example(case=signed_zeros_against_u())
 def test_both_dg_formats_agree_with_the_old_block_rule(case):
     dense, on_support, u, x, tol = case
     d = _signs(u)
@@ -516,10 +530,15 @@ def test_both_dg_formats_agree_with_the_old_block_rule(case):
         flat, values = E._witnesses(d, tol)
         assert np.array_equal(flat, np.flatnonzero(old_block_rule(M, u, tol)))
         assert np.array_equal(bits(values), bits(np.take(M, flat)))
-        worst = E._worst(d)
+        # the one reduction certify takes of the block rule, against the
+        # oracle max(0, -min(D DG D)): +0.0 when none breaks it, -0.0
+        # entries included
+        worst = _worst(E, d)
         want = float(np.max(np.abs(M[old_block_rule(M, u, 0.0)]),
                             initial=0.0))
-        assert bits(worst) == bits(want)     # +0.0 when none breaks it
+        assert bits(worst) == bits(want)
+        assert bits(worst) == bits(max(0.0, -float(np.min(
+            d[:, None] * M * d, initial=0.0))))
     scattered = on_support.dense
     assert on_support._irreducible() == scattered._irreducible()
     assert on_support._self_loop() == scattered._self_loop()
@@ -1418,10 +1437,12 @@ def test_warm_exact_certify_reads_each_sample_once_on_the_support(
 
 def test_the_declared_support_is_built_once_per_system_and_never_to_solve(
         monkeypatch):
-    # solving and a counterfactual never read the support; two certifies
-    # and an elasticity_at scattering support values share one build
-    builds = count_calls(monkeypatch, importlib.import_module(
-        "scalefix.system"), "_Support")
+    # solving and a counterfactual never read the support.  replace reads
+    # sign_pattern, so it builds the model's support from its blocks and
+    # the copy's from the pattern it is given; two certifies and an
+    # elasticity_at scattering support values build nothing more
+    system = importlib.import_module("scalefix.system")
+    builds = count_calls(monkeypatch, system._Support, "__init__")
     params = multi_sector_params(J=3, S=2)
     sys = build_multi_sector(params)
     res = iterate(sys, sys.state(np.ones(sys.dimension)), u=sys.scaling)
@@ -1429,10 +1450,11 @@ def test_the_declared_support_is_built_once_per_system_and_never_to_solve(
     assert res.status == shock.shocked_solve.status == "converged"
     assert builds == []
     sys = dataclasses.replace(sys, elasticity_values=None)
+    assert len(builds) == 2
     for seed in (0, 1):
         assert certify(sys, sample_count=3, seed=seed).uniqueness_applicable
     assert elasticity_at(sys, res.x_star).method == "analytic"
-    assert len(builds) == 1
+    assert len(builds) == 2
 
 
 def test_exact_certify_never_lays_out_the_multi_sector_pattern(monkeypatch):
@@ -1468,8 +1490,8 @@ def test_a_fresh_exact_certify_holds_no_n_by_n_pattern_or_adjacency(
     finally:
         tracemalloc.stop()
     assert rep.uniqueness_applicable and rep.attractivity_applicable
-    # nor was the pattern read: the system still holds the callable
-    assert calls == [] and callable(vars(sys)["_sign_pattern"])
+    # nor was the pattern read: the support holds no scatter of it
+    assert calls == [] and "pattern" not in vars(sys._support)
     assert peak < 3.5 * n * n * 8
 
 

@@ -23,6 +23,7 @@ from scalefix.spectral import (
     PowerIterationError,
     ReducibleMatrixError,
     _components,
+    _reaches_all,
     _strongly_connected,
     _strongly_connected_edges,
     eigvals_mod_zero,
@@ -155,28 +156,45 @@ def test_scc_matches_irreducibility():
         assert single == is_irreducible(A)
 
 
+def cycle(n):
+    return np.roll(np.eye(n, dtype=bool), 1, axis=1)
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: arrays(bool, (n, n))))
 @example(np.zeros((1, 1), dtype=bool))
 @example(np.ones((1, 1), dtype=bool))
-def test_the_walk_on_the_edges_agrees_with_the_dense_walk(adj):
-    # the support's walk reads (rows, cols) in row-major order, as a
-    # declared support holds them; one node is connected by its self-loop
+@example(cycle(8))                              # n levels each way
+@example(np.eye(8, k=1, dtype=bool))            # a chain: n levels, split
+@example(np.eye(8, k=1, dtype=bool) | np.eye(8, k=-1, dtype=bool))
+def test_one_walk_reads_edges_and_dense_as_the_closure_does(adj):
+    # the reflexive transitive closure is the oracle: strongly connected
+    # when it is all ones, components its classes of mutual reachability.
+    # The walk reads the support's edges (rows, cols) in row-major
+    # order, as a declared support holds them, or the dense adjacency;
+    # one node is connected by its self-loop
     n = len(adj)
     rows, cols = np.nonzero(adj)
-    got = _strongly_connected_edges(n, rows, cols)
-    assert got == _strongly_connected(adj)
-    if n == 1:
-        assert got == bool(adj[0, 0])
-    # Tarjan on the same edges: the classes of mutual reachability in
-    # the reflexive transitive closure
     reach = np.eye(n, dtype=bool) | adj
     for _ in range(n):
         reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+    want = bool(adj[0, 0]) if n == 1 else bool(reach.all())
+    assert _strongly_connected_edges(n, rows, cols) == want
+    assert _strongly_connected(adj) == want
+    # one step per breadth-first level from node 0, and one that finds
+    # nothing new: n steps on the cycle
+    steps = []
+    _reaches_all(n, lambda front: steps.append(1) or adj[front].any(axis=0))
+    within = [np.linalg.matrix_power(np.eye(n, dtype=int) + adj, k)[0] > 0
+              for k in range(n + 1)]
+    assert len(steps) == next(k for k in range(1, n + 1)
+                              if np.array_equal(within[k], within[k - 1]))
+    if np.array_equal(adj, cycle(n)):
+        assert len(steps) == n
     mutual = reach & reach.T
-    want = sorted({tuple(np.flatnonzero(row)) for row in mutual})
-    assert _components(n, rows, cols) == [list(c) for c in want]
+    classes = sorted({tuple(np.flatnonzero(row)) for row in mutual})
+    assert _components(n, rows, cols) == [list(c) for c in classes]
+
 
 # -------------------------------------------------------------- primitivity
 

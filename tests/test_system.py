@@ -13,7 +13,7 @@ from scalefix.system import (
     EvaluationError,
     PositiveSystem,
     StateVector,
-    _DeclaredSupport,
+    _Support,
     elasticity_at,
     log_transform,
 )
@@ -306,21 +306,21 @@ def test_a_callable_sign_pattern_is_checked_on_first_read_as_an_array():
 
 
 def test_a_declared_support_is_checked_in_o_nnz_with_the_pattern_errors():
-    # (flat, signs) as a declared support gives them: the support reads
-    # them as they are, a read of sign_pattern scatters them, and a bad
-    # declaration raises a wrong pattern's ValueError from both
+    # (flat, signs) as a callable returning a _Support declares them: the
+    # support reads them as they are, a read of sign_pattern scatters
+    # them, and a bad declaration raises a wrong pattern's ValueError
+    # from both
     def system(flat, signs):
         return PositiveSystem(
             labels=("a", "b"), evaluate_values=lambda x: np.sqrt(x * x[::-1]),
-            sign_pattern=_DeclaredSupport(2, lambda: (np.array(flat),
-                                                      np.array(signs))),
+            sign_pattern=lambda: _Support(2, np.array(flat), np.array(signs)),
             scaling=[1.0, 1.0])
 
     sys = system([1, 2], [1, -1])
     assert sys._support.rows.tolist() == [0, 1]
     assert sys._support.cols.tolist() == [1, 0]
     assert sys._support.signs.tolist() == [1.0, -1.0]
-    assert callable(vars(sys)["_sign_pattern"])      # the pattern not read
+    assert "pattern" not in vars(sys._support)      # the pattern not read
     assert sys.sign_pattern.tolist() == [[0, 1], [-1, 0]]
     assert sys.sign_pattern.dtype == np.int64
     for flat, signs, message in [
@@ -338,6 +338,50 @@ def test_a_declared_support_is_checked_in_o_nnz_with_the_pattern_errors():
                      lambda s: certify(s, 2)):
             with pytest.raises(ValueError, match=message):
                 read(system(flat, signs))
+
+
+@pytest.mark.parametrize("pattern,flat,signs,message", [
+    ([[0, 1], [-1, 1]], [1, 2, 3], [1, -1, 1], None),
+    ([[1.0, -1.0], [0.0, 0.0]], [0, 1], [1.0, -1.0], None),
+    ([[True, False], [False, True]], [0, 3], [True, True], None),
+    (np.zeros((2, 2)), [], [], None),
+    ([[2, 0], [0, 1]], [0, 3], [2, 1], "-1, 0 or \\+1"),
+    ([[np.nan, 0], [0, 1]], [0, 3], [np.nan, 1], "-1, 0 or \\+1"),
+    (np.ones((2, 3)), range(6), np.ones(6), "must be N x N"),
+])
+def test_every_declaration_form_holds_one_support(pattern, flat, signs,
+                                                  message):
+    # an N x N array, a plain callable returning it and a callable
+    # returning its _Support hold equal supports and read as equal
+    # read-only int64 patterns; a wrong array raises at construction, a
+    # wrong callable at the first read, with the same ValueError
+    def system(declared):
+        return PositiveSystem(labels=("a", "b"), evaluate_values=lambda x: x,
+                              sign_pattern=declared)
+
+    callables = [lambda: pattern,
+                 lambda: _Support(2, np.array(flat, dtype=int), signs)]
+    if message is not None:
+        with pytest.raises(ValueError, match=message):
+            system(pattern)
+        for declared in callables:
+            sys = system(declared)
+            for read in (lambda: sys.sign_pattern, lambda: sys._support):
+                with pytest.raises(ValueError, match=message):
+                    read()
+        return
+    systems = [system(pattern)] + [system(f) for f in callables]
+    want = np.asarray(pattern).astype(np.int64)
+    for sys in systems:
+        support = sys._support
+        for name in ("flat", "rows", "cols", "signs", "starts", "heads"):
+            assert np.array_equal(getattr(support, name),
+                                  getattr(systems[0]._support, name))
+        assert support.signs.dtype == float
+        held = sys.sign_pattern
+        assert sys.sign_pattern is held and held.dtype == np.int64
+        assert not held.flags.writeable and np.array_equal(held, want)
+
 
 def test_a_callable_sign_pattern_is_called_at_most_once():
     # built on the first read, then held as a read-only int copy that a
