@@ -196,9 +196,13 @@ def _elasticities(sys: PositiveSystem,
                       for idx, x in enumerate(samples) if idx > 0]
 
 
-def _bloc_labels(comps: list[list[int]],
-                 labels: tuple[str, ...]) -> list[list[str]]:
-    return [[labels[j] for j in comp] for comp in comps]
+def _split(comps: list[list[int]], labels: tuple[str, ...],
+           **details) -> CheckResult:
+    """The connectedness fail of a graph with these components, after
+    details (a sampled fail's sample_index)."""
+    return CheckResult("fail", {
+        **details, "blocs": [[labels[j] for j in comp] for comp in comps],
+        "reason": "influence graph splits into isolated blocs"})
 
 
 def check_connectedness(sys: PositiveSystem,
@@ -219,22 +223,15 @@ def check_connectedness(sys: PositiveSystem,
     if support is not None:
         if support.connected:
             return CheckResult("pass")
-        return CheckResult("fail", {
-            "blocs": _bloc_labels(support.components(), sys.labels),
-            "reason": "influence graph splits into isolated blocs",
-        })
+        return _split(support.components(), sys.labels)
     elasticities = elasticities or _elasticities(sys, samples)
     adjs = [np.abs(E.entries) > TOL_SIGN for E in elasticities]
     if _strongly_connected(np.logical_and.reduce(adjs)):
         return CheckResult("evidence-only")
     for idx, adj in enumerate(adjs):
         if not _strongly_connected(adj):
-            return CheckResult("fail", {
-                "sample_index": idx,
-                "blocs": _bloc_labels(strongly_connected_components(adj),
-                                      sys.labels),
-                "reason": "influence graph splits into isolated blocs",
-            })
+            return _split(strongly_connected_components(adj), sys.labels,
+                          sample_index=idx)
     return CheckResult("evidence-only")
 
 

@@ -142,7 +142,9 @@ def strongly_connected_components(M) -> list[list[int]]:
 
 def _components(n: int, rows: NDArray, cols: NDArray) -> list[list[int]]:
     """strongly_connected_components of the graph on n nodes with edges
-    rows[e] -> cols[e], rows ascending: Tarjan on successor lists."""
+    rows[e] -> cols[e], rows ascending: Tarjan on successor lists, each
+    frame of the walk a node and the iterator over its successors, which
+    resumes where the frame's last child was entered."""
     succ = [c.tolist() for c in np.split(
         cols, np.cumsum(np.bincount(rows, minlength=n))[:-1])]
     index = [-1] * n
@@ -154,40 +156,32 @@ def _components(n: int, rows: NDArray, cols: NDArray) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, successors = work[-1]
+            if index[v] == -1:      # the frame's first turn
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
+            for w in successors:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:       # every successor done: v's frame closes
+                work.pop()
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        on_stack[w] = False
+                    comps.append(sorted(comp))
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
     comps.sort(key=lambda c: c[0])
     return comps
 

@@ -68,30 +68,29 @@ def _frozen(value, dtype=float) -> NDArray:
     return a
 
 
-class EvaluationError(RuntimeError):
+class _CoordinateError(RuntimeError):
+    """The shape both errors below share: `coordinate` names a label, and
+    `sample_index` is set by callers that evaluate at numbered samples.
+    Neither error subclasses the other, so each except catches one."""
+
+    def __init__(self, message: str, coordinate: str | None = None):
+        super().__init__(message)
+        self.coordinate = coordinate
+        self.sample_index: int | None = None
+
+
+class EvaluationError(_CoordinateError):
     """The system produced a non-positive or non-finite value.
 
-    `coordinate` holds the label of the first offending entry;
-    `sample_index` is set by callers that evaluate at numbered samples.
+    `coordinate` holds the label of the first offending entry.
     """
 
-    def __init__(self, message: str, coordinate: str | None = None):
-        super().__init__(message)
-        self.coordinate = coordinate
-        self.sample_index: int | None = None
 
-
-class DifferentiationError(RuntimeError):
+class DifferentiationError(_CoordinateError):
     """An elasticity matrix, analytic or numeric, has a non-finite entry.
 
-    `coordinate` holds the label of the row of the first such entry;
-    `sample_index` is set by callers that evaluate at numbered samples.
+    `coordinate` holds the label of the row of the first such entry.
     """
-
-    def __init__(self, message: str, coordinate: str | None = None):
-        super().__init__(message)
-        self.coordinate = coordinate
-        self.sample_index: int | None = None
 
 
 @dataclass(frozen=True)

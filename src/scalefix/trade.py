@@ -193,8 +193,20 @@ class OneSectorParams:
         return self.A.shape[0]
 
 
+class _Sectored:
+    """J countries and S sectors, read off the J x S matrix A."""
+
+    @property
+    def J(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def S(self) -> int:
+        return self.A.shape[1]
+
+
 @dataclass(frozen=True)
-class MultiSectorParams:
+class MultiSectorParams(_Sectored):
     """J countries, S sectors, labor-only production.  The arrays, here
     and in GeneralParams, are read-only validated copies."""
 
@@ -211,20 +223,12 @@ class MultiSectorParams:
         _sectored_fields(self)
 
     @property
-    def J(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def S(self) -> int:
-        return self.A.shape[1]
-
-    @property
     def Theta(self) -> float:
         return float(self.theta.sum())
 
 
 @dataclass(frozen=True)
-class GeneralParams:
+class GeneralParams(_Sectored):
     """Sectors plus intermediates.
 
     The fields of MultiSectorParams, plus gamma_labor[i, s], the labor
@@ -252,14 +256,6 @@ class GeneralParams:
             raise ParameterError(
                 "labor share plus intermediate shares must sum to 1 "
                 "for every country and sector", field="gamma_labor")
-
-    @property
-    def J(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def S(self) -> int:
-        return self.A.shape[1]
 
 
 # ------------------------------------------------------------- labels
@@ -313,21 +309,18 @@ def build_one_sector(p: OneSectorParams) -> PositiveSystem:
     J = p.J
     a, b, _, KOm, KP = _one_sector_pieces(p)
 
-    def evaluate(x):
+    def terms(x):
         om, pp = x[:J], x[J:]
-        return np.concatenate([
-            KOm @ (om ** a * pp ** b),
-            KP @ (om ** (a - 1.0) * pp ** (b + 1.0)),
-        ])
+        return om ** a * pp ** b, om ** (a - 1.0) * pp ** (b + 1.0)
+
+    def evaluate(x):
+        t_om, t_pp = terms(x)
+        return np.concatenate([KOm @ t_om, KP @ t_pp])
 
     def elasticity(x):
-        om, pp = x[:J], x[J:]
-        t_om = om ** a * pp ** b
-        t_pp = om ** (a - 1.0) * pp ** (b + 1.0)
-        f_om = KOm @ t_om
-        f_pp = KP @ t_pp
-        sh_om = KOm * t_om[None, :] / f_om[:, None]
-        sh_pp = KP * t_pp[None, :] / f_pp[:, None]
+        t_om, t_pp = terms(x)
+        sh_om = KOm * t_om[None, :] / (KOm @ t_om)[:, None]
+        sh_pp = KP * t_pp[None, :] / (KP @ t_pp)[:, None]
         return np.block([[sh_om * a, sh_om * b],
                          [sh_pp * (a - 1.0), sh_pp * (b + 1.0)]])
 
@@ -660,9 +653,10 @@ def recover_outcomes(kind: str, x_star: StateVector, params,
     return _recover(sys, x_star, params, tol)
 
 
-def _recover(sys: PositiveSystem, x_star: StateVector, params,
+def _recover(sys: PositiveSystem, x_star: StateVector, p,
              tol: float = 1e-6) -> Outcomes:
-    """recover_outcomes at sys, which build_system made from params."""
+    """recover_outcomes at sys, which build_system made from the bundle
+    p: each kind computes what is its own, and one tail the rest."""
     F = sys._eval_checked(x_star.values)
     rel = float(np.max(np.abs(F - x_star.values) / x_star.values))
     if rel > tol:
@@ -670,45 +664,33 @@ def _recover(sys: PositiveSystem, x_star: StateVector, params,
             f"state is not an equilibrium: relative residual {rel:.3e} "
             f"exceeds {tol:.1e}")
     if sys.kind == "one-sector":
-        p: OneSectorParams = params
-        J = p.J
-        om = x_star.values[:J]
-        pp = x_star.values[J:]
+        # one sector as S = 1: every sector-indexed array gets its axis
+        om, pp = x_star.values[:p.J], x_star.values[p.J:]
         a, b, prefac, _, _ = _one_sector_pieces(p)
         R = prefac * om ** a * pp ** (b + 1.0)
         w = p.gamma * R / p.L
         P = pp ** (-1.0 / p.theta)
         c = np.where(p.gamma > 0, w ** p.gamma, 1.0) * P ** (1.0 - p.gamma)
-        alpha = np.ones((J, 1))
-        pi = _import_shares(p.A[:, None], c[:, None],
-                            p.tau[:, :, None], np.array([p.theta]))
-        U = _welfare(w, p.L, P[:, None], alpha)
-        return Outcomes(w=w, R=R[:, None], E=R[:, None],
-                        P=P[:, None], c=c[:, None], pi=pi, U=U)
-
-    if sys.kind == "multi-sector":
-        mp: MultiSectorParams = params
-        J, S = mp.J, mp.S
-        om, pp, W = _unpack(x_star.values, J, S)
-        w = W ** (1.0 / (1.0 + mp.Theta))
-        c = np.tile(w[:, None], (1, S))
-        R = om * w[:, None] ** (-mp.theta[None, :])
-        E = mp.alpha * (w * mp.L)[:, None]
-        P = pp ** (-1.0 / mp.theta[None, :])
-        pi = _import_shares(mp.A, c, mp.tau, mp.theta)
-        U = _welfare(w, mp.L, P, mp.alpha)
-        return Outcomes(w=w, R=R, E=E, P=P, c=c, pi=pi, U=U)
-
-    gp: GeneralParams = params
-    om, pp, w = _unpack(x_star.values, gp.J, gp.S)
-    c = _general_costs(gp, pp, w)
-    R = om * c ** (-gp.theta[None, :])
-    E = gp.alpha * (w * gp.L)[:, None] + \
-        np.einsum("isr,ir->is", gp.gamma_io, R)
-    P = pp ** (-1.0 / gp.theta[None, :])
-    pi = _import_shares(gp.A, c, gp.tau, gp.theta)
-    U = _welfare(w, gp.L, P, gp.alpha)
-    return Outcomes(w=w, R=R, E=E, P=P, c=c, pi=pi, U=U)
+        R, P, c = R[:, None], P[:, None], c[:, None]
+        E = R
+        A, tau, theta = p.A[:, None], p.tau[:, :, None], np.array([p.theta])
+        alpha = np.ones((p.J, 1))
+    else:
+        A, tau, theta, alpha = p.A, p.tau, p.theta, p.alpha
+        om, pp, w = _unpack(x_star.values, p.J, p.S)
+        if sys.kind == "multi-sector":
+            w = w ** (1.0 / (1.0 + p.Theta))    # the state holds W
+            c = np.tile(w[:, None], (1, p.S))
+        else:
+            c = _general_costs(p, pp, w)
+        R = om * c ** (-theta[None, :])
+        E = alpha * (w * p.L)[:, None]
+        if sys.kind == "general":
+            E += np.einsum("isr,ir->is", p.gamma_io, R)
+        P = pp ** (-1.0 / theta[None, :])
+    return Outcomes(w=w, R=R, E=E, P=P, c=c,
+                    pi=_import_shares(A, c, tau, theta),
+                    U=_welfare(w, p.L, P, alpha))
 
 
 # ------------------------------------------------------- counterfactuals

@@ -22,6 +22,7 @@ from test_acceptance import MASTER_SEED, random_multi_sector, random_one_sector
 from scalefix.certify import (
     TOL_SIGN,
     AmbiguousScalingError,
+    CheckResult,
     _signs,
     certify,
     check_connectedness,
@@ -1725,6 +1726,60 @@ def test_exact_monotonicity_fails_on_a_sample_against_the_block_rule(
     # the evidence the declaration hid: D E D != |E| and rho(|E|) > 1
     assert rep.spectral.similarity_residual == pytest.approx(0.2)
     assert min(rep.spectral.rho) > 1.05
+
+
+def test_exact_monotonicity_fails_on_a_declared_sign_against_the_block_rule():
+    # E = 1/2 everywhere obeys the block rule of u = (1, 1) and fixes it,
+    # so scaling passes; the -1 declared at (a, b) lies within the block
+    E = np.full((2, 2), 0.5)
+    rep = certify(log_linear(E, np.array([[1, -1], [1, 1]]), np.ones(2)),
+                  sample_count=4, seed=0)
+    assert rep.mode == "exact" and rep.scaling.verdict == "pass"
+    assert rep.monotonicity == CheckResult("fail", {
+        "row": "a", "column": "b",
+        "reason": "declared sign violates the block rule"})
+    assert not rep.uniqueness_applicable
+    assert exit_code_for_report(rep) == 3
+
+
+def test_a_check_that_raises_reads_error_and_the_report_is_still_made(
+        monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken check")
+
+    sys = log_linear(np.array([[0.6, 0.4], [0.3, 0.7]]), np.ones((2, 2)),
+                     np.ones(2))
+    whole = certify(sys, sample_count=4, seed=0)
+    monkeypatch.setattr(importlib.import_module("scalefix.certify"),
+                        "check_self_interaction", broken)
+    rep = certify(sys, sample_count=4, seed=0)
+    assert rep.self_interaction == CheckResult(
+        "error", {"error": "RuntimeError: broken check"})
+    assert whole.self_interaction.verdict == "pass"
+    # every other line of the report is as without the broken check
+    keys = [parse_report(format_report(r)) for r in (rep, whole)]
+    changed = {k for k in keys[0].keys() | keys[1].keys()
+               if keys[0].get(k) != keys[1].get(k)}
+    assert changed == {"self_interaction.verdict", "self_interaction.error",
+                       "attractivity_applicable"}
+    assert keys[0]["self_interaction.error"] == "RuntimeError: broken check"
+    assert whole.attractivity_applicable and not rep.attractivity_applicable
+
+
+def test_a_zero_entry_in_the_scaling_direction_is_a_monotonicity_error():
+    # F = (a sqrt(b), sqrt(b)) fixes u = (1, 0), which central differences
+    # recover with |u_b| near 1e-10: no block holds b
+    sys = custom(("a", "b"),
+                 lambda x: np.array([x[0] * x[1] ** 0.5, x[1] ** 0.5]))
+    rep = certify(sys, sample_count=4, seed=0)
+    assert rep.mode == "sampled" and rep.scaling.verdict == "evidence-only"
+    assert rep.certificate.u[0] == 1.0
+    assert 0.0 < abs(rep.certificate.u[1]) <= 1e-9
+    assert rep.monotonicity == CheckResult("error", {
+        "error": "scaling direction has a zero entry at 'b'; the block "
+                 "partition is undefined there"})
+    assert rep.partition is None
+    assert rep.spectral is not None and not rep.uniqueness_applicable
 
 
 def test_rotation_is_the_radius_one_borderline():

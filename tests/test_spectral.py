@@ -156,6 +156,18 @@ def test_scc_matches_irreducibility():
         assert single == is_irreducible(A)
 
 
+def test_scc_of_deep_graphs_walks_without_recursion():
+    # Tarjan keeps its walk on a list of frames: a path 3 000 nodes deep,
+    # far beyond Python's recursion limit, under a seeded relabelling
+    n = 3000
+    order = np.random.default_rng(11).permutation(n)
+    chain = np.zeros((n, n))
+    chain[order[:-1], order[1:]] = 1.0
+    assert strongly_connected_components(chain) == [[k] for k in range(n)]
+    chain[order[-1], order[0]] = 1.0        # close the chain into a cycle
+    assert strongly_connected_components(chain) == [list(range(n))]
+
+
 def cycle(n):
     return np.roll(np.eye(n, dtype=bool), 1, axis=1)
 

@@ -88,6 +88,19 @@ def test_evaluation_error_names_coordinate():
     assert exc.value.coordinate == "q"
 
 
+@pytest.mark.parametrize("error, other", [
+    (EvaluationError, DifferentiationError),
+    (DifferentiationError, EvaluationError)])
+def test_the_coordinate_errors_share_their_fields_but_not_a_type(error,
+                                                                 other):
+    # an except clause that names one of them catches only that one
+    assert issubclass(error, RuntimeError) and not issubclass(error, other)
+    plain, named = error("message"), error("message", "b")
+    assert (str(plain), plain.coordinate, plain.sample_index) == \
+        ("message", None, None)
+    assert (named.coordinate, named.sample_index) == ("b", None)
+
+
 @pytest.mark.parametrize("at", [0, 2, 4])
 @pytest.mark.parametrize("last", [3.0, np.nan])
 @pytest.mark.parametrize("bad, shown", [
