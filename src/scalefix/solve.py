@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from scalefix.spectral import quotient_norm
-from scalefix.system import EvaluationError, PositiveSystem, StateVector, log_transform
+from scalefix.system import EvaluationError, PositiveSystem, StateVector, _quiet_fp
 
 __all__ = [
     "NumeraireRule",
@@ -83,8 +83,9 @@ class SolveOptions:
             raise ValueError("tol must be positive and finite")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        m = self.max_iter     # bool is an int subclass; range() takes no float
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,12 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
     rule naming no coordinate raises NormalizationError before F runs.
     A run only reports converged once the quotient step is below tol AND
     the relative residual max_j |F(x)_j - x_j| / x_j is below tol.
+
+    One iteration evaluates F once, at exp z, takes the log of its
+    output, checked by one test that a sum over its entries is finite,
+    and forms the damped update and the two step norms.  The loop runs
+    inside one errstate, entered once per solve, under which F's
+    overflow and invalid values become an evaluation-failed result.
     """
     if x0.labels != sys.labels:
         raise ValueError("x0 belongs to a different system")
@@ -142,63 +149,56 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
             raise ValueError("gauge from u needs every u_j finite and nonzero")
         _pinned(x0.labels, u, opts.numeraire_rule)
 
-    d = opts.damping
-    z = np.log(x0.values)
+    F, d, z = sys.evaluate_values, opts.damping, np.log(x0.values)
     gauge_steps: list[float] = []
     quot_steps: list[float] = []
-
-    def result(status: Status, zz, iters, c=1.0, msg="") -> SolveResult:
-        sg = np.asarray(gauge_steps)
-        sq = np.asarray(quot_steps)
-        return SolveResult(
-            x_star=sys.state(np.exp(zz)),
-            status=status,
-            iterations=iters,
-            step_gauge=sg,
-            step_quotient=sq,
-            normalization_scalar=c,
-            decay_rate=_decay_rate(sg),
-            message=msg,
-        )
-
-    try:
-        Gz = log_transform(z, sys)
-    except EvaluationError as exc:
-        return result("evaluation-failed", z, 0, msg=str(exc))
-
-    for it in range(1, opts.max_iter + 1):
-        # d == 1 is exact: 0*z + 1*Gz is Gz for finite z
-        z_next = Gz if d == 1.0 else (1.0 - d) * z + d * Gz
-        step = z_next - z
-        if u is None:
-            sg = sq = float(np.abs(step).max())
-        else:
-            # |step|/|u| is |step/u| bit for bit, so one quotient gives
-            # the gauge norm and half the spread
-            q = step / u
-            hi, lo = q.max(), q.min()
-            sg, sq = float(max(hi, -lo)), float(0.5 * (hi - lo))
-        gauge_steps.append(sg)
-        quot_steps.append(sq)
+    status, it, msg = "evaluation-failed", 0, ""
+    with _quiet_fp():
         try:
-            Gz_next = log_transform(z_next, sys)
+            Gz = sys._checked(F(np.exp(z)))[1]
+            for it in range(1, opts.max_iter + 1):
+                # d == 1 is exact: 0*z + 1*Gz is Gz for finite z
+                z_next = Gz if d == 1.0 else (1.0 - d) * z + d * Gz
+                step = z_next - z
+                if u is None:
+                    sg = sq = float(np.abs(step).max())
+                else:
+                    # |step|/|u| is |step/u| bit for bit, so one quotient
+                    # gives the gauge norm and half the spread
+                    q = step / u
+                    hi, lo = q.max(), q.min()
+                    sg, sq = float(max(hi, -lo)), float(0.5 * (hi - lo))
+                gauge_steps.append(sg)
+                quot_steps.append(sq)
+                # an EvaluationError here ends the run on iterate z
+                Gz_next = sys._checked(F(np.exp(z_next)))[1]
+                if sq <= opts.tol and float(np.max(np.abs(np.expm1(
+                        Gz_next - z_next)))) <= opts.tol:
+                    status, z = "converged", z_next
+                    break
+                z, Gz = z_next, Gz_next
+            else:
+                status = "budget-exhausted"
+                msg = (f"no convergence in {opts.max_iter} iterations; "
+                       f"last steps gauge={gauge_steps[-1]:.3e} "
+                       f"quotient={quot_steps[-1]:.3e}")
         except EvaluationError as exc:
-            return result("evaluation-failed", z, it, msg=str(exc))
-        if sq <= opts.tol:
-            residual = float(np.max(np.abs(np.expm1(Gz_next - z_next))))
-            if residual <= opts.tol:
-                x = sys.state(np.exp(z_next))
-                if u is not None:
-                    x_norm, c = normalize(x, u, opts.numeraire_rule)
-                    return result("converged", np.log(x_norm.values), it, c)
-                return result("converged", z_next, it)
-        z, Gz = z_next, Gz_next
-
-    return result(
-        "budget-exhausted", z, opts.max_iter,
-        msg=(f"no convergence in {opts.max_iter} iterations; "
-             f"last steps gauge={gauge_steps[-1]:.3e} "
-             f"quotient={quot_steps[-1]:.3e}"))
+            msg = str(exc)
+    c = 1.0
+    if status == "converged" and u is not None:
+        x_norm, c = normalize(sys.state(np.exp(z)), u, opts.numeraire_rule)
+        z = np.log(x_norm.values)
+    sg = np.asarray(gauge_steps)
+    return SolveResult(
+        x_star=sys.state(np.exp(z)),
+        status=status,
+        iterations=it,
+        step_gauge=sg,
+        step_quotient=np.asarray(quot_steps),
+        normalization_scalar=c,
+        decay_rate=_decay_rate(sg),
+        message=msg,
+    )
 
 
 def up_to_scale_distance(x: StateVector, y: StateVector, u) -> float:

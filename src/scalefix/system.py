@@ -23,6 +23,7 @@ wage coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping
@@ -93,6 +94,16 @@ class DifferentiationError(_CoordinateError):
     """
 
 
+def _positive(v: NDArray, labels, message: str) -> None:
+    """EvaluationError at the first v_j that is not positive and finite,
+    if any, with message.format(its label, v_j)."""
+    bad = ~(np.isfinite(v) & (v > 0.0))
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise EvaluationError(message.format(labels[j], float(v[j])),
+                              coordinate=labels[j])
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Strictly positive point in the system's domain; values is a
@@ -108,14 +119,8 @@ class StateVector:
         object.__setattr__(self, "labels", labels)
         if vals.ndim != 1 or len(labels) != vals.shape[0]:
             raise ValueError("values and labels must have matching length")
-        bad = ~(np.isfinite(vals) & (vals > 0.0))
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            raise EvaluationError(
-                f"coordinate {labels[j]!r} is {float(vals[j])}; "
-                "state entries must be positive and finite",
-                coordinate=labels[j],
-            )
+        _positive(vals, labels, "coordinate {0!r} is {1}; state entries "
+                  "must be positive and finite")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -443,22 +448,27 @@ class PositiveSystem:
                                        f"expected {self._support.flat.shape}")
         return v
 
-    def _eval_checked(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        # overflow/invalid deliberately silenced: the finiteness check
-        # below turns them into coordinate-named errors
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            y = _numeric(self.evaluate_values(x), EvaluationError, "evaluate")
-        if y.shape != (self.dimension,):
+    def _checked(self, y) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """y, an output of evaluate_values, as a float array with one
+        positive finite value per coordinate, and log y; else
+        EvaluationError.  One test: the sum of (log y_j)^2, each at most
+        745^2, is finite exactly when every y_j is positive and finite.
+        Run under _quiet_fp(): a cast may overflow, and the log of a 0
+        or negative y_j warns."""
+        y = _numeric(y, EvaluationError, "evaluate")
+        if y.shape != (len(self.labels),):
             raise EvaluationError(
                 f"evaluate returned shape {y.shape}, expected ({self.dimension},)")
-        if not (0.0 < y.min() and y.max() < np.inf):    # NaN fails both
-            j = int(np.flatnonzero(~(np.isfinite(y) & (y > 0.0)))[0])
-            raise EvaluationError(
-                f"evaluate produced {float(y[j])} at coordinate "
-                f"{self.labels[j]!r}",
-                coordinate=self.labels[j],
-            )
-        return y
+        g = np.log(y)
+        if not math.isfinite(g.dot(g)):     # BLAS: faster than g.sum()
+            _positive(y, self.labels, "evaluate produced {1} at coordinate {0!r}")
+        return y, g
+
+    def _eval_checked(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        # overflow/invalid deliberately silenced: the finiteness check
+        # turns them into coordinate-named errors
+        with _quiet_fp():
+            return self._checked(self.evaluate_values(x))[0]
 
     def evaluate(self, x: StateVector) -> StateVector:
         if x.labels != self.labels:
@@ -475,10 +485,23 @@ def _support_dg(sys: PositiveSystem, x: StateVector) -> _DG:
     return dg if np.isfinite(v).all() and v.all() else dg.dense
 
 
+def _quiet_fp():
+    """The errstate under which F runs and its output is checked: F's
+    overflow, invalid and divide results become EvaluationErrors."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def log_transform(z, sys: PositiveSystem) -> NDArray[np.float64]:
-    """G(z) = log F(exp z); fixed points of G are fixed points of F."""
-    z = np.asarray(z, dtype=float)
-    return np.log(sys._eval_checked(np.exp(z)))
+    """G(z) = log F(exp z); fixed points of G are fixed points of F.
+
+    One call evaluates F once, at exp z, and takes the log of its
+    output, checked by one test that a sum over its entries is finite:
+    EvaluationError if any F_j is not positive and finite, or if F's
+    output is not one number per coordinate.
+    """
+    x = np.exp(np.asarray(z, dtype=float))
+    with _quiet_fp():
+        return sys._checked(sys.evaluate_values(x))[1]
 
 
 def elasticity_at(sys: PositiveSystem, x: StateVector) -> ElasticityMatrix:

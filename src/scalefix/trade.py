@@ -401,40 +401,54 @@ def _multi_sector_layout(M, J, S, *blocks):
 
 
 def build_multi_sector(p: MultiSectorParams) -> PositiveSystem:
-    """System of dimension 2JS + J over (OMEGA[i][s], P[i][s], W[i])."""
+    """System of dimension 2JS + J over (OMEGA[i][s], P[i][s], W[i]).
+
+    One evaluation takes the wage powers W^e_p and W^e_self of every
+    sector in one power call and W^e_w in one more, then both sector
+    blocks in one matmul over a (2S, J, J) stack whose halves are the
+    OMEGA and P kernels, and the wage rows as sums over sectors.
+    """
     J, S = p.J, p.S
     JS = J * S
     Theta = p.Theta
     K, KP = _sector_kernels(p)
-    KOm = K * (p.alpha * p.L[:, None]).T[:, None, :]
+    # the OMEGA kernel over the P kernel, one (2S, J, J) stack
+    KK = np.concatenate([K * (p.alpha * p.L[:, None]).T[:, None, :], KP])
     e_w = 1.0 / (1.0 + Theta)
     e_p = -p.theta * e_w                 # (S,) exponent of W in the P rows
     e_self = (Theta - p.theta) * e_w     # (S,) exponent of W in its own row
+    # W ** e_w stays a scalar power: numpy takes x ** 0.5 (Theta = 1) as
+    # sqrt, whose last bit an array exponent's pow does not always match
+    e_pw = np.concatenate([e_p, e_self])[:, None]
     n = 2 * JS + J
 
     def terms(x):
+        # t[:S] the OMEGA terms W^e_w / P, t[S:2S] the P terms W^e_p and
+        # t[2S:] W^e_self, all (S, J); t_W the wage terms, (J, S) in C
+        # order, as numpy lays out a product of a C and an F operand:
+        # the bits of its row sums hang on that order
         om, pp, W = _unpack(x, J, S)
-        t_om = W ** e_w / pp.T                               # (S, J)
-        t_pp = W ** e_p[:, None]                             # (S, J)
-        t_W = (om / p.L[:, None]) * W[:, None] ** e_self[None, :]
-        return t_om, t_pp, t_W
+        t = np.empty((3 * S, J))
+        np.power(W, e_pw, out=t[S:])
+        np.divide(W ** e_w, pp.T, out=t[:S])
+        return t, (om / p.L[:, None]) * t[2 * S:].T
 
     def evaluate(x):
-        t_om, t_pp, t_W = terms(x)
+        t, t_W = terms(x)
         y = np.empty(n)
-        y[:JS].reshape(J, S).T[...] = _matvec(KOm, t_om)
-        y[JS:2 * JS].reshape(J, S).T[...] = _matvec(KP, t_pp)
+        y[:2 * JS].reshape(2, J, S).transpose(0, 2, 1)[...] = \
+            _matvec(KK, t[:2 * S]).reshape(2, S, J)
         t_W.sum(axis=1, out=y[2 * JS:])
         return y
 
     def blocks(x):
-        t_om, t_pp, t_W = terms(x)
-        sh_om = _shares(KOm, t_om)
+        t, t_W = terms(x)
+        sh_om = _shares(KK[:S], t[:S])
         sh_W = t_W / t_W.sum(axis=1)[:, None]
         # row by row: a single (J, S) @ (S,) matvec moves the last bit
         w_w = np.matmul(sh_W[:, None, :], e_self[:, None])[:, 0, 0]
-        return (-sh_om, sh_om * e_w, _shares(KP, t_pp) * e_p[:, None, None],
-                sh_W, w_w)
+        return (-sh_om, sh_om * e_w,
+                _shares(KK[S:], t[S:2 * S]) * e_p[:, None, None], sh_W, w_w)
 
     def elasticity(x):
         # + 0.0 turns the -0.0 of a dead term, off the support, into +0.0

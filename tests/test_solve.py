@@ -17,7 +17,7 @@ from scalefix.solve import (
     up_to_scale_distance,
 )
 from scalefix.spectral import gauge_norm, quotient_norm
-from scalefix.system import PositiveSystem, log_transform
+from scalefix.system import EvaluationError, PositiveSystem, log_transform
 from scalefix.trade import (
     MultiSectorParams,
     OneSectorParams,
@@ -155,17 +155,29 @@ def test_budget_exhausted_carries_diagnostics():
     assert res.step_gauge.shape == (50,)
 
 
-def test_evaluation_failure_keeps_last_iterate():
-    def blow_up(x):
-        with np.errstate(over="ignore"):
-            return np.array([x[0] ** 3, 2.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, "overflow",
+                                 "shape"])
+def test_evaluation_failure_keeps_last_iterate(bad):
+    # G(z) = (z_a + 1, 0) from z = 0, so iteration 3 evaluates F at
+    # z_a = 3, where F goes wrong; the result keeps iterate 2.  An
+    # overflow inside F warns nowhere: iterate's errstate covers F
+    def F(x):
+        if x[0] < np.exp(2.5):
+            return np.array([np.e * x[0], 1.0])
+        if bad == "overflow":
+            return np.array([x[0] ** 400, 1.0])
+        return np.ones(3) if bad == "shape" else np.array([bad, 1.0])
 
-    sys = PositiveSystem(labels=("a", "b"), evaluate_values=blow_up)
-    res = iterate(sys, sys.state([np.exp(2.0), 1.0]),
+    sys = PositiveSystem(labels=("a", "b"), evaluate_values=F)
+    res = iterate(sys, sys.state([1.0, 1.0]),
                   opts=SolveOptions(max_iter=100))
     assert res.status == "evaluation-failed"
-    assert "a" in res.message
-    assert np.all(res.x_star.values > 0)
+    assert res.iterations == 3
+    assert res.x_star.values == pytest.approx([np.exp(2.0), 1.0])
+    with pytest.raises(EvaluationError) as err:
+        sys.evaluate(sys.state(np.exp(log_transform(
+            np.log(res.x_star.values), sys))))
+    assert res.message == str(err.value)
 
 
 def test_malformed_evaluation_is_an_evaluation_failure():
@@ -222,17 +234,21 @@ def test_step_traces_are_the_public_norms_bit_for_bit(with_u):
         gauge if u is None else [quotient_norm(step, u, v) for step in steps])
 
 
-def multi_4x2():
-    rng = np.random.default_rng(8)
-    tau = 1.0 + rng.uniform(0.05, 1.2, (4, 4, 2))
-    for s in range(2):
+def random_multi(J, S, seed, theta, sigma):
+    rng = np.random.default_rng(seed)
+    tau = 1.0 + rng.uniform(0.05, 1.2, (J, J, S))
+    for s in range(S):
         np.fill_diagonal(tau[:, :, s], 1.0)
-    alpha = rng.uniform(0.2, 1.0, (4, 2))
+    alpha = rng.uniform(0.2, 1.0, (J, S))
     alpha /= alpha.sum(axis=1, keepdims=True)
-    return MultiSectorParams(A=rng.uniform(0.5, 2.0, (4, 2)), tau=tau,
-                             alpha=alpha, L=rng.uniform(0.5, 2.0, 4),
-                             theta=np.array([3.0, 6.5]),
-                             sigma=np.array([2.2, 3.6]))
+    return MultiSectorParams(A=rng.uniform(0.5, 2.0, (J, S)), tau=tau,
+                             alpha=alpha, L=rng.uniform(0.5, 2.0, J),
+                             theta=np.asarray(theta, dtype=float),
+                             sigma=np.asarray(sigma, dtype=float))
+
+
+def multi_4x2():
+    return random_multi(4, 2, 8, [3.0, 6.5], [2.2, 3.6])
 
 
 def recording(sys):
@@ -286,24 +302,44 @@ def test_solve_loop_is_the_damped_formula_bit_for_bit(model, gauge,
 
 
 def test_multi_sector_evaluate_is_the_concatenated_blocks_bit_for_bit():
-    p = multi_4x2()
-    J, S = p.J, p.S
-    K, KP = _sector_kernels(p)
-    KOm = K * (p.alpha * p.L[:, None]).T[:, None, :]
-    e_w = 1.0 / (1.0 + p.Theta)
-    e_self = (p.Theta - p.theta) * e_w
-    evaluate = build_multi_sector(p).evaluate_values
+    # F, which takes its wage powers in one call and both sector blocks
+    # in one stacked matmul, against the blocks taken one at a time
+    base = multi_4x2()
+    fields = {k: getattr(base, k)
+              for k in ("A", "tau", "alpha", "L", "theta", "sigma")}
+    tau = base.tau.copy()
+    tau[0, 1, 1] = np.inf
+    alpha = base.alpha.copy()
+    alpha[2] = [0.0, 1.0]
+    cases = [
+        (base, 4.0),
+        (base, 30.0),                   # states far beyond e^+-4
+        (MultiSectorParams(**{**fields, "tau": tau}), 4.0),
+        (MultiSectorParams(**{**fields, "alpha": alpha}), 4.0),
+        # S = 1 and J = 2, at Theta = 1, where numpy takes W ** 0.5 as sqrt
+        (random_multi(2, 1, 3, [1.0], [1.5]), 4.0),
+        # nine terms per wage row, past the block of numpy's pairwise sum
+        (random_multi(3, 9, 4, np.linspace(2.0, 6.0, 9),
+                      np.full(9, 1.5)), 4.0),
+    ]
     rng = np.random.default_rng(21)
-    for _ in range(20):
-        x = np.exp(rng.uniform(-4.0, 4.0, 2 * J * S + J))
-        om, pp, W = _unpack(x, J, S)
-        t_om = W ** e_w / pp.T
-        t_pp = W ** (-p.theta * e_w)[:, None]
-        t_W = (om / p.L[:, None]) * W[:, None] ** e_self[None, :]
-        expected = np.concatenate([_matvec(KOm, t_om).T.ravel(),
-                                   _matvec(KP, t_pp).T.ravel(),
-                                   t_W.sum(axis=1)])
-        assert evaluate(x).tobytes() == expected.tobytes()
+    for p, spread in cases:
+        J, S = p.J, p.S
+        K, KP = _sector_kernels(p)
+        KOm = K * (p.alpha * p.L[:, None]).T[:, None, :]
+        e_w = 1.0 / (1.0 + p.Theta)
+        e_self = (p.Theta - p.theta) * e_w
+        evaluate = build_multi_sector(p).evaluate_values
+        for _ in range(20):
+            x = np.exp(rng.uniform(-spread, spread, 2 * J * S + J))
+            om, pp, W = _unpack(x, J, S)
+            t_om = W ** e_w / pp.T
+            t_pp = W ** (-p.theta * e_w)[:, None]
+            t_W = (om / p.L[:, None]) * W[:, None] ** e_self[None, :]
+            expected = np.concatenate([_matvec(KOm, t_om).T.ravel(),
+                                       _matvec(KP, t_pp).T.ravel(),
+                                       t_W.sum(axis=1)])
+            assert evaluate(x).tobytes() == expected.tobytes(), (J, S)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
@@ -323,6 +359,14 @@ def test_options_validation():
         SolveOptions(damping=0.0)
     with pytest.raises(ValueError):
         SolveOptions(damping=1.5)
+    # range() would raise a bare TypeError on 2.5, and True ran one
+    # iteration and reported iterations == True
+    for max_iter in (2.5, True, False, 10.0):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at"):
+            SolveOptions(max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+        SolveOptions(max_iter=0)
+    assert SolveOptions(max_iter=np.int64(3)).max_iter == 3
 
 
 # ------------------------------------------------- up-to-scale distance
