@@ -11,6 +11,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -145,7 +146,10 @@ def run_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves
+    it unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="scalefix",
         description="Solve and certify positive fixed-point systems.")

@@ -227,9 +227,11 @@ def load_run_config(path: str) -> RunConfig:
     damping = _number(f"{path}: [solve] damping", sv.pop("damping", "1"))
     max_iter = _number(f"{path}: [solve] max_iter",
                        sv.pop("max_iter", "10000"), int)
+    anderson = _number(f"{path}: [solve] anderson",
+                       sv.pop("anderson", "5"), int)
     try:
         solve = SolveOptions(
-            tol=tol, max_iter=max_iter, damping=damping,
+            tol=tol, max_iter=max_iter, damping=damping, anderson=anderson,
             numeraire_rule=_parse_numeraire(
                 sv.pop("numeraire", "first-coordinate-one")),
         )

@@ -1,6 +1,9 @@
 """Fixed-point iteration in log coordinates with up-to-scale stopping.
 
-The iteration is z_{n+1} = (1-d) z_n + d G(z_n) with G = log o F o exp.
+The plain iteration is z_{n+1} = (1-d) z_n + d G(z_n) with
+G = log o F o exp; by default safeguarded Anderson mixing over the last
+few steps accelerates it, falling back to the plain step when a mixed
+step does not reduce the residual.
 Convergence is judged on the quotient of log space by the scaling
 direction u (plain gauge norm when no u is known), then re-verified as a
 relative residual on F itself before a run is reported converged.
@@ -8,6 +11,7 @@ relative residual on F itself before a run is reported converged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Literal
@@ -77,15 +81,23 @@ class SolveOptions:
     max_iter: int = 10_000
     numeraire_rule: NumeraireRule = field(default_factory=NumeraireRule)
     damping: float = 1.0
+    anderson: int = 5
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:     # NaN fails too
             raise ValueError("tol must be positive and finite")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        m = self.max_iter     # bool is an int subclass; range() takes no float
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        if not _integer_at_least(self.max_iter, 1):
             raise ValueError("max_iter must be an integer of at least 1")
+        if not _integer_at_least(self.anderson, 0):
+            raise ValueError("anderson must be an integer of at least 0")
+
+
+def _integer_at_least(value, low: int) -> bool:
+    # bool is an int subclass; range() and array shapes take no float
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, np.integer)) and value >= low)
 
 
 @dataclass(frozen=True)
@@ -123,9 +135,57 @@ def _decay_rate(steps: NDArray[np.float64]) -> float | None:
     return float((b / a) ** (1.0 / (n - 1 - m)))
 
 
+# after this many rejected mixed steps a solve runs plain to the end, so
+# the plain iteration's convergence covers every certified model
+MAX_REJECTIONS = 8
+
+
+class _Mixing:
+    """Anderson's history of the last m differences of the residual f and
+    of the damped map g, in a preallocated ring, with the Gram matrix of
+    the f differences updated one row per step."""
+
+    __slots__ = ("dF", "dG", "gram", "k", "slot", "rejections")
+
+    def __init__(self, m: int, n: int):
+        self.dF, self.dG = np.empty((m, n)), np.empty((m, n))
+        self.gram = np.empty((m, m))
+        self.k = self.slot = self.rejections = 0
+
+    def record(self, f_new, f, g_new, g) -> None:
+        p, k = self.slot, min(self.k + 1, self.gram.shape[0])
+        dF = self.dF[:k]
+        np.subtract(f_new, f, out=self.dF[p])
+        np.subtract(g_new, g, out=self.dG[p])
+        row = dF @ dF[p]
+        self.gram[p, :k] = row
+        self.gram[:k, p] = row
+        self.k, self.slot = k, (p + 1) % self.gram.shape[0]
+
+    def proposal(self, f, g):
+        """g - dG^T gamma with gamma minimising |f - dF^T gamma|, from the
+        Gram system; None when that system is singular or its solution
+        not finite."""
+        k = self.k
+        try:
+            gamma = np.linalg.solve(self.gram[:k, :k], self.dF[:k] @ f)
+        except np.linalg.LinAlgError:
+            return None
+        if not math.isfinite(gamma.dot(gamma)):
+            return None
+        return g - gamma @ self.dG[:k]
+
+    def reject(self) -> bool:
+        """Clear the history; False once the solve must run plain."""
+        self.k = self.slot = 0
+        self.rejections += 1
+        return self.rejections < MAX_REJECTIONS
+
+
 def iterate(sys: PositiveSystem, x0: StateVector, u=None,
             opts: SolveOptions = SolveOptions()) -> SolveResult:
-    """Run the damped fixed-point iteration from x0.
+    """Run the damped fixed-point iteration from x0, with safeguarded
+    Anderson mixing of depth opts.anderson (0: the plain iteration).
 
     When u is given it must be finite and nonzero in every coordinate;
     |u| is the gauge, steps are measured modulo span(u), and a numeraire
@@ -133,11 +193,20 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
     A run only reports converged once the quotient step is below tol AND
     the relative residual max_j |F(x)_j - x_j| / x_j is below tol.
 
-    One iteration evaluates F once, at exp z, takes the log of its
-    output, checked by one test that a sum over its entries is finite,
-    and forms the damped update and the two step norms.  The loop runs
-    inside one errstate, entered once per solve, under which F's
-    overflow and invalid values become an evaluation-failed result.
+    The plain step is z -> g(z) = (1-d) z + d G(z).  Mixing (Walker & Ni,
+    Type II) proposes g(z) - dG^T gamma, where gamma fits the residual
+    f = g(z) - z by the last m differences dF of f, and keeps it only
+    when max|f| falls there.  A proposal that is not kept, whose
+    least-squares system is singular, or where F fails, clears the
+    history and the plain step is taken; after MAX_REJECTIONS such
+    rejections the run is plain to the end.  Only a failure of F at a
+    plain step ends the run as evaluation-failed, on the last iterate.
+    The step traces record the steps taken.
+
+    Each evaluation of F takes the log of its output, checked by one
+    test that a sum over its entries is finite.  The loop runs inside
+    one errstate, entered once per solve, under which F's overflow and
+    invalid values become an evaluation failure.
     """
     if x0.labels != sys.labels:
         raise ValueError("x0 belongs to a different system")
@@ -150,15 +219,42 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
         _pinned(x0.labels, u, opts.numeraire_rule)
 
     F, d, z = sys.evaluate_values, opts.damping, np.log(x0.values)
+    mix = _Mixing(opts.anderson, z.size) if opts.anderson else None
     gauge_steps: list[float] = []
     quot_steps: list[float] = []
     status, it, msg = "evaluation-failed", 0, ""
+
+    def at(v, residual: bool):
+        """G(v), g(v), and with residual f(v) and max|f(v)|; raises
+        EvaluationError where F fails at v."""
+        Gv = sys._checked(F(np.exp(v)))[1]
+        # d == 1 is exact: 0*v + 1*Gv is Gv for finite v
+        gv = Gv if d == 1.0 else (1.0 - d) * v + d * Gv
+        if not residual:
+            return Gv, gv, None, None
+        fv = gv - v
+        return Gv, gv, fv, np.abs(fv).max()
+
     with _quiet_fp():
         try:
-            Gz = sys._checked(F(np.exp(z)))[1]
+            _, g, f, fmax = at(z, mix is not None)
             for it in range(1, opts.max_iter + 1):
-                # d == 1 is exact: 0*z + 1*Gz is Gz for finite z
-                z_next = Gz if d == 1.0 else (1.0 - d) * z + d * Gz
+                z_next = None
+                if mix is not None and mix.k:
+                    z_next = mix.proposal(f, g)
+                    if z_next is not None:
+                        try:
+                            Gz_next, g_next, f_next, fmax_next = at(z_next,
+                                                                    True)
+                        except EvaluationError:
+                            fmax_next = math.nan
+                    if z_next is None or not fmax_next < fmax:  # NaN fails
+                        z_next = None
+                        if not mix.reject():
+                            mix = None
+                plain = z_next is None
+                if plain:
+                    z_next = g
                 step = z_next - z
                 if u is None:
                     sg = sq = float(np.abs(step).max())
@@ -170,13 +266,18 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
                     sg, sq = float(max(hi, -lo)), float(0.5 * (hi - lo))
                 gauge_steps.append(sg)
                 quot_steps.append(sq)
-                # an EvaluationError here ends the run on iterate z
-                Gz_next = sys._checked(F(np.exp(z_next)))[1]
+                if plain:
+                    # an EvaluationError here ends the run on iterate z
+                    Gz_next, g_next, f_next, fmax_next = at(z_next,
+                                                            mix is not None)
                 if sq <= opts.tol and float(np.max(np.abs(np.expm1(
                         Gz_next - z_next)))) <= opts.tol:
                     status, z = "converged", z_next
                     break
-                z, Gz = z_next, Gz_next
+                if mix is not None:
+                    mix.record(f_next, f, g_next, g)
+                    f, fmax = f_next, fmax_next
+                z, g = z_next, g_next
             else:
                 status = "budget-exhausted"
                 msg = (f"no convergence in {opts.max_iter} iterations; "

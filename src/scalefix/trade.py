@@ -261,11 +261,13 @@ class GeneralParams(_Sectored):
 # ------------------------------------------------------------- labels
 
 
+@functools.lru_cache(maxsize=128)
 def indexed_labels(name: str, *shape: int) -> tuple[str, ...]:
     """One `name[i][j]...` label per entry of an array of this shape, in
     C order with 1-based indices: indexed_labels("R", 2, 1) is
     ("R[1][1]", "R[2][1]").  Every state, outcome and delta label is
-    built here."""
+    built here, once per (name, shape) while it stays among the last 128
+    asked for."""
     labels = [name]
     for n in shape:     # one axis at a time, the last varying fastest
         idx = [f"[{k}]" for k in range(1, n + 1)]

@@ -319,14 +319,17 @@ def test_solve_symmetric_countries_match(tmp_path):
 
 
 def test_solve_different_starts_same_file(tmp_path):
-    cfg = symmetric_one_sector(tmp_path)
-    main(["solve", "--config", cfg, "--out", str(tmp_path / "a"),
-          "--seed", "11", "--quiet"])
-    main(["solve", "--config", cfg, "--out", str(tmp_path / "b"),
-          "--seed", "12", "--quiet"])
-    ea = (tmp_path / "a" / "equilibrium.txt").read_bytes()
-    eb = (tmp_path / "b" / "equilibrium.txt").read_bytes()
-    assert ea == eb
+    # mixed (the default) and plain, from the all-ones start and five
+    # seeded ones
+    for anderson in ("", "[solve]\nanderson = 0\n"):
+        cfg = symmetric_one_sector(tmp_path, extra=anderson)
+        files = set()
+        for seed in ([], ["--seed", "11"], ["--seed", "12"],
+                     ["--seed", "13"], ["--seed", "14"], ["--seed", "15"]):
+            assert main(["solve", "--config", cfg, "--out",
+                         str(tmp_path / "a"), "--quiet", *seed]) == 0
+            files.add((tmp_path / "a" / "equilibrium.txt").read_bytes())
+        assert len(files) == 1, anderson
 
 
 def test_solve_budget_of_one_exits_4(tmp_path, capsys):
@@ -382,9 +385,11 @@ def test_numeraire_naming_no_coordinate_exits_2(command, rule, named,
 def test_evaluation_failure_exits_2_and_an_exhausted_budget_4(command,
                                                               tmp_path,
                                                               capsys):
-    # F overflows within this general model's first iterations; a
-    # counterfactual names the solve that failed, and where F failed
-    failing = save_parameters(general_params(), str(tmp_path / "general"))
+    # F overflows on this general model, mixed or not (the 2x2 one
+    # converges mixed); a counterfactual names the solve that failed,
+    # and where F failed
+    failing = save_parameters(general_params(J=3),
+                              str(tmp_path / "general"))
     budget = symmetric_one_sector(tmp_path, extra="[solve]\nmax_iter = 1\n")
     out = tmp_path / "run"
     cases = [(failing, "tau[1][2][1] *= 1.2\n", 2,
@@ -393,10 +398,11 @@ def test_evaluation_failure_exits_2_and_an_exhausted_budget_4(command,
              (budget, "A[1] *= 2\n", 4, "no convergence in 1 iterations",
               r"base solve did not converge \(budget-exhausted\): no ")]
     if command == "counterfactual":
-        # the base model converges within 40 iterations, the shocked not
+        # unmixed, the base model converges within 40 iterations, the
+        # shocked not
         (tmp_path / "slow").mkdir()
-        slow = symmetric_one_sector(tmp_path / "slow",
-                                    extra="[solve]\nmax_iter = 40\n")
+        slow = symmetric_one_sector(
+            tmp_path / "slow", extra="[solve]\nmax_iter = 40\nanderson = 0\n")
         cases.append((slow, "A[1] *= 2\n", 4,
                       "no convergence in 40 iterations",
                       r"shocked solve did not converge \(budget-exhausted\)"))
@@ -580,6 +586,23 @@ def test_nan_parameter_exits_2_without_a_report(name, old, new, tmp_path,
     assert not (out / "report.txt").exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("-1", "[solve] anderson must be an integer of at least 0"),
+    ("2.5", "[solve] anderson: '2.5' is not an integer"),
+    ("true", "[solve] anderson: 'true' is not an integer"),
+    ("", "[solve] anderson: '' is not an integer")])
+def test_anderson_not_a_nonnegative_integer_exits_2(value, message,
+                                                    tmp_path, capsys):
+    cfg = symmetric_one_sector(tmp_path,
+                               extra=f"[solve]\nanderson = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(cfg)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_tol_not_positive_and_finite_exits_2(tol, tmp_path, capsys):
     cfg = symmetric_one_sector(tmp_path, extra=f"[solve]\ntol = {tol}\n")
@@ -711,6 +734,27 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["certify"]) == 2  # --config is required
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; a call leaves nothing in it
+    # that changes the next call's outputs or exit code
+    cfg = symmetric_one_sector(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    outputs = []
+    for out in ("a", "b"):
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / out), "--seed", "3"]) == 0
+        assert main(["bogus"]) == 2
+        assert main(["certify", "--config", cfg, "--out",
+                     str(tmp_path / out), "--quiet"]) == 0
+        outputs.append((capsys.readouterr(),
+                        *((tmp_path / out / name).read_bytes() for name in
+                          ("trace.csv", "equilibrium.txt", "report.txt"))))
+    first, second = outputs
+    assert first[0].out.replace("/a/", "/b/") == second[0].out
+    assert first[0].err == second[0].err and "invalid choice" in first[0].err
+    assert first[1:] == second[1:]
 
 
 @pytest.mark.parametrize("command, config_seed, cli_seed, named", [

@@ -6,8 +6,11 @@ search over the scale factor for the up-to-scale distance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalefix.solve import (
+    MAX_REJECTIONS,
     NormalizationError,
     NumeraireRule,
     SolveOptions,
@@ -128,7 +131,7 @@ def test_multi_start_up_to_scale_agreement():
 def test_monotone_step_decay():
     A = np.array([[0.0, 0.7], [0.6, 0.0]])
     sys = loglinear(A, [0.1, -0.2])
-    res = iterate(sys, sys.state([9.0, 0.02]))
+    res = iterate(sys, sys.state([9.0, 0.02]), opts=SolveOptions(anderson=0))
     assert res.status == "converged"
     diffs = np.diff(res.step_gauge)
     assert np.all(diffs <= 1e-12)
@@ -137,7 +140,8 @@ def test_monotone_step_decay():
 def test_decay_rate_matches_contraction_modulus():
     A = np.array([[0.0, 0.5], [0.4, 0.0]])
     sys = loglinear(A, [0.3, 0.4])
-    res = iterate(sys, sys.state([1.0, 1.0]), opts=SolveOptions(tol=1e-12))
+    res = iterate(sys, sys.state([1.0, 1.0]),
+                  opts=SolveOptions(tol=1e-12, anderson=0))
     want = np.sqrt(0.2)  # dominant eigenvalue modulus of A
     assert res.decay_rate == pytest.approx(want, rel=0.05)
 
@@ -148,7 +152,8 @@ def test_budget_exhausted_carries_diagnostics():
         labels=("a", "b"),
         evaluate_values=lambda x: np.array([x[1], 1.0 / x[0]]),
     )
-    res = iterate(sys, sys.state([2.0, 1.0]), opts=SolveOptions(max_iter=50))
+    res = iterate(sys, sys.state([2.0, 1.0]),
+                  opts=SolveOptions(max_iter=50, anderson=0))
     assert res.status == "budget-exhausted"
     assert res.iterations == 50
     assert "50" in res.message
@@ -222,7 +227,7 @@ def test_step_traces_are_the_public_norms_bit_for_bit(with_u):
                         theta=4.0, sigma=2.0)
     sys = build_one_sector(p)
     u = sys.scaling if with_u else None
-    opts = SolveOptions(damping=0.7, max_iter=60)
+    opts = SolveOptions(damping=0.7, max_iter=60, anderson=0)
     x0 = sys.state(np.exp(np.linspace(-1.0, 1.5, sys.dimension)))
     res = iterate(sys, x0, u=u, opts=opts)
     assert res.status == "converged" and res.iterations > 10
@@ -280,7 +285,7 @@ def test_solve_loop_is_the_damped_formula_bit_for_bit(model, gauge,
         u = np.array([1.5, -0.75, 2.0])
     sys, calls = recording(base)
     u = u if gauge == "u" else None
-    opts = SolveOptions(damping=damping, max_iter=40)
+    opts = SolveOptions(damping=damping, max_iter=40, anderson=0)
     x0 = sys.state(np.exp(np.linspace(-1.5, 2.0, sys.dimension)))
     res = iterate(sys, x0, u=u, opts=opts)
     assert res.iterations > 10 and len(calls) == res.iterations + 1
@@ -299,6 +304,93 @@ def test_solve_loop_is_the_damped_formula_bit_for_bit(model, gauge,
         z = z_next
     assert res.step_gauge.tolist() == gauge_ref
     assert res.step_quotient.tolist() == quot_ref
+
+
+def random_one_sector(J, seed):
+    rng = np.random.default_rng(seed)
+    tau = 1.0 + rng.uniform(0.05, 1.2, (J, J))
+    np.fill_diagonal(tau, 1.0)
+    return OneSectorParams(A=rng.uniform(0.5, 2.0, J), tau=tau,
+                           gamma=rng.uniform(0.3, 0.9, J),
+                           L=rng.uniform(0.5, 2.0, J), theta=4.0, sigma=2.6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["one-sector", "multi-sector"]),
+       J=st.integers(2, 8), S=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
+def test_mixed_and_plain_solves_agree(kind, J, S, seed, spread):
+    # certified models: the mixed loop reaches the plain loop's
+    # normalized point, from any start.  The plain loop stops within
+    # about tol / (1 - rate) of the fixed point, and its rate reaches
+    # 0.99 here, so both run at tol 1e-12
+    if kind == "one-sector":
+        sys = build_one_sector(random_one_sector(J, seed))
+    else:
+        theta = np.random.default_rng(seed).uniform(2.0, 8.0, S)
+        sys = build_multi_sector(random_multi(J, S, seed, theta,
+                                              1.0 + 0.4 * theta))
+    x0 = sys.state(np.exp(np.random.default_rng(seed + 1).uniform(
+        -spread, spread, sys.dimension)))
+    plain = iterate(sys, x0, u=sys.scaling,
+                    opts=SolveOptions(tol=1e-12, anderson=0))
+    mixed = iterate(sys, x0, u=sys.scaling, opts=SolveOptions(tol=1e-12))
+    assert plain.status == mixed.status == "converged"
+    assert mixed.x_star.values == pytest.approx(plain.x_star.values,
+                                                rel=1e-8)
+
+
+@pytest.mark.parametrize("off_path", ["nan", "worse"])
+def test_mixing_falls_back_to_the_plain_loop(off_path):
+    # F agrees with the model on the plain loop's own points only: off
+    # them it fails, or gives a residual larger than any on the path.
+    # Every mixed step is then rejected, each at the cost of one F; after
+    # MAX_REJECTIONS of them the iterates and traces are the plain loop's
+    base = build_multi_sector(multi_4x2())
+    x0 = base.state(np.exp(np.linspace(-1.5, 2.0, base.dimension)))
+    plain_sys, plain_calls = recording(base)
+    plain = iterate(plain_sys, x0, u=base.scaling,
+                    opts=SolveOptions(anderson=0))
+    assert plain.status == "converged"
+    on_path = {x.tobytes() for x, _ in plain_calls}
+    calls = []
+
+    def F(x):
+        calls.append(x)
+        if x.tobytes() in on_path:
+            return base.evaluate_values(x)
+        return np.full_like(x, np.nan) if off_path == "nan" else 1e30 * x
+
+    planted = PositiveSystem(labels=base.labels, evaluate_values=F,
+                             scaling=base.scaling)
+    res = iterate(planted, x0, u=base.scaling)
+    assert res.status == "converged"
+    assert res.iterations == plain.iterations > MAX_REJECTIONS + 1
+    assert len(calls) == len(plain_calls) + MAX_REJECTIONS
+    assert sum(x.tobytes() not in on_path for x in calls) == MAX_REJECTIONS
+    assert res.step_gauge.tolist() == plain.step_gauge.tolist()
+    assert res.step_quotient.tolist() == plain.step_quotient.tolist()
+    assert res.x_star.values.tobytes() == plain.x_star.values.tobytes()
+
+
+def test_mixing_takes_fewer_steps_with_the_same_stopping_test():
+    base = build_multi_sector(multi_4x2())
+    sys, calls = recording(base)
+    x0 = sys.state(np.exp(np.linspace(-1.5, 2.0, sys.dimension)))
+    opts = SolveOptions()
+    plain = iterate(sys, x0, u=base.scaling, opts=SolveOptions(anderson=0))
+    del calls[:]
+    res = iterate(sys, x0, u=base.scaling, opts=opts)
+    assert res.status == "converged"
+    assert 2 * res.iterations <= plain.iterations
+    # one trace row per step taken; F runs once per step and once more
+    # per rejected mixed step, here none
+    assert res.step_gauge.shape == res.step_quotient.shape == \
+        (res.iterations,)
+    assert len(calls) == res.iterations + 1
+    assert res.step_quotient[-1] <= opts.tol
+    x = res.x_star.values
+    assert np.max(np.abs(sys._eval_checked(x) - x) / x) <= 2 * opts.tol
 
 
 def test_multi_sector_evaluate_is_the_concatenated_blocks_bit_for_bit():
@@ -367,6 +459,12 @@ def test_options_validation():
     with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
         SolveOptions(max_iter=0)
     assert SolveOptions(max_iter=np.int64(3)).max_iter == 3
+    for anderson in (-1, 2.5, True, False, 5.0, "5", None):
+        with pytest.raises(ValueError,
+                           match="anderson must be an integer of at least 0"):
+            SolveOptions(anderson=anderson)
+    assert SolveOptions().anderson == 5
+    assert SolveOptions(anderson=np.int64(0)).anderson == 0
 
 
 # ------------------------------------------------- up-to-scale distance
