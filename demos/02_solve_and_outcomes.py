@@ -2,9 +2,12 @@
 
 The solver iterates x -> F(x) in log coordinates, accelerated by
 safeguarded Anderson mixing, measures progress in the norm that ignores
-the free scale, and pins the scale afterwards with a numeraire rule.  From the solved state we recover wages, trade
-shares, price levels and welfare, and check the accounting identities.
+the free scale, and pins the scale afterwards with a numeraire rule.
+From the solved state we recover wages, trade shares, price levels and
+welfare, and check the accounting identities.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,9 +43,13 @@ opts = SolveOptions(tol=1e-12,
 res = iterate(sys_, sys_.state(np.ones(sys_.dimension)),
               u=sys_.scaling, opts=opts)
 print(f"status: {res.status} after {res.iterations} iterations")
-# mixing (on by default) makes this the decay of the steps taken, not
-# the contraction modulus of the plain iteration
-print(f"decay rate of the steps taken: {res.decay_rate:.4f}")
+# the plain iteration alone (anderson=0) reaches the same point in more
+# steps; its step norms decay at about the contraction modulus
+plain = iterate(sys_, sys_.state(np.ones(sys_.dimension)),
+                u=sys_.scaling, opts=replace(opts, anderson=0))
+print(f"plain iteration: {plain.status} after {plain.iterations} "
+      f"iterations")
+print(f"estimated per-step error decay: {plain.decay_rate:.4f}")
 print()
 
 out = recover_outcomes("multi-sector", res.x_star, params)

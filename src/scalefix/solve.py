@@ -106,8 +106,9 @@ class SolveResult:
 
     step_gauge[n] and step_quotient[n] are the gauge and quotient norms
     of z_{n+1} - z_n; decay_rate is the empirical geometric rate fitted
-    to the tail of step_gauge (None when the trace is too short), offered
-    as a diagnostic only since the theory promises no rate.
+    to the tail of step_gauge, offered as a diagnostic only since the
+    theory promises no rate.  It is None when the trace is too short, and
+    when any step taken was mixed, since mixed steps estimate no rate.
     """
 
     x_star: StateVector
@@ -203,6 +204,11 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
     plain step ends the run as evaluation-failed, on the last iterate.
     The step traces record the steps taken.
 
+    Mixing evaluates F at points off the plain iteration's path.  F must
+    report a point outside its domain by returning a value that is not
+    positive and finite, which makes that point a rejection; any
+    exception other than EvaluationError that F raises ends the solve.
+
     Each evaluation of F takes the log of its output, checked by one
     test that a sum over its entries is finite.  The loop runs inside
     one errstate, entered once per solve, under which F's overflow and
@@ -222,7 +228,7 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
     mix = _Mixing(opts.anderson, z.size) if opts.anderson else None
     gauge_steps: list[float] = []
     quot_steps: list[float] = []
-    status, it, msg = "evaluation-failed", 0, ""
+    status, it, msg, mixed = "evaluation-failed", 0, "", False
 
     def at(v, residual: bool):
         """G(v), g(v), and with residual f(v) and max|f(v)|; raises
@@ -255,6 +261,8 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
                 plain = z_next is None
                 if plain:
                     z_next = g
+                else:
+                    mixed = True
                 step = z_next - z
                 if u is None:
                     sg = sq = float(np.abs(step).max())
@@ -297,7 +305,7 @@ def iterate(sys: PositiveSystem, x0: StateVector, u=None,
         step_gauge=sg,
         step_quotient=np.asarray(quot_steps),
         normalization_scalar=c,
-        decay_rate=_decay_rate(sg),
+        decay_rate=None if mixed else _decay_rate(sg),
         message=msg,
     )
 

@@ -385,18 +385,22 @@ def test_numeraire_naming_no_coordinate_exits_2(command, rule, named,
 def test_evaluation_failure_exits_2_and_an_exhausted_budget_4(command,
                                                               tmp_path,
                                                               capsys):
-    # F overflows on this general model, mixed or not (the 2x2 one
-    # converges mixed); a counterfactual names the solve that failed,
-    # and where F failed
-    failing = save_parameters(general_params(J=3),
-                              str(tmp_path / "general"))
+    # F overflows within these general models' first plain iterations,
+    # and mixed too on the 3x2 one (mixed, the 2x2 one converges: see
+    # test_mixing_solves_a_general_model_the_plain_loop_cannot); a
+    # counterfactual names the solve that failed, and where F failed
+    failing = save_parameters(general_params(), str(tmp_path / "general"))
+    with open(failing, "a") as fh:
+        fh.write("[solve]\nanderson = 0\n")
+    mixed = save_parameters(general_params(J=3), str(tmp_path / "general3"))
     budget = symmetric_one_sector(tmp_path, extra="[solve]\nmax_iter = 1\n")
     out = tmp_path / "run"
-    cases = [(failing, "tau[1][2][1] *= 1.2\n", 2,
+    cases = [(cfg, "tau[1][2][1] *= 1.2\n", 2,
               "evaluate produced inf at coordinate 'OMEGA[1][1]'",
-              r"base solve failed at iteration [1-9]\d*: evaluate"),
-             (budget, "A[1] *= 2\n", 4, "no convergence in 1 iterations",
-              r"base solve did not converge \(budget-exhausted\): no ")]
+              r"base solve failed at iteration [1-9]\d*: evaluate")
+             for cfg in (failing, mixed)]
+    cases += [(budget, "A[1] *= 2\n", 4, "no convergence in 1 iterations",
+               r"base solve did not converge \(budget-exhausted\): no ")]
     if command == "counterfactual":
         # unmixed, the base model converges within 40 iterations, the
         # shocked not
@@ -416,6 +420,30 @@ def test_evaluation_failure_exits_2_and_an_exhausted_budget_4(command,
         assert bool(re.search(solve, err)) == (command == "counterfactual")
         assert not (out / "equilibrium.txt").exists()
         assert not (out / "deltas.txt").exists()
+
+
+def test_mixing_solves_a_general_model_the_plain_loop_cannot(tmp_path,
+                                                            capsys):
+    # the plain loop overflows on this uncertified model (it fails
+    # monotonicity in test_certify_general_is_sampled_and_fails_
+    # monotonicity); mixing, the default, reaches a point whose relative
+    # residual is within tol, and that point is what the file holds
+    cfg = save_parameters(general_params(), str(tmp_path / "general"))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    said = capsys.readouterr().out
+    assert "solve general: converged after" in said
+    assert "step decay" not in said     # mixed steps estimate no rate
+    run = load_run_config(cfg)
+    sys_ = trade.build_system(load_parameters(run))
+    res = iterate(sys_, sys_.state(np.ones(sys_.dimension)),
+                  u=sys_.scaling, opts=run.solve)
+    assert res.status == "converged" and res.decay_rate is None
+    x = res.x_star.values
+    assert np.max(np.abs(sys_.evaluate_values(x) - x) / x) <= run.solve.tol
+    state = (out / "equilibrium.txt").read_text().split("\n\n")[0]
+    assert [line.partition(": ") for line in state.splitlines()] == \
+        [(label, ": ", f"{v:.8e}") for label, v in zip(sys_.labels, x)]
 
 
 def test_solve_and_counterfactual_build_each_system_once(tmp_path,
@@ -584,6 +612,19 @@ def test_nan_parameter_exits_2_without_a_report(name, old, new, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("scalefix: error: ") and "nan" in err
     assert not (out / "report.txt").exists()
+
+
+def test_anderson_depth_is_read_from_the_config(tmp_path):
+    # every depth solves the symmetric fixture to the same file
+    files = set()
+    for value in (None, "0", "1", "8"):
+        extra = "" if value is None else f"[solve]\nanderson = {value}\n"
+        cfg = symmetric_one_sector(tmp_path, extra=extra)
+        assert load_run_config(cfg).solve.anderson == int(value or 5)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "a"),
+                     "--quiet"]) == 0
+        files.add((tmp_path / "a" / "equilibrium.txt").read_bytes())
+    assert len(files) == 1
 
 
 @pytest.mark.parametrize("value, message", [

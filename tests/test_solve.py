@@ -6,7 +6,7 @@ search over the scale factor for the up-to-scale distance.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalefix.solve import (
@@ -318,12 +318,15 @@ def random_one_sector(J, seed):
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(["one-sector", "multi-sector"]),
        J=st.integers(2, 8), S=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
-def test_mixed_and_plain_solves_agree(kind, J, S, seed, spread):
-    # certified models: the mixed loop reaches the plain loop's
-    # normalized point, from any start.  The plain loop stops within
-    # about tol / (1 - rate) of the fixed point, and its rate reaches
-    # 0.99 here, so both run at tol 1e-12
+       seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0),
+       depth=st.integers(1, 8))
+@example(kind="multi-sector", J=8, S=4, seed=0, spread=3.0, depth=5)
+def test_mixed_and_plain_solves_agree(kind, J, S, seed, spread, depth):
+    # certified models: the mixed loop, at any depth, the default 5
+    # among them, reaches the plain loop's normalized point from any
+    # start.  The plain loop stops within about tol / (1 - rate) of the
+    # fixed point, and its rate reaches 0.99 here, so both run at tol
+    # 1e-12
     if kind == "one-sector":
         sys = build_one_sector(random_one_sector(J, seed))
     else:
@@ -334,16 +337,19 @@ def test_mixed_and_plain_solves_agree(kind, J, S, seed, spread):
         -spread, spread, sys.dimension)))
     plain = iterate(sys, x0, u=sys.scaling,
                     opts=SolveOptions(tol=1e-12, anderson=0))
-    mixed = iterate(sys, x0, u=sys.scaling, opts=SolveOptions(tol=1e-12))
+    mixed = iterate(sys, x0, u=sys.scaling,
+                    opts=SolveOptions(tol=1e-12, anderson=depth))
     assert plain.status == mixed.status == "converged"
     assert mixed.x_star.values == pytest.approx(plain.x_star.values,
                                                 rel=1e-8)
 
 
-@pytest.mark.parametrize("off_path", ["nan", "worse"])
+@pytest.mark.parametrize("off_path", ["nan", "negative", "worse"])
 def test_mixing_falls_back_to_the_plain_loop(off_path):
     # F agrees with the model on the plain loop's own points only: off
-    # them it fails, or gives a residual larger than any on the path.
+    # them it reports a point outside its domain by a value that is not
+    # positive and finite, or gives a residual larger than any on the
+    # path.
     # Every mixed step is then rejected, each at the cost of one F; after
     # MAX_REJECTIONS of them the iterates and traces are the plain loop's
     base = build_multi_sector(multi_4x2())
@@ -359,7 +365,8 @@ def test_mixing_falls_back_to_the_plain_loop(off_path):
         calls.append(x)
         if x.tobytes() in on_path:
             return base.evaluate_values(x)
-        return np.full_like(x, np.nan) if off_path == "nan" else 1e30 * x
+        return {"nan": np.full_like(x, np.nan), "negative": -x,
+                "worse": 1e30 * x}[off_path]
 
     planted = PositiveSystem(labels=base.labels, evaluate_values=F,
                              scaling=base.scaling)
@@ -371,6 +378,7 @@ def test_mixing_falls_back_to_the_plain_loop(off_path):
     assert res.step_gauge.tolist() == plain.step_gauge.tolist()
     assert res.step_quotient.tolist() == plain.step_quotient.tolist()
     assert res.x_star.values.tobytes() == plain.x_star.values.tobytes()
+    assert res.decay_rate == plain.decay_rate is not None
 
 
 def test_mixing_takes_fewer_steps_with_the_same_stopping_test():
@@ -389,6 +397,7 @@ def test_mixing_takes_fewer_steps_with_the_same_stopping_test():
         (res.iterations,)
     assert len(calls) == res.iterations + 1
     assert res.step_quotient[-1] <= opts.tol
+    assert res.decay_rate is None      # mixed steps estimate no rate
     x = res.x_star.values
     assert np.max(np.abs(sys._eval_checked(x) - x) / x) <= 2 * opts.tol
 
