@@ -12,10 +12,11 @@ literal token "inf".
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -76,13 +77,13 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _content_lines(path: str):
+def _content_lines(text: str):
     """(line number, text) for each line that holds more than blanks and
     a comment; a # starts a comment anywhere on a line."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        text = line.partition("#")[0].strip()
-        if text:
-            yield lineno, text
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        content = line.partition("#")[0].strip()
+        if content:
+            yield lineno, content
 
 
 def _number(where: str, raw: str, kind=float):
@@ -97,31 +98,35 @@ def _read_table(path: str, one_column: bool) -> np.ndarray:
     """The float rows under a CSV table's header row, at least one: a
     vector if the table must have one column, else a matrix.  Errors
     name the file, row and column."""
-    lines = _content_lines(path)
-    _, header = next(lines, (0, None))
-    if header is None:
+    text = _read_text(path)
+    # with no # in the text, no line holds a comment to cut off
+    lines = ([line for _, line in _content_lines(text)] if "#" in text
+             else list(filter(None, map(str.strip, text.splitlines()))))
+    if not lines:
         raise ConfigError(f"{path}: file has no header row")
+    header, rows = lines[0], lines[1:]
     width = header.count(",") + 1
     if one_column and width != 1:
         raise ConfigError(f"{path}: expected a single column, found {width}")
-    rows = list(lines)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    texts = [line for _, line in rows]
     try:
-        values = list(map(float, ",".join(texts).split(",")))
+        if set(map(str.count, rows, repeat(","))) != {width - 1}:
+            raise ValueError("ragged rows")
+        table = np.fromiter(map(float, ",".join(rows).split(",")), float)
     except ValueError:
-        values = None
-    if values is None or any(t.count(",") != width - 1 for t in texts):
-        # locate the first fault in file order only on failure
-        for lineno, line in rows:
+        # read again one line at a time, so that the first fault in file
+        # order is named: a cell that is not a number, then a wrong width
+        table = []
+        for lineno, line in islice(_content_lines(text), 1, None):
             cells = line.split(",")
-            for col, cell in enumerate(cells, start=1):
-                _number(f"{path}: row {lineno}, column {col}", cell.strip())
+            where = f"{path}: row {lineno}"
+            table += [_number(f"{where}, column {col}", cell.strip())
+                      for col, cell in enumerate(cells, start=1)]
             if len(cells) != width:
-                raise ConfigError(f"{path}: row {lineno}: {len(cells)} "
-                                  f"values under {width} header columns")
-    table = np.array(values)
+                raise ConfigError(f"{where}: {len(cells)} values under "
+                                  f"{width} header columns")
+        table = np.array(table)
     return table if one_column else table.reshape(len(rows), width)
 
 
@@ -333,7 +338,7 @@ _SHOCK_RE = re.compile(
 def parse_shock_file(path: str) -> list[ShockStep]:
     """One directive per line; # comments and blank lines ignored."""
     steps = []
-    for lineno, line in _content_lines(path):
+    for lineno, line in _content_lines(_read_text(path)):
         where = f"{path}: line {lineno}"
         m = _SHOCK_RE.match(line)
         if m is None:
@@ -391,8 +396,9 @@ def format_report(rep: CertificationReport) -> str:
                      f"{_fmt(cert.residual_fixed_eq)}")
         lines.append("scaling.residual_direct: "
                      f"{_fmt(cert.residual_direct)}")
-        for label, uj in zip(rep.labels, cert.u):
-            lines.append(f"scaling.u.{label}: {_fmt(uj)}")
+        # the join gives the block's last newline
+        lines.append(_block(map("scaling.u.".__add__, rep.labels),
+                            cert.u.tolist(), FMT)[:-1])
     lines += _check_lines("monotonicity", rep.monotonicity)
     if rep.partition is not None:
         lines.append("monotonicity.zeta_plus: "
@@ -445,11 +451,18 @@ def parse_report(text: str) -> dict:
 _OUTCOMES = ("w", "R", "E", "P", "c", "pi", "U")
 
 
+@functools.lru_cache(maxsize=128)
+def _template(labels: tuple[str, ...], fmt: str) -> str:
+    """The `label: value` lines of a block, each ended by a newline, with
+    the labels written in and any % in them escaped, so that one % formats
+    only the values.  Built on first use, once per labels and format while
+    they stay among the last 128 asked for."""
+    return "".join(f"{label.replace('%', '%%')}: {fmt}\n" for label in labels)
+
+
 def _block(labels, values, fmt: str) -> str:
-    """One `label: value` line per pair, each ended by a newline, from a
-    single % over the interleaved pairs."""
-    return f"%s: {fmt}\n" * len(labels) % tuple(
-        chain.from_iterable(zip(labels, values)))
+    """One `label: value` line per pair, each ended by a newline."""
+    return _template(tuple(labels), fmt) % tuple(values)
 
 
 def _labelled_lines(named_arrays, fmt: str) -> str:

@@ -520,9 +520,23 @@ def signed_zeros_against_u():
             np.array([1.0, -1.0]), np.ones(2), 0.0)
 
 
+def subnormal_products():
+    """A DG on a full 2x2 support whose entries are all the smallest
+    subnormal, against x = (0.5, 1): each product of a row rounds to 0
+    or to one subnormal ulp, so the two formats' sums may differ by one
+    ulp while the relative bound on them underflows to 0."""
+    point = custom(("x0", "x1"), lambda x: x).state(np.ones(2))
+    tiny = np.full(4, 2.0 ** -1074)
+    return (ElasticityMatrix(tiny.reshape(2, 2), point, "analytic"),
+            _SupportDG(_pattern_support(2, np.ones((2, 2), int)), tiny,
+                       point),
+            np.ones(2), np.array([0.5, 1.0]), 0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(both_dg_formats())
 @example(case=signed_zeros_against_u())
+@example(case=subnormal_products())
 def test_both_dg_formats_agree_with_the_old_block_rule(case):
     dense, on_support, u, x, tol = case
     d = _signs(u)
@@ -544,12 +558,15 @@ def test_both_dg_formats_agree_with_the_old_block_rule(case):
     assert on_support._irreducible() == scattered._irreducible()
     assert on_support._self_loop() == scattered._self_loop()
     # reduceat on the support and BLAS on the dense DG sum in their own
-    # orders: a few ulp of the sum of |terms| apart
-    scale = np.abs(scattered.entries) @ x
+    # orders: a few ulp of the sum of |terms| apart, and where that sum
+    # is subnormal, a few subnormal ulps (2**-1074 each) apart
+    n = len(x)
+    bound = 4 * n * 2.0 ** -52 * (np.abs(scattered.entries) @ x) \
+        + n * 2.0 ** -1074
     for absolute in (False, True):
         got = on_support._dot(x, absolute)
         want = scattered._dot(x, absolute)
-        assert np.all(np.abs(got - want) <= 4 * len(x) * 2.0 ** -52 * scale)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,11 @@
 """Golden bytes of the text layouts: parameter tables written by
-save_parameters, equilibrium.txt, deltas.txt and trace.csv.
+save_parameters, equilibrium.txt, deltas.txt and trace.csv; and the
+tables read back.
 
 Every golden input is built by hand from exact binary fractions, `inf`
 and 0, so the expected text does not depend on a solver or a BLAS build.
-The property tests compare each formatter with a per-line oracle, the
-plain formula for one line applied entry by entry.
+The property tests compare each formatter, and the table reader, with a
+per-line oracle, the plain formula for one line applied entry by entry.
 """
 
 import os
@@ -17,8 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scalefix.modelio import format_deltas, format_equilibrium, save_parameters
+from scalefix.modelio import (
+    ConfigError,
+    _read_table,
+    format_deltas,
+    format_equilibrium,
+    save_parameters,
+)
 from scalefix.solve import trace_to_csv
+from scalefix.system import StateVector
 from scalefix.trade import (
     GeneralParams,
     MultiSectorParams,
@@ -170,6 +178,26 @@ def test_format_equilibrium_bytes():
     x_star = SimpleNamespace(labels=multi_sector_labels(3, 2),
                              values=np.arange(1.0, 16.0) * 0.5)
     assert format_equilibrium(x_star, outcomes()) == EQUILIBRIUM
+
+
+def test_format_equilibrium_prints_percent_and_brace_labels_literally():
+    x_star = StateVector(labels=("x%", "y{}", "%s{0}%%"),
+                         values=np.array([0.5, 2.0, 0.25]))
+    one = SimpleNamespace(w=np.array([1.0]), R=np.array([[0.5]]),
+                          E=np.array([[0.75]]), P=np.array([[2.0]]),
+                          c=np.array([[4.0]]), U=np.array([0.125]))
+    assert format_equilibrium(x_star, one) == """\
+x%: 5.00000000e-01
+y{}: 2.00000000e+00
+%s{0}%%: 2.50000000e-01
+
+w[1]: 1.00000000e+00
+R[1][1]: 5.00000000e-01
+E[1][1]: 7.50000000e-01
+P[1][1]: 2.00000000e+00
+c[1][1]: 4.00000000e+00
+U[1]: 1.25000000e-01
+"""
 
 
 DELTAS = """\
@@ -326,3 +354,86 @@ def test_trace_to_csv_matches_its_per_line_oracle(data, n):
     res = SimpleNamespace(step_gauge=data.draw(filled(n)),
                           step_quotient=data.draw(filled(n)))
     assert trace_to_csv(res) == oracle_trace(res)
+
+
+# ------------------------------------------------------ table reading
+
+
+def oracle_table(text, one_column):
+    """The table read one line at a time: a # starts a comment, lines
+    with nothing else are skipped, and every cell is one float."""
+    lines = [content for content in (line.partition("#")[0].strip()
+                                     for line in text.splitlines()) if content]
+    table = np.array([[float(cell) for cell in line.split(",")]
+                      for line in lines[1:]], dtype=float)
+    return table.ravel() if one_column else table
+
+
+FILLERS = ["", "  ", "\t", " \t ", "# a note", "  # c, d", "#"]
+PADS = ["", " ", "\t", "  "]
+
+
+@st.composite
+def table_texts(draw):
+    """A table's text with its header, cells written in several ways
+    (inf and nan included) and padded, lines with trailing comments,
+    blank, blank-looking and comment-only lines between them, LF or CRLF
+    ends, and maybe a byte-order mark; and whether it has one column."""
+    width = draw(st.integers(1, 4))
+    one_column = width == 1 and draw(st.booleans())
+    lines = [",".join(f"s{k}" for k in range(1, width + 1))]
+    for _ in range(draw(st.integers(1, 6))):
+        cells = []
+        for _ in range(width):
+            v = draw(values)
+            text = draw(st.sampled_from([repr(v), "%.17g" % v, "%.6g" % v]))
+            cells.append(draw(st.sampled_from(PADS)) + text
+                         + draw(st.sampled_from(PADS)))
+        lines.append(",".join(cells)
+                     + draw(st.sampled_from(["", "", " # row", "#x,y"])))
+    text_lines = []
+    for line in lines:
+        text_lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+        text_lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join(text_lines) + draw(st.sampled_from(["", end])), \
+        one_column
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=table_texts())
+@example(case=("s1\r\n inf \r\n\t\r\n-0\r\n", True))
+@example(case=("\ufeffs1,s2\n# c\n 1 ,\t2 # three\n\n3,inf\n", False))
+def test_read_table_matches_its_per_line_oracle(case, tmp_path_factory):
+    text, one_column = case
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    got = _read_table(str(path), one_column)
+    want = oracle_table(text.lstrip("\ufeff"), one_column)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("text, one_column, fault", [
+    ("", False, "file has no header row"),
+    ("# a comment\n \n", False, "file has no header row"),
+    ("s1,s2\n", False, "no data rows"),
+    ("s1,s2\n# a comment\n\n", False, "no data rows"),
+    ("A,B\n1,2\n", True, "expected a single column, found 2"),
+    ("s1,s2\n1,2\n3\n4,5,6\n", False,
+     "row 3: 1 values under 2 header columns"),
+    ("A\n1\n2,3\n", False, "row 3: 2 values under 1 header columns"),
+    ("s1,s2\r\n1,2\r\n3, x \r\n", False,
+     "row 3, column 2: 'x' is not a number"),
+    ("s1,s2\n1,2 # c\n3,nan?\n", False,
+     "row 3, column 2: 'nan?' is not a number"),
+])
+def test_read_table_faults_keep_their_text(text, one_column, fault,
+                                           tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        _read_table(str(path), one_column)
+    assert str(exc.value) == f"{path}: {fault}"
