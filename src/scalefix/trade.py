@@ -797,9 +797,11 @@ def counterfactual(base_params, steps: Sequence[ShockStep],
                    x0_values=None) -> CounterfactualResult:
     """Solve the model before and after a parameter shock.
 
-    Both solves share the starting point and the numeraire rule, so the
-    reported relative changes are well defined.  A shock that severs the
-    trade network is rejected before any solving happens.  Where F fails
+    The base solve starts from x0_values (all ones if None); the shocked
+    solve starts from the base solve's normalized equilibrium, which a
+    small shock moves little.  Both solves share the numeraire rule, so
+    the reported relative changes are well defined.  A shock that severs
+    the trade network is rejected before any solving happens.  Where F fails
     in either solve, EvaluationError carries the solve's message, after
     the solve (base or shocked) and the iteration (0 for the start);
     where a solve does not converge otherwise, StaleStateError names the
@@ -830,6 +832,7 @@ def counterfactual(base_params, steps: Sequence[ShockStep],
                                   f"({res.status}): {res.message}")
         results.append(res)
         outcomes.append(_recover(sys, res.x_star, params))
+        x0_values = res.x_star.values
     return CounterfactualResult(
         base=outcomes[0],
         shocked=outcomes[1],
