@@ -225,7 +225,7 @@ def check_connectedness(sys: PositiveSystem,
             return CheckResult("pass")
         return _split(support.components(), sys.labels)
     elasticities = elasticities or _elasticities(sys, samples)
-    adjs = [np.abs(E.entries) > TOL_SIGN for E in elasticities]
+    adjs = [E.absolute > TOL_SIGN for E in elasticities]
     if _strongly_connected(np.logical_and.reduce(adjs)):
         return CheckResult("evidence-only")
     for idx, adj in enumerate(adjs):
@@ -247,7 +247,7 @@ def check_self_interaction(sys: PositiveSystem,
         return CheckResult("fail", {"reason": "all diagonal entries vanish"})
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
-        A = np.abs(E.entries)
+        A = E.absolute
         rowmax = A.max(axis=1)
         live = np.diag(A) > TOL_DIAG * np.maximum(rowmax, 1e-300)
         if not live.any():
@@ -273,11 +273,12 @@ def _verified(sys: PositiveSystem, samples: Sequence[StateVector],
     res_eq = max(float(np.max(np.abs(E._dot(u) - u)))
                  for E in elasticities)
     res_direct = 0.0
+    powers = [c ** u for c in SCALE_TEST_FACTORS]
     for idx, x in enumerate(samples):
         fx = _at_sample(idx, sys._eval_checked, x.values)
-        for c in SCALE_TEST_FACTORS:
-            lhs = _at_sample(idx, sys._eval_checked, c ** u * x.values)
-            rhs = c ** u * fx
+        for cu in powers:
+            lhs = _at_sample(idx, sys._eval_checked, cu * x.values)
+            rhs = cu * fx
             res_direct = max(res_direct,
                              float(np.max(np.abs(lhs / rhs - 1.0))))
     return ScalingCertificate(u=u, residual_fixed_eq=res_eq,
@@ -452,7 +453,7 @@ def _open_roots(elasticities: Sequence[_DG], start: NDArray,
     steps make good from any positive v, so it takes 3 sqrt(n) steps, not
     the acceptance pass's 4 sqrt(n): 32 against 41 at n = 105
     (_krylov_steps counts the starts whose first bracket stays open)."""
-    mats = [np.abs(E.entries) for E in elasticities]  # E finite: A >= 0
+    mats = [E.absolute for E in elasticities]   # E finite: A >= 0
     x = _dominant_ritz(mats, _krylov_steps(len(mats[0]), 3.0))[1]
     roots = []
     for A, v in zip(mats, np.abs(x)):

@@ -274,25 +274,25 @@ def _arnoldi(mats: Sequence[NDArray], m: int) -> tuple[NDArray, NDArray]:
     """(H, V): m Arnoldi steps (the caller's _krylov_steps) on each of the
     finite square matrices in mats, all of one size n, in lockstep,
     giving the (k, m+1, m) Hessenberg matrices and the (k, m+1, n) bases,
-    A V_m' = V_{m+1}' H.  One matvec per matrix per step, with the
-    classical Gram-Schmidt steps, done twice, and the Hessenberg updates
-    batched over the bases (Saad, Numerical Methods for Large Eigenvalue
-    Problems, 2nd ed., 2011, ch. 6).  Every run starts from one fixed
+    A V_m' = V_{m+1}' H.  Each step's matvecs, one per matrix, are one
+    stacked matmul, as are the classical Gram-Schmidt steps, done twice,
+    and the Hessenberg updates (Saad, Numerical Methods for Large
+    Eigenvalue Problems, 2nd ed., 2011, ch. 6).  Every run starts from one fixed
     generic unit vector.  An h_{j+1,j} of at most 1e-12 ||A||_F is a
     breakdown (an invariant subspace, as at step n): it is set to 0 and
     zero vectors follow.  An overflow leaves H not finite."""
-    k, n = len(mats), len(mats[0])
+    A = np.stack(mats)
+    k, n = A.shape[:2]
     V = np.empty((k, m + 1, n))
     H = np.zeros((k, m + 1, m))
     v = np.random.default_rng(0).standard_normal(n)
     V[:, 0] = v / np.linalg.norm(v)
     w = np.empty((k, 1, n))
     with np.errstate(all="ignore"):
-        small = 1e-12 * np.array([np.linalg.norm(A) for A in mats])
+        small = 1e-12 * np.array([np.linalg.norm(M) for M in mats])
         small[~(small < np.inf)] = -1.0     # overflowed: no breakdown
         for j in range(m):
-            for i, A in enumerate(mats):
-                np.dot(A, V[i, j], out=w[i, 0])
+            np.matmul(A, V[:, j, :, None], out=w.reshape(k, n, 1))
             B = V[:, :j + 1]
             c = w @ np.swapaxes(B, 1, 2)        # twice: the second pass
             w -= c @ B                          # restores orthogonality

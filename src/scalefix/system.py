@@ -138,7 +138,8 @@ class ElasticityMatrix:
     (else DifferentiationError, also for a value numpy cannot convert,
     such as a ragged list).  `method` is "analytic" or
     "numeric-central-log".
-    Immutable, so `spectrum` is computed at most once, however many read it.
+    Immutable, so `spectrum` and `absolute` are computed at most once,
+    however many read them.
     """
 
     entries: NDArray[np.float64]
@@ -166,14 +167,25 @@ class ElasticityMatrix:
         eigs.setflags(write=False)
         return eigs
 
+    @cached_property
+    def absolute(self) -> NDArray:
+        """|DG|, read-only: a sampled certify reads it for connectedness,
+        self-interaction, |DG| v and the Krylov pass of an open bracket."""
+        A = np.abs(self.entries)
+        A.setflags(write=False)
+        return A
+
     # What certify asks of a DG, which _SupportDG answers on its support.
     # d is sign(u) as +-1 and D = diag(d): DG obeys the block rule of u,
     # >= 0 within a block of sign(u) and <= 0 across, where D DG D >= 0
 
     def _dot(self, x: NDArray, absolute: bool = False) -> NDArray:
-        """DG x, or |DG| x; overflow gives inf, not a warning."""
+        """DG x, or |DG| x; overflow gives inf, not a warning.  |DG| x
+        reads `absolute` where a reader has made it, and holds no |DG|
+        otherwise: an exact certify of a dense DG reads it once."""
+        A = self.__dict__.get("absolute") if absolute else self.entries
         with np.errstate(over="ignore", invalid="ignore"):
-            return (np.abs(self.entries) if absolute else self.entries) @ x
+            return (np.abs(self.entries) if A is None else A) @ x
 
     def _ddgd(self, d: NDArray) -> NDArray:
         """D DG D: each entry times +-1, so |DG| bit for bit where >= 0."""
@@ -285,8 +297,9 @@ def _pattern_support(n: int, pattern) -> _Support:
 class _SupportDG:
     """DG at one sample as `values` = DG[rows, cols] on a _Support: finite,
     none of them 0, and DG 0 elsewhere by the declaration.  Stands in for
-    an ElasticityMatrix: `entries` and `spectrum` read `dense`, DG
-    scattered from `values`, built only where a sample needs it, and
+    an ElasticityMatrix: `entries`, `spectrum` and `absolute` read
+    `dense`, DG scattered from `values`, built only where a sample needs
+    it (`absolute` only for an open Perron bracket), and
     ElasticityMatrix's private operations cost O(nnz) here."""
 
     def __init__(self, support: _Support, values: NDArray,
@@ -304,6 +317,10 @@ class _SupportDG:
     @property
     def spectrum(self) -> NDArray:
         return self.dense.spectrum
+
+    @property
+    def absolute(self) -> NDArray:
+        return self.dense.absolute
 
     def _dot(self, x: NDArray, absolute: bool = False) -> NDArray:
         s = self.support

@@ -532,11 +532,13 @@ def build_general(p: GeneralParams) -> PositiveSystem:
     sector = np.arange(S)[None, :]
     wage = 2 * JS + np.arange(J)[:, None]
 
+    @functools.cache
     def log_derivatives():
         # log c_is = gamma_labor_is log w_i - sum_r gamma_io_irs log P_ir /
         # theta_r is linear in log x, so d log c^-theta (as (S, J, n)) and
         # d log R = d log OMEGA + d log c^-theta (as (J, S, n)) are
-        # constant; made per call, so a system only solved holds neither
+        # constant; made on first use, so a system only solved holds
+        # neither, and once per system
         d_ct = np.zeros((J, S, n))
         d_ct[country, sector, wage] = -p.theta * p.gamma_labor
         d_ct[country[:, :, None], sector[:, :, None],
@@ -545,7 +547,7 @@ def build_general(p: GeneralParams) -> PositiveSystem:
                                        / p.theta[None, None, :])
         d_R = d_ct.copy()
         d_R[country, sector, cell] = 1.0      # d log c^-theta is 0 there
-        return np.ascontiguousarray(np.swapaxes(d_ct, 0, 1)), d_R
+        return _frozen(np.swapaxes(d_ct, 0, 1)), _frozen(d_R)
 
     def terms(x):
         om, pp, w = _unpack(x, J, S)

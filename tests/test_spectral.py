@@ -914,3 +914,38 @@ def test_eigenvalues_only_acceptance_agrees_with_the_full_eigensolve(
             if ok:
                 assert np.linalg.norm(A @ x - t * x) <= 1e-12 * abs(t)
     assert eigs == [] and flags == {True, False}
+
+
+def general_matrices(seeds):
+    """Each sample's DG and |DG| on general 15 x 3 models (n = 105), 8
+    samples per seed, as a sampled certify's two Krylov passes see them."""
+    from test_certify import general_params
+
+    from scalefix.certify import sample_states
+    from scalefix.system import elasticity_at
+    from scalefix.trade import build_general
+    for seed in seeds:
+        sys = build_general(general_params(J=15, S=3, seed=seed))
+        elas = [elasticity_at(sys, x) for x in sample_states(sys, 8, seed)]
+        yield [E.entries for E in elas], sys, elas
+        yield [E.absolute for E in elas], sys, elas
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 33, 56, 105, 330])
+def test_stacked_matvecs_equal_per_matrix_dot_bit_for_bit(n):
+    # _arnoldi takes each step's k matvecs as one stacked np.matmul, and
+    # _dominant_ritz continues the unconverged matrices as a sub-stack.
+    # Both must give np.dot's bits matrix by matrix: that keeps every
+    # Krylov pass, and so every certify report, as it was with np.dot
+    rng = np.random.default_rng(n)
+    cases = [[rng.standard_normal((n, n)) for _ in range(8)]]
+    if n == 105:
+        cases += [mats for mats, _, _ in general_matrices([3, 4])]
+    for mats in cases:
+        # one row of a basis array, as _arnoldi reads V[:, j]
+        A, V = np.stack(mats), rng.standard_normal((len(mats), 3, n))[:, 1]
+        want = np.stack([np.dot(M, v) for M, v in zip(mats, V)])
+        assert np.array_equal(np.matmul(A, V[:, :, None])[:, :, 0], want)
+        rest = [1, 4, 5]
+        assert np.array_equal(
+            np.matmul(A[rest], V[rest, :, None])[:, :, 0], want[rest])
