@@ -331,7 +331,11 @@ def find_scaling_exponent(sys: PositiveSystem,
     Returns None unless I - DG has both an eigenvalue and a singular
     value below TOL_EIGENVALUE (a non-normal DG can have the second
     alone).  Raises AmbiguousScalingError when the eigenspace is
-    multi-dimensional.
+    multi-dimensional.  The reverse case, an eigenvalue with no singular
+    value, is rare: sigma_min(I - DG) <= |1 - lambda| for every
+    eigenvalue lambda of DG, so an eigenvalue within TOL_EIGENVALUE of 1
+    puts the least singular value within it too, and only the SVD's
+    strict test or rounding at that boundary can still return None.
 
     certify first tries the system's closed-form `scaling`, with no
     eigensolve (_closed_form_certificate): by Perron-Frobenius its
@@ -487,12 +491,16 @@ def _peripherals(elasticities: Sequence[_DG], spectra: list[int],
                  ) -> list[tuple[bool, float]]:
     """_peripheral at the samples `spectra`: (False, |theta|) where one
     lockstep Krylov pass over DG at the later ones converged to theta
-    with |theta - 1| > NEAR_ONE, else from the sample's `spectrum`."""
+    with |theta - 1| > NEAR_ONE, else from the sample's `spectrum`.  The
+    pass is staged: a sample accepted after 3 sqrt(n) steps stops there,
+    and only the rest run to 4 sqrt(n) (_krylov_steps)."""
     krylov = [idx for idx in spectra if idx > 0]
     known = {}
     if krylov:
         mats = [elasticities[idx].entries for idx in krylov]
-        theta, _, converged = _dominant_ritz(mats, _krylov_steps(len(mats[0])))
+        n = len(mats[0])
+        theta, _, converged = _dominant_ritz(mats, _krylov_steps(n),
+                                             early=_krylov_steps(n, 3.0))
         known = {idx: (False, float(abs(t)))
                  for idx, t, ok in zip(krylov, theta, converged)
                  if ok and abs(t - 1.0) > NEAR_ONE}
@@ -531,11 +539,13 @@ def check_spectral(sys: PositiveSystem, u,
     NEAR_ONE of 1 and |DG| primitive, DG is similar to |DG|, whose Perron
     root is simple and the only eigenvalue of its modulus
     (Perron-Frobenius): no eigensolve runs there.  The other later
-    samples go through one lockstep Krylov pass of 4 sqrt(n) steps over
-    their DG, finished the same way: a converged dominant Ritz value
-    theta with |theta - 1| > NEAR_ONE gives unique False and second
-    modulus |theta|, the dense rule's answer whenever the dominant
-    eigenvalue lies away from 1.  Every other
+    samples go through one lockstep Krylov pass over their DG, finished
+    the same way and staged: the samples accepted after 3 sqrt(n) steps
+    (32 at n = 105, 55 at n = 330) stop there, and only the rest run on
+    to 4 sqrt(n) (41 and 73).  A converged dominant Ritz value theta
+    with |theta - 1| > NEAR_ONE gives unique False and second modulus
+    |theta|, the dense rule's answer whenever the dominant eigenvalue
+    lies away from 1.  Every other
     sample reads its `spectrum`, which find_scaling_exponent may already
     have computed for sample 0.  A non-normal DG has no cheap bound on
     its second modulus, so the gap and unique_modulus_one are

@@ -259,39 +259,52 @@ def _krylov_steps(n: int, per_root: float = 4.0) -> int:
     at least 32, at most n.  Measured on 8 samples of each of 32 general
     models from the benchmark's generator (seeds 1 and 2) per size: at
     n = 105 the acceptance rule first held at a median step of 30 (at
-    most 39) for DG, whose acceptance pass takes 4 sqrt(n) = 41 steps,
-    and of 26 (at most 32) for |DG|.  The pass over |DG| only picks the
-    Perron start, which Noda's steps improve from any positive start, so
-    it takes 3 sqrt(n): 32 at n = 56 and 105, 55 at n = 330.  Of the 256
-    starts per size, 11 at n = 56, 6 at n = 105 and 7 at n = 330 left
-    their first bracket open, so that _perron_root's later steps ran (5,
-    1 and 0 with 4 sqrt(n) steps and a full eigensolve of H_m), and none
-    fell back to an eigensolve of |DG|."""
+    most 39) for DG, and of 26 (at most 32) for |DG|.  The acceptance
+    pass over DG takes 4 sqrt(n) steps, 41 at n = 105, in two stages: it
+    applies the rule at 3 sqrt(n) steps, and only the matrices it leaves
+    unaccepted run on.  Of the 112 later samples of 16 generated models,
+    82 and 96 (two generator seeds) were accepted at 32 steps at
+    n = 105, and 27 of 28 samples of 4 models at 55 steps at n = 330; at
+    n <= 56 both counts are 32, so the pass has one stage.  The pass
+    over |DG| only picks the Perron start, which Noda's steps improve
+    from any positive start, so it takes 3 sqrt(n): 32 at n = 56 and
+    105, 55 at n = 330.  Of the 256 starts per size, 11 at n = 56, 6 at
+    n = 105 and 7 at n = 330 left their first bracket open, so that
+    _perron_root's later steps ran (5, 1 and 0 with 4 sqrt(n) steps and
+    a full eigensolve of H_m), and none fell back to an eigensolve of
+    |DG|."""
     return min(n, max(32, math.ceil(per_root * math.sqrt(n))))
 
 
-def _arnoldi(mats: Sequence[NDArray], m: int) -> tuple[NDArray, NDArray]:
+def _arnoldi(mats: Sequence[NDArray], m: int, basis=None,
+             ) -> tuple[NDArray, NDArray]:
     """(H, V): m Arnoldi steps (the caller's _krylov_steps) on each of the
     finite square matrices in mats, all of one size n, in lockstep,
     giving the (k, m+1, m) Hessenberg matrices and the (k, m+1, n) bases,
     A V_m' = V_{m+1}' H.  Each step's matvecs, one per matrix, are one
     stacked matmul, as are the classical Gram-Schmidt steps, done twice,
     and the Hessenberg updates (Saad, Numerical Methods for Large
-    Eigenvalue Problems, 2nd ed., 2011, ch. 6).  Every run starts from one fixed
-    generic unit vector.  An h_{j+1,j} of at most 1e-12 ||A||_F is a
-    breakdown (an invariant subspace, as at step n): it is set to 0 and
-    zero vectors follow.  An overflow leaves H not finite."""
+    Eigenvalue Problems, 2nd ed., 2011, ch. 6).  Every run starts from
+    one fixed generic unit vector; given the (H, V) of j < m steps on the
+    same matrices as `basis`, it runs steps j+1..m alone, and so gives
+    the bits of m steps from the start.  An h_{j+1,j} of at most
+    1e-12 ||A||_F is a breakdown (an invariant subspace, as at step n):
+    it is set to 0 and zero vectors follow.  An overflow leaves H not
+    finite."""
     A = np.stack(mats)
     k, n = A.shape[:2]
     V = np.empty((k, m + 1, n))
     H = np.zeros((k, m + 1, m))
     v = np.random.default_rng(0).standard_normal(n)
     V[:, 0] = v / np.linalg.norm(v)
+    done = 0 if basis is None else basis[0].shape[2]
+    if done:
+        H[:, :done + 1, :done], V[:, :done + 1] = basis
     w = np.empty((k, 1, n))
     with np.errstate(all="ignore"):
         small = 1e-12 * np.array([np.linalg.norm(M) for M in mats])
         small[~(small < np.inf)] = -1.0     # overflowed: no breakdown
-        for j in range(m):
+        for j in range(done, m):
             np.matmul(A, V[:, j, :, None], out=w.reshape(k, n, 1))
             B = V[:, :j + 1]
             c = w @ np.swapaxes(B, 1, 2)        # twice: the second pass
@@ -308,7 +321,7 @@ def _arnoldi(mats: Sequence[NDArray], m: int) -> tuple[NDArray, NDArray]:
     return H, V
 
 
-def _dominant_ritz(mats: Sequence[NDArray], m: int,
+def _dominant_ritz(mats: Sequence[NDArray], m: int, early: int | None = None,
                    ) -> tuple[NDArray, NDArray, NDArray[np.bool_]]:
     """The dominant Ritz pair of each of the finite square matrices in
     mats, all of one size n, from one lockstep pass of m _arnoldi steps.
@@ -320,6 +333,13 @@ def _dominant_ritz(mats: Sequence[NDArray], m: int,
     on its error (Golub & Van Loan, Matrix Computations, 4th ed., 2013,
     ch. 7), is finite and at most 1e-13 |theta|.  y and z are theta's
     unit right and left eigenvectors of H_m.
+
+    With early < m the pass is staged: every matrix gets this finish
+    after `early` steps, with the same bound, and those accepted there
+    keep it.  Only the rest continue the same bases, with no restart, to
+    m steps, so their theta, x and flags are those of the one-stage pass
+    bit for bit.  check_spectral's pass over DG stops at 3 sqrt(n) steps
+    for most samples (_krylov_steps).
 
     Only the eigenvalues of H_m are computed: with s = theta +
     1e-14 |theta| (nonsingular where theta is exact), conj(z) solves
@@ -333,8 +353,19 @@ def _dominant_ritz(mats: Sequence[NDArray], m: int,
     failed eigensolve or solve, counts as not converged, with x NaN
     where a solve failed; no warning or LinAlgError escapes.
     """
-    H, V = _arnoldi(mats, m)
-    k, n = len(mats), V.shape[2]
+    j = m if early is None else min(early, m)
+    H, V = _arnoldi(mats, j)
+    theta, X, converged = _ritz(H, V)
+    rest = np.flatnonzero(~converged)
+    if j < m and rest.size:
+        H, V = _arnoldi([mats[i] for i in rest], m, (H[rest], V[rest]))
+        theta[rest], X[rest], converged[rest] = _ritz(H, V)
+    return theta, X, converged
+
+
+def _ritz(H: NDArray, V: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """_dominant_ritz's finish on the (H, V) of an m-step _arnoldi pass."""
+    k, m, n = H.shape[0], H.shape[2], V.shape[2]
     theta = np.full(k, np.nan, dtype=complex)
     X = np.full((k, n), np.nan, dtype=complex)
     error = np.full(k, np.inf)

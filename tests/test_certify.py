@@ -854,6 +854,100 @@ def test_neither_krylov_pass_of_a_sampled_certify_calls_eig(monkeypatch):
     assert [m for _, m in ritz] == [32, 41] and eig == []
 
 
+def test_staged_dg_pass_keeps_every_answer_of_one_pass(monkeypatch):
+    # general 15 x 3 (n = 105): the pass over the later samples' DG
+    # applies the acceptance rule after _krylov_steps(105, 3.0) = 32
+    # steps, and only the samples left unaccepted run on to 41.  An
+    # accepted theta is the dense dominant modulus to 1e-12 and the
+    # 41-step theta to 1e-13; every other answer is the one-stage
+    # pass's bit for bit.  The spy on eigvals_mod_zero counts the dense
+    # fallbacks of certify both ways: the staged pass leaves no more
+    certify_module = importlib.import_module("scalefix.certify")
+    spectral = importlib.import_module("scalefix.spectral")
+    m, early = spectral._krylov_steps(105), spectral._krylov_steps(105, 3.0)
+    assert (m, early) == (41, 32)
+    one_stage = spectral._dominant_ritz
+    stopped = 0
+    for seed in range(3, 15):
+        sys = build_general(general_params(J=15, S=3, seed=seed))
+        mats = [elasticity_at(sys, x).entries
+                for x in sample_states(sys, 8, seed)[1:]]
+        theta, X, converged = spectral._dominant_ritz(mats, m, early=early)
+        one = one_stage(mats, m)
+        first = one_stage(mats, early)
+        assert np.array_equal(converged, one[2])
+        for A, t, x, i in zip(mats, theta, X, range(len(mats))):
+            if first[2][i]:
+                stopped += 1
+                dense = np.max(np.abs(np.linalg.eigvals(A)))
+                assert abs(abs(t) - dense) <= 1e-12 * dense
+                assert abs(t - one[0][i]) <= 1e-13 * abs(one[0][i])
+            else:
+                assert t == one[0][i] and np.array_equal(x, one[1][i])
+        reports, fallbacks = [], []
+        for staged in (True, False):
+            with monkeypatch.context() as patch:
+                if not staged:
+                    patch.setattr(certify_module, "_dominant_ritz",
+                                  lambda mats, m, early=None:
+                                  one_stage(mats, m))
+                eigs = count_eigensolves(patch)
+                reports.append(certify(sys, sample_count=8, seed=seed))
+            fallbacks.append(len(eigs))
+        assert fallbacks[0] == fallbacks[1]
+        assert (dataclasses.replace(reports[0].spectral, spectral_gap=None)
+                == dataclasses.replace(reports[1].spectral, spectral_gap=None))
+    assert 0 < stopped < 7 * 12
+
+
+def test_spectral_facts_without_hessenberg_eigenvalues_are_the_dense_rule(
+        monkeypatch):
+    # a LinAlgError from the eigensolve of the small Hessenberg matrices
+    # leaves every Krylov pass unconverged with x NaN: each Perron start
+    # falls back to |u|, and each sample's uniqueness and gap to its
+    # dense spectrum, in both stages of the pass over DG
+    certify_module = importlib.import_module("scalefix.certify")
+    sys = build_general(general_params(J=15, S=3))
+    samples = sample_states(sys, 8, seed=5)
+    elas = [elasticity_at(sys, x) for x in samples]
+    cert = find_scaling_exponent(sys, samples, elas)
+    facts = [certify_module._peripheral(eigvals_mod_zero(E.entries))
+             for E in elas]
+    eigvals = np.linalg.eigvals
+
+    def dense_only(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Hessenberg eigensolve failed")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", dense_only)
+    eigs = count_eigensolves(monkeypatch)
+    sp = check_spectral(sys, cert.u, samples, elas)
+    assert len(eigs) == 7       # sample 0's spectrum is memoized
+    assert sp.unique_modulus_one == all(ok for ok, _ in facts)
+    assert sp.spectral_gap == min(1.0 - second for _, second in facts)
+    assert sp.rho_bracket is not None
+    for E, rho in zip(elas, sp.rho):
+        want = dense_radius(E.entries)
+        assert abs(rho - want) <= 1e-13 * want
+
+
+def test_an_eigenvalue_near_one_with_no_singular_value_is_absent(
+        monkeypatch):
+    # sigma_min(I - DG) <= |1 - lambda| for every eigenvalue lambda, so
+    # find_scaling_exponent's pre-check passing while its SVD finds no
+    # singular value below TOL_EIGENVALUE takes rounding at that
+    # boundary; a spectrum patched to hold 1 + TOL_EIGENVALUE / 2 pins
+    # it on SQRT_SWAP, whose I - DG has singular values 1/2 and 3/2
+    monkeypatch.setattr(ElasticityMatrix, "spectrum",
+                        property(lambda E: np.array([1.0 + 0.5e-8, -0.5])))
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    rep = certify(SQRT_SWAP, sample_count=2, seed=3)
+    assert len(svd) == 1
+    assert rep.scaling.verdict == "absent" and rep.certificate is None
+    assert "scaling.verdict: absent" in format_report(rep).splitlines()
+
+
 def sizes_around_the_krylov_steps(draw, least):
     """n from least to 32, where _krylov_steps(n) = n, or from 40 to 56,
     where it is 32 < n."""

@@ -11,6 +11,7 @@ Oracles used here:
 """
 
 import importlib
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -914,6 +915,67 @@ def test_eigenvalues_only_acceptance_agrees_with_the_full_eigensolve(
             if ok:
                 assert np.linalg.norm(A @ x - t * x) <= 1e-12 * abs(t)
     assert eigs == [] and flags == {True, False}
+
+
+def test_staged_pass_is_the_one_stage_pass_where_it_runs_on():
+    # with early < m every matrix gets the finish of an early-step pass;
+    # those accepted there keep it, and the rest continue the same bases
+    # to m steps, so their theta, x and flags are the one-stage pass's
+    # bit for bit.  With early >= m the pass has one stage.  Every eighth
+    # of the acceptance cases keeps the run short
+    spectral = importlib.import_module("scalefix.spectral")
+    stopped = continued = 0
+    for mats in itertools.islice(acceptance_cases(), 0, None, 8):
+        m = spectral._krylov_steps(len(mats[0]))
+        one = spectral._dominant_ritz(mats, m)
+        for early in (m, m + 3):
+            staged = spectral._dominant_ritz(mats, m, early=early)
+            assert all(map(bit_equal, staged, one))
+        early = m // 2
+        first = spectral._dominant_ritz(mats, early)
+        staged = spectral._dominant_ritz(mats, m, early=early)
+        for i, ok in enumerate(first[2]):
+            want = first if ok else one
+            assert all(bit_equal(got[i], w[i]) for got, w in zip(staged, want))
+            stopped += ok
+            continued += not ok
+    assert stopped and continued
+
+
+def bit_equal(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("failing", [(32,), (41,), (32, 41)],
+                         ids=["early", "late", "both"])
+def test_a_failed_hessenberg_eigensolve_reads_not_converged(
+        failing, monkeypatch):
+    # a LinAlgError from the eigensolve of the stacked Hessenberg
+    # matrices of a stage leaves every matrix of that stage unconverged,
+    # with theta and x NaN: failing at 32 steps, all continue to 41 and
+    # get the one-stage answers; failing at 41, those accepted at 32
+    # keep theta and the rest read NaN
+    spectral = importlib.import_module("scalefix.spectral")
+    mats = next(general_matrices([3]))[0][1:]
+    one = spectral._dominant_ritz(mats, 41)
+    first = spectral._dominant_ritz(mats, 32)
+    assert 0 < first[2].sum() < len(mats)
+    eigvals = np.linalg.eigvals
+
+    def raising(a):
+        if np.ndim(a) == 3 and a.shape[-1] in failing:
+            raise np.linalg.LinAlgError("Hessenberg eigensolve failed")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", raising)
+    theta, X, converged = spectral._dominant_ritz(mats, 41, early=32)
+    if failing == (32,):
+        assert all(map(bit_equal, (theta, X, converged), one))
+        return
+    kept = first[2] if failing == (41,) else np.zeros(len(mats), bool)
+    assert np.array_equal(converged, kept)
+    assert np.array_equal(theta[kept], first[0][kept])
+    assert np.isnan(theta[~kept]).all() and np.isnan(X[~kept]).all()
 
 
 def general_matrices(seeds):
