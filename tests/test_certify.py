@@ -876,7 +876,7 @@ def test_staged_dg_pass_keeps_every_answer_of_one_pass(monkeypatch):
         one = one_stage(mats, m)
         first = one_stage(mats, early)
         assert np.array_equal(converged, one[2])
-        for A, t, x, i in zip(mats, theta, X, range(len(mats))):
+        for i, (A, t, x) in enumerate(zip(mats, theta, X)):
             if first[2][i]:
                 stopped += 1
                 dense = np.max(np.abs(np.linalg.eigvals(A)))

@@ -917,6 +917,10 @@ def test_eigenvalues_only_acceptance_agrees_with_the_full_eigensolve(
     assert eigs == [] and flags == {True, False}
 
 
+def bit_equal(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
 def test_staged_pass_is_the_one_stage_pass_where_it_runs_on():
     # with early < m every matrix gets the finish of an early-step pass;
     # those accepted there keep it, and the rest continue the same bases
@@ -940,10 +944,6 @@ def test_staged_pass_is_the_one_stage_pass_where_it_runs_on():
             stopped += ok
             continued += not ok
     assert stopped and continued
-
-
-def bit_equal(a, b):
-    return np.array_equal(a, b, equal_nan=True)
 
 
 @pytest.mark.parametrize("failing", [(32,), (41,), (32, 41)],
