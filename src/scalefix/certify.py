@@ -45,6 +45,7 @@ from scalefix.system import (
     PositiveSystem,
     StateVector,
     _frozen,
+    _hold_stacked,
     _support_dg,
     _worst,
     elasticity_at,
@@ -188,12 +189,11 @@ def _need_samples(samples: Sequence[StateVector]) -> None:
 def _elasticities(sys: PositiveSystem,
                   samples: Sequence[StateVector]) -> list[_DG]:
     """Each sample's DG, built and checked in sample order, so an error
-    names the first bad sample; a _SupportDG where sys gives its values."""
+    names the first bad sample; a _SupportDG where sys gives its values,
+    whose spectrum, sample 0's included, needs no dense DG where its
+    zero-diagonal coordinates peel (the multi-sector model's do)."""
     build = elasticity_at if sys.support_values is None else _support_dg
-    first = _at_sample(0, build, sys, samples[0])
-    first.entries   # sample 0's spectrum needs it: least peak if built now
-    return [first] + [_at_sample(idx, build, sys, x)
-                      for idx, x in enumerate(samples) if idx > 0]
+    return [_at_sample(idx, build, sys, x) for idx, x in enumerate(samples)]
 
 
 def _split(comps: list[list[int]], labels: tuple[str, ...],
@@ -448,6 +448,20 @@ def _dense_root(A: NDArray, v: NDArray,
         return rho, bracket
 
 
+def _stacked(mats: list[NDArray]) -> list[NDArray] | NDArray:
+    """The n x n arrays mats for a lockstep Krylov pass: where they are
+    the last slices, in order, of the array _hold_stacked made (all
+    samples, or samples 1..k-1), a view of it, which _arnoldi reads with
+    no stacked copy; else mats."""
+    held = mats[0].base
+    if held is not None and held.ndim == 3:
+        view = held[-len(mats):]
+        if len(view) == len(mats) and all(
+                np.may_share_memory(A, B) for A, B in zip(mats, view)):
+            return view
+    return mats
+
+
 def _open_roots(elasticities: Sequence[_DG], start: NDArray,
                 ) -> list[tuple[float, tuple[float, float] | None]]:
     """rho(|DG|) and its proved bracket at samples whose first bracket
@@ -458,7 +472,7 @@ def _open_roots(elasticities: Sequence[_DG], start: NDArray,
     the acceptance pass's 4 sqrt(n): 32 against 41 at n = 105
     (_krylov_steps counts the starts whose first bracket stays open)."""
     mats = [E.absolute for E in elasticities]   # E finite: A >= 0
-    x = _dominant_ritz(mats, _krylov_steps(len(mats[0]), 3.0))[1]
+    x = _dominant_ritz(_stacked(mats), _krylov_steps(len(mats[0]), 3.0))[1]
     roots = []
     for A, v in zip(mats, np.abs(x)):
         if not np.all((v > 0.0) & (v < np.inf)):   # NaN fails too
@@ -497,7 +511,7 @@ def _peripherals(elasticities: Sequence[_DG], spectra: list[int],
     krylov = [idx for idx in spectra if idx > 0]
     known = {}
     if krylov:
-        mats = [elasticities[idx].entries for idx in krylov]
+        mats = _stacked([elasticities[idx].entries for idx in krylov])
         n = len(mats[0])
         theta, _, converged = _dominant_ritz(mats, _krylov_steps(n),
                                              early=_krylov_steps(n, 3.0))
@@ -547,7 +561,9 @@ def check_spectral(sys: PositiveSystem, u,
     |theta|, the dense rule's answer whenever the dominant eigenvalue
     lies away from 1.  Every other
     sample reads its `spectrum`, which find_scaling_exponent may already
-    have computed for sample 0.  A non-normal DG has no cheap bound on
+    have computed for sample 0: for a _SupportDG whose zero-diagonal
+    coordinates peel, from its support values alone, with no dense DG
+    (spectral._support_eigvals).  A non-normal DG has no cheap bound on
     its second modulus, so the gap and unique_modulus_one are
     informational: no verdict reads them.
 
@@ -647,17 +663,23 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     runs.  Where the system gives support_values, each sample's DG is
     kept only as those nnz values (system._SupportDG): DG u, |DG| |u|,
     the block rule, the diagonal and irreducibility (from the connected
-    pattern) then cost O(nnz) per sample, and a dense DG is scattered
-    from them only where a sample needs it (sample 0 for its spectrum, a
-    later one for an open Perron bracket or a spectrum).  Any other
-    system, the one-sector model included, gets a dense ElasticityMatrix
-    per sample.
+    pattern) then cost O(nnz) per sample.  So does sample 0's spectrum
+    where zero-diagonal coordinates peel, as in the multi-sector model,
+    whose exact certify then makes no n x n array.  A dense DG is
+    scattered from the values only where a sample needs it: an open
+    Perron bracket, a later sample's Krylov pass or spectrum, or a
+    spectrum where nothing peels.  Any other system, the one-sector
+    model included, gets a dense ElasticityMatrix per sample; sampled,
+    every DG and every |DG| are held as slices of one array apiece
+    (system._hold_stacked), which the Krylov passes read whole.
     """
     samples = sample_states(sys, sample_count, seed)
     mode = "exact" if sys._support is not None else "sampled"
     failure = None
     try:
         elas = _elasticities(sys, samples)
+        if mode == "sampled":
+            _hold_stacked(elas)
     except Exception as exc:    # the caller's F or elasticities failed
         elas, failure = None, _error_verdict(exc)
 

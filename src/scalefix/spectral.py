@@ -291,7 +291,7 @@ def _arnoldi(mats: Sequence[NDArray], m: int, basis=None,
     1e-12 ||A||_F is a breakdown (an invariant subspace, as at step n):
     it is set to 0 and zero vectors follow.  An overflow leaves H not
     finite."""
-    A = np.stack(mats)
+    A = np.asarray(mats)        # a (k, n, n) array is not copied
     k, n = A.shape[:2]
     V = np.empty((k, m + 1, n))
     H = np.zeros((k, m + 1, m))
@@ -392,7 +392,9 @@ def _ritz(H: NDArray, V: NDArray) -> tuple[NDArray, NDArray, NDArray]:
             # z^H y = sum(conj(z) y)
             cos = np.abs(np.sum(zc * y, axis=1)) / np.linalg.norm(zc, axis=1)
             error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
-            X[finite] = (y[:, None, :] @ V[finite, :m])[:, 0]
+            # a view where every H is finite: no real copy of V's rows
+            Vm = V[:, :m] if len(finite) == k else V[finite, :m]
+            X[finite] = (y[:, None, :] @ Vm)[:, 0]
         return theta, X, error <= 1e-13 * np.abs(theta)
 
 
@@ -400,8 +402,32 @@ def eigvals_mod_zero(M) -> NDArray:
     """Eigenvalues of the square matrix M, except that the multiplicity
     of the eigenvalue 0 may differ.
 
+    Coordinates with a zero diagonal whose graph is acyclic are
+    eliminated exactly, by _support_eigvals on M's nonzero entries, and
+    the eigensolver sees a block companion matrix of the rest.  Where no
+    diagonal entry is 0, nothing peels, the companion would be no smaller
+    than M, or its top block row overflows (its products can, for finite
+    M with huge entries), this is numpy.linalg.eigvals(M).
+    """
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if np.diag(A).all():            # NaN counts as nonzero
+        return np.linalg.eigvals(A)
+    rows, cols = np.nonzero(A)
+    eigs = _support_eigvals(A.shape[0], rows, cols, A[rows, cols])
+    return np.linalg.eigvals(A) if eigs is None else eigs
+
+
+def _support_eigvals(n: int, rows: NDArray, cols: NDArray, values: NDArray,
+                     ) -> NDArray | None:
+    """eigvals_mod_zero of the n x n matrix M that holds values[e] at
+    (rows[e], cols[e]), row-major, each place once and no value 0, and 0
+    elsewhere, read from those entries alone; None where only the dense
+    numpy.linalg.eigvals(M) will do.
+
     Coordinates with a zero diagonal are peeled in rounds: each round
-    takes those whose row has no nonzero entry in the columns of the
+    takes those whose row has no entry in the columns of the
     zero-diagonal coordinates not yet peeled.  The peeled set K induces
     an acyclic graph, so N = M_KK is nilpotent, N^m = 0 after m rounds,
     and for the remaining coordinates R the Schur complement of
@@ -414,44 +440,63 @@ def eigvals_mod_zero(M) -> NDArray:
     polynomial of degree m+1 and size |R|, whose roots are the
     eigenvalues of its block companion matrix of size (m+1)|R|, top block
     row [M_RR, M_RK M_KR, ..., M_RK N^(m-1) M_KR] (Gohberg, Lancaster &
-    Rodman, Matrix Polynomials, ch. 1).  When nothing peels, the
-    companion would be no smaller than M, or its top block row overflows
-    (the products below can, for finite M with huge entries), this is
-    numpy.linalg.eigvals(M).
+    Rodman, Matrix Polynomials, ch. 1), the one array the eigensolver
+    sees.  The peel reads the entries among zero-diagonal coordinates;
+    M's columns in R are filled into an n x |R| array by index; each row
+    block M_RK N^k comes from the one before by expanding its nonzero
+    entries over N's rows (np.repeat, then np.bincount to sum), and one
+    (m|R| x n)(n x |R|) product gives all m products with M_KR: no n x n
+    array is made.  In the multi-sector model OMEGA and P peel, m = 2
+    and R is the J wages.  None where nothing peels, the companion would
+    be no smaller than M, or its top block row is not finite.
     """
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    nonzero = A != 0.0
-    zero_diag = np.diag(A) == 0.0
-    unpeeled = zero_diag.copy()
-    m = 0
-    while True:
-        peel = unpeeled & ~nonzero[:, unpeeled].any(axis=1)
-        if not peel.any():
-            break
+    zero_diag = np.ones(n, dtype=bool)
+    zero_diag[rows[rows == cols]] = False
+    inner = zero_diag[rows] & zero_diag[cols]
+    er, ec = rows[inner], cols[inner]       # the edges a peel must wait on
+    unpeeled, m = zero_diag.copy(), 0
+    while (peel := unpeeled & (np.bincount(er, minlength=n) == 0)).any():
         unpeeled &= ~peel
-        m += 1
-    R = ~zero_diag | unpeeled
-    r = int(R.sum())
+        keep = unpeeled[ec]
+        er, ec, m = er[keep], ec[keep], m + 1
+    K = zero_diag & ~unpeeled
+    r = n - int(K.sum())
     if r == 0:
         return np.zeros(n)          # M itself is nilpotent
     if (m + 1) * r >= n:
-        return np.linalg.eigvals(A)
-    # M_RK N^k M_KR as the R rows of M X, where X holds N^k M_KR in full
-    # coordinates (R rows zero): no n x n submatrix is copied
-    X = A[:, R]
-    top = [X[R]]
-    for _ in range(m):
-        X[R] = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = A @ X       # inf, then inf * 0 = nan, once it overflows
-        top.append(X[R])
+        return None
+    at = np.cumsum(~K) - 1          # R's coordinates numbered in order
+    k_row, k_col = K[rows], K[cols]
+    # M's columns in R: M_RR in R's rows, M_KR in K's; every row block
+    # M_RK N^k below is 0 at R's coordinates, so its product is with M_KR
+    X = np.zeros((n, r))
+    to_r = ~k_col
+    X.ravel()[rows[to_r] * r + at[cols[to_r]]] = values[to_r]
     C = np.zeros(((m + 1) * r, (m + 1) * r))
-    C[:r] = np.concatenate(top, axis=1)
+    C[:r, :r] = X[~K]
+    kk = k_row & k_col              # N's entries, row-major
+    nc, nv = cols[kk], values[kk]
+    counts = np.bincount(rows[kk], minlength=n)
+    starts = np.cumsum(counts) - counts
+    W = np.zeros((m, r * n))        # row i of block k at W[k, i*n:]
+    rk = k_col > k_row
+    ij, w = at[rows[rk]] * n + cols[rk], values[rk]
+    W[0, ij] = w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m):
+            if k > 1:
+                ij = np.flatnonzero(W[k - 1])
+                w = W[k - 1, ij]
+            j = ij % n
+            reps = counts[j]        # entry (i, j) meets N's row j
+            e = (np.repeat(starts[j] - np.cumsum(reps) + reps, reps)
+                 + np.arange(reps.sum()))       # that row's entries
+            W[k] = np.bincount((ij - j).repeat(reps) + nc[e],
+                               w.repeat(reps) * nv[e], minlength=r * n)
+        top = (W.reshape(m * r, n) @ X).reshape(m, r, r)
+    C[:r, r:] = top.transpose(1, 0, 2).reshape(r, m * r)
     if not np.all(np.isfinite(C[:r])):
-        return np.linalg.eigvals(A)
+        return None
     C[r:, :-r] = np.eye(m * r)
     return np.linalg.eigvals(C)
 

@@ -35,6 +35,7 @@ from scalefix.spectral import (
     _components,
     _strongly_connected,
     _strongly_connected_edges,
+    _support_eigvals,
     eigvals_mod_zero,
 )
 
@@ -170,7 +171,9 @@ class ElasticityMatrix:
     @cached_property
     def absolute(self) -> NDArray:
         """|DG|, read-only: a sampled certify reads it for connectedness,
-        self-interaction, |DG| v and the Krylov pass of an open bracket."""
+        self-interaction, |DG| v and the Krylov pass of an open bracket,
+        and holds it as a slice of one array for all samples
+        (_hold_stacked)."""
         A = np.abs(self.entries)
         A.setflags(write=False)
         return A
@@ -297,10 +300,13 @@ def _pattern_support(n: int, pattern) -> _Support:
 class _SupportDG:
     """DG at one sample as `values` = DG[rows, cols] on a _Support: finite,
     none of them 0, and DG 0 elsewhere by the declaration.  Stands in for
-    an ElasticityMatrix: `entries`, `spectrum` and `absolute` read
-    `dense`, DG scattered from `values`, built only where a sample needs
-    it (`absolute` only for an open Perron bracket), and
-    ElasticityMatrix's private operations cost O(nnz) here."""
+    an ElasticityMatrix: `spectrum` is computed from the support alone
+    where zero-diagonal coordinates peel (_support_eigvals, as for the
+    multi-sector model), `entries` and `absolute` read `dense`, DG
+    scattered from `values`, built only where a sample needs it (an open
+    Perron bracket, a later sample's Krylov pass, or a spectrum that
+    peels nothing), and ElasticityMatrix's private operations cost
+    O(nnz) here."""
 
     def __init__(self, support: _Support, values: NDArray,
                  point: StateVector | None):
@@ -314,9 +320,15 @@ class _SupportDG:
     def entries(self) -> NDArray:
         return self.dense.entries
 
-    @property
+    @cached_property
     def spectrum(self) -> NDArray:
-        return self.dense.spectrum
+        """ElasticityMatrix.spectrum's eigenvalues, read-only."""
+        s = self.support
+        eigs = _support_eigvals(s.n, s.rows, s.cols, self.values)
+        if eigs is None:
+            eigs = np.linalg.eigvals(self.entries)
+        eigs.setflags(write=False)
+        return eigs
 
     @property
     def absolute(self) -> NDArray:
@@ -347,6 +359,21 @@ class _SupportDG:
 
 
 _DG = ElasticityMatrix | _SupportDG
+
+
+def _hold_stacked(elasticities: list[ElasticityMatrix]) -> None:
+    """Hold the entries of the dense DGs in a list no check has read
+    yet, then their |DG|, each as slices of one read-only (k, n, n)
+    array, in list order: a sampled certify reads every |DG|, and its
+    lockstep Krylov passes over DG and |DG| take views of these arrays
+    (certify._stacked), with no stacked copy beside them."""
+    entries = _frozen([E.entries for E in elasticities])
+    for E, D in zip(elasticities, entries):
+        E.__dict__["entries"] = D       # the same values: E's copy is freed
+    absolute = np.abs(entries)
+    absolute.setflags(write=False)
+    for E, A in zip(elasticities, absolute):
+        E.__dict__["absolute"] = A
 
 
 def _worst(E: _DG, d: NDArray) -> float:

@@ -45,6 +45,7 @@ from scalefix.system import (
     ElasticityMatrix,
     PositiveSystem,
     _pattern_support,
+    _support_dg,
     _SupportDG,
     _worst,
     elasticity_at,
@@ -349,14 +350,20 @@ def record_rule_tests(patch):
 
 def count_eigensolves(patch):
     """Like count_calls, for eigvals_mod_zero both where certify calls it,
-    for |DG|, and where ElasticityMatrix.spectrum calls it, for DG: each
-    call appends (M,) to the one returned list."""
+    for |DG|, and where ElasticityMatrix.spectrum calls it, for DG, and
+    for _support_eigvals where _SupportDG.spectrum calls it, for DG on
+    its support: each call appends (M,), or (values,) for the last, to
+    the one returned list."""
     calls = []
     for name in ("scalefix.certify", "scalefix.system"):
         module = importlib.import_module(name)
         patch.setattr(module, "eigvals_mod_zero",
                       lambda M, f=module.eigvals_mod_zero:
                       calls.append((M,)) or f(M))
+    system = importlib.import_module("scalefix.system")
+    patch.setattr(system, "_support_eigvals",
+                  lambda n, rows, cols, values, f=system._support_eigvals:
+                  calls.append((values,)) or f(n, rows, cols, values))
     return calls
 
 
@@ -701,8 +708,8 @@ def test_certify_validates_no_matrix_it_built(k, exact, monkeypatch):
     # an ElasticityMatrix is finite and square by construction, so |E|
     # is finite and nonnegative, and certify runs the unchecked kernels.
     # In exact mode every sample keeps its support values, sample 0's
-    # dense DG (its spectrum needs it) is rebuilt from them, so
-    # elasticity_at never runs, and no n x n rule array is built.  In
+    # spectrum is computed from them, so elasticity_at never runs, and
+    # no n x n rule array is built.  In
     # sampled mode every sample is dense, and the block rule is tested on
     # n x n arrays: in check_monotonicity up to the failing sample, and
     # in check_spectral at each sample
@@ -1510,10 +1517,11 @@ def wide_multi_sector(J, S, seed=0):
 
 
 def test_exact_certify_holds_under_four_dense_matrices():
-    # 8 samples at n = 330: sample 0's dense DG, its spectrum's work and
-    # the 8 samples' support values (an eighth of n^2 each) fit, at about
-    # 2.4 n^2 doubles; keeping every dense DG, its copy, |DG| and masks
-    # per sample peaked at 10.3 n^2
+    # 8 samples at n = 330: the 8 samples' support values (an eighth of
+    # n^2 each) and sample 0's spectrum's work, from those values, fit
+    # at about 1.8 n^2 doubles (2.4 n^2 with sample 0's DG scattered for
+    # it); keeping every dense DG, its copy, |DG| and masks per sample
+    # peaked at 10.3 n^2
     sys = wide_multi_sector(30, 5)
     n = sys.dimension
     certify(sys, 8, 0)
@@ -1530,7 +1538,7 @@ def test_exact_certify_holds_under_four_dense_matrices():
 def test_warm_exact_certify_reads_each_sample_once_on_the_support(
         monkeypatch):
     # support_values runs once per sample and the dense provider never:
-    # sample 0's dense DG, for its spectrum, is rebuilt from its values
+    # sample 0's spectrum is computed from its values
     sys = wide_multi_sector(5, 3)
     want = format_report(certify(sys, 8, 0))
     providers = types.SimpleNamespace(support=sys.support_values,
@@ -1585,11 +1593,11 @@ def test_exact_certify_never_lays_out_the_multi_sector_pattern(monkeypatch):
 def test_a_fresh_exact_certify_holds_no_n_by_n_pattern_or_adjacency(
         monkeypatch):
     # multi 30 x 5, built and certified under tracemalloc: the support
-    # from the blocks (nnz = 0.13 n^2), the 8 samples' support values,
-    # sample 0's dense DG and its spectrum's work peak at about 3.3 n^2
-    # doubles.  The n x n int layout, the pattern made from it, its
-    # checked copy and the bool adjacency walked for connectedness took
-    # that to 4.3 n^2
+    # from the blocks (nnz = 0.13 n^2), the 8 samples' support values
+    # and sample 0's spectrum's work peak at about 2.7 n^2 doubles, and
+    # at 3.3 n^2 with sample 0's DG scattered for that spectrum.  The
+    # n x n int layout, the pattern made from it, its checked copy and
+    # the bool adjacency walked for connectedness took that to 4.3 n^2
     trade = importlib.import_module("scalefix.trade")
     calls = count_calls(monkeypatch, trade, "_multi_sector_layout")
     params = wide_multi_sector(30, 5).meta["params"]
@@ -1622,11 +1630,12 @@ def test_a_certified_system_frees_its_support_without_the_cycle_collector():
 
 
 def test_warm_exact_certify_at_n_1260_peaks_below_a_dense_build_per_sample():
-    # multi 60 x 10: sample 0's dense DG, scattered into the one array
-    # its ElasticityMatrix holds, and the 8 samples' support values
-    # (0.07 n^2 each) peak at about 1.8 n^2 doubles; a copy of that array
-    # in the ElasticityMatrix peaked at 2.41 n^2, and a dense DG built
-    # per sample before its support test at 2.81 n^2
+    # multi 60 x 10: the 8 samples' support values (0.07 n^2 each) and
+    # the support's own arrays peak at about 0.94 n^2 doubles, as sample
+    # 0's spectrum is computed from its values with no n x n array.
+    # Scattering sample 0's dense DG for that spectrum peaked at 1.8 n^2,
+    # a copy of that array in the ElasticityMatrix at 2.41 n^2, and a
+    # dense DG built per sample before its support test at 2.81 n^2
     sys = wide_multi_sector(60, 10)
     n = sys.dimension
     certify(sys, 8, 0)
@@ -1637,7 +1646,88 @@ def test_warm_exact_certify_at_n_1260_peaks_below_a_dense_build_per_sample():
     finally:
         tracemalloc.stop()
     assert rep.uniqueness_applicable and rep.attractivity_applicable
-    assert peak <= 2.2 * n * n * 8
+    assert peak <= 1.0 * n * n * 8
+
+
+@pytest.mark.parametrize("J,S", [(30, 5), (60, 10)])
+def test_exact_multi_sector_certify_scatters_no_dense_matrix(J, S,
+                                                            monkeypatch):
+    # every dense fallback counted: sample 0's spectrum comes from its
+    # support values (OMEGA and P peel, the 3J-wide companion is all the
+    # eigensolver sees), and every other check reads the support, so no
+    # sample's DG is ever scattered into an n x n array
+    system = importlib.import_module("scalefix.system")
+    sys = wide_multi_sector(J, S)
+    scatters = count_calls(monkeypatch, system._Support, "scatter")
+    eigs = count_eigensolves(monkeypatch)
+    rep = certify(sys, 8, 0)
+    assert rep.uniqueness_applicable and rep.spectral.unique_modulus_one
+    assert scatters == [] and len(eigs) == 1
+
+
+def test_support_spectrum_is_the_dense_entry_bit_for_bit():
+    # the support's spectrum and eigvals_mod_zero of the scattered DG run
+    # one routine on the same nonzero entries in the same order
+    sys = wide_multi_sector(8, 3)
+    for x in sample_states(sys, 3, seed=2):
+        dg = _support_dg(sys, x)
+        got = dg.spectrum
+        assert "dense" not in vars(dg) and not got.flags.writeable
+        assert got.size == 3 * 8
+        assert np.array_equal(got, eigvals_mod_zero(dg.entries))
+
+
+def wide_general(J, S, seed=0):
+    """A general model on wide_multi_sector's trade parameters."""
+    p = wide_multi_sector(J, S, seed).meta["params"]
+    rng = np.random.default_rng(seed + 1)
+    labor = rng.uniform(0.5, 0.8, (J, S))
+    io = rng.uniform(0.1, 1.0, (J, S, S))
+    io *= ((1.0 - labor) / io.sum(axis=1))[:, None, :]
+    return build_general(GeneralParams(
+        A=p.A, tau=p.tau, alpha=p.alpha, L=p.L, theta=p.theta,
+        sigma=p.sigma, gamma_labor=labor, gamma_io=io))
+
+
+def test_sampled_certify_passes_held_views_to_both_krylov_passes(
+        monkeypatch):
+    # general 15 x 3 (n = 105), where the block rule fails: every |DG|
+    # bracket stays open and samples 1..7 go through the pass over DG.
+    # Each sample's DG and |DG| are slices of one read-only (8, n, n)
+    # array apiece, and each pass reads a view of one of them, not a
+    # stacked copy
+    certify_module = importlib.import_module("scalefix.certify")
+    sys = wide_general(15, 3)
+    n = sys.dimension
+    ritz = count_calls(monkeypatch, certify_module, "_dominant_ritz")
+    rep = certify(sys, 8, 5)
+    assert rep.monotonicity.verdict == "fail"
+    (absolute, _), (entries, *_) = ritz
+    assert absolute.shape == (8, n, n) and entries.shape == (7, n, n)
+    for mats in (absolute, entries):
+        assert mats.base is not None and not mats.flags.writeable
+        assert mats.base.shape == (8, n, n)
+    want = [elasticity_at(sys, x).entries for x in rep.samples]
+    assert all(np.array_equal(A, np.abs(E)) for A, E in zip(absolute, want))
+    assert all(np.array_equal(D, E) for D, E in zip(entries, want[1:]))
+
+
+def test_warm_sampled_certify_holds_dg_and_abs_dg_once():
+    # general 30 x 5 (n = 330), 8 samples: DG and |DG| of every sample
+    # (16 n^2 doubles) and the Krylov passes' bases peak at about
+    # 21.1 n^2.  A stacked copy of the |DG| for their pass, beside the
+    # held ones, peaked at 25.7 n^2
+    sys = wide_general(30, 5)
+    n = sys.dimension
+    certify(sys, 8, 5)
+    tracemalloc.start()
+    try:
+        rep = certify(sys, 8, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.monotonicity.verdict == "fail"
+    assert peak < 23.5 * n * n * 8
 
 
 def test_spectrum_similarity_via_charpoly():

@@ -6,8 +6,9 @@ Oracles used here:
   * characteristic-polynomial root solve for a 3x3 spectral radius,
   * golden-section search on the convex minimand for the quotient norm,
     and the minimum over every kink and pairwise crossing of its pieces,
-  * dense numpy.linalg.eigvals for the block-reduced eigenvalues, and
-    mpmath's 60-digit eigensolver where the dense one is too inexact.
+  * dense numpy.linalg.eigvals for the block-reduced eigenvalues, from
+    a dense matrix or from its nonzero entries alone, and mpmath's
+    60-digit eigensolver where the dense one is too inexact.
 """
 
 import importlib
@@ -27,6 +28,7 @@ from scalefix.spectral import (
     _reaches_all,
     _strongly_connected,
     _strongly_connected_edges,
+    _support_eigvals,
     eigvals_mod_zero,
     gauge_norm,
     is_irreducible,
@@ -745,6 +747,26 @@ def test_reduced_eigs_match_dense_on_planted_dag(M):
 @example(M=JORDAN_ZERO_NEIGHBOUR)
 def test_reduced_eigs_match_dense_with_zero_diagonal_cycle(M):
     check_reduced_eigs(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda cycle: planted_dag_matrices(cycle)))
+@example(M=JORDAN_ZERO_NEIGHBOUR)
+def test_support_eigs_match_dense_from_the_nonzeros_alone(M):
+    # the routine reads M's nonzero entries, row-major, and no n x n
+    # array: its answer matches the dense or the 60-digit spectrum, and
+    # where it declines (no smaller companion), eigvals_mod_zero is the
+    # dense eigvals bit for bit
+    rows, cols = np.nonzero(M)
+    got = _support_eigvals(len(M), rows, cols, M[rows, cols])
+    if got is None:
+        assert np.array_equal(eigvals_mod_zero(M), np.linalg.eigvals(M))
+        return
+    scale = max(1.0, np.linalg.norm(M, 2))
+    assert got.size <= M.shape[0]
+    assert (nonzero_eigs_match(got, np.linalg.eigvals(M), scale)
+            or nonzero_eigs_match(got, precise_eigvals(M), scale))
+    assert np.array_equal(got, eigvals_mod_zero(M))
 
 
 def test_reduced_eigs_shrink_the_problem():
