@@ -678,10 +678,11 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     failure = None
     try:
         elas = _elasticities(sys, samples)
-        if mode == "sampled":
-            _hold_stacked(elas)
     except Exception as exc:    # the caller's F or elasticities failed
         elas, failure = None, _error_verdict(exc)
+    else:
+        if mode == "sampled":
+            _hold_stacked(elas)
 
     def guarded(check):
         if failure is not None and mode == "sampled":
