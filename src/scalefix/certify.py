@@ -35,6 +35,7 @@ from scalefix.spectral import (
     _dominant_ritz,
     _krylov_steps,
     _perron_root,
+    _perron_starts,
     _strongly_connected,
     eigvals_mod_zero,
     strongly_connected_components,
@@ -465,20 +466,17 @@ def _stacked(mats: list[NDArray]) -> list[NDArray] | NDArray:
 def _open_roots(elasticities: Sequence[_DG], start: NDArray,
                 ) -> list[tuple[float, tuple[float, float] | None]]:
     """rho(|DG|) and its proved bracket at samples whose first bracket
-    from start stayed open: _dense_root from v = |x|, x the Ritz vector of
-    one lockstep Krylov pass over their |DG|, or from start where v is
-    not positive and finite.  The pass only picks the start, which Noda's
-    steps make good from any positive v, so it takes 3 sqrt(n) steps, not
-    the acceptance pass's 4 sqrt(n): 32 against 41 at n = 105
-    (_krylov_steps counts the starts whose first bracket stays open)."""
+    from start stayed open: _dense_root from v = |x|, x the Perron start
+    of one lockstep Krylov pass over their |DG| begun at start
+    (_perron_starts), or from start where v is not positive and finite.
+    The pass only picks the start, which Noda's steps make good from any
+    positive v, so it takes 3 sqrt(n) steps, not the acceptance pass's
+    4 sqrt(n): 32 against 41 at n = 105 (_krylov_steps counts the starts
+    whose first bracket stays open)."""
     mats = [E.absolute for E in elasticities]   # E finite: A >= 0
-    x = _dominant_ritz(_stacked(mats), _krylov_steps(len(mats[0]), 3.0))[1]
-    roots = []
-    for A, v in zip(mats, np.abs(x)):
-        if not np.all((v > 0.0) & (v < np.inf)):   # NaN fails too
-            v = start
-        roots.append(_dense_root(A, v))
-    return roots
+    x = _perron_starts(_stacked(mats), _krylov_steps(len(mats[0]), 3.0), start)
+    return [_dense_root(A, v if np.all((v > 0.0) & (v < np.inf)) else start)
+            for A, v in zip(mats, np.abs(x))]      # NaN fails the test too
 
 
 def _perron_derived(E: _DG, signature: float,
@@ -513,8 +511,8 @@ def _peripherals(elasticities: Sequence[_DG], spectra: list[int],
     if krylov:
         mats = _stacked([elasticities[idx].entries for idx in krylov])
         n = len(mats[0])
-        theta, _, converged = _dominant_ritz(mats, _krylov_steps(n),
-                                             early=_krylov_steps(n, 3.0))
+        theta, converged = _dominant_ritz(mats, _krylov_steps(n),
+                                          early=_krylov_steps(n, 3.0))
         known = {idx: (False, float(abs(t)))
                  for idx, t, ok in zip(krylov, theta, converged)
                  if ok and abs(t - 1.0) > NEAR_ONE}
@@ -537,11 +535,12 @@ def check_spectral(sys: PositiveSystem, u,
     is zero-free), for the bracket [min w/v, max w/v] and the eigenvector
     residual; rho is the bracket's midpoint when it is positive and
     within 1e-13 max(1, rho), as when |DG| |u| = |u|.  Where it stays
-    open, one lockstep Krylov pass (_dominant_ritz) of 3 sqrt(n) steps
-    over the |DG| of all such samples gives the Perron start v = |x|, x
-    the Ritz vector of largest modulus, from the small Hessenberg
-    matrices' eigenvalues and two small solves, whose bracket by one
-    matvec closes as a rule; else spectral_radius's later steps (Noda's)
+    open, one lockstep Krylov pass (_perron_starts) of 3 sqrt(n) steps
+    over the |DG| of all such samples, begun at that first start, gives
+    the Perron start v = |x|: x = V_m y, y from a shift read off the
+    leading half of each small Hessenberg matrix, one inverse step and
+    three Rayleigh-quotient steps, all real, whose bracket by one matvec
+    closes as a rule; else spectral_radius's later steps (Noda's)
     run on the dense |DG| from v (or from the first start, where |x| is
     not positive), and where they raise, rho is the largest eigenvalue
     modulus of |DG|, clamped into the bracket proved so far, if any: the
@@ -553,8 +552,9 @@ def check_spectral(sys: PositiveSystem, u,
     NEAR_ONE of 1 and |DG| primitive, DG is similar to |DG|, whose Perron
     root is simple and the only eigenvalue of its modulus
     (Perron-Frobenius): no eigensolve runs there.  The other later
-    samples go through one lockstep Krylov pass over their DG, finished
-    the same way and staged: the samples accepted after 3 sqrt(n) steps
+    samples go through one lockstep Krylov pass over their DG
+    (_dominant_ritz), finished by the eigenvalues of each H_m and two
+    small solves, and staged: the samples accepted after 3 sqrt(n) steps
     (32 at n = 105, 55 at n = 330) stop there, and only the rest run on
     to 4 sqrt(n) (41 and 73).  A converged dominant Ritz value theta
     with |theta - 1| > NEAR_ONE gives unique False and second modulus

@@ -266,17 +266,18 @@ def _krylov_steps(n: int, per_root: float = 4.0) -> int:
     82 and 96 (two generator seeds) were accepted at 32 steps at
     n = 105, and 27 of 28 samples of 4 models at 55 steps at n = 330; at
     n <= 56 both counts are 32, so the pass has one stage.  The pass
-    over |DG| only picks the Perron start, which Noda's steps improve
-    from any positive start, so it takes 3 sqrt(n): 32 at n = 56 and
-    105, 55 at n = 330.  Of the 256 starts per size, 11 at n = 56, 6 at
-    n = 105 and 7 at n = 330 left their first bracket open, so that
-    _perron_root's later steps ran (5, 1 and 0 with 4 sqrt(n) steps and
-    a full eigensolve of H_m), and none fell back to an eigensolve of
+    over |DG| only picks the Perron start (_perron_starts), which Noda's
+    steps improve from any positive start, so it takes 3 sqrt(n): 32 at
+    n = 56 and 105, 55 at n = 330.  Of the 256 starts per size (certify
+    seeds 0-15 per generator seed), 0 at n = 56, 2 at n = 105 and 0 at
+    n = 330 left their first bracket open, so that _perron_root's later
+    steps ran (8, 15 and 5 from the Ritz vector of a pass begun at a
+    fixed random vector), and none fell back to an eigensolve of
     |DG|."""
     return min(n, max(32, math.ceil(per_root * math.sqrt(n))))
 
 
-def _arnoldi(mats: Sequence[NDArray], m: int, basis=None,
+def _arnoldi(mats: Sequence[NDArray], m: int, basis=None, start=None,
              ) -> tuple[NDArray, NDArray]:
     """(H, V): m Arnoldi steps (the caller's _krylov_steps) on each of the
     finite square matrices in mats, all of one size n, in lockstep,
@@ -285,7 +286,8 @@ def _arnoldi(mats: Sequence[NDArray], m: int, basis=None,
     stacked matmul, as are the classical Gram-Schmidt steps, done twice,
     and the Hessenberg updates (Saad, Numerical Methods for Large
     Eigenvalue Problems, 2nd ed., 2011, ch. 6).  Every run starts from
-    one fixed generic unit vector; given the (H, V) of j < m steps on the
+    start / ||start||, or without a start from one fixed generic unit
+    vector (the pass over DG); given the (H, V) of j < m steps on the
     same matrices as `basis`, it runs steps j+1..m alone, and so gives
     the bits of m steps from the start.  An h_{j+1,j} of at most
     1e-12 ||A||_F is a breakdown (an invariant subspace, as at step n):
@@ -295,7 +297,7 @@ def _arnoldi(mats: Sequence[NDArray], m: int, basis=None,
     k, n = A.shape[:2]
     V = np.empty((k, m + 1, n))
     H = np.zeros((k, m + 1, m))
-    v = np.random.default_rng(0).standard_normal(n)
+    v = np.random.default_rng(0).standard_normal(n) if start is None else start
     V[:, 0] = v / np.linalg.norm(v)
     done = 0 if basis is None else basis[0].shape[2]
     if done:
@@ -322,22 +324,23 @@ def _arnoldi(mats: Sequence[NDArray], m: int, basis=None,
 
 
 def _dominant_ritz(mats: Sequence[NDArray], m: int, early: int | None = None,
-                   ) -> tuple[NDArray, NDArray, NDArray[np.bool_]]:
-    """The dominant Ritz pair of each of the finite square matrices in
+                   ) -> tuple[NDArray, NDArray[np.bool_]]:
+    """The dominant Ritz value of each of the finite square matrices in
     mats, all of one size n, from one lockstep pass of m _arnoldi steps.
 
-    Returns, per matrix, the Ritz value theta of largest modulus, its
-    unit Ritz vector x = V_m' y (complex) and whether it converged: the
-    residual ||A x - theta x||_2 = |h_{m+1,m} e_m' y|, 0 at a breakdown,
-    times theta's condition number 1/|z^H y| in H_m, a first-order bound
-    on its error (Golub & Van Loan, Matrix Computations, 4th ed., 2013,
-    ch. 7), is finite and at most 1e-13 |theta|.  y and z are theta's
-    unit right and left eigenvectors of H_m.
+    Returns, per matrix, the Ritz value theta of largest modulus and
+    whether it converged: the residual ||A x - theta x||_2 =
+    |h_{m+1,m} e_m' y| of its unit Ritz vector x = V_m' y, 0 at a
+    breakdown, times theta's condition number 1/|z^H y| in H_m, a
+    first-order bound on its error (Golub & Van Loan, Matrix
+    Computations, 4th ed., 2013, ch. 7), is finite and at most
+    1e-13 |theta|.  y and z are theta's unit right and left
+    eigenvectors of H_m; x itself is never formed.
 
     With early < m the pass is staged: every matrix gets this finish
     after `early` steps, with the same bound, and those accepted there
     keep it.  Only the rest continue the same bases, with no restart, to
-    m steps, so their theta, x and flags are those of the one-stage pass
+    m steps, so their theta and flags are those of the one-stage pass
     bit for bit.  check_spectral's pass over DG stops at 3 sqrt(n) steps
     for most samples (_krylov_steps).
 
@@ -348,26 +351,24 @@ def _dominant_ritz(mats: Sequence[NDArray], m: int, early: int | None = None,
     ||(H_m - theta I) y|| within about 2e-14 |theta|; a step from all
     ones leaves about 1e-14 |theta| |z^H y| / cos(z, 1), which put
     accepted Ritz pairs of random matrices above 1e-12 |theta| and moved
-    the acceptance of two planted ones.  The same y gives the Perron
-    start's x, for a caller that reads x alone.  An overflow, or a
-    failed eigensolve or solve, counts as not converged, with x NaN
-    where a solve failed; no warning or LinAlgError escapes.
+    the acceptance of two planted ones.  An overflow, or a failed
+    eigensolve or solve, counts as not converged; no warning or
+    LinAlgError escapes.
     """
     j = m if early is None else min(early, m)
     H, V = _arnoldi(mats, j)
-    theta, X, converged = _ritz(H, V)
+    theta, converged = _ritz(H)
     rest = np.flatnonzero(~converged)
     if j < m and rest.size:
         H, V = _arnoldi([mats[i] for i in rest], m, (H[rest], V[rest]))
-        theta[rest], X[rest], converged[rest] = _ritz(H, V)
-    return theta, X, converged
+        theta[rest], converged[rest] = _ritz(H)
+    return theta, converged
 
 
-def _ritz(H: NDArray, V: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-    """_dominant_ritz's finish on the (H, V) of an m-step _arnoldi pass."""
-    k, m, n = H.shape[0], H.shape[2], V.shape[2]
+def _ritz(H: NDArray) -> tuple[NDArray, NDArray]:
+    """_dominant_ritz's finish on the H of an m-step _arnoldi pass."""
+    k, m = H.shape[0], H.shape[2]
     theta = np.full(k, np.nan, dtype=complex)
-    X = np.full((k, n), np.nan, dtype=complex)
     error = np.full(k, np.inf)
     with np.errstate(all="ignore"):
         finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
@@ -392,10 +393,45 @@ def _ritz(H: NDArray, V: NDArray) -> tuple[NDArray, NDArray, NDArray]:
             # z^H y = sum(conj(z) y)
             cos = np.abs(np.sum(zc * y, axis=1)) / np.linalg.norm(zc, axis=1)
             error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
-            # a view where every H is finite: no real copy of V's rows
-            Vm = V[:, :m] if len(finite) == k else V[finite, :m]
-            X[finite] = (y[:, None, :] @ Vm)[:, 0]
-        return theta, X, error <= 1e-13 * np.abs(theta)
+        return theta, error <= 1e-13 * np.abs(theta)
+
+
+def _perron_starts(mats: Sequence[NDArray], m: int, start: NDArray) -> NDArray:
+    """A start for _perron_root on each of the nonnegative n x n
+    matrices in mats, whose Collatz-Wielandt bracket from the positive
+    vector `start` stayed open: the real x = V_m' y of one lockstep pass
+    of m _arnoldi steps begun at start, whose Krylov coordinates are
+    then e_1.  The shift s is the largest eigenvalue modulus of the
+    leading floor(m/2) block of each H_m (of all of H_m where m = n, a
+    full reduction), the Perron root as half the steps see it.  One
+    inverse step y <- (H_m - s I)^-1 e_1, then three Rayleigh-quotient
+    steps, y <- (H_m - s I)^-1 y with s = y' H_m y for the unit y, each a
+    stacked real m x m solve, converge to the eigenvector of H_m at its
+    Perron Ritz value (Parlett, Math. Comp. 28, 1974; Saad, Numerical
+    Methods for Large Eigenvalue Problems, 2nd ed., 2011, ch. 4).  Each
+    shift is s + 1e-14 |s|, nonsingular where s is exact.  x is NaN
+    where H is not finite, and at every matrix of the pass where the
+    eigensolve or a stacked solve fails, as one singular H_m - s I makes
+    it; no warning or LinAlgError escapes.  Only real arrays are made:
+    V's rows enter x as a view."""
+    H, V = _arnoldi(mats, m, start=start)
+    Y = np.full((len(H), 1, m), np.nan)
+    with np.errstate(all="ignore"):
+        finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
+        Hm = H[finite, :m]
+        lead = m if m == V.shape[2] else m // 2
+        y = np.eye(m, 1) + np.zeros((len(finite), 1, 1))    # e_1 per matrix
+        try:
+            s = np.abs(np.linalg.eigvals(Hm[:, :lead, :lead])).max(axis=1)
+            for _ in range(4):
+                S = Hm - (s + 1e-14 * np.abs(s))[:, None, None] * np.eye(m)
+                y = np.linalg.solve(S, y)
+                y /= np.linalg.norm(y, axis=1, keepdims=True)
+                s = (np.swapaxes(y, 1, 2) @ Hm @ y)[:, 0, 0]   # y' H_m y
+            Y[finite] = np.swapaxes(y, 1, 2)
+        except np.linalg.LinAlgError:
+            pass
+        return (Y @ V[:, :m])[:, 0]     # V's rows as a view: no copy
 
 
 def eigvals_mod_zero(M) -> NDArray:

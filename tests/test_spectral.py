@@ -25,6 +25,8 @@ from scalefix.spectral import (
     PowerIterationError,
     ReducibleMatrixError,
     _components,
+    _krylov_steps,
+    _perron_starts,
     _reaches_all,
     _strongly_connected,
     _strongly_connected_edges,
@@ -387,16 +389,17 @@ def test_underflowed_iterate_raises_with_the_last_bracket():
 
 
 @st.composite
-def irreducible_nonnegative(draw):
-    """An irreducible nonnegative n x n matrix, n from 1 to 8: a random
-    Hamiltonian cycle keeps it strongly connected.  "primitive" adds
-    random edges and a positive diagonal entry; "cyclic" puts coordinate
-    j in class j mod p for a divisor p >= 2 of n and keeps only edges
-    from class c to class c + 1, so the diagonal is zero and p
-    eigenvalues share the Perron root's modulus; "wide" adds random
-    edges with entries log-uniform over 1e-150 ... 1e150."""
-    kind = draw(st.sampled_from(["primitive", "cyclic", "wide"]))
-    n = draw(st.integers(2 if kind == "cyclic" else 1, 8))
+def irreducible_nonnegative(draw, kinds=("primitive", "cyclic", "wide"),
+                            most=8):
+    """An irreducible nonnegative n x n matrix of one of kinds, n from 1
+    to most: a random Hamiltonian cycle keeps it strongly connected.
+    "primitive" adds random edges and a positive diagonal entry;
+    "cyclic" puts coordinate j in class j mod p for a divisor p >= 2 of
+    n and keeps only edges from class c to class c + 1, so the diagonal
+    is zero and p eigenvalues share the Perron root's modulus; "wide"
+    adds random edges with entries log-uniform over 1e-150 ... 1e150."""
+    kind = draw(st.sampled_from(list(kinds)))
+    n = draw(st.integers(2 if kind == "cyclic" else 1, most))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = rng.permutation(n)
     cycle = np.zeros((n, n), dtype=bool)
@@ -637,13 +640,18 @@ def nonzero_eigs_match(got, want, scale):
 def planted_dag_matrices(draw, cycle=False):
     """A random matrix, randomly permuted, whose zero-diagonal
     coordinates K are split into levels, a row at level l having entries
-    only in the columns of R and of lower levels: an acyclic K.  With
-    cycle=True two more zero-diagonal coordinates point at each other,
-    and at anything else.  Hypothesis draws the shape; the entries come
-    from a seeded generator, so they are never exactly equal and the
-    nonzero spectrum is generically simple."""
+    only in the columns of R and of lower levels: an acyclic K.  R's
+    diagonal is nonzero and each level holds more coordinates than R,
+    so K peels in at most one round per level and the companion is
+    smaller than M: the eigensolver sees it, with the multi-level
+    expansion wherever two or more rounds peel.  With cycle=True two
+    more zero-diagonal coordinates point at each other, and at anything
+    else; they cannot peel, and about half of those draws take the
+    dense fallback.  Hypothesis draws the shape; the entries come from a
+    seeded generator, so they are never exactly equal and the nonzero
+    spectrum is generically simple."""
     r = draw(st.integers(1, 3))
-    levels = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    levels = draw(st.lists(st.integers(r + 1, r + 5), min_size=1, max_size=3))
     density = draw(st.floats(0.3, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     level = np.concatenate(
@@ -659,6 +667,7 @@ def planted_dag_matrices(draw, cycle=False):
         allowed = grown
     n = allowed.shape[0]
     keep = allowed & (rng.random((n, n)) < density)
+    keep[range(r), range(r)] = True     # R's diagonal is nonzero
     if cycle:
         keep[n - 2, n - 1] = keep[n - 1, n - 2] = True
     M = np.where(keep, rng.uniform(0.1, 2.0, (n, n))
@@ -824,15 +833,17 @@ def rank_one(n):
 def test_krylov_breakdown_gives_the_exact_dominant_pair(M):
     # the Krylov space of a matrix with 1, 1 or 3 distinct eigenvalues
     # is invariant after that many steps, far below _krylov_steps(50) =
-    # 32: the Ritz values there are eigenvalues, and the pair converges
+    # 32: the Ritz values there are eigenvalues, and the pair converges.
+    # _dominant_ritz forms no Ritz vector, so x comes from eig of H_m
     spectral = importlib.import_module("scalefix.spectral")
     dense = np.linalg.eigvals(M)
     want = dense[np.argmax(np.abs(dense))]
-    theta, X, converged = spectral._dominant_ritz(
+    theta, converged = spectral._dominant_ritz(
         [M], spectral._krylov_steps(50))
     assert converged[0]
     assert abs(theta[0] - want) <= 1e-12 * abs(want)
-    assert np.linalg.norm(M @ X[0] - theta[0] * X[0]) <= 1e-12 * abs(want)
+    x = eig_acceptance([M])[2][0]
+    assert np.linalg.norm(M @ x - theta[0] * x) <= 1e-12 * abs(want)
 
 
 def test_krylov_breakdown_is_per_matrix_and_no_overflow_converges():
@@ -841,7 +852,7 @@ def test_krylov_breakdown_is_per_matrix_and_no_overflow_converges():
     # must not read as a breakdown
     spectral = importlib.import_module("scalefix.spectral")
     big = 1e200 * np.random.default_rng(2).standard_normal((50, 50))
-    theta, _, converged = spectral._dominant_ritz(
+    theta, converged = spectral._dominant_ritz(
         [np.eye(50), big], spectral._krylov_steps(50))
     assert list(converged) == [True, False]
     assert theta[0] == pytest.approx(1.0, rel=1e-12)
@@ -855,7 +866,7 @@ def test_krylov_pass_at_most_32_rows_is_a_full_reduction(n):
     A = np.random.default_rng(n).standard_normal((n, n))
     dense = np.linalg.eigvals(A)
     want = np.max(np.abs(dense))
-    theta, _, converged = spectral._dominant_ritz(
+    theta, converged = spectral._dominant_ritz(
         [A, 2.0 * A], spectral._krylov_steps(n))
     assert spectral._krylov_steps(n) == n
     assert list(converged) == [True, True]
@@ -869,11 +880,13 @@ def eig_acceptance(mats):
     """The acceptance pass of _dominant_ritz with a full eigensolve of
     H_m, as it was before it took eigenvalues alone: theta and y from
     np.linalg.eig, z from one solve with (H_m - s I)^T from all ones.
-    Returns (theta, converged) over the same Arnoldi pass."""
+    Returns (theta, converged, X) over the same Arnoldi pass, X the unit
+    Ritz vectors V_m' y."""
     spectral = importlib.import_module("scalefix.spectral")
-    H, _ = spectral._arnoldi(mats, spectral._krylov_steps(len(mats[0])))
+    H, V = spectral._arnoldi(mats, spectral._krylov_steps(len(mats[0])))
     k, m = len(mats), H.shape[2]
     theta = np.full(k, np.nan, dtype=complex)
+    X = np.full((k, V.shape[2]), np.nan, dtype=complex)
     error = np.full(k, np.inf)
     with np.errstate(all="ignore"):
         finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
@@ -887,7 +900,8 @@ def eig_acceptance(mats):
         zc = np.linalg.solve(A, np.ones((len(t), m, 1)))[:, :, 0]
         cos = np.abs(np.sum(zc * y, axis=1)) / np.linalg.norm(zc, axis=1)
         error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
-        return theta, error <= 1e-13 * np.abs(theta)
+        X[finite] = (y[:, None, :] @ V[finite, :m])[:, 0]
+        return theta, error <= 1e-13 * np.abs(theta), X
 
 
 def acceptance_cases():
@@ -925,10 +939,10 @@ def test_eigenvalues_only_acceptance_agrees_with_the_full_eigensolve(
     eigs = []
     flags = set()
     for mats in acceptance_cases():
-        want_theta, want = eig_acceptance(mats)
+        want_theta, want, X = eig_acceptance(mats)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eig", lambda *a: eigs.append(a))
-            theta, X, converged = spectral._dominant_ritz(
+            theta, converged = spectral._dominant_ritz(
                 mats, spectral._krylov_steps(len(mats[0])))
         assert np.array_equal(theta, want_theta)
         assert list(converged) == list(want)
@@ -946,7 +960,7 @@ def bit_equal(a, b):
 def test_staged_pass_is_the_one_stage_pass_where_it_runs_on():
     # with early < m every matrix gets the finish of an early-step pass;
     # those accepted there keep it, and the rest continue the same bases
-    # to m steps, so their theta, x and flags are the one-stage pass's
+    # to m steps, so their theta and flags are the one-stage pass's
     # bit for bit.  With early >= m the pass has one stage.  Every eighth
     # of the acceptance cases keeps the run short
     spectral = importlib.import_module("scalefix.spectral")
@@ -960,7 +974,7 @@ def test_staged_pass_is_the_one_stage_pass_where_it_runs_on():
         early = m // 2
         first = spectral._dominant_ritz(mats, early)
         staged = spectral._dominant_ritz(mats, m, early=early)
-        for i, ok in enumerate(first[2]):
+        for i, ok in enumerate(first[1]):
             want = first if ok else one
             assert all(bit_equal(got[i], w[i]) for got, w in zip(staged, want))
             stopped += ok
@@ -974,14 +988,14 @@ def test_a_failed_hessenberg_eigensolve_reads_not_converged(
         failing, monkeypatch):
     # a LinAlgError from the eigensolve of the stacked Hessenberg
     # matrices of a stage leaves every matrix of that stage unconverged,
-    # with theta and x NaN: failing at 32 steps, all continue to 41 and
+    # with theta NaN: failing at 32 steps, all continue to 41 and
     # get the one-stage answers; failing at 41, those accepted at 32
     # keep theta and the rest read NaN
     spectral = importlib.import_module("scalefix.spectral")
     mats = next(general_matrices([3]))[0][1:]
     one = spectral._dominant_ritz(mats, 41)
     first = spectral._dominant_ritz(mats, 32)
-    assert 0 < first[2].sum() < len(mats)
+    assert 0 < first[1].sum() < len(mats)
     eigvals = np.linalg.eigvals
 
     def raising(a):
@@ -990,14 +1004,18 @@ def test_a_failed_hessenberg_eigensolve_reads_not_converged(
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", raising)
-    theta, X, converged = spectral._dominant_ritz(mats, 41, early=32)
+    theta, converged = spectral._dominant_ritz(mats, 41, early=32)
     if failing == (32,):
-        assert all(map(bit_equal, (theta, X, converged), one))
+        assert all(map(bit_equal, (theta, converged), one))
         return
-    kept = first[2] if failing == (41,) else np.zeros(len(mats), bool)
+    kept = first[1] if failing == (41,) else np.zeros(len(mats), bool)
     assert np.array_equal(converged, kept)
     assert np.array_equal(theta[kept], first[0][kept])
-    assert np.isnan(theta[~kept]).all() and np.isnan(X[~kept]).all()
+    assert np.isnan(theta[~kept]).all()
+    # the dense reference: each kept theta is the dominant modulus
+    for A, t in zip(np.asarray(mats)[kept], theta[kept]):
+        dense = np.max(np.abs(np.linalg.eigvals(A)))
+        assert abs(abs(t) - dense) <= 1e-12 * dense
 
 
 def general_matrices(seeds):
@@ -1033,3 +1051,49 @@ def test_stacked_matvecs_equal_per_matrix_dot_bit_for_bit(n):
         rest = [1, 4, 5]
         assert np.array_equal(
             np.matmul(A[rest], V[rest, :, None])[:, :, 0], want[rest])
+
+
+# ------------------------------------------------------- Perron starts
+
+
+def proved_bracket(A, start):
+    """The Collatz-Wielandt bracket spectral_radius(A, 1e-13) proves from
+    start, or the last one it proved where it stops open."""
+    try:
+        res = spectral_radius(A, tol=1e-13, start=start)
+        return res.lower_bound, res.upper_bound
+    except PowerIterationError as exc:
+        return exc.lower_bound, exc.upper_bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(irreducible_nonnegative(("primitive", "cyclic"), most=60),
+       st.integers(0, 2**32 - 1))
+def test_perron_start_brackets_the_radius_found_from_all_ones(A, seed):
+    # the start an open bracket gets in check_spectral: one Arnoldi pass
+    # from that bracket's positive start, a shift from the leading half
+    # of H_m (all of it at n <= 32) and four real solves.  It is
+    # positive, and the bracket it proves meets the one proved from all
+    # ones, up to the matvecs' rounding (n eps rho).  Where a run stops
+    # open, as where the Perron vector has entries near 1e-6 of its
+    # largest, the bracket it proved stands in
+    n = len(A)
+    start = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+    x = _perron_starts([A], _krylov_steps(n, 3.0), start)[0]
+    assert np.all((np.abs(x) > 0.0) & (np.abs(x) < np.inf))
+    (lo, hi), (want_lo, want_hi) = (proved_bracket(A, v)
+                                    for v in (np.abs(x), np.ones(n)))
+    slack = n * np.finfo(float).eps * want_hi
+    assert lo <= want_hi + slack and want_lo <= hi + slack
+
+
+def test_a_start_that_is_the_perron_vector_is_kept():
+    # the pass begins at start, so where start is the Perron vector it
+    # breaks down at its first step and x is start, normalized.  On a
+    # 60-cycle every eigenvalue shares the Perron root's modulus, and
+    # no 32-step Krylov space from another vector holds that vector
+    n = 60
+    A = 2.0 * np.roll(np.eye(n), 1, axis=1)
+    x = _perron_starts([A], _krylov_steps(n, 3.0), np.ones(n))[0]
+    assert _krylov_steps(n, 3.0) == 32
+    assert np.abs(x) * np.sqrt(n) == pytest.approx(np.ones(n), rel=1e-14)
