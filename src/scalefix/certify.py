@@ -32,7 +32,6 @@ from scalefix.spectral import (
     PowerIterationError,
     ReducibleMatrixError,
     _check_gauge,
-    _dominant_ritz,
     _krylov_steps,
     _perron_root,
     _perron_starts,
@@ -127,9 +126,10 @@ class SpectralEvidence:
     # max |D DG D - |DG||, D = diag(sign u): -2 min(D DG D), clamped to
     # +0.0 where DG obeys the block rule; None without a zero-free u
     similarity_residual: float | None
-    # 1 the only eigenvalue on the unit circle at every sample, and the
-    # min of 1 - second modulus over the samples where that was not
-    # derived, as check_spectral finds them: no verdict reads either
+    # 1 the only eigenvalue of DG on the unit circle: False where sample
+    # 0's spectrum says not, True where it says so and Perron-Frobenius
+    # settles every later sample, else None, not computed; and 1 -
+    # second modulus of sample 0's spectrum.  No verdict reads either
     unique_modulus_one: bool | None
     spectral_gap: float | None
     # (min lower, max upper) of the proved Collatz-Wielandt brackets, each
@@ -450,10 +450,10 @@ def _dense_root(A: NDArray, v: NDArray,
 
 
 def _stacked(mats: list[NDArray]) -> list[NDArray] | NDArray:
-    """The n x n arrays mats for a lockstep Krylov pass: where they are
-    the last slices, in order, of the array _hold_stacked made (all
-    samples, or samples 1..k-1), a view of it, which _arnoldi reads with
-    no stacked copy; else mats."""
+    """The |DG| arrays mats for the lockstep Perron-start pass: where
+    they are the last slices, in order, of the array _hold_stacked made,
+    a view of it, which _arnoldi reads with no stacked copy; else
+    mats."""
     held = mats[0].base
     if held is not None and held.ndim == 3:
         view = held[-len(mats):]
@@ -470,11 +470,10 @@ def _open_roots(elasticities: Sequence[_DG], start: NDArray,
     of one lockstep Krylov pass over their |DG| begun at start
     (_perron_starts), or from start where v is not positive and finite.
     The pass only picks the start, which Noda's steps make good from any
-    positive v, so it takes 3 sqrt(n) steps, not the acceptance pass's
-    4 sqrt(n): 32 against 41 at n = 105 (_krylov_steps counts the starts
-    whose first bracket stays open)."""
+    positive v, so it takes 3 sqrt(n) steps (_krylov_steps counts the
+    starts whose first bracket stays open)."""
     mats = [E.absolute for E in elasticities]   # E finite: A >= 0
-    x = _perron_starts(_stacked(mats), _krylov_steps(len(mats[0]), 3.0), start)
+    x = _perron_starts(_stacked(mats), _krylov_steps(len(mats[0])), start)
     return [_dense_root(A, v if np.all((v > 0.0) & (v < np.inf)) else start)
             for A, v in zip(mats, np.abs(x))]      # NaN fails the test too
 
@@ -497,27 +496,6 @@ def _peripheral(eigs: NDArray) -> tuple[bool, float]:
     near_one = np.abs(eigs - 1.0) <= NEAR_ONE
     second = float(np.max(np.abs(eigs[~near_one]), initial=0.0))
     return int(near_one.sum()) == 1 and second < 1.0 - NEAR_ONE, second
-
-
-def _peripherals(elasticities: Sequence[_DG], spectra: list[int],
-                 ) -> list[tuple[bool, float]]:
-    """_peripheral at the samples `spectra`: (False, |theta|) where one
-    lockstep Krylov pass over DG at the later ones converged to theta
-    with |theta - 1| > NEAR_ONE, else from the sample's `spectrum`.  The
-    pass is staged: a sample accepted after 3 sqrt(n) steps stops there,
-    and only the rest run to 4 sqrt(n) (_krylov_steps)."""
-    krylov = [idx for idx in spectra if idx > 0]
-    known = {}
-    if krylov:
-        mats = _stacked([elasticities[idx].entries for idx in krylov])
-        n = len(mats[0])
-        theta, converged = _dominant_ritz(mats, _krylov_steps(n),
-                                          early=_krylov_steps(n, 3.0))
-        known = {idx: (False, float(abs(t)))
-                 for idx, t, ok in zip(krylov, theta, converged)
-                 if ok and abs(t - 1.0) > NEAR_ONE}
-    return [known.get(idx) or _peripheral(elasticities[idx].spectrum)
-            for idx in spectra]
 
 
 def check_spectral(sys: PositiveSystem, u,
@@ -547,25 +525,20 @@ def check_spectral(sys: PositiveSystem, u,
     one rho not proved by a matvec.  _krylov_steps gives how often each
     of these ran on the general model.
 
-    Uniqueness and the gap come from the spectrum of DG at sample 0.  At
-    a later sample whose signature residual is exactly 0, bracket within
-    NEAR_ONE of 1 and |DG| primitive, DG is similar to |DG|, whose Perron
-    root is simple and the only eigenvalue of its modulus
-    (Perron-Frobenius): no eigensolve runs there.  The other later
-    samples go through one lockstep Krylov pass over their DG
-    (_dominant_ritz), finished by the eigenvalues of each H_m and two
-    small solves, and staged: the samples accepted after 3 sqrt(n) steps
-    (32 at n = 105, 55 at n = 330) stop there, and only the rest run on
-    to 4 sqrt(n) (41 and 73).  A converged dominant Ritz value theta
-    with |theta - 1| > NEAR_ONE gives unique False and second modulus
-    |theta|, the dense rule's answer whenever the dominant eigenvalue
-    lies away from 1.  Every other
-    sample reads its `spectrum`, which find_scaling_exponent may already
-    have computed for sample 0: for a _SupportDG whose zero-diagonal
-    coordinates peel, from its support values alone, with no dense DG
-    (spectral._support_eigvals).  A non-normal DG has no cheap bound on
-    its second modulus, so the gap and unique_modulus_one are
-    informational: no verdict reads them.
+    Sample 0's `spectrum` is the one eigensolve over DG, which
+    find_scaling_exponent may already have computed: for a _SupportDG
+    whose zero-diagonal coordinates peel, from its support values alone,
+    with no dense DG (spectral._support_eigvals).  The gap is 1 - its
+    second modulus, and unique_modulus_one is False where it has an
+    eigenvalue other than 1 on or outside the unit circle, or 1 not
+    simple.  Where it says unique, a later sample whose signature
+    residual is exactly 0, bracket within NEAR_ONE of 1 and |DG|
+    primitive agrees with no eigensolve: DG is similar to |DG|, whose
+    Perron root is simple and the only eigenvalue of its modulus
+    (Perron-Frobenius).  unique_modulus_one is True where every later
+    sample is settled so, and None, not computed, otherwise.  A
+    non-normal DG has no cheap bound on its second modulus, so the gap
+    and unique_modulus_one are informational: no verdict reads them.
 
     With elasticities None, each DG comes as in certify, from the
     system's support_values where it gives them.  Out-of-tolerance
@@ -596,18 +569,18 @@ def check_spectral(sys: PositiveSystem, u,
         for idx, root in zip(still_open, found):
             roots[idx] = root
     brackets = [bracket for _, bracket in roots]
-    spectra = [idx for idx, E in enumerate(elasticities)
-               if not (idx > 0 and d is not None and _perron_derived(
-                   E, signatures[idx], brackets[idx]))]
-    facts = _peripherals(elasticities, spectra)     # sample 0 among them
+    unique, second = _peripheral(elasticities[0].spectrum)
+    if unique and len(elasticities) > 1 and (d is None or not all(map(
+            _perron_derived, elasticities[1:], signatures[1:], brackets[1:]))):
+        unique = None   # a later sample's spectrum is not computed
     rhos = [rho for rho, _ in roots]
     return SpectralEvidence(
         rho=tuple(rhos),
         max_rho_deviation=float(np.max(np.abs(np.asarray(rhos) - 1.0))),
         eigvec_residual=eig_res,
         similarity_residual=max(signatures) if d is not None else None,
-        unique_modulus_one=all(ok for ok, _ in facts),
-        spectral_gap=min(1.0 - second for _, second in facts),
+        unique_modulus_one=unique,
+        spectral_gap=1.0 - second,
         rho_bracket=((min(lo for lo, _ in brackets),
                       max(hi for _, hi in brackets))
                      if None not in brackets else None),
@@ -667,11 +640,12 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     where zero-diagonal coordinates peel, as in the multi-sector model,
     whose exact certify then makes no n x n array.  A dense DG is
     scattered from the values only where a sample needs it: an open
-    Perron bracket, a later sample's Krylov pass or spectrum, or a
-    spectrum where nothing peels.  Any other system, the one-sector
-    model included, gets a dense ElasticityMatrix per sample; sampled,
-    every DG and every |DG| are held as slices of one array apiece
-    (system._hold_stacked), which the Krylov passes read whole.
+    Perron bracket, or sample 0's spectrum where nothing peels.  Any
+    other system, the one-sector model included, gets a dense
+    ElasticityMatrix per sample; sampled, every |DG| is held as a slice
+    of one array (system._hold_stacked), which the Perron-start pass
+    reads whole.  Sample 0's spectrum is the only eigensolve over DG
+    (check_spectral).
     """
     samples = sample_states(sys, sample_count, seed)
     mode = "exact" if sys._support is not None else "sampled"

@@ -254,59 +254,43 @@ def _perron_root(A: NDArray, tol: float, v: NDArray) -> SpectralResult:
         lower_bound=lower, upper_bound=upper, iterations=it)
 
 
-def _krylov_steps(n: int, per_root: float = 4.0) -> int:
-    """Arnoldi steps for a Krylov pass on n x n matrices: per_root sqrt(n),
-    at least 32, at most n.  Measured on 8 samples of each of 32 general
-    models from the benchmark's generator (seeds 1 and 2) per size: at
-    n = 105 the acceptance rule first held at a median step of 30 (at
-    most 39) for DG, and of 26 (at most 32) for |DG|.  The acceptance
-    pass over DG takes 4 sqrt(n) steps, 41 at n = 105, in two stages: it
-    applies the rule at 3 sqrt(n) steps, and only the matrices it leaves
-    unaccepted run on.  Of the 112 later samples of 16 generated models,
-    82 and 96 (two generator seeds) were accepted at 32 steps at
-    n = 105, and 27 of 28 samples of 4 models at 55 steps at n = 330; at
-    n <= 56 both counts are 32, so the pass has one stage.  The pass
-    over |DG| only picks the Perron start (_perron_starts), which Noda's
-    steps improve from any positive start, so it takes 3 sqrt(n): 32 at
-    n = 56 and 105, 55 at n = 330.  Of the 256 starts per size (certify
-    seeds 0-15 per generator seed), 0 at n = 56, 2 at n = 105 and 0 at
-    n = 330 left their first bracket open, so that _perron_root's later
-    steps ran (8, 15 and 5 from the Ritz vector of a pass begun at a
-    fixed random vector), and none fell back to an eigensolve of
-    |DG|."""
-    return min(n, max(32, math.ceil(per_root * math.sqrt(n))))
+def _krylov_steps(n: int) -> int:
+    """Arnoldi steps for the Perron-start pass (_perron_starts) on n x n
+    matrices: 3 sqrt(n), at least 32, at most n, so that at n <= 32 the
+    pass is a full reduction; 32 at n = 56 and 105, 55 at n = 330.  The
+    pass only picks the start, which Noda's steps improve from any
+    positive start.  Measured on 8 samples of each of 32 general models
+    from the benchmark's generator (seeds 1 and 2) per size: of the 256
+    starts per size (certify seeds 0-15 per generator seed), 0 at n = 56,
+    2 at n = 105 and 0 at n = 330 left their first bracket open, so that
+    _perron_root's later steps ran (8, 15 and 5 from the Ritz vector of a
+    pass begun at a fixed random vector), and none fell back to an
+    eigensolve of |DG|."""
+    return min(n, max(32, math.ceil(3.0 * math.sqrt(n))))
 
 
-def _arnoldi(mats: Sequence[NDArray], m: int, basis=None, start=None,
+def _arnoldi(mats: Sequence[NDArray], m: int, start: NDArray,
              ) -> tuple[NDArray, NDArray]:
     """(H, V): m Arnoldi steps (the caller's _krylov_steps) on each of the
-    finite square matrices in mats, all of one size n, in lockstep,
-    giving the (k, m+1, m) Hessenberg matrices and the (k, m+1, n) bases,
-    A V_m' = V_{m+1}' H.  Each step's matvecs, one per matrix, are one
-    stacked matmul, as are the classical Gram-Schmidt steps, done twice,
-    and the Hessenberg updates (Saad, Numerical Methods for Large
-    Eigenvalue Problems, 2nd ed., 2011, ch. 6).  Every run starts from
-    start / ||start||, or without a start from one fixed generic unit
-    vector (the pass over DG); given the (H, V) of j < m steps on the
-    same matrices as `basis`, it runs steps j+1..m alone, and so gives
-    the bits of m steps from the start.  An h_{j+1,j} of at most
-    1e-12 ||A||_F is a breakdown (an invariant subspace, as at step n):
-    it is set to 0 and zero vectors follow.  An overflow leaves H not
-    finite."""
+    finite square matrices in mats, all of one size n, in lockstep, from
+    start / ||start||, giving the (k, m+1, m) Hessenberg matrices and
+    the (k, m+1, n) bases, A V_m' = V_{m+1}' H.  Each step's matvecs, one
+    per matrix, are one stacked matmul, as are the classical
+    Gram-Schmidt steps, done twice, and the Hessenberg updates (Saad,
+    Numerical Methods for Large Eigenvalue Problems, 2nd ed., 2011,
+    ch. 6).  An h_{j+1,j} of at most 1e-12 ||A||_F is a breakdown (an
+    invariant subspace, as at step n): it is set to 0 and zero vectors
+    follow.  An overflow leaves H not finite."""
     A = np.asarray(mats)        # a (k, n, n) array is not copied
     k, n = A.shape[:2]
     V = np.empty((k, m + 1, n))
     H = np.zeros((k, m + 1, m))
-    v = np.random.default_rng(0).standard_normal(n) if start is None else start
-    V[:, 0] = v / np.linalg.norm(v)
-    done = 0 if basis is None else basis[0].shape[2]
-    if done:
-        H[:, :done + 1, :done], V[:, :done + 1] = basis
+    V[:, 0] = start / np.linalg.norm(start)
     w = np.empty((k, 1, n))
     with np.errstate(all="ignore"):
         small = 1e-12 * np.array([np.linalg.norm(M) for M in mats])
         small[~(small < np.inf)] = -1.0     # overflowed: no breakdown
-        for j in range(done, m):
+        for j in range(m):
             np.matmul(A, V[:, j, :, None], out=w.reshape(k, n, 1))
             B = V[:, :j + 1]
             c = w @ np.swapaxes(B, 1, 2)        # twice: the second pass
@@ -323,79 +307,6 @@ def _arnoldi(mats: Sequence[NDArray], m: int, basis=None, start=None,
     return H, V
 
 
-def _dominant_ritz(mats: Sequence[NDArray], m: int, early: int | None = None,
-                   ) -> tuple[NDArray, NDArray[np.bool_]]:
-    """The dominant Ritz value of each of the finite square matrices in
-    mats, all of one size n, from one lockstep pass of m _arnoldi steps.
-
-    Returns, per matrix, the Ritz value theta of largest modulus and
-    whether it converged: the residual ||A x - theta x||_2 =
-    |h_{m+1,m} e_m' y| of its unit Ritz vector x = V_m' y, 0 at a
-    breakdown, times theta's condition number 1/|z^H y| in H_m, a
-    first-order bound on its error (Golub & Van Loan, Matrix
-    Computations, 4th ed., 2013, ch. 7), is finite and at most
-    1e-13 |theta|.  y and z are theta's unit right and left
-    eigenvectors of H_m; x itself is never formed.
-
-    With early < m the pass is staged: every matrix gets this finish
-    after `early` steps, with the same bound, and those accepted there
-    keep it.  Only the rest continue the same bases, with no restart, to
-    m steps, so their theta and flags are those of the one-stage pass
-    bit for bit.  check_spectral's pass over DG stops at 3 sqrt(n) steps
-    for most samples (_krylov_steps).
-
-    Only the eigenvalues of H_m are computed: with s = theta +
-    1e-14 |theta| (nonsingular where theta is exact), conj(z) solves
-    (H_m - s I)^T conj(z) = 1, and y solves (H_m - s I) y = z, one
-    inverse-iteration step from the left vector.  That leaves
-    ||(H_m - theta I) y|| within about 2e-14 |theta|; a step from all
-    ones leaves about 1e-14 |theta| |z^H y| / cos(z, 1), which put
-    accepted Ritz pairs of random matrices above 1e-12 |theta| and moved
-    the acceptance of two planted ones.  An overflow, or a failed
-    eigensolve or solve, counts as not converged; no warning or
-    LinAlgError escapes.
-    """
-    j = m if early is None else min(early, m)
-    H, V = _arnoldi(mats, j)
-    theta, converged = _ritz(H)
-    rest = np.flatnonzero(~converged)
-    if j < m and rest.size:
-        H, V = _arnoldi([mats[i] for i in rest], m, (H[rest], V[rest]))
-        theta[rest], converged[rest] = _ritz(H)
-    return theta, converged
-
-
-def _ritz(H: NDArray) -> tuple[NDArray, NDArray]:
-    """_dominant_ritz's finish on the H of an m-step _arnoldi pass."""
-    k, m = H.shape[0], H.shape[2]
-    theta = np.full(k, np.nan, dtype=complex)
-    error = np.full(k, np.inf)
-    with np.errstate(all="ignore"):
-        finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
-        Hm = H[finite, :m]
-        try:
-            vals = np.linalg.eigvals(Hm)
-        except np.linalg.LinAlgError:
-            finite = finite[:0]
-        if len(finite):
-            t = theta[finite] = vals[np.arange(len(finite)),
-                                     np.argmax(np.abs(vals), axis=1)]
-            S = Hm.astype(complex)
-            S[:, range(m), range(m)] -= (t + 1e-14 * np.abs(t))[:, None]
-            try:
-                zc = np.linalg.solve(np.swapaxes(S, 1, 2),
-                                     np.ones((len(t), m, 1)))
-                y = np.linalg.solve(S, zc.conj())[:, :, 0]
-                zc = zc[:, :, 0]
-            except np.linalg.LinAlgError:
-                zc = y = np.full((len(t), m), np.nan, dtype=complex)
-            y = y / np.linalg.norm(y, axis=1)[:, None]
-            # z^H y = sum(conj(z) y)
-            cos = np.abs(np.sum(zc * y, axis=1)) / np.linalg.norm(zc, axis=1)
-            error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
-        return theta, error <= 1e-13 * np.abs(theta)
-
-
 def _perron_starts(mats: Sequence[NDArray], m: int, start: NDArray) -> NDArray:
     """A start for _perron_root on each of the nonnegative n x n
     matrices in mats, whose Collatz-Wielandt bracket from the positive
@@ -409,29 +320,41 @@ def _perron_starts(mats: Sequence[NDArray], m: int, start: NDArray) -> NDArray:
     stacked real m x m solve, converge to the eigenvector of H_m at its
     Perron Ritz value (Parlett, Math. Comp. 28, 1974; Saad, Numerical
     Methods for Large Eigenvalue Problems, 2nd ed., 2011, ch. 4).  Each
-    shift is s + 1e-14 |s|, nonsingular where s is exact.  x is NaN
-    where H is not finite, and at every matrix of the pass where the
-    eigensolve or a stacked solve fails, as one singular H_m - s I makes
-    it; no warning or LinAlgError escapes.  Only real arrays are made:
-    V's rows enter x as a view."""
-    H, V = _arnoldi(mats, m, start=start)
+    shift is s + 1e-14 |s|, nonsingular where s is exact.  Where the
+    stacked eigensolve or a stacked solve fails, as one singular
+    H_m - s I makes it, the steps run again matrix by matrix, so x is
+    NaN only where H is not finite or that matrix's own eigensolve or
+    solve fails; no warning or LinAlgError escapes.  Only real arrays are
+    made: V's rows enter x as a view."""
+    H, V = _arnoldi(mats, m, start)
     Y = np.full((len(H), 1, m), np.nan)
+    lead = m if m == V.shape[2] else m // 2
     with np.errstate(all="ignore"):
         finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
-        Hm = H[finite, :m]
-        lead = m if m == V.shape[2] else m // 2
-        y = np.eye(m, 1) + np.zeros((len(finite), 1, 1))    # e_1 per matrix
         try:
-            s = np.abs(np.linalg.eigvals(Hm[:, :lead, :lead])).max(axis=1)
-            for _ in range(4):
-                S = Hm - (s + 1e-14 * np.abs(s))[:, None, None] * np.eye(m)
-                y = np.linalg.solve(S, y)
-                y /= np.linalg.norm(y, axis=1, keepdims=True)
-                s = (np.swapaxes(y, 1, 2) @ Hm @ y)[:, 0, 0]   # y' H_m y
-            Y[finite] = np.swapaxes(y, 1, 2)
+            Y[finite] = _rayleigh(H[finite, :m], lead)
         except np.linalg.LinAlgError:
-            pass
+            for i in finite:
+                try:
+                    Y[i:i + 1] = _rayleigh(H[i:i + 1, :m], lead)
+                except np.linalg.LinAlgError:
+                    pass
         return (Y @ V[:, :m])[:, 0]     # V's rows as a view: no copy
+
+
+def _rayleigh(Hm: NDArray, lead: int) -> NDArray:
+    """_perron_starts' Krylov coordinates y' for the (k, m, m) stacked
+    Hessenberg matrices Hm, as (k, 1, m); a LinAlgError where the
+    stacked eigensolve or a solve fails."""
+    m = Hm.shape[2]
+    y = np.eye(m, 1) + np.zeros((len(Hm), 1, 1))    # e_1 per matrix
+    s = np.abs(np.linalg.eigvals(Hm[:, :lead, :lead])).max(axis=1)
+    for _ in range(4):
+        S = Hm - (s + 1e-14 * np.abs(s))[:, None, None] * np.eye(m)
+        y = np.linalg.solve(S, y)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        s = (np.swapaxes(y, 1, 2) @ Hm @ y)[:, 0, 0]   # y' H_m y
+    return np.swapaxes(y, 1, 2)
 
 
 def eigvals_mod_zero(M) -> NDArray:

@@ -171,8 +171,8 @@ class ElasticityMatrix:
     @cached_property
     def absolute(self) -> NDArray:
         """|DG|, read-only: a sampled certify reads it for connectedness,
-        self-interaction, |DG| v and the Krylov pass of an open bracket,
-        and holds it as a slice of one array for all samples
+        self-interaction, |DG| v and the Perron-start pass of an open
+        bracket, and holds it as a slice of one array for all samples
         (_hold_stacked)."""
         A = np.abs(self.entries)
         A.setflags(write=False)
@@ -304,9 +304,8 @@ class _SupportDG:
     where zero-diagonal coordinates peel (_support_eigvals, as for the
     multi-sector model), `entries` and `absolute` read `dense`, DG
     scattered from `values`, built only where a sample needs it (an open
-    Perron bracket, a later sample's Krylov pass, or a spectrum that
-    peels nothing), and ElasticityMatrix's private operations cost
-    O(nnz) here."""
+    Perron bracket, or sample 0's spectrum where nothing peels), and
+    ElasticityMatrix's private operations cost O(nnz) here."""
 
     def __init__(self, support: _Support, values: NDArray,
                  point: StateVector | None):
@@ -362,15 +361,14 @@ _DG = ElasticityMatrix | _SupportDG
 
 
 def _hold_stacked(elasticities: list[ElasticityMatrix]) -> None:
-    """Hold the entries of the dense DGs in a list no check has read
-    yet, then their |DG|, each as slices of one read-only (k, n, n)
-    array, in list order: a sampled certify reads every |DG|, and its
-    lockstep Krylov passes over DG and |DG| take views of these arrays
-    (certify._stacked), with no stacked copy beside them."""
-    entries = _frozen([E.entries for E in elasticities])
-    for E, D in zip(elasticities, entries):
-        E.__dict__["entries"] = D       # the same values: E's copy is freed
-    absolute = np.abs(entries)
+    """Hold the |DG| of the dense DGs in a list no check has read yet as
+    slices of one read-only (k, n, n) array, in list order: a sampled
+    certify reads every |DG|, and its lockstep Perron-start pass takes a
+    view of this array (certify._stacked), with no stacked copy beside
+    it."""
+    absolute = np.empty((len(elasticities),) + elasticities[0].entries.shape)
+    for E, A in zip(elasticities, absolute):
+        np.abs(E.entries, out=A)
     absolute.setflags(write=False)
     for E, A in zip(elasticities, absolute):
         E.__dict__["absolute"] = A

@@ -383,23 +383,21 @@ def with_rank_one_first(E, u):
 @settings(max_examples=80, deadline=None)
 @given(signed_perron_matrices(diagonal=st.booleans()))
 def test_derived_uniqueness_matches_dense_eigvals(case):
+    # sample 0's spectrum is the only eigensolve.  With a self-loop the
+    # answer at sample 1 is derived, and matches the dense rule; without
+    # one |E| may be imprimitive, nothing settles sample 1, and the fact
+    # is not computed
     E, u, M = case
     sys, samples, elas = with_rank_one_first(E, u)
     with pytest.MonkeyPatch.context() as m:
         calls = count_eigensolves(m)
-        ritz = count_calls(m, importlib.import_module("scalefix.certify"),
-                           "_dominant_ritz")
         sp = check_spectral(sys, u, samples, elas)
-    assert sp.unique_modulus_one == dense_unique_modulus_one(E)
+    assert len(calls) == 1 and calls[0][0] is elas[0].entries
     if np.diag(M).max() > 0.0:
-        # derived at sample 1: sample 0's spectrum is the only one
-        assert (len(calls), len(ritz)) == (1, 0)
+        assert sp.unique_modulus_one is True
+        assert dense_unique_modulus_one(E)
     else:
-        # no self-loop, so |E| may be imprimitive: E goes through the
-        # Krylov pass, and gets its spectrum only where theta is near 1
-        assert len(ritz) == 1 and ritz[0][0][0] is elas[1].entries
-        assert len(calls) <= 2
-        assert all(args[0] is elas[1].entries for args in calls[1:])
+        assert sp.unique_modulus_one is None
 
 
 def test_derivation_refused_for_a_flipped_sign_or_radius_off_one():
@@ -412,19 +410,19 @@ def test_derivation_refused_for_a_flipped_sign_or_radius_off_one():
     flipped[0, 1] = -flipped[0, 1]
     u = d * v
     # |c E| |u| = c |u|: the bracket closes around c, and 1 is no
-    # eigenvalue at all.  Where the derivation is refused, the Krylov
-    # pass finds F's dominant eigenvalue away from 1, so sample 0's
+    # eigenvalue at all.  Sample 0 says unique, so where the derivation
+    # is refused at sample 1 the fact is not computed; sample 0's
     # spectrum stays the only one
-    for F, unique in ((E, True), (flipped, None), (1.5 * E, False),
-                      (0.5 * E, False)):
+    for F, unique in ((E, True), (flipped, None), (1.5 * E, None),
+                      (0.5 * E, None)):
         sys, samples, elas = with_rank_one_first(F, u)
         with pytest.MonkeyPatch.context() as m:
             calls = count_eigensolves(m)
             sp = check_spectral(sys, u, samples, elas)
         assert len(calls) == 1
         assert (sp.similarity_residual > 0.0) == (F is flipped)
-        assert sp.unique_modulus_one == dense_unique_modulus_one(F)
-        assert unique is None or sp.unique_modulus_one == unique
+        assert sp.unique_modulus_one is unique
+    assert dense_unique_modulus_one(E)
 
 
 # signed zeros, tiny and moderate entries and ones up to 1e40, small
@@ -734,20 +732,19 @@ def test_certify_validates_no_matrix_it_built(k, exact, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
-    # n = 10, where the Krylov pass is a full Arnoldi reduction: the
-    # signature fails, so every DG gets one eigensolve, sample 0's dense
-    # (its spectrum, which the extraction's pre-check shares) and those
-    # of samples 1..k-1 in one lockstep Krylov pass over their DG, whose
-    # dominant eigenvalue lies away from 1; spectral_radius gives
-    # rho(|DG|) with no eigensolve, from the Perron starts of one pass
-    # over the k |DG|
+    # n = 10, where the Perron-start pass is a full Arnoldi reduction:
+    # sample 0's DG gets the one dense spectrum, which the extraction's
+    # pre-check shares, and the one SVD; the signature fails, so no
+    # later sample is derived, and no pass runs over DG.  spectral_radius
+    # gives rho(|DG|) with no eigensolve, from the Perron starts of one
+    # pass over the k |DG|
     certify_module = importlib.import_module("scalefix.certify")
     spectral_module = importlib.import_module("scalefix.spectral")
     sys = build_general(general_params())
     assert sys.dimension == spectral_module._krylov_steps(sys.dimension)
     svd = count_calls(monkeypatch, np.linalg, "svd")
     eigs = count_eigensolves(monkeypatch)
-    ritz = count_calls(monkeypatch, certify_module, "_dominant_ritz")
+    arnoldi = count_calls(monkeypatch, spectral_module, "_arnoldi")
     starts = count_calls(monkeypatch, certify_module, "_perron_starts")
     rep = certify(sys, sample_count=k, seed=5)
     assert rep.monotonicity.verdict == "fail"
@@ -755,12 +752,10 @@ def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
     assert rep.spectral.unique_modulus_one is False
     assert rep.spectral.rho_bracket is not None
     elas = [elasticity_at(sys, x) for x in rep.samples]
-    on_dg = [mats for mats, _ in ritz
-             if any(np.array_equal(M, E.entries) for M, E in
-                    zip(mats, elas[1:]))]
-    assert (len(svd), len(eigs), sum(map(len, on_dg))) == (1, 1, k - 1)
+    assert (len(svd), len(eigs), len(arnoldi)) == (1, 1, 1)
     assert np.array_equal(eigs[0][0], elas[0].entries)
     ((absolute, *_),) = starts
+    assert arnoldi[0][0] is absolute
     assert len(absolute) == k and all(
         np.array_equal(A, np.abs(E.entries)) for A, E in zip(absolute, elas))
     for E, rho in zip(elas, rep.spectral.rho):
@@ -771,9 +766,8 @@ def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_extraction_then_spectral_share_the_first_spectrum(k, monkeypatch):
     # the public functions one after the other on one elasticity list:
-    # sample 0's memoized spectrum serves both, and the Krylov pass over
-    # DG at samples 1..k-1 answers the rest, so sample 0's DG gets the
-    # only eigensolve
+    # sample 0's memoized spectrum serves both, and is the only spectrum
+    # check_spectral reads, so sample 0's DG gets the only eigensolve
     sys = build_general(general_params())
     samples = sample_states(sys, k, seed=5)
     elas = [elasticity_at(sys, x) for x in samples]
@@ -790,8 +784,7 @@ def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
         k, monkeypatch):
     # n = 105 > _krylov_steps(105): one lockstep Krylov pass over |DG|
     # gives every sample a Perron start whose bracket closes on its
-    # first matvec, and one over DG at samples 1..k-1 finds a dominant
-    # eigenvalue away from 1, so only sample 0's spectrum is dense
+    # first matvec, and only sample 0's spectrum is computed
     spectral_module = importlib.import_module("scalefix.spectral")
     sys = build_general(general_params(J=15, S=3))
     assert sys.dimension > spectral_module._krylov_steps(sys.dimension)
@@ -803,8 +796,8 @@ def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
     assert rep.monotonicity.verdict == "fail"
     assert rep.spectral.similarity_residual > 0.0
     assert rep.spectral.unique_modulus_one is False
-    # the Krylov acceptance solves with the small Hessenberg matrices
-    # only: no n x n shifted solve runs
+    # the Perron starts solve with the small Hessenberg matrices only:
+    # no n x n shifted solve runs
     noda = [M for M, _ in solves if M.shape == (sys.dimension,) * 2]
     assert (len(svd), len(eigs), len(noda), len(walks)) == (1, 1, 0, 0)
     assert rep.spectral.rho_bracket is not None
@@ -815,12 +808,9 @@ def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
 
 @pytest.mark.parametrize("seed", range(3, 15))
 def test_sampled_certify_takes_every_krylov_answer(seed, monkeypatch):
-    # general 15 x 3 (n = 105): after _krylov_steps(105) = 41 steps the
-    # dominant Ritz values' residuals are 1e-20 to 1e-46 relative, so the
-    # error bound accepts each one at samples 1..7.  Every fallback
-    # counted: the one dense eigensolve is sample 0's DG, where the
-    # modulus-1 check starts; no later DG's spectrum and no |DG| radius
-    # is dense
+    # general 15 x 3 (n = 105): sample 0's spectrum says not unique.
+    # Every fallback counted: the one dense eigensolve is sample 0's DG;
+    # no later DG's spectrum and no |DG| radius is dense
     sys = build_general(general_params(J=15, S=3, seed=seed))
     eigs = count_eigensolves(monkeypatch)
     rep = certify(sys, sample_count=8, seed=seed)
@@ -915,111 +905,80 @@ def test_an_overflowed_hessenberg_matrix_gets_the_first_start(monkeypatch):
 
 def test_a_singular_shifted_solve_gives_every_first_start(monkeypatch):
     # a zero |DG| breaks down at once: its H_m is 0, the shift is 0 and
-    # the shifted solve is singular, which fails the stacked solve, so
-    # every start of the pass is NaN and each root comes from all ones.
-    # The zero matrix is reducible, its radius 0 the dense eigensolve's,
-    # with no proved bracket; the other root is proved
+    # the shifted solve is singular, which fails the stacked solve.  The
+    # steps then run matrix by matrix, so only the zero matrix's start is
+    # NaN and its root comes from all ones: it is reducible, its radius
+    # 0 the dense eigensolve's, with no proved bracket.  A keeps its
+    # start, whose bracket closes on the first matvec
+    certify_module = importlib.import_module("scalefix.certify")
     rng = np.random.default_rng(6)
     A = rng.uniform(0.1, 1.0, (10, 10))
     starts = perron_starts_of(monkeypatch)
+    roots = []
+    perron = certify_module._perron_root
+    monkeypatch.setattr(certify_module, "_perron_root",
+                        lambda *args: roots.append(perron(*args))
+                        or roots[-1])
     sp = spectral_at_one_state(None, [A, np.zeros((10, 10))])
     (X,) = starts
-    assert np.isnan(X).all()
+    assert np.isfinite(X[0]).all() and np.isnan(X[1]).all()
     want = dense_radius(A)
     assert abs(sp.rho[0] - want) <= 1e-13 * want and sp.rho[1] == 0.0
+    (proved,) = roots       # the zero matrix's walk raised
+    assert proved.iterations == 1 and proved.rho == sp.rho[0]
+    assert proved.upper_bound - proved.lower_bound <= 1e-13 * proved.rho
     assert sp.rho_bracket is None
 
 def test_neither_krylov_pass_of_a_sampled_certify_calls_eig(monkeypatch):
-    # the pass over |DG| for the Perron starts takes the eigenvalues of
-    # the leading 16 x 16 block of each H_m alone, once for the 8 of
-    # them, and the one over DG for the later samples' spectra those of
-    # H_m: no eigenvector is computed
+    # the one Krylov pass left, over |DG| for the Perron starts, takes
+    # the eigenvalues of the leading 16 x 16 block of each H_m alone,
+    # once for the 8 of them: no eigenvector is computed, and no pass
+    # runs over DG
+    spectral_module = importlib.import_module("scalefix.spectral")
     certify_module = importlib.import_module("scalefix.certify")
     eig = count_calls(monkeypatch, np.linalg, "eig")
     eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
-    ritz = count_calls(monkeypatch, certify_module, "_dominant_ritz")
+    arnoldi = count_calls(monkeypatch, spectral_module, "_arnoldi")
     starts = count_calls(monkeypatch, certify_module, "_perron_starts")
     sys = build_general(general_params(J=15, S=3))
     certify(sys, sample_count=8, seed=5)
     assert [(len(mats), m) for mats, m, _ in starts] == [(8, 32)]
-    assert [(len(mats), m) for mats, m in ritz] == [(7, 41)]
+    assert [(len(mats), m) for mats, m, _ in arnoldi] == [(8, 32)]
     shapes = [np.shape(a) for (a,) in eigvals]
     assert [s for s in shapes if s[1:] == (16, 16)] == [(8, 16, 16)]
+    assert [s for s in shapes if len(s) == 3] == [(8, 16, 16)]
     assert eig == []
-
-
-def test_staged_dg_pass_keeps_every_answer_of_one_pass(monkeypatch):
-    # general 15 x 3 (n = 105): the pass over the later samples' DG
-    # applies the acceptance rule after _krylov_steps(105, 3.0) = 32
-    # steps, and only the samples left unaccepted run on to 41.  An
-    # accepted theta is the dense dominant modulus to 1e-12 and the
-    # 41-step theta to 1e-13; every other answer is the one-stage
-    # pass's bit for bit.  The spy on eigvals_mod_zero counts the dense
-    # fallbacks of certify both ways: the staged pass leaves no more
-    certify_module = importlib.import_module("scalefix.certify")
-    spectral = importlib.import_module("scalefix.spectral")
-    m, early = spectral._krylov_steps(105), spectral._krylov_steps(105, 3.0)
-    assert (m, early) == (41, 32)
-    one_stage = spectral._dominant_ritz
-    stopped = 0
-    for seed in range(3, 15):
-        sys = build_general(general_params(J=15, S=3, seed=seed))
-        mats = [elasticity_at(sys, x).entries
-                for x in sample_states(sys, 8, seed)[1:]]
-        theta, converged = spectral._dominant_ritz(mats, m, early=early)
-        one = one_stage(mats, m)
-        first = one_stage(mats, early)
-        assert np.array_equal(converged, one[1])
-        for i, (A, t) in enumerate(zip(mats, theta)):
-            if first[1][i]:
-                stopped += 1
-                dense = np.max(np.abs(np.linalg.eigvals(A)))
-                assert abs(abs(t) - dense) <= 1e-12 * dense
-                assert abs(t - one[0][i]) <= 1e-13 * abs(one[0][i])
-            else:
-                assert t == one[0][i]
-        reports, fallbacks = [], []
-        for staged in (True, False):
-            with monkeypatch.context() as patch:
-                if not staged:
-                    patch.setattr(certify_module, "_dominant_ritz",
-                                  lambda mats, m, early=None:
-                                  one_stage(mats, m))
-                eigs = count_eigensolves(patch)
-                reports.append(certify(sys, sample_count=8, seed=seed))
-            fallbacks.append(len(eigs))
-        assert fallbacks[0] == fallbacks[1]
-        assert (dataclasses.replace(reports[0].spectral, spectral_gap=None)
-                == dataclasses.replace(reports[1].spectral, spectral_gap=None))
-    assert 0 < stopped < 7 * 12
 
 
 def test_spectral_facts_without_hessenberg_eigenvalues_are_the_dense_rule(
         monkeypatch):
-    # a LinAlgError from the eigensolve of the small Hessenberg matrices
-    # leaves every Krylov pass unconverged with x NaN: each Perron start
-    # falls back to |u|, and each sample's uniqueness and gap to its
-    # dense spectrum, in both stages of the pass over DG
+    # a LinAlgError from the eigensolve of the small Hessenberg matrices,
+    # stacked and then matrix by matrix, leaves every Perron start NaN:
+    # each falls back to |u|, and Noda's steps still prove each root.
+    # Uniqueness and the gap are sample 0's dense rule, and no spectrum
+    # beyond its memoized one is computed
     certify_module = importlib.import_module("scalefix.certify")
     sys = build_general(general_params(J=15, S=3))
     samples = sample_states(sys, 8, seed=5)
     elas = [elasticity_at(sys, x) for x in samples]
     cert = find_scaling_exponent(sys, samples, elas)
-    facts = [certify_module._peripheral(eigvals_mod_zero(E.entries))
-             for E in elas]
+    unique, second = certify_module._peripheral(
+        eigvals_mod_zero(elas[0].entries))
     eigvals = np.linalg.eigvals
+    failed = []
 
     def dense_only(a):
         if np.ndim(a) == 3:
+            failed.append(len(a))
             raise np.linalg.LinAlgError("Hessenberg eigensolve failed")
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", dense_only)
     eigs = count_eigensolves(monkeypatch)
     sp = check_spectral(sys, cert.u, samples, elas)
-    assert len(eigs) == 7       # sample 0's spectrum is memoized
-    assert sp.unique_modulus_one == all(ok for ok, _ in facts)
-    assert sp.spectral_gap == min(1.0 - second for _, second in facts)
+    assert failed == [8] + [1] * 8 and len(eigs) == 0
+    assert unique is False and sp.unique_modulus_one is False
+    assert sp.spectral_gap == 1.0 - second
     assert sp.rho_bracket is not None
     for E, rho in zip(elas, sp.rho):
         want = dense_radius(E.entries)
@@ -1103,7 +1062,17 @@ def planted_lists(draw):
     return planted(rng, n, tops)
 
 
+def dense_gap(E):
+    """1 - the largest modulus of E's eigenvalues away from 1, as
+    numpy's dense spectrum gives them."""
+    e = np.linalg.eigvals(E)
+    return 1.0 - np.max(np.abs(e[np.abs(e - 1.0) > 1e-6]), initial=0.0)
+
+
 def assert_krylov_agrees_with_the_dense_rule(mats, u):
+    # sample 0 reads unique, and the planted later samples break the
+    # block rule of u, so nothing settles them: the fact is not
+    # computed, and sample 0's spectrum, the only one, gives the gap
     n = len(u)
     sys = custom(tuple(f"x{j}" for j in range(n)), lambda x: x)
     x = sys.state(np.ones(n))
@@ -1111,15 +1080,13 @@ def assert_krylov_agrees_with_the_dense_rule(mats, u):
     with pytest.MonkeyPatch.context() as m:
         calls = count_eigensolves(m)
         sp = check_spectral(sys, u, [x] * len(mats), elas)
-    dense = [np.linalg.eigvals(E) for E in mats]
-    seconds = [np.max(np.abs(e[np.abs(e - 1.0) > 1e-6]), initial=0.0)
-               for e in dense]
-    gap = min(1.0 - second for second in seconds)
-    # sample 0 reads unique, so a wrong answer at a later one shows
+    gap = dense_gap(mats[0])
     assert dense_unique_modulus_one(mats[0])
-    assert sp.unique_modulus_one is False
-    assert abs(sp.spectral_gap - gap) <= 1e-12 * abs(gap)
-    assert len(calls) <= len(mats)
+    assert not all(map(dense_unique_modulus_one, mats[1:]))
+    assert sp.similarity_residual > 0.0
+    assert sp.unique_modulus_one is None
+    assert abs(sp.spectral_gap - gap) <= 1e-12 * max(1.0, abs(gap))
+    assert len(calls) == 1 and calls[0][0] is elas[0].entries
     for E, rho in zip(mats, sp.rho):
         want = dense_radius(E)
         assert abs(rho - want) <= 1e-12 * want
@@ -1132,13 +1099,10 @@ def test_krylov_spectra_agree_with_the_dense_rule(case):
 
 
 def test_krylov_spectra_agree_near_the_slowest_planted_modulus():
-    # planted_lists where its Krylov answers are least accurate: a
-    # dominant modulus of 1.2 to 1.25 converges slowly, n = 40 to 56
-    # takes 32 < n steps and the gap 1 - |theta| is smallest.  Accepting
-    # theta on a residual of at most 1e-12 |theta| let 17 of seeds 0 to
-    # 1999 miss the gap by more than 1e-12 |gap|, seeds 35 and 343 here
-    # among them; an error bound of 1e-13 |theta| keeps every accepted
-    # theta within it, as |gap| >= |theta| / 6
+    # planted_lists with a dominant modulus of 1.2 to 1.25 at the later
+    # samples, n = 40 to 56: the family where the Krylov pass over DG
+    # that once answered them converged most slowly, and rejected most
+    # of its Ritz values
     for seed in range(400):
         rng = np.random.default_rng(seed)
         n, k = int(rng.integers(40, 57)), int(rng.integers(2, 5))
@@ -1211,8 +1175,10 @@ def clustered_lists(draw):
 @settings(max_examples=40, deadline=None)
 @given(clustered_lists())
 def test_krylov_spectra_of_clustered_ties_agree_with_the_dense_rule(case):
-    # a tie of more than _krylov_steps(n) = 32 roots cannot converge in
-    # the Krylov pass, so every later sample falls back to its spectrum
+    # a tie of q roots at the later samples, up to n - 2 of them, once
+    # sent those samples to their dense spectra.  Sample 0 reads unique
+    # and the later samples break the block rule of u, so the fact is
+    # not computed, and sample 0's spectrum, the only one, gives the gap
     mats, u, q = case
     n = len(u)
     sys = custom(tuple(f"x{j}" for j in range(n)), lambda x: x)
@@ -1221,13 +1187,70 @@ def test_krylov_spectra_of_clustered_ties_agree_with_the_dense_rule(case):
     with pytest.MonkeyPatch.context() as m:
         calls = count_eigensolves(m)
         sp = check_spectral(sys, u, [x] * len(mats), elas)
-    certify_module = importlib.import_module("scalefix.certify")
-    facts = [certify_module._peripheral(np.linalg.eigvals(E)) for E in mats]
-    gap = min(1.0 - second for _, second in facts)
-    assert sp.unique_modulus_one == all(ok for ok, _ in facts)
+    gap = dense_gap(mats[0])
+    assert dense_unique_modulus_one(mats[0])
+    assert sp.similarity_residual > 0.0
+    assert sp.unique_modulus_one is None
     assert abs(sp.spectral_gap - gap) <= 1e-12 * max(1.0, abs(gap))
-    if q > 32:
-        assert len(calls) == len(mats)
+    assert len(calls) == 1 and calls[0][0] is elas[0].entries
+
+
+@st.composite
+def signed_perron_lists(draw):
+    """(mats, u): 1 to 4 matrices E = D c M D sharing u = D v, each M an
+    irreducible nonnegative matrix with M v = v (a cycle through every
+    coordinate and random entries), D a random signature and c 1, 0.5
+    or 1.5.  Each M's diagonal is positive or all zero, and each E may
+    have the sign of one cycle entry flipped."""
+    n = draw(st.integers(2, 7))
+    v = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
+    d = np.where(draw(arrays(bool, n)), 1.0, -1.0)
+    eye = np.eye(n, dtype=bool)
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = draw(arrays(float, (n, n), elements=st.floats(0.1, 2.0)))
+        keep = draw(arrays(bool, (n, n)))
+        keep = (keep | eye) if draw(st.booleans()) else (keep & ~eye)
+        keep |= np.roll(eye, 1, axis=1)
+        B = np.where(keep, weights, 0.0)
+        c = draw(st.sampled_from([1.0, 1.0, 0.5, 1.5]))
+        E = c * d[:, None] * (v / (B @ v))[:, None] * B * d[None, :]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, n - 1))
+            E[j, (j + 1) % n] = -E[j, (j + 1) % n]
+        mats.append(E)
+    return mats, d * v
+
+
+def perron_settles(E, u):
+    """The dense premises of check_spectral's derivation at a later
+    sample: E obeys the block rule of sign(u), rho(|E|) is within 1e-6
+    of 1, and |E| is irreducible with a nonzero diagonal."""
+    n, d = len(u), np.sign(u)
+    reach = np.linalg.matrix_power(np.eye(n) + (E != 0.0), n - 1)
+    return bool(np.all(d[:, None] * E * d >= 0.0)
+                and abs(dense_radius(E) - 1.0) <= 1e-6
+                and np.diag(E).any() and np.all(reach > 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(signed_perron_lists(), planted_lists()))
+def test_uniqueness_is_sample_zeros_dense_rule_unless_perron_settles(case):
+    # unique_modulus_one is False exactly where sample 0's dense spectrum
+    # says not unique; True only where the dense rule says unique at
+    # every sample; None exactly where sample 0 says unique and some
+    # later sample is not settled by Perron-Frobenius.  The gap is
+    # sample 0's dense gap
+    mats, u = case
+    sp = spectral_at_one_state(u, mats)
+    dense = [bool(dense_unique_modulus_one(E)) for E in mats]
+    settled = all(perron_settles(E, u) for E in mats[1:])
+    if sp.unique_modulus_one is True:
+        assert all(dense)
+    assert (sp.unique_modulus_one is False) == (not dense[0])
+    assert (sp.unique_modulus_one is None) == (dense[0] and not settled)
+    gap = dense_gap(mats[0])
+    assert abs(sp.spectral_gap - gap) <= 1e-12 * max(1.0, abs(gap))
 
 
 @pytest.mark.parametrize("bad", [[[0.0, 0.5], [0.5]], "oops"],
@@ -1290,22 +1313,26 @@ def dominant_one(n):
 ], ids=["dominant-one", "tied-top-modulus", "entries-1e200"])
 @pytest.mark.parametrize("k", [2, 5])
 def test_krylov_falls_back_to_the_dense_spectrum(E, k, monkeypatch):
-    # the Krylov pass over DG at samples 1..k-1 finds 1 dominant, does
-    # not converge on a tie of 48 eigenvalues, and overflows its norms:
-    # each of those samples reads its dense spectrum, and no warning
-    # (an error here, as pyproject.toml sets) or LinAlgError escapes
+    # the DGs that once sent a later sample from the Krylov pass over DG
+    # to its dense spectrum: 1 dominant, a tie of 48 eigenvalues, and
+    # entries that overflow the Arnoldi norms.  Now only sample 0's
+    # spectrum is computed, no warning (an error here, as pyproject.toml
+    # sets) or LinAlgError escapes, and the facts are its dense rule's,
+    # with a later sample whose block rule breaks left not computed
     sys = loglinear_system(E)
     eigs = count_eigensolves(monkeypatch)
     rep = certify(sys, sample_count=k, seed=0)
     assert rep.spectral is not None
-    assert len(eigs) >= k
+    on_dg = [M for (M,) in eigs if np.array_equal(M, E)]
+    assert len(on_dg) == 1
     if np.all(np.abs(E) < 1e3):
-        assert len(eigs) == k
+        assert len(eigs) == 1
         assert rep.scaling.verdict == "evidence-only"
-        dense = np.linalg.eigvals(E)
-        assert rep.spectral.unique_modulus_one == dense_unique_modulus_one(E)
-        second = np.max(np.abs(dense[np.abs(dense - 1.0) > 1e-6]))
-        assert rep.spectral.spectral_gap == pytest.approx(1.0 - second,
+        unique = bool(dense_unique_modulus_one(E))
+        assert rep.spectral.unique_modulus_one is (
+            None if unique and rep.spectral.similarity_residual > 0.0
+            else unique)
+        assert rep.spectral.spectral_gap == pytest.approx(dense_gap(E),
                                                           abs=1e-12)
 
 
@@ -1784,31 +1811,34 @@ def test_sampled_certify_passes_held_views_to_both_krylov_passes(
         monkeypatch):
     # general 15 x 3 (n = 105), where the block rule fails: every |DG|
     # bracket stays open, so the 8 |DG| go through the Perron-start
-    # pass, at 32 steps, and samples 1..7 through the pass over DG.
-    # Each sample's DG and |DG| are slices of one read-only (8, n, n)
-    # array apiece, and each pass reads a view of one of them, not a
-    # stacked copy
+    # pass, at 32 steps, the one Krylov pass left.  Each sample's |DG|
+    # is a slice of one read-only (8, n, n) array, and the pass reads a
+    # view of it, not a stacked copy; the DGs are not stacked
     certify_module = importlib.import_module("scalefix.certify")
+    system = importlib.import_module("scalefix.system")
     sys = wide_general(15, 3)
     n = sys.dimension
-    ritz = count_calls(monkeypatch, certify_module, "_dominant_ritz")
+    held = []
+    monkeypatch.setattr(certify_module, "_hold_stacked",
+                        lambda elas, f=system._hold_stacked:
+                        held.append(elas) or f(elas))
     starts = count_calls(monkeypatch, certify_module, "_perron_starts")
     rep = certify(sys, 8, 5)
     assert rep.monotonicity.verdict == "fail"
-    ((absolute, m, _),), ((entries, *_),) = starts, ritz
-    assert m == 32
-    assert absolute.shape == (8, n, n) and entries.shape == (7, n, n)
-    for mats in (absolute, entries):
-        assert mats.base is not None and not mats.flags.writeable
-        assert mats.base.shape == (8, n, n)
+    ((absolute, m, _),), (elas,) = starts, held
+    assert m == 32 and absolute.shape == (8, n, n)
+    assert absolute.base is not None and not absolute.flags.writeable
+    assert absolute.base.shape == (8, n, n)
+    assert all(E.absolute.base is absolute.base for E in elas)
+    assert all(E.entries.base is None for E in elas)
     want = [elasticity_at(sys, x).entries for x in rep.samples]
     assert all(np.array_equal(A, np.abs(E)) for A, E in zip(absolute, want))
-    assert all(np.array_equal(D, E) for D, E in zip(entries, want[1:]))
+    assert all(np.array_equal(E.entries, D) for E, D in zip(elas, want))
 
 
 def test_warm_sampled_certify_holds_dg_and_abs_dg_once():
     # general 30 x 5 (n = 330), 8 samples: DG and |DG| of every sample
-    # (16 n^2 doubles) and the Krylov passes' real bases peak at about
+    # (16 n^2 doubles) and the Perron pass's real basis peak at about
     # 19.0 n^2 (16.6 MB).  Complex Ritz vectors as the Perron starts
     # made a complex copy of the |DG| pass's basis (k m n entries, 2.7
     # n^2 at k = 8, m = 55), and the peak 21.1 n^2 (18.38 MB); a

@@ -12,7 +12,6 @@ Oracles used here:
 """
 
 import importlib
-import itertools
 
 import mpmath as mp
 import numpy as np
@@ -831,196 +830,92 @@ def rank_one(n):
     np.diag(np.repeat([3.0, -1.0, 0.5], [10, 20, 20])),
 ], ids=["identity", "rank-one", "three-eigenvalues"])
 def test_krylov_breakdown_gives_the_exact_dominant_pair(M):
-    # the Krylov space of a matrix with 1, 1 or 3 distinct eigenvalues
+    # the Krylov space of a matrix with 1, 2 or 3 distinct eigenvalues
     # is invariant after that many steps, far below _krylov_steps(50) =
-    # 32: the Ritz values there are eigenvalues, and the pair converges.
-    # _dominant_ritz forms no Ritz vector, so x comes from eig of H_m
+    # 32: _arnoldi sets that h_{j+1,j} to 0, and every later column of H
+    # and row of V is 0, so the eigenvalues of H_m there are eigenvalues
+    # of M, and its dominant pair is M's
     spectral = importlib.import_module("scalefix.spectral")
     dense = np.linalg.eigvals(M)
     want = dense[np.argmax(np.abs(dense))]
-    theta, converged = spectral._dominant_ritz(
-        [M], spectral._krylov_steps(50))
-    assert converged[0]
-    assert abs(theta[0] - want) <= 1e-12 * abs(want)
-    x = eig_acceptance([M])[2][0]
-    assert np.linalg.norm(M @ x - theta[0] * x) <= 1e-12 * abs(want)
+    m = spectral._krylov_steps(50)
+    H, V = (a[0] for a in spectral._arnoldi([M], m, np.ones(50)))
+    j = int(np.flatnonzero(np.diagonal(H, -1) == 0.0)[0])   # breakdown
+    assert j + 1 == len(np.unique(np.round(dense.real, 9)))
+    assert not H[:, j + 1:].any() and not V[j + 1:].any()
+    vals, Y = np.linalg.eig(H[:m])
+    top = np.argmax(np.abs(vals))
+    theta, x = vals[top], Y[:, top] @ V[:m]
+    assert abs(theta - want) <= 1e-12 * abs(want)
+    assert np.linalg.norm(M @ x - theta * x) <= 1e-12 * abs(want)
 
 
 def test_krylov_breakdown_is_per_matrix_and_no_overflow_converges():
     # in one lockstep pass the identity breaks down at its first step,
     # while the matrix with entries near 1e200 overflows its norms, which
-    # must not read as a breakdown
+    # must not read as a breakdown: its H is not finite, so it gets no
+    # Perron start, while the identity's start is the first one
     spectral = importlib.import_module("scalefix.spectral")
     big = 1e200 * np.random.default_rng(2).standard_normal((50, 50))
-    theta, converged = spectral._dominant_ritz(
-        [np.eye(50), big], spectral._krylov_steps(50))
-    assert list(converged) == [True, False]
-    assert theta[0] == pytest.approx(1.0, rel=1e-12)
+    m, start = spectral._krylov_steps(50), np.ones(50)
+    H, _ = spectral._arnoldi([np.eye(50), big], m, start)
+    assert H[0, 0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert np.count_nonzero(H[0]) == 1
+    assert not np.isfinite(H[1]).all()
+    x = spectral._perron_starts([np.eye(50), big], m, start)
+    assert np.abs(x[0]) * np.sqrt(50) == pytest.approx(start, rel=1e-14)
+    assert np.isnan(x[1]).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 32])
 def test_krylov_pass_at_most_32_rows_is_a_full_reduction(n):
-    # n steps span R^n, so the last one breaks down and the Ritz
-    # values are the eigenvalues of A, up to rounding
+    # n steps span R^n, so the last one breaks down and the eigenvalues
+    # of H_m are those of A, up to rounding
     spectral = importlib.import_module("scalefix.spectral")
     A = np.random.default_rng(n).standard_normal((n, n))
-    dense = np.linalg.eigvals(A)
-    want = np.max(np.abs(dense))
-    theta, converged = spectral._dominant_ritz(
-        [A, 2.0 * A], spectral._krylov_steps(n))
+    want = np.max(np.abs(np.linalg.eigvals(A)))
+    H, _ = spectral._arnoldi([A, 2.0 * A], spectral._krylov_steps(n),
+                             np.ones(n))
     assert spectral._krylov_steps(n) == n
-    assert list(converged) == [True, True]
-    assert np.abs(theta) == pytest.approx([want, 2.0 * want], rel=1e-12)
+    assert np.array_equal(H[:, n, n - 1], [0.0, 0.0])
+    got = np.abs(np.linalg.eigvals(H[:, :n])).max(axis=1)
+    assert got == pytest.approx([want, 2.0 * want], rel=1e-12)
 
 
-# ------------------------------------------- Krylov acceptance pass
-
-
-def eig_acceptance(mats):
-    """The acceptance pass of _dominant_ritz with a full eigensolve of
-    H_m, as it was before it took eigenvalues alone: theta and y from
-    np.linalg.eig, z from one solve with (H_m - s I)^T from all ones.
-    Returns (theta, converged, X) over the same Arnoldi pass, X the unit
-    Ritz vectors V_m' y."""
-    spectral = importlib.import_module("scalefix.spectral")
-    H, V = spectral._arnoldi(mats, spectral._krylov_steps(len(mats[0])))
-    k, m = len(mats), H.shape[2]
-    theta = np.full(k, np.nan, dtype=complex)
-    X = np.full((k, V.shape[2]), np.nan, dtype=complex)
-    error = np.full(k, np.inf)
-    with np.errstate(all="ignore"):
-        finite = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
-        vals, Y = np.linalg.eig(H[finite, :m])
-        top = np.argmax(np.abs(vals), axis=1)
-        rows = np.arange(len(finite))
-        y = Y[rows, :, top]
-        t = theta[finite] = vals[rows, top]
-        A = np.swapaxes(H[finite, :m], 1, 2).astype(complex)
-        A[:, range(m), range(m)] -= (t + 1e-14 * np.abs(t))[:, None]
-        zc = np.linalg.solve(A, np.ones((len(t), m, 1)))[:, :, 0]
-        cos = np.abs(np.sum(zc * y, axis=1)) / np.linalg.norm(zc, axis=1)
-        error[finite] = np.abs(H[finite, m, m - 1] * y[:, m - 1]) / cos
-        X[finite] = (y[:, None, :] @ V[finite, :m])[:, 0]
-        return theta, error <= 1e-13 * np.abs(theta), X
-
-
-def acceptance_cases():
-    """Lists of matrices for one lockstep pass each: seeded random ones,
-    n from 2 to 60 (complex dominant pairs among them, and n <= 32 a
-    full reduction that breaks down at step n); the slow planted family
-    of test_certify, dominant modulus 1.2 to 1.25 at n = 40 to 56, where
-    most Ritz values are rejected; dominant complex pairs planted by a
-    rotation; and matrices whose Krylov space is invariant early."""
-    from test_certify import planted
-    for n in range(2, 61):
-        rng = np.random.default_rng(n)
-        yield [rng.standard_normal((n, n)), rng.uniform(0.0, 1.0, (n, n)),
-               rng.standard_normal((n, n)) + 3.0 * np.eye(n)]
-    for seed in range(400):
-        rng = np.random.default_rng(seed)
-        n, k = int(rng.integers(40, 57)), int(rng.integers(2, 5))
-        tops = [None] + [
-            (r * rng.choice([1.0, -1.0]), None) if rng.random() < 0.5
-            else (r, rng.uniform(0.1, 3.0))
-            for r in rng.uniform(1.2, 1.25, k - 1)]
-        yield planted(rng, n, tops)[0]
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 57))
-        yield planted(rng, n, [(r, rng.uniform(0.1, 3.0))
-                               for r in rng.uniform(1.2, 4.0, 3)])[0]
-    yield [np.eye(50), rank_one(50),
-           np.diag(np.repeat([3.0, -1.0, 0.5], [10, 20, 20]))]
-
-
-def test_eigenvalues_only_acceptance_agrees_with_the_full_eigensolve(
-        monkeypatch):
-    spectral = importlib.import_module("scalefix.spectral")
-    eigs = []
-    flags = set()
-    for mats in acceptance_cases():
-        want_theta, want, X = eig_acceptance(mats)
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eig", lambda *a: eigs.append(a))
-            theta, converged = spectral._dominant_ritz(
-                mats, spectral._krylov_steps(len(mats[0])))
-        assert np.array_equal(theta, want_theta)
-        assert list(converged) == list(want)
-        flags.update(converged)
-        for A, t, x, ok in zip(mats, theta, X, converged):
-            if ok:
-                assert np.linalg.norm(A @ x - t * x) <= 1e-12 * abs(t)
-    assert eigs == [] and flags == {True, False}
-
-
-def bit_equal(a, b):
-    return np.array_equal(a, b, equal_nan=True)
-
-
-def test_staged_pass_is_the_one_stage_pass_where_it_runs_on():
-    # with early < m every matrix gets the finish of an early-step pass;
-    # those accepted there keep it, and the rest continue the same bases
-    # to m steps, so their theta and flags are the one-stage pass's
-    # bit for bit.  With early >= m the pass has one stage.  Every eighth
-    # of the acceptance cases keeps the run short
-    spectral = importlib.import_module("scalefix.spectral")
-    stopped = continued = 0
-    for mats in itertools.islice(acceptance_cases(), 0, None, 8):
-        m = spectral._krylov_steps(len(mats[0]))
-        one = spectral._dominant_ritz(mats, m)
-        for early in (m, m + 3):
-            staged = spectral._dominant_ritz(mats, m, early=early)
-            assert all(map(bit_equal, staged, one))
-        early = m // 2
-        first = spectral._dominant_ritz(mats, early)
-        staged = spectral._dominant_ritz(mats, m, early=early)
-        for i, ok in enumerate(first[1]):
-            want = first if ok else one
-            assert all(bit_equal(got[i], w[i]) for got, w in zip(staged, want))
-            stopped += ok
-            continued += not ok
-    assert stopped and continued
-
-
-@pytest.mark.parametrize("failing", [(32,), (41,), (32, 41)],
-                         ids=["early", "late", "both"])
+@pytest.mark.parametrize("failing", ["early", "late", "both"])
 def test_a_failed_hessenberg_eigensolve_reads_not_converged(
         failing, monkeypatch):
-    # a LinAlgError from the eigensolve of the stacked Hessenberg
-    # matrices of a stage leaves every matrix of that stage unconverged,
-    # with theta NaN: failing at 32 steps, all continue to 41 and
-    # get the one-stage answers; failing at 41, those accepted at 32
-    # keep theta and the rest read NaN
+    # a LinAlgError from the stacked eigensolve of the Hessenberg blocks
+    # in _perron_starts, the early attempt, runs the steps again matrix
+    # by matrix, which gives every start of the pass; where a matrix's
+    # own, later eigensolve fails too (matrix 2), only its start is NaN,
+    # not converged, and where both fail for every matrix, every start is
     spectral = importlib.import_module("scalefix.spectral")
-    mats = next(general_matrices([3]))[0][1:]
-    one = spectral._dominant_ritz(mats, 41)
-    first = spectral._dominant_ritz(mats, 32)
-    assert 0 < first[1].sum() < len(mats)
-    eigvals = np.linalg.eigvals
+    mats = [E.absolute for E in next(general_matrices([3]))[2]]
+    m, start = spectral._krylov_steps(105), np.ones(105)
+    want = spectral._perron_starts(mats, m, start)
+    assert np.isfinite(want).all()
+    eigvals, calls = np.linalg.eigvals, []
 
     def raising(a):
-        if np.ndim(a) == 3 and a.shape[-1] in failing:
+        calls.append(len(a))
+        if np.ndim(a) == 3 and (len(calls) == 1 or failing == "both"
+                                or (failing == "late" and len(calls) == 4)):
             raise np.linalg.LinAlgError("Hessenberg eigensolve failed")
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", raising)
-    theta, converged = spectral._dominant_ritz(mats, 41, early=32)
-    if failing == (32,):
-        assert all(map(bit_equal, (theta, converged), one))
-        return
-    kept = first[1] if failing == (41,) else np.zeros(len(mats), bool)
-    assert np.array_equal(converged, kept)
-    assert np.array_equal(theta[kept], first[0][kept])
-    assert np.isnan(theta[~kept]).all()
-    # the dense reference: each kept theta is the dominant modulus
-    for A, t in zip(np.asarray(mats)[kept], theta[kept]):
-        dense = np.max(np.abs(np.linalg.eigvals(A)))
-        assert abs(abs(t) - dense) <= 1e-12 * dense
+    x = spectral._perron_starts(mats, m, start)
+    assert calls == [8] + [1] * 8
+    bad = {"early": [], "late": [2], "both": list(range(8))}[failing]
+    ok = [i for i in range(8) if i not in bad]
+    assert np.isnan(x[bad]).all()
+    assert np.allclose(x[ok], want[ok], rtol=1e-12, atol=0.0)
 
 
 def general_matrices(seeds):
     """Each sample's DG and |DG| on general 15 x 3 models (n = 105), 8
-    samples per seed, as a sampled certify's two Krylov passes see them."""
+    samples per seed, as a sampled certify sees them."""
     from test_certify import general_params
 
     from scalefix.certify import sample_states
@@ -1035,10 +930,11 @@ def general_matrices(seeds):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 32, 33, 56, 105, 330])
 def test_stacked_matvecs_equal_per_matrix_dot_bit_for_bit(n):
-    # _arnoldi takes each step's k matvecs as one stacked np.matmul, and
-    # _dominant_ritz continues the unconverged matrices as a sub-stack.
-    # Both must give np.dot's bits matrix by matrix: that keeps every
-    # Krylov pass, and so every certify report, as it was with np.dot
+    # _arnoldi takes each step's k matvecs as one stacked np.matmul, on
+    # all the samples' held |DG| or on a sub-stack of them where only
+    # some brackets stay open.  Both must give np.dot's bits matrix by
+    # matrix: that keeps every Krylov pass, and so every certify report,
+    # as it was with np.dot
     rng = np.random.default_rng(n)
     cases = [[rng.standard_normal((n, n)) for _ in range(8)]]
     if n == 105:
@@ -1079,7 +975,7 @@ def test_perron_start_brackets_the_radius_found_from_all_ones(A, seed):
     # largest, the bracket it proved stands in
     n = len(A)
     start = np.random.default_rng(seed).uniform(0.5, 2.0, n)
-    x = _perron_starts([A], _krylov_steps(n, 3.0), start)[0]
+    x = _perron_starts([A], _krylov_steps(n), start)[0]
     assert np.all((np.abs(x) > 0.0) & (np.abs(x) < np.inf))
     (lo, hi), (want_lo, want_hi) = (proved_bracket(A, v)
                                     for v in (np.abs(x), np.ones(n)))
@@ -1094,6 +990,6 @@ def test_a_start_that_is_the_perron_vector_is_kept():
     # no 32-step Krylov space from another vector holds that vector
     n = 60
     A = 2.0 * np.roll(np.eye(n), 1, axis=1)
-    x = _perron_starts([A], _krylov_steps(n, 3.0), np.ones(n))[0]
-    assert _krylov_steps(n, 3.0) == 32
+    x = _perron_starts([A], _krylov_steps(n), np.ones(n))[0]
+    assert _krylov_steps(n) == 32
     assert np.abs(x) * np.sqrt(n) == pytest.approx(np.ones(n), rel=1e-14)
