@@ -29,14 +29,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from scalefix.spectral import (
-    PowerIterationError,
-    ReducibleMatrixError,
     _check_gauge,
-    _krylov_steps,
-    _perron_root,
-    _perron_starts,
+    _perron_roots,
     _strongly_connected,
-    eigvals_mod_zero,
     strongly_connected_components,
 )
 from scalefix.system import (
@@ -45,7 +40,6 @@ from scalefix.system import (
     PositiveSystem,
     StateVector,
     _frozen,
-    _hold_stacked,
     _support_dg,
     _worst,
     elasticity_at,
@@ -226,7 +220,7 @@ def check_connectedness(sys: PositiveSystem,
             return CheckResult("pass")
         return _split(support.components(), sys.labels)
     elasticities = elasticities or _elasticities(sys, samples)
-    adjs = [E.absolute > TOL_SIGN for E in elasticities]
+    adjs = [np.abs(E.entries) > TOL_SIGN for E in elasticities]
     if _strongly_connected(np.logical_and.reduce(adjs)):
         return CheckResult("evidence-only")
     for idx, adj in enumerate(adjs):
@@ -248,7 +242,7 @@ def check_self_interaction(sys: PositiveSystem,
         return CheckResult("fail", {"reason": "all diagonal entries vanish"})
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
-        A = E.absolute
+        A = np.abs(E.entries)
         rowmax = A.max(axis=1)
         live = np.diag(A) > TOL_DIAG * np.maximum(rowmax, 1e-300)
         if not live.any():
@@ -420,64 +414,6 @@ def check_monotonicity(sys: PositiveSystem, u,
     return CheckResult(verdict), partition
 
 
-def _first_bracket(w: NDArray, v: NDArray,
-                   ) -> tuple[float, tuple[float, float]] | None:
-    """(rho, bracket) from the Collatz-Wielandt bracket [min w/v, max w/v]
-    of w = |DG| v, when _perron_root(|DG|, 1e-13, v) would return it
-    after its first matvec; None when it stays open."""
-    ratios = w / v
-    lo, hi = float(ratios.min()), float(ratios.max())
-    mid = 0.5 * (lo + hi)
-    if 0.0 < lo <= hi < np.inf and hi - lo <= 1e-13 * max(1.0, mid):
-        return mid, (lo, hi)
-    return None
-
-
-def _dense_root(A: NDArray, v: NDArray,
-                ) -> tuple[float, tuple[float, float] | None]:
-    """rho(A), A = |DG|, and its proved bracket: by _perron_root from v,
-    or where that raises, the largest eigenvalue modulus of A clamped
-    into the bracket proved so far, if any."""
-    try:    # tol 1e-13 keeps rho within 1e-13 relative of the root
-        res = _perron_root(A, 1e-13, v)
-        return res.rho, (res.lower_bound, res.upper_bound)
-    except (ReducibleMatrixError, PowerIterationError) as exc:
-        rho, bracket = float(np.max(np.abs(eigvals_mod_zero(A)))), None
-        if isinstance(exc, PowerIterationError) and exc.lower_bound > 0:
-            bracket = (exc.lower_bound, exc.upper_bound)    # proved
-            rho = min(max(rho, bracket[0]), bracket[1])
-        return rho, bracket
-
-
-def _stacked(mats: list[NDArray]) -> list[NDArray] | NDArray:
-    """The |DG| arrays mats for the lockstep Perron-start pass: where
-    they are the last slices, in order, of the array _hold_stacked made,
-    a view of it, which _arnoldi reads with no stacked copy; else
-    mats."""
-    held = mats[0].base
-    if held is not None and held.ndim == 3:
-        view = held[-len(mats):]
-        if len(view) == len(mats) and all(
-                np.may_share_memory(A, B) for A, B in zip(mats, view)):
-            return view
-    return mats
-
-
-def _open_roots(elasticities: Sequence[_DG], start: NDArray,
-                ) -> list[tuple[float, tuple[float, float] | None]]:
-    """rho(|DG|) and its proved bracket at samples whose first bracket
-    from start stayed open: _dense_root from v = |x|, x the Perron start
-    of one lockstep Krylov pass over their |DG| begun at start
-    (_perron_starts), or from start where v is not positive and finite.
-    The pass only picks the start, which Noda's steps make good from any
-    positive v, so it takes 3 sqrt(n) steps (_krylov_steps counts the
-    starts whose first bracket stays open)."""
-    mats = [E.absolute for E in elasticities]   # E finite: A >= 0
-    x = _perron_starts(_stacked(mats), _krylov_steps(len(mats[0])), start)
-    return [_dense_root(A, v if np.all((v > 0.0) & (v < np.inf)) else start)
-            for A, v in zip(mats, np.abs(x))]      # NaN fails the test too
-
-
 def _perron_derived(E: _DG, signature: float,
                     bracket: tuple[float, float] | None) -> bool:
     """1 is DG's only eigenvalue of modulus 1, by Perron-Frobenius: DG
@@ -510,20 +446,19 @@ def check_spectral(sys: PositiveSystem, u,
     exactly +0.0 when the rule holds (DG and |DG| then share a
     spectrum), and None when a zero entry of u makes D singular.
     Each sample takes one product w = |DG| v, v = |u| (all ones unless u
-    is zero-free), for the bracket [min w/v, max w/v] and the eigenvector
-    residual; rho is the bracket's midpoint when it is positive and
-    within 1e-13 max(1, rho), as when |DG| |u| = |u|.  Where it stays
-    open, one lockstep Krylov pass (_perron_starts) of 3 sqrt(n) steps
-    over the |DG| of all such samples, begun at that first start, gives
-    the Perron start v = |x|: x = V_m y, y from a shift read off the
-    leading half of each small Hessenberg matrix, one inverse step and
-    three Rayleigh-quotient steps, all real, whose bracket by one matvec
-    closes as a rule; else spectral_radius's later steps (Noda's)
-    run on the dense |DG| from v (or from the first start, where |x| is
-    not positive), and where they raise, rho is the largest eigenvalue
-    modulus of |DG|, clamped into the bracket proved so far, if any: the
-    one rho not proved by a matvec.  _krylov_steps gives how often each
-    of these ran on the general model.
+    is zero-free), for the eigenvector residual and, passed on to the
+    Perron pass (spectral._perron_roots) with the tolerance 1e-13, for
+    the bracket [min w/v, max w/v]: rho is its midpoint when it is
+    positive and within 1e-13 max(1, rho), as when |DG| |u| = |u|, and
+    a support-held DG then needs no n x n array.  Where it stays open,
+    the pass stacks the |DG| of those samples alone, and one lockstep
+    Krylov pass of 3 sqrt(n) steps over them, begun at v, gives each a
+    Perron start (spectral._perron_starts) whose bracket by one matvec
+    closes as a rule; else spectral_radius's later steps (Noda's) run
+    on the dense |DG|, and where they raise, rho is the largest
+    eigenvalue modulus of |DG|, clamped into the bracket proved so far,
+    if any: the one rho not proved by a matvec.  _krylov_steps gives
+    how often each of these ran on the general model.
 
     Sample 0's `spectrum` is the one eigensolve over DG, which
     find_scaling_exponent may already have computed: for a _SupportDG
@@ -546,7 +481,7 @@ def check_spectral(sys: PositiveSystem, u,
     """
     _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
-    roots, signatures, start = [], [], np.ones(sys.dimension)
+    first, signatures, start = [], [], np.ones(sys.dimension)
     eig_res = d = None
     if u is not None:
         u = np.asarray(u, dtype=float)
@@ -556,18 +491,16 @@ def check_spectral(sys: PositiveSystem, u,
             start, d = _check_gauge(abs_u, "start vector"), _signs(u)
     for E in elasticities:
         w = E._dot(start, absolute=True)
-        roots.append(_first_bracket(w, start))
+        first.append(w)
         if u is not None:
             if d is None:        # start is all ones, not |u|
                 w = E._dot(abs_u, absolute=True)
             eig_res = max(eig_res, float(np.max(np.abs(w - abs_u))))
         if d is not None:
             signatures.append(2.0 * _worst(E, d))
-    still_open = [idx for idx, root in enumerate(roots) if root is None]
-    if still_open:
-        found = _open_roots([elasticities[idx] for idx in still_open], start)
-        for idx, root in zip(still_open, found):
-            roots[idx] = root
+    # tol 1e-13 keeps each rho within 1e-13 relative of its root
+    roots = _perron_roots(first, start, lambda i: elasticities[i].entries,
+                          1e-13)
     brackets = [bracket for _, bracket in roots]
     unique, second = _peripheral(elasticities[0].spectrum)
     if unique and len(elasticities) > 1 and (d is None or not all(map(
@@ -642,10 +575,10 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     scattered from the values only where a sample needs it: an open
     Perron bracket, or sample 0's spectrum where nothing peels.  Any
     other system, the one-sector model included, gets a dense
-    ElasticityMatrix per sample; sampled, every |DG| is held as a slice
-    of one array (system._hold_stacked), which the Perron-start pass
-    reads whole.  Sample 0's spectrum is the only eigensolve over DG
-    (check_spectral).
+    ElasticityMatrix per sample, and no |DG| is held with it: the
+    checks take each |DG| transiently, and the Perron pass stacks the
+    |DG| of the samples whose bracket stays open.  Sample 0's spectrum
+    is the only eigensolve over DG (check_spectral).
     """
     samples = sample_states(sys, sample_count, seed)
     mode = "exact" if sys._support is not None else "sampled"
@@ -654,9 +587,6 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
         elas = _elasticities(sys, samples)
     except Exception as exc:    # the caller's F or elasticities failed
         elas, failure = None, _error_verdict(exc)
-    else:
-        if mode == "sampled":
-            _hold_stacked(elas)
 
     def guarded(check):
         if failure is not None and mode == "sampled":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -212,6 +212,20 @@ def spectral_radius(M, tol: float = 1e-10, start=None) -> SpectralResult:
     return _perron_root(A, tol, v)
 
 
+def _bracket(w: NDArray, v: NDArray, tol: float,
+             ) -> tuple[float, float, bool, bool]:
+    """(lo, hi, positive, closed): the Collatz-Wielandt bracket
+    [min w/v, max w/v] on the Perron root of a nonnegative A, w = A v
+    for a positive v; positive when 0 < lo <= hi < inf, and closed,
+    the one acceptance test of every proved root, when it is positive
+    and hi - lo <= tol * max(1, its midpoint)."""
+    ratios = w / v
+    lo, hi = float(ratios.min()), float(ratios.max())
+    positive = 0.0 < lo <= hi < np.inf
+    return lo, hi, positive, (positive
+                              and hi - lo <= tol * max(1.0, 0.5 * (lo + hi)))
+
+
 def _perron_root(A: NDArray, tol: float, v: NDArray) -> SpectralResult:
     """spectral_radius for a validated A, tol and start v of A's size."""
     lower, upper = 0.0, np.inf
@@ -219,15 +233,13 @@ def _perron_root(A: NDArray, tol: float, v: NDArray) -> SpectralResult:
     with np.errstate(all="ignore"):
         for it in range(1, POWER_STEPS + MAX_SOLVES + 2):
             w = A @ v
-            ratios = w / v
-            lo, hi = float(ratios.min()), float(ratios.max())
-            positive = 0.0 < lo <= hi < np.inf
+            lo, hi, positive, closed = _bracket(w, v, tol)
             if positive:
-                lower, upper, mid = lo, hi, 0.5 * (lo + hi)
-                if upper - lower <= tol * max(1.0, mid):
-                    return SpectralResult(
-                        rho=mid, right_eigvec=w / w.max(), lower_bound=lower,
-                        upper_bound=upper, iterations=it)
+                lower, upper = lo, hi
+            if closed:
+                return SpectralResult(
+                    rho=0.5 * (lo + hi), right_eigvec=w / w.max(),
+                    lower_bound=lower, upper_bound=upper, iterations=it)
             if it == 1 and not _strongly_connected(A):
                 raise ReducibleMatrixError(
                     "matrix is reducible; Collatz-Wielandt bounds stay open")
@@ -274,14 +286,15 @@ def _arnoldi(mats: Sequence[NDArray], m: int, start: NDArray,
     """(H, V): m Arnoldi steps (the caller's _krylov_steps) on each of the
     finite square matrices in mats, all of one size n, in lockstep, from
     start / ||start||, giving the (k, m+1, m) Hessenberg matrices and
-    the (k, m+1, n) bases, A V_m' = V_{m+1}' H.  Each step's matvecs, one
-    per matrix, are one stacked matmul, as are the classical
-    Gram-Schmidt steps, done twice, and the Hessenberg updates (Saad,
-    Numerical Methods for Large Eigenvalue Problems, 2nd ed., 2011,
-    ch. 6).  An h_{j+1,j} of at most 1e-12 ||A||_F is a breakdown (an
-    invariant subspace, as at step n): it is set to 0 and zero vectors
-    follow.  An overflow leaves H not finite."""
-    A = np.asarray(mats)        # a (k, n, n) array is not copied
+    the (k, m+1, n) bases, A V_m' = V_{m+1}' H.  mats is read as one
+    (k, n, n) array, not copied where it is one, as _perron_roots passes
+    it.  Each step's matvecs, one per matrix, are one stacked matmul, as
+    are the classical Gram-Schmidt steps, done twice, and the Hessenberg
+    updates (Saad, Numerical Methods for Large Eigenvalue Problems, 2nd
+    ed., 2011, ch. 6).  An h_{j+1,j} of at most 1e-12 ||A||_F is a
+    breakdown (an invariant subspace, as at step n): it is set to 0 and
+    zero vectors follow.  An overflow leaves H not finite."""
+    A = np.asarray(mats)
     k, n = A.shape[:2]
     V = np.empty((k, m + 1, n))
     H = np.zeros((k, m + 1, m))
@@ -309,23 +322,24 @@ def _arnoldi(mats: Sequence[NDArray], m: int, start: NDArray,
 
 def _perron_starts(mats: Sequence[NDArray], m: int, start: NDArray) -> NDArray:
     """A start for _perron_root on each of the nonnegative n x n
-    matrices in mats, whose Collatz-Wielandt bracket from the positive
-    vector `start` stayed open: the real x = V_m' y of one lockstep pass
-    of m _arnoldi steps begun at start, whose Krylov coordinates are
-    then e_1.  The shift s is the largest eigenvalue modulus of the
-    leading floor(m/2) block of each H_m (of all of H_m where m = n, a
-    full reduction), the Perron root as half the steps see it.  One
-    inverse step y <- (H_m - s I)^-1 e_1, then three Rayleigh-quotient
-    steps, y <- (H_m - s I)^-1 y with s = y' H_m y for the unit y, each a
-    stacked real m x m solve, converge to the eigenvector of H_m at its
-    Perron Ritz value (Parlett, Math. Comp. 28, 1974; Saad, Numerical
-    Methods for Large Eigenvalue Problems, 2nd ed., 2011, ch. 4).  Each
-    shift is s + 1e-14 |s|, nonsingular where s is exact.  Where the
-    stacked eigensolve or a stacked solve fails, as one singular
-    H_m - s I makes it, the steps run again matrix by matrix, so x is
-    NaN only where H is not finite or that matrix's own eigensolve or
-    solve fails; no warning or LinAlgError escapes.  Only real arrays are
-    made: V's rows enter x as a view."""
+    matrices in mats, the (k, n, n) stack of |DG| that _perron_roots
+    fills for the samples whose Collatz-Wielandt bracket from the
+    positive vector `start` stayed open: the real x = V_m' y of one
+    lockstep pass of m _arnoldi steps begun at start, whose Krylov
+    coordinates are then e_1.  The shift s is the largest eigenvalue
+    modulus of the leading floor(m/2) block of each H_m (of all of H_m
+    where m = n, a full reduction), the Perron root as half the steps
+    see it.  One inverse step y <- (H_m - s I)^-1 e_1, then three
+    Rayleigh-quotient steps, y <- (H_m - s I)^-1 y with s = y' H_m y for
+    the unit y, each a stacked real m x m solve, converge to the
+    eigenvector of H_m at its Perron Ritz value (Parlett, Math. Comp.
+    28, 1974; Saad, Numerical Methods for Large Eigenvalue Problems, 2nd
+    ed., 2011, ch. 4).  Each shift is s + 1e-14 |s|, nonsingular where s
+    is exact.  Where the stacked eigensolve or a stacked solve fails, as
+    one singular H_m - s I makes it, the steps run again matrix by
+    matrix, so x is NaN only where H is not finite or that matrix's own
+    eigensolve or solve fails; no warning or LinAlgError escapes.  Only
+    real arrays are made: V's rows enter x as a view."""
     H, V = _arnoldi(mats, m, start)
     Y = np.full((len(H), 1, m), np.nan)
     lead = m if m == V.shape[2] else m // 2
@@ -357,6 +371,47 @@ def _rayleigh(Hm: NDArray, lead: int) -> NDArray:
     return np.swapaxes(y, 1, 2)
 
 
+def _perron_roots(first: Sequence[NDArray], start: NDArray,
+                  dense: Callable[[int], NDArray], tol: float,
+                  ) -> list[tuple[float, tuple[float, float] | None]]:
+    """rho(|DG|) and its proved Collatz-Wielandt bracket at each sample,
+    from first[i] = |DG_i| start, for the positive vector start: the
+    midpoint of that first bracket where it closes (_bracket), with no
+    n x n array.  Where it stays open, dense(i), asked in ascending
+    order of i, gives DG_i, and |DG_i| fills one (k, n, n) array for
+    the k open samples alone.  One lockstep pass of _krylov_steps(n)
+    steps over that array, begun at start (_perron_starts), gives the
+    Perron start x, and _perron_root runs from |x|, or from start where
+    |x| is not positive and finite.  Where it raises, rho is the largest
+    eigenvalue modulus of |DG_i|, clamped into the bracket proved so
+    far, if any: the one rho not proved by a matvec."""
+    roots = []
+    for w in first:
+        lo, hi, _, closed = _bracket(w, start, tol)
+        roots.append((0.5 * (lo + hi), (lo, hi)) if closed else None)
+    still_open = [i for i, root in enumerate(roots) if root is None]
+    if not still_open:
+        return roots
+    n = len(start)
+    mats = np.empty((len(still_open), n, n))
+    for i, A in zip(still_open, mats):
+        np.abs(dense(i), out=A)     # DG is finite, so A >= 0
+    x = _perron_starts(mats, _krylov_steps(n), start)
+    for i, A, v in zip(still_open, mats, np.abs(x)):
+        if not np.all((v > 0.0) & (v < np.inf)):    # NaN fails too
+            v = start
+        try:
+            res = _perron_root(A, tol, v)
+            roots[i] = res.rho, (res.lower_bound, res.upper_bound)
+        except (ReducibleMatrixError, PowerIterationError) as exc:
+            rho, bracket = float(np.max(np.abs(eigvals_mod_zero(A)))), None
+            if isinstance(exc, PowerIterationError) and exc.lower_bound > 0:
+                bracket = (exc.lower_bound, exc.upper_bound)    # proved
+                rho = min(max(rho, bracket[0]), bracket[1])
+            roots[i] = rho, bracket
+    return roots
+
+
 def eigvals_mod_zero(M) -> NDArray:
     """Eigenvalues of the square matrix M, except that the multiplicity
     of the eigenvalue 0 may differ.
@@ -374,16 +429,15 @@ def eigvals_mod_zero(M) -> NDArray:
     if np.diag(A).all():            # NaN counts as nonzero
         return np.linalg.eigvals(A)
     rows, cols = np.nonzero(A)
-    eigs = _support_eigvals(A.shape[0], rows, cols, A[rows, cols])
-    return np.linalg.eigvals(A) if eigs is None else eigs
+    return _support_eigvals(A.shape[0], rows, cols, A[rows, cols], lambda: A)
 
 
 def _support_eigvals(n: int, rows: NDArray, cols: NDArray, values: NDArray,
-                     ) -> NDArray | None:
+                     dense: Callable[[], NDArray]) -> NDArray:
     """eigvals_mod_zero of the n x n matrix M that holds values[e] at
     (rows[e], cols[e]), row-major, each place once and no value 0, and 0
-    elsewhere, read from those entries alone; None where only the dense
-    numpy.linalg.eigvals(M) will do.
+    elsewhere, read from those entries alone, or where only the dense
+    eigensolve will do, numpy.linalg.eigvals(dense()), dense() giving M.
 
     Coordinates with a zero diagonal are peeled in rounds: each round
     takes those whose row has no entry in the columns of the
@@ -406,8 +460,9 @@ def _support_eigvals(n: int, rows: NDArray, cols: NDArray, values: NDArray,
     entries over N's rows (np.repeat, then np.bincount to sum), and one
     (m|R| x n)(n x |R|) product gives all m products with M_KR: no n x n
     array is made.  In the multi-sector model OMEGA and P peel, m = 2
-    and R is the J wages.  None where nothing peels, the companion would
-    be no smaller than M, or its top block row is not finite.
+    and R is the J wages.  The dense eigensolve runs where nothing
+    peels, the companion would be no smaller than M, or its top block
+    row is not finite.
     """
     zero_diag = np.ones(n, dtype=bool)
     zero_diag[rows[rows == cols]] = False
@@ -423,7 +478,7 @@ def _support_eigvals(n: int, rows: NDArray, cols: NDArray, values: NDArray,
     if r == 0:
         return np.zeros(n)          # M itself is nilpotent
     if (m + 1) * r >= n:
-        return None
+        return np.linalg.eigvals(dense())
     at = np.cumsum(~K) - 1          # R's coordinates numbered in order
     k_row, k_col = K[rows], K[cols]
     # M's columns in R: M_RR in R's rows, M_KR in K's; every row block
@@ -455,7 +510,7 @@ def _support_eigvals(n: int, rows: NDArray, cols: NDArray, values: NDArray,
         top = (W.reshape(m * r, n) @ X).reshape(m, r, r)
     C[:r, r:] = top.transpose(1, 0, 2).reshape(r, m * r)
     if not np.all(np.isfinite(C[:r])):
-        return None
+        return np.linalg.eigvals(dense())
     C[r:, :-r] = np.eye(m * r)
     return np.linalg.eigvals(C)
 

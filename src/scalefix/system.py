@@ -170,10 +170,10 @@ class ElasticityMatrix:
 
     @cached_property
     def absolute(self) -> NDArray:
-        """|DG|, read-only: a sampled certify reads it for connectedness,
-        self-interaction, |DG| v and the Perron-start pass of an open
-        bracket, and holds it as a slice of one array for all samples
-        (_hold_stacked)."""
+        """|DG|, read-only, made on first read and held.  certify never
+        reads it: its checks take |DG| transiently from `entries`, and
+        the Perron pass (spectral._perron_roots) builds its own stack of
+        |DG| for the samples whose bracket stays open."""
         A = np.abs(self.entries)
         A.setflags(write=False)
         return A
@@ -183,22 +183,17 @@ class ElasticityMatrix:
     # >= 0 within a block of sign(u) and <= 0 across, where D DG D >= 0
 
     def _dot(self, x: NDArray, absolute: bool = False) -> NDArray:
-        """DG x, or |DG| x; overflow gives inf, not a warning.  |DG| x
-        reads `absolute` where a reader has made it, and holds no |DG|
-        otherwise: an exact certify of a dense DG reads it once."""
-        A = self.__dict__.get("absolute") if absolute else self.entries
+        """DG x, or |DG| x from a transient |DG|, held by nothing;
+        overflow gives inf, not a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return (np.abs(self.entries) if A is None else A) @ x
-
-    def _ddgd(self, d: NDArray) -> NDArray:
-        """D DG D: each entry times +-1, so |DG| bit for bit where >= 0."""
-        return d[:, None] * self.entries * d
+            return (np.abs(self.entries) if absolute else self.entries) @ x
 
     def _witnesses(self, d: NDArray, tol: float = 0.0,
                    ) -> tuple[NDArray, NDArray]:
         """The entries where D DG D < -tol, in row-major order: their
-        indices in the raveled DG, and their values."""
-        flat = np.flatnonzero(self._ddgd(d) < -tol)
+        indices in the raveled DG, and their values.  D DG D is each
+        entry times +-1, so it is -|DG| bit for bit where negative."""
+        flat = np.flatnonzero(d[:, None] * self.entries * d < -tol)
         return flat, np.take(self.entries, flat)
 
     def _irreducible(self) -> bool:
@@ -302,9 +297,9 @@ class _SupportDG:
     none of them 0, and DG 0 elsewhere by the declaration.  Stands in for
     an ElasticityMatrix: `spectrum` is computed from the support alone
     where zero-diagonal coordinates peel (_support_eigvals, as for the
-    multi-sector model), `entries` and `absolute` read `dense`, DG
-    scattered from `values`, built only where a sample needs it (an open
-    Perron bracket, or sample 0's spectrum where nothing peels), and
+    multi-sector model), `entries` reads `dense`, DG scattered from
+    `values`, built only where a sample needs it (an open Perron
+    bracket, or sample 0's spectrum where nothing peels), and
     ElasticityMatrix's private operations cost O(nnz) here."""
 
     def __init__(self, support: _Support, values: NDArray,
@@ -323,15 +318,10 @@ class _SupportDG:
     def spectrum(self) -> NDArray:
         """ElasticityMatrix.spectrum's eigenvalues, read-only."""
         s = self.support
-        eigs = _support_eigvals(s.n, s.rows, s.cols, self.values)
-        if eigs is None:
-            eigs = np.linalg.eigvals(self.entries)
+        eigs = _support_eigvals(s.n, s.rows, s.cols, self.values,
+                                lambda: self.entries)
         eigs.setflags(write=False)
         return eigs
-
-    @property
-    def absolute(self) -> NDArray:
-        return self.dense.absolute
 
     def _dot(self, x: NDArray, absolute: bool = False) -> NDArray:
         s = self.support
@@ -342,12 +332,9 @@ class _SupportDG:
                                            s.starts)
         return out
 
-    def _ddgd(self, d: NDArray) -> NDArray:
-        return self.support.flips(d) * self.values
-
     def _witnesses(self, d: NDArray, tol: float = 0.0,
                    ) -> tuple[NDArray, NDArray]:
-        bad = np.flatnonzero(self._ddgd(d) < -tol)
+        bad = np.flatnonzero(self.support.flips(d) * self.values < -tol)
         return self.support.flat[bad], self.values[bad]
 
     def _irreducible(self) -> bool:
@@ -360,24 +347,10 @@ class _SupportDG:
 _DG = ElasticityMatrix | _SupportDG
 
 
-def _hold_stacked(elasticities: list[ElasticityMatrix]) -> None:
-    """Hold the |DG| of the dense DGs in a list no check has read yet as
-    slices of one read-only (k, n, n) array, in list order: a sampled
-    certify reads every |DG|, and its lockstep Perron-start pass takes a
-    view of this array (certify._stacked), with no stacked copy beside
-    it."""
-    absolute = np.empty((len(elasticities),) + elasticities[0].entries.shape)
-    for E, A in zip(elasticities, absolute):
-        np.abs(E.entries, out=A)
-    absolute.setflags(write=False)
-    for E, A in zip(elasticities, absolute):
-        E.__dict__["absolute"] = A
-
-
 def _worst(E: _DG, d: NDArray) -> float:
     """max |DG| over the entries of E against the block rule of d, +0.0
-    if none: the most negative entry of D DG D, negated."""
-    return max(0.0, -float(np.min(E._ddgd(d), initial=0.0)))
+    if none: the largest |value| among its witnesses."""
+    return float(np.max(np.abs(E._witnesses(d)[1]), initial=0.0))
 
 
 class _LazyPattern:

@@ -237,6 +237,8 @@ def test_step_traces_are_the_public_norms_bit_for_bit(with_u):
     assert res.step_gauge.tolist() == gauge
     assert res.step_quotient.tolist() == (
         gauge if u is None else [quotient_norm(step, u, v) for step in steps])
+    assert res.residual_trace == list(zip(res.step_gauge.tolist(),
+                                          res.step_quotient.tolist()))
 
 
 def random_multi(J, S, seed, theta, sigma):

@@ -763,11 +763,15 @@ def test_reduced_eigs_match_dense_with_zero_diagonal_cycle(M):
 def test_support_eigs_match_dense_from_the_nonzeros_alone(M):
     # the routine reads M's nonzero entries, row-major, and no n x n
     # array: its answer matches the dense or the 60-digit spectrum, and
-    # where it declines (no smaller companion), eigvals_mod_zero is the
-    # dense eigvals bit for bit
+    # where it declines (no smaller companion), it asks for M once and
+    # answers, as eigvals_mod_zero does, with the dense eigvals bit for bit
     rows, cols = np.nonzero(M)
-    got = _support_eigvals(len(M), rows, cols, M[rows, cols])
-    if got is None:
+    asked = []
+    got = _support_eigvals(len(M), rows, cols, M[rows, cols],
+                           lambda: asked.append(M) or M)
+    assert len(asked) <= 1
+    if asked:
+        assert np.array_equal(got, np.linalg.eigvals(M))
         assert np.array_equal(eigvals_mod_zero(M), np.linalg.eigvals(M))
         return
     scale = max(1.0, np.linalg.norm(M, 2))
