@@ -280,34 +280,96 @@ def _verified(sys: PositiveSystem, samples: Sequence[StateVector],
                               residual_direct=res_direct)
 
 
+def _near_one(E: _DG) -> bool:
+    """The extraction's pre-check, False only where every eigenvalue of
+    E's memoized spectrum lies farther than TOL_EIGENVALUE from 1 (a
+    zero eigenvalue is never near 1, so the zeros it may drop do not
+    matter)."""
+    return not np.min(np.abs(E.spectrum - 1.0)) > TOL_EIGENVALUE
+
+
+def _one_small_singular_value(A: NDArray, v: NDArray) -> bool:
+    """Whether A, n x n, has exactly one singular value below
+    TOL_EIGENVALUE, proved with no SVD from the direction v of unit
+    2-norm: sigma_n <= ||A v|| <= TOL_EIGENVALUE / 2, and one Cholesky
+    of G + tr(G) v v' - tau I, G = A'A, proves x'Gx > (2 TOL_EIGENVALUE)^2
+    for the unit vectors x orthogonal to v, where the rank-one term
+    vanishes, so sigma_{n-1} > 2 TOL_EIGENVALUE by Cauchy interlacing
+    (Courant-Fischer).  A's least right singular vector then makes an
+    angle with v whose sine is at most ||A v|| / sigma_{n-1} < 1/4.  The
+    margins of 2 around TOL_EIGENVALUE hold the SVD's count, computed to
+    about eps ||A||_2, wherever that is far below TOL_EIGENVALUE / 2.
+    Overflow refuses.  (Rump, "Verification of positive definiteness",
+    BIT 46, 2006; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3.5 and 10.1.)"""
+    n = len(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.linalg.norm(A @ v) <= TOL_EIGENVALUE / 2:
+            return False
+        G = A.T @ A
+        t = float(np.trace(G))
+        # tau's second term, 8(n+2) eps 2t with eps = 2u the machine
+        # epsilon and t = tr(G) = ||A||_F^2 >= ||G||_F, is at least eight
+        # times the rounding of these three steps for n >= 2, to first
+        # order in n eps (Higham, section 3.5 and Theorem 10.3):
+        #   forming G, |fl(G) - G| <= gamma_n |A'||A|: 2-norm n eps t / 2;
+        #   the update and the shift, each entry rounded at most four
+        #   times: 2-norm 2 eps (2t + tau);
+        #   factoring the M so formed, R'R = M + dM with |dM| <=
+        #   gamma_{n+1} |R'||R| and || |R'||R| ||_2 <= ||R||_F^2 =
+        #   tr(R'R) <= 2t: 2-norm (n + 1) eps t.
+        # So R'R >= 0 gives, for unit x _|_ v, where v v' vanishes,
+        # x'Gx >= tau - (1.5n + 5) eps t - 2 eps tau > (2 TOL_EIGENVALUE)^2
+        tau = ((2.0 * TOL_EIGENVALUE) ** 2
+               + 8.0 * (n + 2) * np.finfo(float).eps * 2.0 * t)
+        G += t * np.outer(v, v)
+        G.flat[::n + 1] -= tau
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _closed_form_certificate(sys: PositiveSystem,
                              samples: Sequence[StateVector],
                              elasticities: Sequence[_DG],
                              ) -> ScalingCertificate | None:
-    """The system's closed-form scaling u, when Perron-Frobenius makes it
-    the only direction the eigenspace extraction could find: the system
-    declares a sign pattern, u has no zero entry, the first sample's DG
-    obeys the block rule of sign(u) with |DG| irreducible, and at every
-    sample the scale law holds within TOL_RESIDUAL and max |DG u - u| is
-    at most TOL_EIGENVALUE * min|u_j| / sqrt(n); else None."""
+    """The system's closed-form scaling u, when a premise proved at the
+    first sample makes it the only direction the eigenspace extraction
+    could find, with no SVD: u has no zero entry, and either
+    Perron-Frobenius applies (the system declares a sign pattern, the
+    first sample's DG obeys the block rule of sign(u) and its |DG| is
+    irreducible) or, where it does not, the first sample passes the
+    extraction's pre-check and _one_small_singular_value holds for
+    I - DG and u / ||u||_2.  Then at every sample the scale law must
+    hold within TOL_RESIDUAL and max |DG u - u| be at most
+    TOL_EIGENVALUE * min|u_j| / sqrt(n); else None, and certify runs
+    the extraction."""
     s, n = sys.scaling, sys.dimension
     # a declared scaling is finite and not all zero
-    if (sys._support is None or s is None
-            or not np.all(np.abs(s) > 1e-9 * np.abs(s).max())):
+    if s is None or not np.all(np.abs(s) > 1e-9 * np.abs(s).max()):
         return None
     u = _oriented(s)
     # The extraction reads DG0, sample 0's DG, alone, so the premise is
-    # proved there: DG0 obeys the block rule of sign(u), so |DG0| = D DG0 D
-    # with D = diag(sign u), and |DG0| is irreducible, so its Perron root
-    # is simple and DG0's eigenvalue-1 eigenspace is the line of u once
-    # rho(|DG0|) = 1.  Both paths verify u at every sample in _verified
+    # proved there.  Perron-Frobenius: DG0 obeys the block rule of
+    # sign(u), so |DG0| = D DG0 D with D = diag(sign u), and |DG0| is
+    # irreducible, so its Perron root is simple and DG0's eigenvalue-1
+    # eigenspace is the line of u once rho(|DG0|) = 1.  Else the SVD of
+    # I - DG0 would count exactly one singular value below
+    # TOL_EIGENVALUE, the one of u's direction.  Both paths verify u at
+    # every sample in _verified
     E0 = elasticities[0]
-    if _worst(E0, _signs(u)) > 0.0 or not E0._irreducible():
+    perron = (sys._support is not None and _worst(E0, _signs(u)) == 0.0
+              and E0._irreducible())
+    if not (perron or _near_one(E0) and _one_small_singular_value(
+            np.eye(n) - E0.entries, u / np.linalg.norm(u))):
         return None
     cert = _verified(sys, samples, elasticities, u)
-    # Collatz-Wielandt from |u| puts rho(|DG|) within res_eq / min|u| of
-    # 1, and ||(I - DG) u||_2 <= sqrt(n) res_eq bounds the least singular
-    # value: below this gate both of the extraction's tests pass
+    # Under Perron-Frobenius, Collatz-Wielandt from |u| puts rho(|DG|)
+    # within res_eq / min|u| of 1, and ||(I - DG) u||_2 <= sqrt(n) res_eq
+    # bounds the least singular value: below this gate both of the
+    # extraction's tests pass.  The second premise proved both already
     if (cert.residual_fixed_eq
             <= TOL_EIGENVALUE * float(np.abs(u).min()) / np.sqrt(n)
             and cert.residual_direct <= TOL_RESIDUAL):
@@ -332,20 +394,21 @@ def find_scaling_exponent(sys: PositiveSystem,
     puts the least singular value within it too, and only the SVD's
     strict test or rounding at that boundary can still return None.
 
-    certify first tries the system's closed-form `scaling`, with no
-    eigensolve (_closed_form_certificate): by Perron-Frobenius its
-    premises make the first sample's eigenspace the line of u, where both
-    of this extraction's tests pass.  Otherwise certify calls this
-    extraction, so a wrong closed form gets its verdict.  The pre-check
-    reads the first matrix's memoized `spectrum`, which check_spectral
-    reads again at no cost.
+    certify first tries the system's closed-form `scaling`, with no SVD
+    (_closed_form_certificate).  By Perron-Frobenius, with no eigensolve,
+    or else by this pre-check, the residual of u and one Cholesky
+    (_one_small_singular_value), its premises make the first sample's
+    eigenspace the line of u, where both of this extraction's tests
+    pass and the SVD would count one singular value.  Otherwise certify
+    calls this extraction, so a wrong closed form gets its verdict.  The
+    pre-check reads the first matrix's memoized `spectrum`, which
+    check_spectral reads again at no cost.
     """
     _need_samples(samples)
     elasticities = elasticities or _elasticities(sys, samples)
     E0 = elasticities[0].entries
     n = E0.shape[0]
-    # a zero eigenvalue is never near 1
-    if np.min(np.abs(elasticities[0].spectrum - 1.0)) > TOL_EIGENVALUE:
+    if not _near_one(elasticities[0]):
         return None
     _, s, Vh = np.linalg.svd(np.eye(n) - E0)
     dim = int(np.sum(s < TOL_EIGENVALUE))
@@ -578,7 +641,12 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     ElasticityMatrix per sample, and no |DG| is held with it: the
     checks take each |DG| transiently, and the Perron pass stacks the
     |DG| of the samples whose bracket stays open.  Sample 0's spectrum
-    is the only eigensolve over DG (check_spectral).
+    is the only eigensolve over DG (check_spectral).  A declared
+    `scaling` is proved the only direction at sample 0 with no SVD:
+    by Perron-Frobenius where the system declares a sign pattern that
+    sample 0 obeys, else, as for the general model, by that spectrum
+    and one Cholesky of an n x n Gram matrix; the SVD of I - DG runs
+    only where neither proves it (_closed_form_certificate).
     """
     samples = sample_states(sys, sample_count, seed)
     mode = "exact" if sys._support is not None else "sampled"

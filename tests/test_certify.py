@@ -20,9 +20,11 @@ from hypothesis.extra.numpy import arrays
 from test_acceptance import MASTER_SEED, random_multi_sector, random_one_sector
 
 from scalefix.certify import (
+    TOL_EIGENVALUE,
     TOL_SIGN,
     AmbiguousScalingError,
     CheckResult,
+    _one_small_singular_value,
     _signs,
     certify,
     check_connectedness,
@@ -735,10 +737,11 @@ def test_certify_validates_no_matrix_it_built(k, exact, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
+def test_sampled_certify_runs_no_svd_and_one_eigensolve(k, monkeypatch):
     # n = 10, where the Perron-start pass is a full Arnoldi reduction:
     # sample 0's DG gets the one dense spectrum, which the extraction's
-    # pre-check shares, and the one SVD; the signature fails, so no
+    # pre-check shares, and the one Cholesky that proves the declared
+    # scaling the only direction, so no SVD; the signature fails, so no
     # later sample is derived, and no pass runs over DG.  spectral_radius
     # gives rho(|DG|) with no eigensolve, from the Perron starts of one
     # pass over the k |DG|
@@ -746,6 +749,7 @@ def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
     sys = build_general(general_params())
     assert sys.dimension == spectral_module._krylov_steps(sys.dimension)
     svd = count_calls(monkeypatch, np.linalg, "svd")
+    cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
     eigs = count_eigensolves(monkeypatch)
     arnoldi = count_calls(monkeypatch, spectral_module, "_arnoldi")
     starts = count_calls(monkeypatch, spectral_module, "_perron_starts")
@@ -755,8 +759,10 @@ def test_sampled_certify_runs_one_svd_and_k_eigensolves(k, monkeypatch):
     assert rep.spectral.unique_modulus_one is False
     assert rep.spectral.rho_bracket is not None
     elas = [elasticity_at(sys, x) for x in rep.samples]
-    assert (len(svd), len(eigs), len(arnoldi)) == (1, 1, 1)
+    assert (len(svd), len(cholesky), len(eigs), len(arnoldi)) == (0, 1, 1, 1)
     assert np.array_equal(eigs[0][0], elas[0].entries)
+    assert np.array_equal(rep.certificate.u,
+                          sys.scaling / np.abs(sys.scaling).max())
     ((absolute, *_),) = starts
     assert arnoldi[0][0] is absolute
     assert len(absolute) == k and all(
@@ -787,11 +793,13 @@ def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
         k, monkeypatch):
     # n = 105 > _krylov_steps(105): one lockstep Krylov pass over |DG|
     # gives every sample a Perron start whose bracket closes on its
-    # first matvec, and only sample 0's spectrum is computed
+    # first matvec, only sample 0's spectrum is computed, and one
+    # Cholesky, not an SVD, proves the declared scaling
     spectral_module = importlib.import_module("scalefix.spectral")
     sys = build_general(general_params(J=15, S=3))
     assert sys.dimension > spectral_module._krylov_steps(sys.dimension)
     svd = count_calls(monkeypatch, np.linalg, "svd")
+    cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
     solves = count_calls(monkeypatch, np.linalg, "solve")
     walks = count_calls(monkeypatch, spectral_module, "_strongly_connected")
     eigs = count_eigensolves(monkeypatch)
@@ -802,7 +810,8 @@ def test_sampled_certify_above_the_krylov_size_runs_one_eigensolve(
     # the Perron starts solve with the small Hessenberg matrices only:
     # no n x n shifted solve runs
     noda = [M for M, _ in solves if M.shape == (sys.dimension,) * 2]
-    assert (len(svd), len(eigs), len(noda), len(walks)) == (1, 1, 0, 0)
+    assert (len(svd), len(cholesky), len(eigs), len(noda), len(walks)) == (
+        0, 1, 1, 0, 0)
     assert rep.spectral.rho_bracket is not None
     for x, rho in zip(rep.samples, rep.spectral.rho):
         want = dense_radius(elasticity_at(sys, x).entries)
@@ -1432,6 +1441,79 @@ def test_wrong_closed_form_gets_the_extraction_report(wrong, matches,
     assert np.array_equal(rep.certificate.u, ref.certificate.u)
     assert rep.uniqueness_applicable
     assert rep.scaling.details["matches_closed_form"] is matches
+
+
+def test_general_model_with_a_wrong_scaling_entry_gets_the_svd_report(
+        monkeypatch):
+    # one entry of the declared u times 1.01: the residual test of the
+    # premise refuses it before any Cholesky, and the SVD's direction
+    # gives the report the extraction alone gives
+    certify_module = importlib.import_module("scalefix.certify")
+    sys = build_general(general_params())
+    wrong = sys.scaling.copy()
+    wrong[3] *= 1.01
+    sys = dataclasses.replace(sys, scaling=wrong)
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+    rep = certify(sys, sample_count=4, seed=5)
+    assert (len(svd), len(cholesky)) == (1, 0)
+    monkeypatch.setattr(certify_module, "_closed_form_certificate",
+                        lambda *args: None)
+    ref = certify(sys, sample_count=4, seed=5)
+    assert format_report(rep) == format_report(ref)
+    assert np.array_equal(rep.certificate.u, ref.certificate.u)
+    assert rep.scaling.verdict == "evidence-only"
+    assert rep.scaling.details["matches_closed_form"] is False
+
+
+@pytest.mark.parametrize("declared", [False, True])
+def test_sampled_custom_system_runs_the_svd_only_without_a_scaling(
+        declared, monkeypatch):
+    # E 1 = 1 with 1 the dominant eigenvalue and negative entries, no
+    # sign pattern: without a declared scaling the extraction's one SVD
+    # finds u; declared, one Cholesky proves it and the SVD never runs
+    n = 12
+    sys = loglinear_system(dominant_one(n))
+    if declared:
+        sys = dataclasses.replace(sys, scaling=np.ones(n))
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+    rep = certify(sys, sample_count=3, seed=0)
+    assert rep.mode == "sampled" and rep.scaling.verdict == "evidence-only"
+    assert (len(svd), len(cholesky)) == ((0, 1) if declared else (1, 0))
+    if declared:
+        assert np.array_equal(rep.certificate.u, np.ones(n))
+    assert np.allclose(rep.certificate.u, 1.0, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def one_small_singular_value_cases(draw):
+    """(A, v): A = U diag(s) V' with n from 2 to 60, random orthogonal U
+    and V, sigma_n in [1e-18, 1e-7], sigma_{n-1} in [1e-10, 1e-3] and
+    the rest in [1, 10], all log-uniform; v is V's last column.  The
+    rest keep tr(A'A) at least n - 2, so that forming A'A rounds by more
+    than (2 TOL_EIGENVALUE)^2, and a premise blind to that rounding
+    accepts where the SVD counts two."""
+    n = draw(st.integers(2, 60))
+    least = 10.0 ** draw(st.floats(-18.0, -7.0))
+    second = 10.0 ** draw(st.floats(-10.0, -3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    rest = np.sort(10.0 ** rng.uniform(0.0, 1.0, n - 2))[::-1]
+    s = np.concatenate([rest, [second, least]])
+    return (U * s) @ V.T, V[:, -1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_small_singular_value_cases())
+def test_one_small_singular_value_agrees_with_the_svd(case):
+    # where the premise accepts, the extraction's SVD counts exactly one
+    # singular value below TOL_EIGENVALUE, and its direction is v's
+    A, v = case
+    if _one_small_singular_value(A, v):
+        _, s, Vh = np.linalg.svd(A)
+        assert int(np.sum(s < TOL_EIGENVALUE)) == 1
+        assert abs(Vh[-1] @ v) >= 1.0 - 1e-12
 
 
 def test_closed_form_failing_the_scale_law_is_not_taken(monkeypatch):
@@ -2191,6 +2273,25 @@ def test_non_normal_map_with_tiny_singular_value_has_no_direction():
     assert rep.scaling.verdict == "absent"
     assert rep.certificate is None
     assert rep.monotonicity.verdict == "skipped"
+
+
+def test_non_normal_map_declaring_its_least_singular_vector_is_absent(
+        monkeypatch):
+    # the map above, with the least right singular vector of I - E, zero
+    # free, declared as its scaling: ||(I - E) v|| is near 1.7e-9 and
+    # sigma_{n-1} near 1.5, but every eigenvalue is 1/2, so the
+    # extraction's pre-check refuses it before any Cholesky or SVD
+    n = 15
+    E = 0.5 * np.eye(n) + 2.0 * np.eye(n, k=1)
+    v = np.linalg.svd(np.eye(n) - E)[2][-1]
+    assert np.linalg.norm((np.eye(n) - E) @ v) < 0.5e-8
+    sys = dataclasses.replace(loglinear_system(E), scaling=v)
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+    rep = certify(sys, sample_count=2, seed=0)
+    assert rep.scaling.verdict == "absent"
+    assert rep.certificate is None
+    assert (len(svd), len(cholesky)) == (0, 0)
 
 
 def test_general_model_fails_monotonicity_honestly():
