@@ -40,6 +40,8 @@ from scalefix.system import (
     PositiveSystem,
     StateVector,
     _frozen,
+    _absolutes,
+    _HeldDG,
     _support_dg,
     _worst,
     elasticity_at,
@@ -184,11 +186,24 @@ def _need_samples(samples: Sequence[StateVector]) -> None:
 def _elasticities(sys: PositiveSystem,
                   samples: Sequence[StateVector]) -> list[_DG]:
     """Each sample's DG, built and checked in sample order, so an error
-    names the first bad sample; a _SupportDG where sys gives its values,
+    names the first bad sample.  A _SupportDG where sys gives its values,
     whose spectrum, sample 0's included, needs no dense DG where its
-    zero-diagonal coordinates peel (the multi-sector model's do)."""
-    build = elasticity_at if sys.support_values is None else _support_dg
-    return [_at_sample(idx, build, sys, x) for idx, x in enumerate(samples)]
+    zero-diagonal coordinates peel (the multi-sector model's do).  Else
+    elasticity_at builds and checks each DG, which is copied into slice
+    i of one (k, n, n) stack, and once all are in, each sample becomes a
+    _HeldDG: its sign bits are taken and its slice made |DG|, which the
+    Perron pass reads with no copy.  No float DG is held, and no sign
+    bits are while a sample's DG is built."""
+    if sys.support_values is not None:
+        return [_at_sample(idx, _support_dg, sys, x)
+                for idx, x in enumerate(samples)]
+    n = sys.dimension
+    stack = np.empty((len(samples), n, n))
+    for idx, x in enumerate(samples):
+        stack[idx] = _at_sample(idx, elasticity_at, sys, x).entries
+    held = [_HeldDG(stack, idx) for idx in range(len(samples))]
+    stack.setflags(write=False)
+    return held
 
 
 def _split(comps: list[list[int]], labels: tuple[str, ...],
@@ -220,7 +235,7 @@ def check_connectedness(sys: PositiveSystem,
             return CheckResult("pass")
         return _split(support.components(), sys.labels)
     elasticities = elasticities or _elasticities(sys, samples)
-    adjs = [np.abs(E.entries) > TOL_SIGN for E in elasticities]
+    adjs = [E._abs() > TOL_SIGN for E in elasticities]
     if _strongly_connected(np.logical_and.reduce(adjs)):
         return CheckResult("evidence-only")
     for idx, adj in enumerate(adjs):
@@ -242,7 +257,7 @@ def check_self_interaction(sys: PositiveSystem,
         return CheckResult("fail", {"reason": "all diagonal entries vanish"})
     elasticities = elasticities or _elasticities(sys, samples)
     for idx, E in enumerate(elasticities):
-        A = np.abs(E.entries)
+        A = E._abs()
         rowmax = A.max(axis=1)
         live = np.diag(A) > TOL_DIAG * np.maximum(rowmax, 1e-300)
         if not live.any():
@@ -342,10 +357,11 @@ def _closed_form_certificate(sys: PositiveSystem,
     first sample's DG obeys the block rule of sign(u) and its |DG| is
     irreducible) or, where it does not, the first sample passes the
     extraction's pre-check and _one_small_singular_value holds for
-    I - DG and u / ||u||_2.  Then at every sample the scale law must
-    hold within TOL_RESIDUAL and max |DG u - u| be at most
-    TOL_EIGENVALUE * min|u_j| / sqrt(n); else None, and certify runs
-    the extraction."""
+    I - DG and u / ||u||_2.  Under Perron-Frobenius, at every sample
+    the scale law must then hold within TOL_RESIDUAL and max |DG u - u|
+    be at most TOL_EIGENVALUE * min|u_j| / sqrt(n); else None, and
+    certify runs the extraction.  The second premise's certificate is
+    returned as it is, for _check_scaling to judge."""
     s, n = sys.scaling, sys.dimension
     # a declared scaling is finite and not all zero
     if s is None or not np.all(np.abs(s) > 1e-9 * np.abs(s).max()):
@@ -369,8 +385,12 @@ def _closed_form_certificate(sys: PositiveSystem,
     # Under Perron-Frobenius, Collatz-Wielandt from |u| puts rho(|DG|)
     # within res_eq / min|u| of 1, and ||(I - DG) u||_2 <= sqrt(n) res_eq
     # bounds the least singular value: below this gate both of the
-    # extraction's tests pass.  The second premise proved both already
-    if (cert.residual_fixed_eq
+    # extraction's tests pass.  The second premise proved both at sample
+    # 0 already, so its certificate goes to _check_scaling as it is, as
+    # the extraction's would: central-difference residuals of about
+    # 1e-9 pass TOL_RESIDUAL there, and are above this gate
+    if not perron or (
+            cert.residual_fixed_eq
             <= TOL_EIGENVALUE * float(np.abs(u).min()) / np.sqrt(n)
             and cert.residual_direct <= TOL_RESIDUAL):
         return cert
@@ -514,14 +534,17 @@ def check_spectral(sys: PositiveSystem, u,
     the bracket [min w/v, max w/v]: rho is its midpoint when it is
     positive and within 1e-13 max(1, rho), as when |DG| |u| = |u|, and
     a support-held DG then needs no n x n array.  Where it stays open,
-    the pass stacks the |DG| of those samples alone, and one lockstep
-    Krylov pass of 3 sqrt(n) steps over them, begun at v, gives each a
-    Perron start (spectral._perron_starts) whose bracket by one matvec
-    closes as a rule; else spectral_radius's later steps (Noda's) run
-    on the dense |DG|, and where they raise, rho is the largest
-    eigenvalue modulus of |DG|, clamped into the bracket proved so far,
-    if any: the one rho not proved by a matvec.  _krylov_steps gives
-    how often each of these ran on the general model.
+    the pass runs over one (k, n, n) array of |DG|: the stack in which
+    certify's dense samples hold theirs (system._HeldDG), as it is where
+    every sample is open, as on the general model, and otherwise a
+    stack of the open samples' |DG| alone.  One lockstep Krylov pass of
+    3 sqrt(n) steps over it, begun at v, gives each a Perron start
+    (spectral._perron_starts) whose bracket by one matvec closes as a
+    rule; else spectral_radius's later steps (Noda's) run on the dense
+    |DG|, and where they raise, rho is the largest eigenvalue modulus of
+    |DG|, clamped into the bracket proved so far, if any: the one rho
+    not proved by a matvec.  _krylov_steps gives how often each of
+    these ran on the general model.
 
     Sample 0's `spectrum` is the one eigensolve over DG, which
     find_scaling_exponent may already have computed: for a _SupportDG
@@ -562,8 +585,7 @@ def check_spectral(sys: PositiveSystem, u,
         if d is not None:
             signatures.append(2.0 * _worst(E, d))
     # tol 1e-13 keeps each rho within 1e-13 relative of its root
-    roots = _perron_roots(first, start, lambda i: elasticities[i].entries,
-                          1e-13)
+    roots = _perron_roots(first, start, _absolutes(elasticities), 1e-13)
     brackets = [bracket for _, bracket in roots]
     unique, second = _peripheral(elasticities[0].spectrum)
     if unique and len(elasticities) > 1 and (d is None or not all(map(
@@ -637,11 +659,14 @@ def certify(sys: PositiveSystem, sample_count: int = 8,
     whose exact certify then makes no n x n array.  A dense DG is
     scattered from the values only where a sample needs it: an open
     Perron bracket, or sample 0's spectrum where nothing peels.  Any
-    other system, the one-sector model included, gets a dense
-    ElasticityMatrix per sample, and no |DG| is held with it: the
-    checks take each |DG| transiently, and the Perron pass stacks the
-    |DG| of the samples whose bracket stays open.  Sample 0's spectrum
-    is the only eigensolve over DG (check_spectral).  A declared
+    other system, the one-sector and general models included, gets each
+    sample's DG from elasticity_at, checked as an ElasticityMatrix, and
+    holds it as |DG| in one (k, n, n) stack plus its sign bits, with no
+    float DG (system._HeldDG): connectedness, self-interaction, the
+    block rule and |DG| |u| read the held |DG|, the Perron pass runs on
+    the stack itself where every sample's bracket stays open, and DG u
+    and sample 0's spectrum take a transient signed copy.  Sample 0's
+    spectrum is the only eigensolve over DG (check_spectral).  A declared
     `scaling` is proved the only direction at sample 0 with no SVD:
     by Perron-Frobenius where the system declares a sign pattern that
     sample 0 obeys, else, as for the general model, by that spectrum

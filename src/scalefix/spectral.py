@@ -323,7 +323,7 @@ def _arnoldi(mats: Sequence[NDArray], m: int, start: NDArray,
 def _perron_starts(mats: Sequence[NDArray], m: int, start: NDArray) -> NDArray:
     """A start for _perron_root on each of the nonnegative n x n
     matrices in mats, the (k, n, n) stack of |DG| that _perron_roots
-    fills for the samples whose Collatz-Wielandt bracket from the
+    passes for the samples whose Collatz-Wielandt bracket from the
     positive vector `start` stayed open: the real x = V_m' y of one
     lockstep pass of m _arnoldi steps begun at start, whose Krylov
     coordinates are then e_1.  The shift s is the largest eigenvalue
@@ -372,19 +372,22 @@ def _rayleigh(Hm: NDArray, lead: int) -> NDArray:
 
 
 def _perron_roots(first: Sequence[NDArray], start: NDArray,
-                  dense: Callable[[int], NDArray], tol: float,
+                  absolute: NDArray | Callable[[int], NDArray], tol: float,
                   ) -> list[tuple[float, tuple[float, float] | None]]:
     """rho(|DG|) and its proved Collatz-Wielandt bracket at each sample,
     from first[i] = |DG_i| start, for the positive vector start: the
     midpoint of that first bracket where it closes (_bracket), with no
-    n x n array.  Where it stays open, dense(i), asked in ascending
-    order of i, gives DG_i, and |DG_i| fills one (k, n, n) array for
-    the k open samples alone.  One lockstep pass of _krylov_steps(n)
-    steps over that array, begun at start (_perron_starts), gives the
-    Perron start x, and _perron_root runs from |x|, or from start where
-    |x| is not positive and finite.  Where it raises, rho is the largest
-    eigenvalue modulus of |DG_i|, clamped into the bracket proved so
-    far, if any: the one rho not proved by a matvec."""
+    n x n array.  Where it stays open, |DG_i| comes from `absolute`:
+    either the (k, n, n) array of every sample's finite |DG|, which the
+    pass reads as it is where every sample is open, and otherwise copies
+    the open samples' slices from, or a callable, asked in ascending
+    order of i, whose |DG_i| fills one (k, n, n) array for the k open
+    samples alone.  One lockstep pass of _krylov_steps(n) steps over
+    that array, begun at start (_perron_starts), gives the Perron start
+    x, and _perron_root runs from |x|, or from start where |x| is not
+    positive and finite.  Where it raises, rho is the largest eigenvalue
+    modulus of |DG_i|, clamped into the bracket proved so far, if any:
+    the one rho not proved by a matvec."""
     roots = []
     for w in first:
         lo, hi, _, closed = _bracket(w, start, tol)
@@ -393,9 +396,13 @@ def _perron_roots(first: Sequence[NDArray], start: NDArray,
     if not still_open:
         return roots
     n = len(start)
-    mats = np.empty((len(still_open), n, n))
-    for i, A in zip(still_open, mats):
-        np.abs(dense(i), out=A)     # DG is finite, so A >= 0
+    if not callable(absolute):
+        mats = (absolute if len(still_open) == len(roots)
+                else absolute[still_open])
+    else:
+        mats = np.empty((len(still_open), n, n))
+        for i, A in zip(still_open, mats):
+            A[...] = absolute(i)
     x = _perron_starts(mats, _krylov_steps(n), start)
     for i, A, v in zip(still_open, mats, np.abs(x)):
         if not np.all((v > 0.0) & (v < np.inf)):    # NaN fails too

@@ -11,9 +11,10 @@ matrix of elasticities
 which is what the sign and spectral checks consume.  Systems may ship an
 analytic elasticity provider; otherwise central finite differences in log
 space are used (stepping in log coordinates gives relative steps for
-free).  This module owns both ways a DG is held, a dense ElasticityMatrix
-and a _SupportDG of values on a declared support, and gives both the
-private operations certification asks for.
+free).  This module owns the three ways a DG is held, a dense
+ElasticityMatrix, a _SupportDG of values on a declared support, and a
+_HeldDG of |DG| in a stack shared by certify's samples plus sign bits,
+and gives all three the private operations certification asks for.
 
 Coordinates are addressed by label everywhere.  For the built-in trade
 models the stacking order is: all market-access coordinates
@@ -154,7 +155,8 @@ class ElasticityMatrix:
         if E.shape != (n, n):
             raise DifferentiationError(f"{self.method} elasticity has shape "
                                        f"{E.shape}, expected {(n, n)}")
-        if not np.all(np.isfinite(E)):
+        # min and max carry any NaN or inf, with no n x n mask made
+        if not (math.isfinite(E.min()) and math.isfinite(E.max())):
             j, k = map(int, np.argwhere(~np.isfinite(E))[0])
             raise DifferentiationError(
                 f"{self.method} elasticity of {labels[j]!r} with respect "
@@ -171,22 +173,25 @@ class ElasticityMatrix:
     @cached_property
     def absolute(self) -> NDArray:
         """|DG|, read-only, made on first read and held.  certify never
-        reads it: its checks take |DG| transiently from `entries`, and
-        the Perron pass (spectral._perron_roots) builds its own stack of
-        |DG| for the samples whose bracket stays open."""
+        reads it: its checks take |DG| transiently from `_abs`, and the
+        DGs certify builds itself hold theirs in one stack (_HeldDG)."""
         A = np.abs(self.entries)
         A.setflags(write=False)
         return A
 
-    # What certify asks of a DG, which _SupportDG answers on its support.
+    # What certify asks of a DG, which _SupportDG and _HeldDG answer too.
     # d is sign(u) as +-1 and D = diag(d): DG obeys the block rule of u,
     # >= 0 within a block of sign(u) and <= 0 across, where D DG D >= 0
 
+    def _abs(self) -> NDArray:
+        """|DG|, transient: held by nothing."""
+        return np.abs(self.entries)
+
     def _dot(self, x: NDArray, absolute: bool = False) -> NDArray:
-        """DG x, or |DG| x from a transient |DG|, held by nothing;
-        overflow gives inf, not a warning."""
+        """DG x, or |DG| x from a transient |DG|; overflow gives inf,
+        not a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return (np.abs(self.entries) if absolute else self.entries) @ x
+            return (self._abs() if absolute else self.entries) @ x
 
     def _witnesses(self, d: NDArray, tol: float = 0.0,
                    ) -> tuple[NDArray, NDArray]:
@@ -344,7 +349,81 @@ class _SupportDG:
         return self.support.self_loop
 
 
-_DG = ElasticityMatrix | _SupportDG
+class _HeldDG:
+    """DG at one sample of certify's dense samples, held as |DG| in slice
+    `index` of `stack`, the C-contiguous read-only (k, n, n) array that
+    the k samples share, and as `negative`, np.signbit(DG) packed eight
+    to a byte, so that -0.0 keeps its sign: no float DG is held.  Stands
+    in for an ElasticityMatrix bit for bit.  |DG| x, the block rule, the
+    diagonal and irreducibility read the held |DG| and bits; `entries`
+    is DG, a signed copy made on each read, from which DG x and
+    `spectrum` are taken."""
+
+    def __init__(self, stack: NDArray, index: int):
+        """Takes slice `index` of stack, which holds DG, and leaves |DG|
+        there."""
+        self.stack, self.index = stack, index
+        dg = stack[index]
+        self.negative = np.packbits(np.signbit(dg), axis=None)
+        np.abs(dg, out=dg)
+
+    def _abs(self) -> NDArray:
+        return self.stack[self.index]
+
+    def _signs(self) -> NDArray:
+        """np.signbit(DG), unpacked: an n x n bool array."""
+        n = self.stack.shape[1]
+        return np.unpackbits(self.negative, count=n * n).view(bool).reshape(
+            n, n)
+
+    @property
+    def entries(self) -> NDArray:
+        E = self._abs().copy()
+        np.negative(E, out=E, where=self._signs())
+        E.setflags(write=False)
+        return E
+
+    @cached_property
+    def spectrum(self) -> NDArray:
+        """ElasticityMatrix.spectrum's eigenvalues, read-only."""
+        eigs = eigvals_mod_zero(self.entries)
+        eigs.setflags(write=False)
+        return eigs
+
+    _dot = ElasticityMatrix._dot    # through _abs and entries
+
+    def _witnesses(self, d: NDArray, tol: float = 0.0,
+                   ) -> tuple[NDArray, NDArray]:
+        """For tol >= 0: an entry of D DG D is -|DG| exactly where DG's
+        sign bit differs from d_j d_k's, and it is below -tol where also
+        |DG| > tol, which no signed zero is."""
+        negative, A = self._signs(), self._abs()
+        flip = d < 0.0
+        flat = np.flatnonzero((negative ^ flip[:, None] ^ flip) & (A > tol))
+        values = np.take(A, flat)
+        np.negative(values, out=values, where=np.take(negative, flat))
+        return flat, values
+
+    def _irreducible(self) -> bool:
+        return _strongly_connected(self._abs() != 0)
+
+    def _self_loop(self) -> bool:
+        return bool(np.diag(self._abs()).any())
+
+
+def _absolutes(dgs) -> NDArray | Callable[[int], NDArray]:
+    """Every |DG| of dgs as spectral._perron_roots takes them: the
+    (k, n, n) stack whose slice i holds dgs[i] for each of the k DGs,
+    where one does, else a callable giving |DG_i| transiently."""
+    stack = getattr(dgs[0], "stack", None)
+    if stack is not None and len(stack) == len(dgs) and all(
+            getattr(E, "stack", None) is stack and E.index == i
+            for i, E in enumerate(dgs)):
+        return stack
+    return lambda i: np.abs(dgs[i].entries)
+
+
+_DG = ElasticityMatrix | _SupportDG | _HeldDG
 
 
 def _worst(E: _DG, d: NDArray) -> float:

@@ -323,8 +323,13 @@ def build_one_sector(p: OneSectorParams) -> PositiveSystem:
         t_om, t_pp = terms(x)
         sh_om = KOm * t_om[None, :] / (KOm @ t_om)[:, None]
         sh_pp = KP * t_pp[None, :] / (KP @ t_pp)[:, None]
-        return np.block([[sh_om * a, sh_om * b],
-                         [sh_pp * (a - 1.0), sh_pp * (b + 1.0)]])
+        # each block written in place: no block made twice
+        E = np.empty((2 * J, 2 * J))
+        np.multiply(sh_om, a, out=E[:J, :J])
+        np.multiply(sh_om, b, out=E[:J, J:])
+        np.multiply(sh_pp, a - 1.0, out=E[J:, :J])
+        np.multiply(sh_pp, b + 1.0, out=E[J:, J:])
+        return E
 
     def pattern():
         fin = np.isfinite(p.tau).astype(int)

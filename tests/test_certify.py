@@ -21,6 +21,7 @@ from test_acceptance import MASTER_SEED, random_multi_sector, random_one_sector
 
 from scalefix.certify import (
     TOL_EIGENVALUE,
+    TOL_RESIDUAL,
     TOL_SIGN,
     AmbiguousScalingError,
     CheckResult,
@@ -48,6 +49,7 @@ from scalefix.system import (
     PositiveSystem,
     _pattern_support,
     _support_dg,
+    _HeldDG,
     _SupportDG,
     _worst,
     elasticity_at,
@@ -341,15 +343,18 @@ def count_calls(patch, module, name):
 
 
 def record_rule_tests(patch):
-    """Wrap _witnesses, the block rule's one test, on both DG formats:
-    each call appends the array whose D DG D it forms, the support values
-    of a _SupportDG or the n x n entries of an ElasticityMatrix, to the
-    returned list."""
+    """Wrap _witnesses, the block rule's one test, on the three DG
+    formats: each call appends the array whose D DG D it forms, the
+    support values of a _SupportDG, the n x n entries of an
+    ElasticityMatrix or the held n x n |DG| of a _HeldDG, to the returned
+    list."""
     products = []
-    for cls, held in ((ElasticityMatrix, "entries"), (_SupportDG, "values")):
+    for cls, held in ((ElasticityMatrix, lambda E: E.entries),
+                      (_SupportDG, lambda E: E.values),
+                      (_HeldDG, lambda E: E._abs())):
         patch.setattr(cls, "_witnesses",
                       lambda self, *args, f=cls._witnesses, held=held:
-                      products.append(getattr(self, held)) or f(self, *args))
+                      products.append(held(self)) or f(self, *args))
     return products
 
 
@@ -578,6 +583,73 @@ def test_both_dg_formats_agree_with_the_old_block_rule(case):
         got = on_support._dot(x, absolute)
         want = scattered._dot(x, absolute)
         assert np.all(np.abs(got - want) <= bound)
+
+
+@st.composite
+def held_and_dense_dgs(draw):
+    """(mats, u, x): 1 to 3 dense DGs of one size n from 1 to 9, with
+    entries from finite_entries (+0.0 and -0.0 among them) and
+    +-TOL_SIGN, each maybe with a row of +0.0 or -0.0 alone; a zero-free
+    u, whose block rule they break where they will, and an x of either
+    sign."""
+    at_tol = st.sampled_from([TOL_SIGN, -TOL_SIGN])
+    n, k = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    mats = []
+    for _ in range(k):
+        E = draw(arrays(float, (n, n),
+                        elements=st.one_of(finite_entries, at_tol)))
+        if draw(st.booleans()):
+            E[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))
+        mats.append(E)
+    signs = np.where(draw(arrays(bool, n)), 1.0, -1.0)
+    u = signs * draw(arrays(float, n, elements=st.floats(1e-6, 1e6)))
+    x = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    return mats, u, x
+
+
+def spectrum_bits(E):
+    """The bits of E.spectrum, real or complex, or the type of what
+    computing it raised."""
+    try:
+        return E.spectrum.view(np.int64).tolist()
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(held_and_dense_dgs())
+@example(case=([np.array([[0.5, -0.0], [-1.0, -0.0]]),
+                np.array([[-0.0, 0.0], [TOL_SIGN, -TOL_SIGN]])],
+               np.array([1.0, -1.0]), np.array([1.0, -2.0])))
+def test_held_dg_answers_as_its_elasticity_matrix_bit_for_bit(case):
+    # certify holds a dense sample as |DG| in a slice of one stack and
+    # its packed sign bits (_HeldDG): every private operation certify
+    # asks of a DG returns, at every slice, what the ElasticityMatrix of
+    # that DG returns, bit for bit
+    mats, u, x = case
+    n = len(u)
+    point = custom(tuple(f"x{j}" for j in range(n)), lambda y: y).state(
+        np.ones(n))
+    stack = np.array(mats)
+    held = [_HeldDG(stack, i) for i in range(len(mats))]
+    stack.setflags(write=False)
+    d = _signs(u)
+    for H, E in zip(held, mats):
+        dense = ElasticityMatrix(E, point, "analytic")
+        assert np.array_equal(bits(H._abs()), bits(np.abs(E)))
+        assert np.array_equal(bits(H.entries), bits(dense.entries))
+        assert not H.entries.flags.writeable
+        for absolute in (False, True):
+            assert np.array_equal(bits(H._dot(x, absolute)),
+                                  bits(dense._dot(x, absolute)))
+        for tol in (0.0, TOL_SIGN):
+            (got, got_values), (want, want_values) = (
+                H._witnesses(d, tol), dense._witnesses(d, tol))
+            assert np.array_equal(got, want)
+            assert np.array_equal(bits(got_values), bits(want_values))
+        assert H._irreducible() == dense._irreducible()
+        assert H._self_loop() == dense._self_loop()
+        assert spectrum_bits(H) == spectrum_bits(dense)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1002,8 +1074,10 @@ def test_an_eigenvalue_near_one_with_no_singular_value_is_absent(
     # find_scaling_exponent's pre-check passing while its SVD finds no
     # singular value below TOL_EIGENVALUE takes rounding at that
     # boundary; a spectrum patched to hold 1 + TOL_EIGENVALUE / 2 pins
-    # it on SQRT_SWAP, whose I - DG has singular values 1/2 and 3/2
-    monkeypatch.setattr(ElasticityMatrix, "spectrum",
+    # it on SQRT_SWAP, whose I - DG has singular values 1/2 and 3/2.
+    # certify holds its samples' DGs as _HeldDG, so its spectrum is the
+    # one patched
+    monkeypatch.setattr(_HeldDG, "spectrum",
                         property(lambda E: np.array([1.0 + 0.5e-8, -0.5])))
     svd = count_calls(monkeypatch, np.linalg, "svd")
     rep = certify(SQRT_SWAP, sample_count=2, seed=3)
@@ -1148,7 +1222,7 @@ def perron_root_cases(draw):
     irreducible_lists or the absolute values of planted_lists, a positive
     start, the indices whose rows were scaled so that A start = start,
     and those of inserted matrices, all zero or with a zero last row,
-    that no bracket proves; seed signs the DGs."""
+    that no bracket proves; seed fills the rows of the latter."""
     mats = draw(st.one_of(irreducible_lists(), planted_lists().map(
         lambda case: [np.abs(M) for M in case[0]])))
     n = len(mats[0])
@@ -1174,20 +1248,23 @@ def perron_root_cases(draw):
 def test_open_roots_prove_each_rho_from_the_shorter_start(case):
     # spectral._perron_roots from each sample's first product: a planted
     # |DG| start = start closes its first bracket, whose midpoint is
-    # rho, and its DG is never asked for.  The open samples' DGs are
-    # asked for in order; the pass over their |DG| runs 3 sqrt(n) steps,
-    # fewer than the acceptance pass, so its start may leave the first
-    # bracket open, but Noda's steps close it, so each rho still lies in
-    # a bracket proved by a matvec.  A zero or reducible |DG| gets the
-    # largest modulus of its dense spectrum, with no bracket
+    # rho, and its |DG| is never asked for.  The open samples' |DG| are
+    # asked for in order; the pass over them runs 3 sqrt(n) steps, fewer
+    # than the acceptance pass, so its start may leave the first bracket
+    # open, but Noda's steps close it, so each rho still lies in a
+    # bracket proved by a matvec.  A zero or reducible |DG| gets the
+    # largest modulus of its dense spectrum, with no bracket.  Handed
+    # every |DG| as one read-only stack, as certify holds them, the pass
+    # gives the same roots bit for bit
     spectral_module = importlib.import_module("scalefix.spectral")
-    mats, start, planted, fallback, seed = case
-    rng = np.random.default_rng(seed)
-    signed = [np.where(rng.random(A.shape) < 0.5, -A, A) for A in mats]
+    mats, start, planted, fallback, _ = case
     first = [A @ start for A in mats]
     asked = []
     roots = spectral_module._perron_roots(
-        first, start, lambda i: asked.append(i) or signed[i], 1e-13)
+        first, start, lambda i: asked.append(i) or mats[i], 1e-13)
+    stack = np.array(mats)
+    stack.setflags(write=False)
+    assert spectral_module._perron_roots(first, start, stack, 1e-13) == roots
     closed = []
     for i, (w, (rho, bracket)) in enumerate(zip(first, roots, strict=True)):
         ratios = w / start
@@ -1486,6 +1563,50 @@ def test_sampled_custom_system_runs_the_svd_only_without_a_scaling(
     assert np.allclose(rep.certificate.u, 1.0, rtol=0.0, atol=1e-12)
 
 
+def numeric_wrapper(sys):
+    """sys's F and declared scaling alone: no elasticity provider and no
+    sign pattern, so central differences give each sampled DG."""
+    return PositiveSystem(labels=sys.labels,
+                          evaluate_values=sys.evaluate_values,
+                          scaling=sys.scaling)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_general(general_params(J=4, S=2)),
+    lambda: build_general(general_params(J=8, S=3)),
+    lambda: build_multi_sector(multi_sector_params(J=8, S=3)),
+], ids=["general-4x2", "general-8x3", "multi-sector-8x3"])
+def test_a_numeric_declared_scaling_stands_on_the_cholesky_premise(
+        build, monkeypatch):
+    # central differences put max |DG u - u| near 1e-9: above the
+    # Perron-Frobenius gate, TOL_EIGENVALUE min|u_j| / sqrt(n), far
+    # below TOL_RESIDUAL.  The Cholesky premise proved both of the
+    # extraction's tests at sample 0, so no gate follows it: the
+    # declared u's certificate stands with no SVD, and every verdict,
+    # the partition and the exit code are the extraction's
+    certify_module = importlib.import_module("scalefix.certify")
+    sys = numeric_wrapper(build())
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    rep = certify(sys, sample_count=8, seed=0)
+    assert rep.differentiation == "numeric-central-log" and svd == []
+    u = rep.certificate.u
+    assert np.array_equal(np.abs(u), np.abs(sys.scaling)
+                          / np.abs(sys.scaling).max())
+    assert (TOL_EIGENVALUE * np.abs(u).min() / np.sqrt(len(u))
+            < rep.certificate.residual_fixed_eq <= TOL_RESIDUAL)
+    monkeypatch.setattr(certify_module, "_closed_form_certificate",
+                        lambda *args: None)
+    ref = certify(sys, sample_count=8, seed=0)
+    assert len(svd) == 1
+    checks = ("connectedness", "self_interaction", "scaling", "monotonicity")
+    assert ([getattr(rep, check).verdict for check in checks]
+            == [getattr(ref, check).verdict for check in checks])
+    assert rep.partition == ref.partition
+    assert (rep.uniqueness_applicable, rep.attractivity_applicable) == (
+        ref.uniqueness_applicable, ref.attractivity_applicable)
+    assert exit_code_for_report(rep) == exit_code_for_report(ref)
+
+
 @st.composite
 def one_small_singular_value_cases(draw):
     """(A, v): A = U diag(s) V' with n from 2 to 60, random orthogonal U
@@ -1668,7 +1789,9 @@ SUMMED_KEYS = ("spectral.rho.", "spectral.eigvec_residual",
 @given(declared_log_linear())
 def test_exact_certify_on_the_support_matches_dense_references(case):
     # the missed kind declares a wrong pattern, so it gives no
-    # support_values and stays dense
+    # support_values, and certify holds each sample's |DG| and sign bits
+    # (_HeldDG); the absent kind's declared entry is 0, which sends each
+    # sample to its dense ElasticityMatrix
     E, pattern, u, kind, (j, k) = case
     n = len(u)
     sys = log_linear(E, pattern, u, support=kind != "missed")
@@ -1676,8 +1799,9 @@ def test_exact_certify_on_the_support_matches_dense_references(case):
     assert rep.mode == "exact"
     elas = importlib.import_module("scalefix.certify")._elasticities(
         sys, rep.samples)
-    assert (kind in ("exact", "flipped")) == all(
-        not isinstance(D, ElasticityMatrix) for D in elas)
+    held = {"exact": _SupportDG, "flipped": _SupportDG,
+            "absent": ElasticityMatrix, "missed": _HeldDG}[kind]
+    assert all(type(D) is held for D in elas)
     got, want = (parse_report(format_report(r)) for r in (rep, ref))
     assert list(got) == list(want)
     assert ({key: v for key, v in got.items()
@@ -1941,10 +2065,12 @@ def wide_general(J, S, seed=0):
 def test_the_perron_pass_reads_one_stack_of_the_open_abs_dg(monkeypatch):
     # general 15 x 3 (n = 105), where the block rule fails: every |DG|
     # bracket stays open, so the 8 |DG| go through the Perron-start
-    # pass, at 32 steps, the one Krylov pass.  The pass gets one
-    # C-contiguous (8, n, n) array of them, and _perron_root reads its
-    # slices, with no second stacked copy; no |DG| is held by a DG, and
-    # the DGs are not stacked
+    # pass, at 32 steps, the one Krylov pass.  The pass gets the one
+    # C-contiguous read-only (8, n, n) array in which the samples hold
+    # their |DG|, slice i sample i's, with no copy, and _perron_root
+    # reads its slices.  Beside it each sample holds only its sign bits,
+    # packed, and its entries, a fresh copy on each read, are DG's bit
+    # for bit, signed zeros included
     spectral_module = importlib.import_module("scalefix.spectral")
     certify_module = importlib.import_module("scalefix.certify")
     sys = wide_general(15, 3)
@@ -1960,25 +2086,59 @@ def test_the_perron_pass_reads_one_stack_of_the_open_abs_dg(monkeypatch):
     ((absolute, m, _),) = starts
     assert m == 32 and absolute.shape == (8, n, n)
     assert absolute.base is None and absolute.flags.c_contiguous
+    assert not absolute.flags.writeable
     assert len(roots) == 8 and all(
         A.base is absolute and np.shares_memory(A, absolute[i])
         for i, (A, _, _) in enumerate(roots))
-    assert len(elas) == 8
-    assert all("absolute" not in vars(E) for E in elas)
-    assert all(E.entries.base is None for E in elas)
+    assert len(elas) == 8 and all(
+        type(E) is _HeldDG and E.stack is absolute and E.index == i
+        for i, E in enumerate(elas))
+    for E in elas:
+        # beside the bits, sample 0 holds its spectrum: n eigenvalues
+        assert E.negative.dtype == np.uint8 and E.negative.size == -(
+            -n * n // 8)
+        assert all(a.size <= n for a in vars(E).values()
+                   if isinstance(a, np.ndarray)
+                   and a is not absolute and a is not E.negative)
     want = [elasticity_at(sys, x).entries for x in rep.samples]
     assert all(np.array_equal(A, np.abs(E)) for A, E in zip(absolute, want))
-    assert all(np.array_equal(E.entries, D) for E, D in zip(elas, want))
+    for E, D in zip(elas, want):
+        got = E.entries
+        assert got.base is None and got is not E.entries
+        assert np.array_equal(np.signbit(got), np.signbit(D))
+        assert np.array_equal(got, D)
 
 
-def test_warm_sampled_certify_holds_dg_and_abs_dg_once():
-    # general 30 x 5 (n = 330), 8 samples: DG and |DG| of every sample
-    # (16 n^2 doubles) and the Perron pass's real basis peak at about
-    # 19.0 n^2 (16.6 MB).  Complex Ritz vectors as the Perron starts
-    # made a complex copy of the |DG| pass's basis (k m n entries, 2.7
-    # n^2 at k = 8, m = 55), and the peak 21.1 n^2 (18.38 MB); a
-    # stacked copy of the |DG| for that pass, beside the held ones, took
-    # it to 25.7 n^2
+def test_part_of_a_held_list_gives_the_dense_list_spectral_facts(
+        monkeypatch):
+    # general 4 x 2 (n = 20), where every bracket stays open: the pass
+    # reads the held stack itself only for the whole list in its order;
+    # for a slice or a reordering it stacks their |DG| anew.  Each way
+    # the facts are those of the ElasticityMatrix list, bit for bit
+    certify_module = importlib.import_module("scalefix.certify")
+    spectral_module = importlib.import_module("scalefix.spectral")
+    sys = build_general(general_params(J=4, S=2))
+    samples = sample_states(sys, 4, seed=5)
+    held = certify_module._elasticities(sys, samples)
+    dense = [elasticity_at(sys, x) for x in samples]
+    starts = count_calls(monkeypatch, spectral_module, "_perron_starts")
+    for order in ([0, 1, 2, 3], [1, 2], [3, 2, 1, 0]):
+        got = check_spectral(sys, sys.scaling, [samples[i] for i in order],
+                             [held[i] for i in order])
+        assert (starts[-1][0] is held[0].stack) == (order == [0, 1, 2, 3])
+        assert got == check_spectral(sys, sys.scaling,
+                                     [samples[i] for i in order],
+                                     [dense[i] for i in order])
+
+
+def test_warm_sampled_certify_holds_abs_dg_once_and_no_float_dg():
+    # general 30 x 5 (n = 330), 8 samples: the one stack of every
+    # sample's |DG| (8 n^2 doubles), which the Perron pass reads, their
+    # packed sign bits (n^2 / 8) and the transients of the Cholesky
+    # premise peak at about 11.4 n^2 (9.9 MB).  Holding each sample's
+    # DG beside a |DG| stack the Perron pass filled peaked at 18.6 n^2;
+    # complex Ritz vectors as the Perron starts at 21.1 n^2, and a
+    # stacked copy of the |DG| beside held ones at 25.7 n^2
     sys = wide_general(30, 5)
     n = sys.dimension
     certify(sys, 8, 5)
@@ -1989,7 +2149,7 @@ def test_warm_sampled_certify_holds_dg_and_abs_dg_once():
     finally:
         tracemalloc.stop()
     assert rep.monotonicity.verdict == "fail"
-    assert peak < 20.5 * n * n * 8
+    assert peak < 13.0 * n * n * 8
 
 
 
